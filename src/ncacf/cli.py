@@ -394,8 +394,9 @@ def cmd_train(args) -> int:
                   {"best_epoch": report.best_epoch, "best_val": report.best_val})
     if not os.path.exists(best_path):
         save_best(best_model)
-    print(f"trained {variant.family}/{variant.coupling}; "
-          f"final objective {report.rows[-1][2]:.6g}; run dir {cfg.output}")
+    outcome = (f"final objective {report.rows[-1][2]:.6g}" if report.rows
+               else "no training epochs run")
+    print(f"trained {variant.family}/{variant.coupling}; {outcome}; run dir {cfg.output}")
     return 0
 
 

@@ -19,11 +19,6 @@ import numpy as np
 from .errors import DataError, ParseError
 from .rng import rng_for
 
-# Fold id for warm-split triplets pinned to the training side of every fold
-# rotation (orphan repair and single-interaction items land here).
-TRAIN_ALWAYS = -1
-
-
 # ---------------------------------------------------------------------------
 # Core containers
 # ---------------------------------------------------------------------------
@@ -82,44 +77,56 @@ class InteractionTriplets:
 
 
 @dataclass(frozen=True)
+class CompressedAxis:
+    """Entries grouped by one axis (CSR by user, CSC by item).
+
+    Segment k holds indices[indptr[k]:indptr[k + 1]] with the matching
+    counts; indices ascend strictly within every segment.
+    """
+
+    indptr: np.ndarray  # int64 (n + 1,)
+    indices: np.ndarray  # int64 (nnz,)
+    counts: np.ndarray  # float64 (nnz,)
+
+    def take(self, keys: np.ndarray):
+        """Entries of the segments `keys`, concatenated in that order.
+
+        Returns (indices, position of the entry's segment in keys, counts).
+        """
+        starts = self.indptr[keys]
+        lengths = self.indptr[keys + 1] - starts
+        pos = np.repeat(np.arange(keys.size), lengths)
+        # Offset inside the segment = output position - the segment's first one.
+        entry = starts[pos] + np.arange(pos.size) - (np.cumsum(lengths) - lengths)[pos]
+        return self.indices[entry], pos, self.counts[entry]
+
+
+@dataclass(frozen=True)
 class SparsePlaycounts:
     """Row and column access to one triplet multiset.
 
-    by_user[u] = (item indices, counts), by_item[i] = (user indices, counts),
-    both sorted by index ascending. Binarized playcounts and confidences are
-    computed on the fly from the counts; zero-count pairs are never stored
-    (their confidence is the constant 1).
+    by_user is the CSR layout (segments are users, indices are items),
+    by_item the CSC layout (segments are items, indices are users).
+    Binarized playcounts and confidences derive from the counts; zero-count
+    pairs are never stored (their confidence is the constant 1).
     """
 
     num_users: int
     num_items: int
-    by_user: tuple[tuple[np.ndarray, np.ndarray], ...]
-    by_item: tuple[tuple[np.ndarray, np.ndarray], ...]
+    by_user: CompressedAxis
+    by_item: CompressedAxis
 
     @classmethod
     def from_triplets(cls, t: InteractionTriplets) -> "SparsePlaycounts":
-        by_user = _group(t.users, t.items, t.counts, t.num_users)
-        by_item = _group(t.items, t.users, t.counts, t.num_items)
+        by_user = _compress(t.users, t.items, t.counts, t.num_users)
+        by_item = _compress(t.items, t.users, t.counts, t.num_items)
         return cls(t.num_users, t.num_items, by_user, by_item)
 
-    def triplet_set(self) -> set[tuple[int, int, float]]:
-        out = set()
-        for u, (items, counts) in enumerate(self.by_user):
-            for i, c in zip(items, counts):
-                out.add((u, int(i), float(c)))
-        return out
 
-
-def _group(keys, values, counts, n):
+def _compress(keys, values, counts, n) -> CompressedAxis:
     order = np.lexsort((values, keys))
-    keys = keys[order]
-    values = values[order]
-    counts = counts[order]
-    bounds = np.searchsorted(keys, np.arange(n + 1))
-    return tuple(
-        (values[bounds[k]:bounds[k + 1]].copy(), counts[bounds[k]:bounds[k + 1]].copy())
-        for k in range(n)
-    )
+    indptr = np.searchsorted(keys[order], np.arange(n + 1))
+    return CompressedAxis(indptr, values[order], counts[order])
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +163,11 @@ class ConfidenceScheme:
 
     def c(self, counts):
         return confidence(counts, self.alpha, self.epsilon)
+
+    def als_terms(self, counts):
+        """(c - 1, c * r): what a stored entry adds to its ALS system."""
+        c = self.c(counts)
+        return c - 1.0, c * self.r(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +270,6 @@ class FeatureTable:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 def align_features(labels, values: np.ndarray, item_labels) -> FeatureTable:
     """Reorder raw feature rows to match the dataset's item indexing."""
@@ -356,19 +365,6 @@ class SplitPlan:
     def num_units(self) -> int:
         return int(self.validation.size + self.train_always.size
                    + sum(f.size for f in self.folds))
-
-    def fold_assignment(self) -> dict:
-        """Unit -> fold index; validation units map to the string 'val' and
-        pinned warm units to TRAIN_ALWAYS."""
-        out: dict = {}
-        for unit in self.validation:
-            out[int(unit)] = "val"
-        for unit in self.train_always:
-            out[int(unit)] = TRAIN_ALWAYS
-        for k, fold in enumerate(self.folds):
-            for unit in fold:
-                out[int(unit)] = k
-        return out
 
 
 def _partition_units(num_units: int, num_folds: int, val_fraction: float,

@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import TrainingDivergedError
 
@@ -143,20 +142,6 @@ class GradientBundle:
 
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def check_finite(self):
-        for name, arr in self.arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite gradient in {name}")
-
-    def scaled(self, factor: float) -> "GradientBundle":
-        return GradientBundle({k: v * factor for k, v in self.arrays.items()})
-
-    def add(self, other: "GradientBundle") -> "GradientBundle":
-        out = dict(self.arrays)
-        for k, v in other.arrays.items():
-            out[k] = out[k] + v if k in out else v
-        return GradientBundle(out)
-
 
 def mlp_forward(params: MLPParams, x: np.ndarray):
     """Run the net on a single vector (in,) or a batch (n, in).
@@ -211,23 +196,33 @@ def mlp_backward(params: MLPParams, cache, grad_output: np.ndarray, prefix: str 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky.
 
-    Raises LinAlgError when the factorization hits a non-positive pivot,
-    which in this codebase signals a misconfigured ridge term.
+    Takes one system, A (K, K) with b (K,), or a stack, A (n, K, K) with
+    b (n, K). Each system of a stack is checked, factored and solved on its
+    own, so its solution does not depend on the rest of the stack.
+
+    Raises ValueError for an asymmetric system and LinAlgError when a
+    factorization hits a non-positive pivot, which in this codebase signals
+    a misconfigured ridge term.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    asym = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if asym > 1e-10 * max(1.0, np.max(np.abs(A))):
-        raise ValueError(f"matrix not symmetric (max asymmetry {asym:.3e})")
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
+        raise ValueError("A must be square or a stack of square matrices")
+    if b.shape != A.shape[:-1]:
+        raise ValueError(f"b has shape {b.shape}, expected {A.shape[:-1]}")
+    if A.size:
+        axes = (-2, -1)
+        asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=axes)
+        scale = np.maximum(1.0, np.maximum(A.max(axis=axes), -A.min(axis=axes)))
+        if np.any(asym > 1e-10 * scale):
+            raise ValueError(f"matrix not symmetric (max asymmetry {np.max(asym):.3e})")
     try:
-        c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SPD factorization failed ({exc}); check the ridge regularization"
         ) from exc
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    return np.linalg.solve(A, b[..., None])[..., 0]
 
 
 @dataclass

@@ -11,13 +11,12 @@ and regularizers then never touch held-out items.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
                      attach_tower, combine_grid, init_model)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
@@ -58,13 +57,11 @@ def _pool_dims(num_items: int, item_pool) -> np.ndarray:
 
 def _batch_rc(data: SparsePlaycounts, scheme: ConfidenceScheme, items: np.ndarray):
     """Dense binarized playcounts and confidences for users x batch items."""
+    users, cols, counts = data.by_item.take(items)
     R = np.zeros((data.num_users, items.size))
     C = np.ones((data.num_users, items.size))
-    for j, i in enumerate(items):
-        users, counts = data.by_item[int(i)]
-        if users.size:
-            C[users, j] = scheme.c(counts)
-            R[users, j] = scheme.r(counts)
+    C[users, cols] = scheme.c(counts)
+    R[users, cols] = scheme.r(counts)
     return R, C
 
 
@@ -203,13 +200,69 @@ def full_loss_gradients(model: Model, data: SparsePlaycounts, scheme: Confidence
 # ALS updates
 # ---------------------------------------------------------------------------
 
+# Floats in each temporary of one block of an ALS sweep. A block holds the
+# rows whose gathered columns (rows x width x K, width being the block's
+# longest row) and systems (rows x K x K) both fit, for every K and row length.
+_ALS_BLOCK_FLOATS = 1 << 18
+
+
+def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                indices: np.ndarray, c1: np.ndarray, cr: np.ndarray, lam: float,
+                prior: np.ndarray | None = None) -> np.ndarray:
+    """Minimize sum_i c_i (r_i - x . f_i)^2 + lam ||x - prior||^2 over the
+    columns f_i of F (K, m), exactly, for n rows of a compressed sparse
+    matrix: row j stores the columns indices[starts[j]:starts[j] + lengths[j]]
+    with c1 = c - 1 and cr = c * r aligned to `indices`. prior (K, n) aligns
+    with the rows.
+
+    Unstored entries have c = 1 and r = 0, so each system is the shared
+    F F^T + lam I plus G^T diag(c1) G over the row's stored columns G. Rows
+    are taken shortest first, in blocks padded to the block's longest row
+    (padding weighs 0); one stacked product builds a block's systems and one
+    stacked solve_spd solves them. Returns (K, n).
+    """
+    k, n = F.shape[0], lengths.size
+    Ft = np.ascontiguousarray(F.T)
+    shared = F @ F.T + lam * np.eye(k)
+    order = np.argsort(lengths, kind="stable")
+    row_floats = k * np.maximum(lengths[order], k)  # ascending
+    out = np.empty((k, n))
+    start = 0
+    while start < n:
+        # Block [start, stop) costs its size times its last (longest) row.
+        block_floats = np.arange(1, n - start + 1) * row_floats[start:]
+        stop = start + max(1, int(np.searchsorted(block_floats, _ALS_BLOCK_FLOATS,
+                                                  side="right")))
+        rows = order[start:stop]
+        offset = np.arange(lengths[rows[-1]])
+        stored = offset < lengths[rows, None]
+        entry = np.where(stored, starts[rows, None] + offset, 0)
+        G = Ft[indices[entry]]  # (rows, width, K)
+        Gt = G.transpose(0, 2, 1)
+        A = (Gt * np.where(stored, c1[entry], 0.0)[:, None, :]) @ G
+        A += shared
+        b = (Gt @ np.where(stored, cr[entry], 0.0)[:, :, None])[..., 0]
+        if prior is not None:
+            b += lam * prior[:, rows].T
+        out[:, rows] = solve_spd(A, b).T
+        start = stop
+    return out
+
+
+def _dense_row(F: np.ndarray, r, c, lam: float, prior=None) -> np.ndarray:
+    """_ridge_rows for one row that stores every column of F."""
+    m = F.shape[1]
+    c = np.asarray(c, dtype=np.float64)
+    prior = None if prior is None else np.reshape(prior, (-1, 1))
+    return _ridge_rows(F, np.zeros(1, dtype=np.int64), np.array([m]), np.arange(m),
+                       c - 1.0, c * np.asarray(r), lam, prior)[:, 0]
+
+
 def als_update_w(H: np.ndarray, r_u: np.ndarray, c_u: np.ndarray, lam_w: float) -> np.ndarray:
     """Exact per-user minimizer: (H diag(c) H^T + lam I)^-1 H diag(c) r."""
     if lam_w <= 0:
         raise ValueError("lambda_W must be positive")
-    A = (H * c_u) @ H.T + lam_w * np.eye(H.shape[0])
-    b = H @ (c_u * r_u)
-    return solve_spd(A, b)
+    return _dense_row(H, r_u, c_u, lam_w)
 
 
 def als_update_h(W: np.ndarray, r_i: np.ndarray, c_i: np.ndarray, lam_h: float,
@@ -218,88 +271,37 @@ def als_update_h(W: np.ndarray, r_i: np.ndarray, c_i: np.ndarray, lam_h: float,
     (W diag(c) W^T + lam I)^-1 (W diag(c) r + lam * prior)."""
     if lam_h <= 0:
         raise ValueError("lambda_H must be positive")
-    A = (W * c_i) @ W.T + lam_h * np.eye(W.shape[0])
-    b = W @ (c_i * r_i)
-    if prior is not None:
-        b = b + lam_h * prior
-    return solve_spd(A, b)
-
-
-def _run_rows(count: int, solve_one, out: np.ndarray, threads: int) -> None:
-    if threads <= 1:
-        for j in range(count):
-            out[:, j] = solve_one(j)
-        return
-
-    def work(block):
-        for j in block:
-            out[:, j] = solve_one(j)
-
-    blocks = [b for b in np.array_split(np.arange(count), threads * 4) if b.size]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(work, blocks))
+    return _dense_row(W, r_i, c_i, lam_h, prior)
 
 
 def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
                     lam_w: float, pool_index: np.ndarray, threads: int = 1) -> np.ndarray:
     """Solve every user's system against the pooled item matrix.
 
-    H_pool holds the columns for `pool_index` items only. The shared Gram
-    term H H^T is computed once per sweep; each row adds its observed-entry
-    correction (the confidence of an unobserved pair is exactly 1, so the
-    sharing is exact, not an approximation).
+    H_pool holds the columns for `pool_index` items only; an interaction
+    with an item outside the pool is a DataError. `threads` is accepted and
+    ignored: the sweep runs block by block in one thread.
     """
-    k = H_pool.shape[0]
-    gram = H_pool @ H_pool.T
-    lam_eye = lam_w * np.eye(k)
-    col_of = np.full(int(pool_index.max()) + 1 if pool_index.size else 1, -1, dtype=np.int64)
+    col_of = np.full(data.num_items, -1, dtype=np.int64)
     col_of[pool_index] = np.arange(pool_index.size)
-
-    def solve_one(u):
-        items, counts = data.by_user[u]
-        if items.size:
-            cols = col_of[items]
-            c = scheme.c(counts)
-            r = scheme.r(counts)
-            Ho = H_pool[:, cols]
-            A = gram + (Ho * (c - 1.0)) @ Ho.T + lam_eye
-            b = Ho @ (c * r)
-        else:
-            A = gram + lam_eye
-            b = np.zeros(k)
-        return solve_spd(A, b)
-
-    out = np.empty((k, data.num_users))
-    _run_rows(data.num_users, solve_one, out, threads)
-    return out
+    cols = col_of[data.by_user.indices]
+    if np.any(cols < 0):
+        item = int(data.by_user.indices[np.argmax(cols < 0)])
+        raise DataError(f"item {item} has interactions but is outside the item pool")
+    indptr = data.by_user.indptr
+    return _ridge_rows(H_pool, indptr[:-1], np.diff(indptr), cols,
+                       *scheme.als_terms(data.by_user.counts), lam_w)
 
 
 def als_sweep_items(W: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
                     lam_h: float, pool_index: np.ndarray,
                     prior: np.ndarray | None = None, threads: int = 1) -> np.ndarray:
-    """Solve the pooled items' systems; prior columns align with pool_index."""
-    k = W.shape[0]
-    gram = W @ W.T
-    lam_eye = lam_h * np.eye(k)
-
-    def solve_one(j):
-        users, counts = data.by_item[int(pool_index[j])]
-        if users.size:
-            c = scheme.c(counts)
-            r = scheme.r(counts)
-            Wo = W[:, users]
-            A = gram + (Wo * (c - 1.0)) @ Wo.T + lam_eye
-            b = Wo @ (c * r)
-        else:
-            A = gram + lam_eye
-            b = np.zeros(k)
-        if prior is not None:
-            b = b + lam_h * prior[:, j]
-        return solve_spd(A, b)
-
-    out = np.empty((k, pool_index.size))
-    _run_rows(pool_index.size, solve_one, out, threads)
-    return out
+    """Solve the pooled items' systems; prior columns align with pool_index.
+    `threads` is ignored, as in als_sweep_users."""
+    indptr = data.by_item.indptr
+    starts = indptr[pool_index]
+    return _ridge_rows(W, starts, indptr[pool_index + 1] - starts, data.by_item.indices,
+                       *scheme.als_terms(data.by_item.counts), lam_h, prior)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,14 @@ class TestTrainEvaluate:
         os.remove(tmp_path / "prepared" / "features.tsv")
         assert main(["train", "--config", cfg]) == 0
 
+    def test_wmf_zero_iterations(self, workspace, capsys):
+        cfg = workspace / "cfg.ini"
+        cfg.write_text(cfg.read_text().replace("n_iters = 3", "n_iters = 0"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert "no training epochs run" in capsys.readouterr().out
+        assert (workspace / "run" / "last.ckpt").exists()
+        assert (workspace / "run" / "best.ckpt").exists()
+
     def test_ncacf_cold_end_to_end(self, tmp_path):
         cfg = write_cfg(tmp_path, family="ncacf", coupling="relaxed", mode="cold",
                         extra="\ncombination = multiplication\nq_hidden = 1\n"

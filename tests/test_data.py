@@ -80,24 +80,38 @@ class TestBinarizeConfidence:
         assert np.all(np.diff(c) > 0)
 
 
+def _segments(axis):
+    """(key, index, count) of every entry of a compressed layout."""
+    return [(k, int(axis.indices[e]), float(axis.counts[e]))
+            for k in range(axis.indptr.size - 1)
+            for e in range(axis.indptr[k], axis.indptr[k + 1])]
+
+
 class TestSparsePlaycounts:
     def test_views_agree(self, tiny_data):
         t, sp, _ = tiny_data
-        from_rows = {(u, int(i), float(c))
-                     for u, (items, counts) in enumerate(sp.by_user)
-                     for i, c in zip(items, counts)}
-        from_cols = {(int(u), i, float(c))
-                     for i, (users, counts) in enumerate(sp.by_item)
-                     for u, c in zip(users, counts)}
+        from_rows = set(_segments(sp.by_user))
+        from_cols = {(u, i, c) for i, u, c in _segments(sp.by_item)}
         direct = set(zip(t.users.tolist(), t.items.tolist(), t.counts.tolist()))
         assert from_rows == from_cols == direct
+        assert sp.by_user.indptr[-1] == sp.by_item.indptr[-1] == len(direct)
+
+    def test_take_gathers_segments_in_key_order(self):
+        t = random_triplets(9, 7, 0.4, seed=3)
+        axis = SparsePlaycounts.from_triplets(t).by_item
+        keys = np.array([5, 0, 5, 3, 6, 1])
+        want = [(int(u), pos, float(c)) for pos, i in enumerate(keys)
+                for u, c in zip(axis.indices[axis.indptr[i]:axis.indptr[i + 1]],
+                                axis.counts[axis.indptr[i]:axis.indptr[i + 1]])]
+        users, pos, counts = axis.take(keys)
+        assert list(zip(users.tolist(), pos.tolist(), counts.tolist())) == want
+        assert all(a.size == 0 for a in axis.take(np.array([], dtype=np.int64)))
 
     def test_sorted_ascending(self, tiny_data):
         _, sp, _ = tiny_data
-        for items, _ in sp.by_user:
-            assert np.all(np.diff(items) > 0)
-        for users, _ in sp.by_item:
-            assert np.all(np.diff(users) > 0)
+        for axis in (sp.by_user, sp.by_item):
+            for k in range(axis.indptr.size - 1):
+                assert np.all(np.diff(axis.indices[axis.indptr[k]:axis.indptr[k + 1]]) > 0)
 
 
 class TestFilterActivity:

@@ -54,6 +54,37 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
 
+    @staticmethod
+    def _spd_stack(rng, n, k):
+        G = rng.normal(0, 1, (n, k, k))
+        A = G @ G.swapaxes(1, 2) + 0.5 * np.eye(k)
+        return (A + A.swapaxes(1, 2)) / 2, rng.normal(0, 1, (n, k))
+
+    def test_stack_solves_each_system_alone(self):
+        A, b = self._spd_stack(np.random.default_rng(2), 7, 5)
+        x = solve_spd(A, b)
+        assert x.shape == (7, 5)
+        for i in range(7):
+            assert np.array_equal(x[i], solve_spd(A[i], b[i]))
+            npt.assert_allclose(x[i], gauss_solve(A[i], b[i]), atol=1e-10)
+
+    def test_stack_with_non_pd_system_raises(self):
+        A, b = self._spd_stack(np.random.default_rng(3), 4, 3)
+        A[2] = -np.eye(3)
+        with pytest.raises(np.linalg.LinAlgError, match="SPD factorization failed"):
+            solve_spd(A, b)
+
+    def test_stack_with_asymmetric_system_rejected(self):
+        A, b = self._spd_stack(np.random.default_rng(4), 4, 3)
+        A[1, 0, 2] += 1e-3
+        with pytest.raises(ValueError, match="not symmetric"):
+            solve_spd(A, b)
+
+    def test_stack_shape_mismatch_rejected(self):
+        A, b = self._spd_stack(np.random.default_rng(5), 4, 3)
+        with pytest.raises(ValueError):
+            solve_spd(A, b[:3])
+
 
 class TestMlpForward:
     def test_identity_layer(self):

@@ -4,8 +4,10 @@ import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
 from oracles import dense_weighted_loss, weighted_ridge_solve
-from ncacf.data import (ConfidenceScheme, FeatureTable, SparsePlaycounts)
-from ncacf.errors import TrainingDivergedError
+from ncacf import training
+from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
+                        SparsePlaycounts)
+from ncacf.errors import DataError, TrainingDivergedError
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           mlp_forward)
 from ncacf.numerics import AdamState
@@ -26,9 +28,11 @@ def make_weighted(num_users, num_items, density, seed):
 def dense_rc(data, scheme):
     R = np.zeros((data.num_users, data.num_items))
     C = np.ones((data.num_users, data.num_items))
-    for u, (items, counts) in enumerate(data.by_user):
-        R[u, items] = scheme.r(counts)
-        C[u, items] = scheme.c(counts)
+    rows = data.by_user
+    for u in range(data.num_users):
+        seg = slice(rows.indptr[u], rows.indptr[u + 1])
+        R[u, rows.indices[seg]] = scheme.r(rows.counts[seg])
+        C[u, rows.indices[seg]] = scheme.c(rows.counts[seg])
     return R, C
 
 
@@ -137,6 +141,13 @@ class TestAlsUpdates:
                 als_update_h(W, R[:, i], C[:, i], 0.9, prior[:, i]),
                 rtol=1e-10, atol=1e-12)
 
+    def test_item_outside_pool_is_data_error(self):
+        t = InteractionTriplets.create([0, 0, 1], [0, 2, 1], [9.0, 9.0, 9.0], 2, 3)
+        data = SparsePlaycounts.from_triplets(t)
+        H_pool = np.ones((2, 2))
+        with pytest.raises(DataError, match="item 1 "):
+            als_sweep_users(H_pool, data, ConfidenceScheme(), 0.5, np.array([0, 2]))
+
     def test_parallel_sweep_bit_identical(self):
         t, data, scheme = make_weighted(40, 25, 0.2, seed=7)
         rng = np.random.default_rng(8)
@@ -145,6 +156,102 @@ class TestAlsUpdates:
         a = als_sweep_users(H, data, scheme, 0.3, pool, threads=1)
         b = als_sweep_users(H, data, scheme, 0.3, pool, threads=4)
         assert np.array_equal(a, b)
+
+
+class TestSweepOracle:
+    """Every column of a sweep against the brute-force normal equations."""
+
+    # Unsorted strict subset of the 9 items; item 4 and users 0, 5 have no
+    # interactions.
+    POOL = np.array([7, 1, 4, 2, 8])
+
+    def _data(self, rng, pool_only):
+        mask = rng.random((13, 9)) < 0.45
+        mask[[0, 5]] = False
+        mask[:, 4] = False
+        if pool_only:
+            mask[:, np.setdiff1d(np.arange(9), self.POOL)] = False
+        users, items = np.nonzero(mask)
+        counts = rng.integers(1, 20, users.size).astype(float)
+        t = InteractionTriplets.create(users, items, counts, 13, 9)
+        return SparsePlaycounts.from_triplets(t)
+
+    # Block budgets: everything in one block, then blocks of a few rows, then
+    # one row per block (K = 3: a row costs at least 3 x 3 floats).
+    @pytest.mark.parametrize("floats, threads", [(1 << 18, 1), (30, 1), (9, 3)])
+    def test_sweeps_match_ridge_oracle(self, monkeypatch, floats, threads):
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
+        rng = np.random.default_rng(12)
+        scheme = ConfidenceScheme()
+        pool = self.POOL
+        data = self._data(rng, pool_only=True)
+        R, C = dense_rc(data, scheme)
+        H_pool = rng.normal(0, 1, (3, pool.size))
+        W = als_sweep_users(H_pool, data, scheme, 0.4, pool, threads)
+        for u in range(13):
+            npt.assert_allclose(
+                W[:, u], weighted_ridge_solve(H_pool, R[u, pool], C[u, pool], 0.4),
+                rtol=1e-9, atol=1e-11)
+
+        # Items outside the pool may carry interactions; they are not swept.
+        data = self._data(rng, pool_only=False)
+        R, C = dense_rc(data, scheme)
+        prior = rng.normal(0, 1, (3, pool.size))
+        H = als_sweep_items(W, data, scheme, 0.9, pool, prior, threads)
+        for j, i in enumerate(pool):
+            npt.assert_allclose(
+                H[:, j], weighted_ridge_solve(W, R[:, i], C[:, i], 0.9, prior=prior[:, j]),
+                rtol=1e-9, atol=1e-11)
+
+    def test_block_size_and_threads_do_not_change_sweeps(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        scheme = ConfidenceScheme()
+        data = self._data(rng, pool_only=True)
+        H_pool = rng.normal(0, 1, (3, self.POOL.size))
+        W = rng.normal(0, 1, (3, 13))
+        users = als_sweep_users(H_pool, data, scheme, 0.3, self.POOL, 1)
+        items = als_sweep_items(W, data, scheme, 0.3, self.POOL, None, 1)
+        for threads in (2, 4):
+            assert np.array_equal(
+                users, als_sweep_users(H_pool, data, scheme, 0.3, self.POOL, threads))
+            assert np.array_equal(
+                items, als_sweep_items(W, data, scheme, 0.3, self.POOL, None, threads))
+        for floats in (9, 30):
+            monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
+            npt.assert_allclose(
+                als_sweep_users(H_pool, data, scheme, 0.3, self.POOL), users,
+                rtol=1e-12, atol=1e-14)
+            npt.assert_allclose(
+                als_sweep_items(W, data, scheme, 0.3, self.POOL), items,
+                rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_block_temporaries_bounded(self, monkeypatch, k):
+        """A block of rows (shortest first) holds at most _ALS_BLOCK_FLOATS
+        floats of systems and of gathered columns, or is a single row."""
+        floats = 300
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
+        sizes = []
+        solve = training.solve_spd
+
+        def recording(A, b):
+            sizes.append(A.shape[0])
+            return solve(A, b)
+
+        monkeypatch.setattr(training, "solve_spd", recording)
+        t, data, scheme = make_weighted(60, 25, 0.4, seed=21)
+        rng = np.random.default_rng(22)
+        for axis, F in ((data.by_user, rng.normal(0, 1, (k, 25))),
+                        (data.by_item, rng.normal(0, 1, (k, 60)))):
+            sizes.clear()
+            if axis is data.by_user:
+                als_sweep_users(F, data, scheme, 0.3, np.arange(25))
+            else:
+                als_sweep_items(F, data, scheme, 0.3, np.arange(25))
+            widths = np.sort(np.diff(axis.indptr))[np.cumsum(sizes) - 1]
+            assert sum(sizes) == axis.indptr.size - 1 and len(sizes) > 1
+            for n, width in zip(sizes, widths):
+                assert n == 1 or n * k * max(k, width) <= floats
 
 
 class TestLosses:
