@@ -9,17 +9,20 @@ plain dot product or a tower MLP applied to the combined embeddings.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import ConfidenceScheme, FeatureTable
-from .errors import ColdStartUnsupportedError, ConfigError
-from .numerics import (AdamState, Layer, MLPParams, mlp_forward,
+from .errors import ColdStartUnsupportedError, ConfigError, DataError
+from .numerics import (AdamState, Layer, MLPParams, activation_grad,
+                       apply_activation, mlp_backward, mlp_forward,
                        read_adam_blob, read_mlp_blob, write_adam_blob,
                        write_mlp_blob)
 from .rng import rng_for
@@ -323,29 +326,84 @@ def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
     return float(out[0])
 
 
+def tower_grid_forward(tower: MLPParams, W: np.ndarray, item_vecs: np.ndarray,
+                       combination: str):
+    """The tower over every (user, item) pair of W (K, U) and item_vecs
+    (K, n). Returns the (U, n) scores and the cache tower_grid_backward
+    consumes.
+
+    Multiplication runs the whole tower on the (U, n, K) product grid.
+    Concatenation never builds the (U, n, 2K) grid: its first layer
+    A [w; h] + b = A_w w + A_h h + b is the broadcast sum of per-user and
+    per-item pre-activations, and only the later layers run on grid rows.
+    """
+    U, n = W.shape[1], item_vecs.shape[1]
+    if combination == "multiplication":
+        grid = (W.T[:, None, :] * item_vecs.T[None, :, :]).reshape(U * n, -1)
+        out, cache = mlp_forward(tower, grid)
+        return out.reshape(U, n), (W, item_vecs, None, cache)
+    first = tower.layers[0]
+    k = W.shape[0]
+    per_user = W.T @ first.weights[:, :k].T  # (U, width)
+    if first.bias is not None:
+        per_user += first.bias
+    pre = per_user[:, None, :] + (item_vecs.T @ first.weights[:, k:].T)[None, :, :]
+    post = apply_activation(first.activation, pre)
+    if len(tower.layers) == 1:
+        return post[:, :, 0], (W, item_vecs, (pre, post), None)
+    out, cache = mlp_forward(MLPParams(tower.layers[1:]), post.reshape(U * n, -1))
+    return out.reshape(U, n), (W, item_vecs, (pre, post), cache)
+
+
+def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
+    """Reverse pass of tower_grid_forward for the (U, n) score gradient.
+
+    Returns (tower gradients keyed like tower.param_dict(), gW (K, U),
+    gH (K, n)). A concatenation tower's first layer is reduced through the
+    per-user and per-item sums G_u (U, width) and G_i (n, width) of its
+    pre-activation gradient: grad A_w = G_u^T W^T, grad A_h = G_i^T H^T,
+    gW = A_w^T G_u^T, gH = A_h^T G_i^T.
+    """
+    W, item_vecs, first_cache, rest_cache = cache
+    U, n = grad_scores.shape
+    if first_cache is None:
+        bundle, g_grid = mlp_backward(tower, rest_cache, grad_scores.reshape(-1, 1))
+        g_grid = g_grid.reshape(U, n, -1)
+        gW = np.einsum("unk,kn->ku", g_grid, item_vecs)
+        gH = np.einsum("unk,ku->kn", g_grid, W)
+        return bundle.arrays, gW, gH
+    first = tower.layers[0]
+    pre, post = first_cache
+    grads: dict[str, np.ndarray] = {}
+    if rest_cache is None:
+        g_post = grad_scores[:, :, None]
+    else:
+        bundle, g_post = mlp_backward(MLPParams(tower.layers[1:]), rest_cache,
+                                      grad_scores.reshape(-1, 1))
+        for name, arr in bundle.arrays.items():  # "layer{i}.x" of the later layers
+            i, part = name[len("layer"):].split(".")
+            grads[f"layer{int(i) + 1}.{part}"] = arr
+        g_post = g_post.reshape(U, n, -1)
+    g_pre = g_post * activation_grad(first.activation, pre, post)
+    G_u = g_pre.sum(axis=1)
+    G_i = g_pre.sum(axis=0)
+    k = W.shape[0]
+    grads["layer0.weight"] = np.concatenate([G_u.T @ W.T, G_i.T @ item_vecs.T], axis=1)
+    if first.bias is not None:
+        grads["layer0.bias"] = G_u.sum(axis=0)
+    gW = first.weights[:, :k].T @ G_u.T
+    gH = first.weights[:, k:].T @ G_i.T
+    return grads, gW, gH
+
+
 def score_matrix(model: Model, item_vecs: np.ndarray) -> np.ndarray:
     """Scores for every user against the given item-vector columns: (U, n)."""
     W = model.embeddings.W
     if model.interaction is None:
         return W.T @ item_vecs
-    V = combine_grid(W, item_vecs, model.variant.combination)
-    out, _ = mlp_forward(model.interaction, V.reshape(-1, V.shape[2]))
-    return out.reshape(V.shape[0], V.shape[1])
-
-
-def combine_grid(W: np.ndarray, item_vecs: np.ndarray, combination: str) -> np.ndarray:
-    """Combined vectors for the full user x item grid: (U, n, K')."""
-    U = W.shape[1]
-    n = item_vecs.shape[1]
-    wu = W.T[:, None, :]  # (U, 1, K)
-    hi = item_vecs.T[None, :, :]  # (1, n, K)
-    if combination == "multiplication":
-        return wu * hi
-    k = W.shape[0]
-    out = np.empty((U, n, 2 * k), dtype=np.float64)
-    out[:, :, :k] = np.broadcast_to(wu, (U, n, k))
-    out[:, :, k:] = np.broadcast_to(hi, (U, n, k))
-    return out
+    scores, _ = tower_grid_forward(model.interaction, W, item_vecs,
+                                   model.variant.combination)
+    return scores
 
 
 def predict_all_items(model: Model, user: int, items: np.ndarray,
@@ -354,11 +412,9 @@ def predict_all_items(model: Model, user: int, items: np.ndarray,
     iv = item_vectors(model, items, features, setting)
     if model.interaction is None:
         return model.embeddings.W[:, user] @ iv
-    w = model.embeddings.W[:, user]
-    V = np.stack([combine(w, iv[:, j], model.variant.combination)
-                  for j in range(iv.shape[1])])
-    out, _ = mlp_forward(model.interaction, V)
-    return out[:, 0]
+    scores, _ = tower_grid_forward(model.interaction, model.embeddings.W[:, [user]],
+                                   iv, model.variant.combination)
+    return scores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +446,27 @@ def _read_array_payload(raw: bytes) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Write to `<path>.tmp` in the same directory, then rename it onto path.
+    If the write fails or the process dies midway, path keeps its previous
+    contents; a write that raises also removes the temporary."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_checkpoint(path, header: dict, arrays: dict[str, np.ndarray] | None = None,
                      mlps: dict[str, MLPParams] | None = None,
                      adams: dict[str, AdamState] | None = None) -> None:
     raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(raw_header)))
         fh.write(raw_header)
@@ -417,36 +489,61 @@ def write_checkpoint(path, header: dict, arrays: dict[str, np.ndarray] | None = 
                 fh.write(payload)
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    # Checked against the bytes left before reading, so that a garbled
+    # length allocates nothing.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise DataError(f"{path}: checkpoint truncated in {what} "
+                        f"({left} of {n} bytes left)")
+    return fh.read(n)
+
+
+_SECTION_READERS = {
+    _KIND_ARRAY: _read_array_payload,
+    _KIND_MLP: lambda raw: read_mlp_blob(io.BytesIO(raw)),
+    _KIND_ADAM: lambda raw: read_adam_blob(io.BytesIO(raw)),
+}
+
+
 def read_checkpoint(path):
-    """Returns (header, arrays, mlps, adams)."""
-    arrays: dict[str, np.ndarray] = {}
-    mlps: dict[str, MLPParams] = {}
-    adams: dict[str, AdamState] = {}
+    """Returns (header, arrays, mlps, adams).
+
+    A bad magic, version or section kind, a short read, or a header or
+    section that does not parse raises DataError naming the path. A file cut
+    exactly at a section boundary reads as a checkpoint without the later
+    sections: the format records neither a section count nor a checksum.
+    """
+    tables: dict[int, dict] = {kind: {} for kind in _SECTION_READERS}
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (magic {magic!r})")
-        version, header_len = struct.unpack("<II", fh.read(8))
+            raise DataError(f"{path}: not a checkpoint file (magic {magic!r})")
+        version, header_len = struct.unpack("<II", _read_exact(fh, 8, path, "the file header"))
         if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
+        raw_header = _read_exact(fh, header_len, path, "the JSON header")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+            raise DataError(f"{path}: checkpoint header does not parse ({exc})") from exc
         while True:
             head = fh.read(3)
             if not head:
                 break
+            if len(head) != 3:
+                raise DataError(f"{path}: checkpoint truncated in a section head")
             kind, name_len = struct.unpack("<BH", head)
-            name = fh.read(name_len).decode("utf-8")
-            (payload_len,) = struct.unpack("<Q", fh.read(8))
-            payload = fh.read(payload_len)
-            if kind == _KIND_ARRAY:
-                arrays[name] = _read_array_payload(payload)
-            elif kind == _KIND_MLP:
-                mlps[name] = read_mlp_blob(io.BytesIO(payload))
-            elif kind == _KIND_ADAM:
-                adams[name] = read_adam_blob(io.BytesIO(payload))
-            else:
-                raise ValueError(f"{path}: unknown section kind {kind}")
-    return header, arrays, mlps, adams
+            if kind not in tables:
+                raise DataError(f"{path}: unknown section kind {kind}")
+            raw_name = _read_exact(fh, name_len, path, "a section name")
+            (payload_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "a section length"))
+            payload = _read_exact(fh, payload_len, path, f"section {raw_name!r}")
+            try:
+                tables[kind][raw_name.decode("utf-8")] = _SECTION_READERS[kind](payload)
+            except (ValueError, IndexError, struct.error) as exc:
+                raise DataError(f"{path}: section {raw_name!r} does not parse ({exc})") from exc
+    return header, tables[_KIND_ARRAY], tables[_KIND_MLP], tables[_KIND_ADAM]
 
 
 def save_model(path, model: Model, extra_header: dict | None = None,
@@ -490,16 +587,19 @@ def save_model(path, model: Model, extra_header: dict | None = None,
 def load_model(path):
     """Returns (model, header, arrays, adams); arrays excludes W/H."""
     header, arrays, mlps, adams = read_checkpoint(path)
-    if header.get("kind") != "ncacf-model":
-        raise ValueError(f"{path}: not a model checkpoint")
-    variant = ModelVariant(**header["variant"])
-    dims = header["dims"]
+    if not isinstance(header, dict) or header.get("kind") != "ncacf-model":
+        raise DataError(f"{path}: not a model checkpoint")
+    try:
+        variant = ModelVariant(**header["variant"])
+        dims = {key: header["dims"][key]
+                for key in ("num_users", "num_items", "embed_dim", "feature_dim")}
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: checkpoint header lacks a valid {exc}") from exc
+    if "W" not in arrays:
+        raise DataError(f"{path}: checkpoint has no W section")
     model = Model(
         variant=variant,
-        num_users=dims["num_users"],
-        num_items=dims["num_items"],
-        embed_dim=dims["embed_dim"],
-        feature_dim=dims["feature_dim"],
+        **dims,
         embeddings=Embeddings(arrays.pop("W"), arrays.pop("H", None)),
         extractor=mlps.get("extractor"),
         interaction=mlps.get("interaction"),

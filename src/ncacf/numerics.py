@@ -47,12 +47,14 @@ def apply_activation(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def activation_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Derivative of the activation wrt its pre-activation.
+    """Derivative of the activation wrt its pre-activation, to multiply the
+    gradient by.
 
-    The relu subgradient at exactly 0 is taken as 0.
+    For relu this is the boolean mask pre > 0: the subgradient at exactly 0
+    is taken as 0, and no float copy of the mask is made.
     """
     if name == "relu":
-        return (pre > 0).astype(np.float64)
+        return pre > 0
     if name == "identity":
         return np.ones_like(pre)
     if name == "sigmoid":
@@ -158,7 +160,7 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
     for layer in params.layers:
         pre = h @ layer.weights.T
         if layer.bias is not None:
-            pre = pre + layer.bias
+            pre += layer.bias
         post = apply_activation(layer.activation, pre)
         cache.append((h, pre, post))
         h = post

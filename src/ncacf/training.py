@@ -18,7 +18,8 @@ import numpy as np
 from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
-                     attach_tower, combine_grid, init_model)
+                     attach_tower, init_model, tower_grid_backward,
+                     tower_grid_forward)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
 from .rng import rng_for
 
@@ -90,9 +91,8 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     R, C = _batch_rc(data, scheme, batch)
     deep = model.interaction is not None
     if deep:
-        V3 = combine_grid(W, H_use, variant.combination)
-        s_flat, tower_cache = mlp_forward(model.interaction, V3.reshape(-1, V3.shape[2]))
-        S = s_flat.reshape(R.shape)
+        S, tower_cache = tower_grid_forward(model.interaction, W, H_use,
+                                            variant.combination)
     else:
         S = W.T @ H_use
 
@@ -112,17 +112,10 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     dS = 2.0 * C * diff
     grads: dict[str, object] = {}
     if deep:
-        bundle, gV = mlp_backward(model.interaction, tower_cache, dS.reshape(-1, 1))
+        tower_grads, gW_data, gH_use = tower_grid_backward(model.interaction,
+                                                           tower_cache, dS)
         if "interaction" in owned:
-            grads["interaction"] = bundle.arrays
-        gV3 = gV.reshape(V3.shape)
-        k = W.shape[0]
-        if variant.combination == "multiplication":
-            gW_data = np.einsum("ubk,kb->ku", gV3, H_use)
-            gH_use = np.einsum("ubk,ku->kb", gV3, W)
-        else:
-            gW_data = gV3[:, :, :k].sum(axis=1).T
-            gH_use = gV3[:, :, k:].sum(axis=0).T
+            grads["interaction"] = tower_grads
     else:
         gW_data = H_use @ dS.T
         gH_use = W @ dS
@@ -144,16 +137,32 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     return loss, grads
 
 
-_LOSS_CHUNK = 512  # items per dense block when summing the full objective
+# Floats in each users x items x width grid of one block of the full
+# objective: the dense R, C and scores (width 1) and, for a deep model, each
+# layer of the tower grid.
+_LOSS_BLOCK_FLOATS = 1 << 21
+
+
+def _grid_width(model: Model) -> int:
+    """Widest grid per (user, item) pair that _batch_objective builds: 1 for
+    a dot product, else the widest tower layer (and the product grid's K)."""
+    if model.interaction is None:
+        return 1
+    widths = [layer.out_dim for layer in model.interaction.layers]
+    if model.variant.combination == "multiplication":
+        widths.append(model.interaction.in_dim)
+    return max(widths)
 
 
 def _chunked_loss(model, data, scheme, features, lam_w, lam_h, pool) -> float:
-    # Confidences are only ever expanded for one item chunk at a time.
+    # Confidences and tower grids are only ever expanded for one block of
+    # items at a time.
+    block = max(1, _LOSS_BLOCK_FLOATS // (model.num_users * _grid_width(model)))
     total = 0.0
-    for start in range(0, pool.size, _LOSS_CHUNK):
-        chunk = pool[start:start + _LOSS_CHUNK]
+    for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                                   chunk, pool.size, want_grads=False)
+                                   pool[start:start + block], pool.size,
+                                   want_grads=False)
         total += part
     return total
 

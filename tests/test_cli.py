@@ -258,6 +258,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli.T, "train_wmf", boom)
         assert main(["train", "--config", str(workspace / "cfg.ini")]) == 4
 
+    @pytest.mark.parametrize("cut", ["10", "200", "half", "size-3"])
+    def test_truncated_checkpoint_is_data_error(self, workspace, capsys, cut):
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        raw = (workspace / "run" / "best.ckpt").read_bytes()
+        size = {"10": 10, "200": 200, "half": len(raw) // 2, "size-3": len(raw) - 3}[cut]
+        path = workspace / "cut.ckpt"
+        path.write_bytes(raw[:size])
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset, value", [(0, b"X"), (4, b"\x09"), ("section", b"\x07")],
+                             ids=["magic", "version", "section-kind"])
+    def test_garbled_checkpoint_is_data_error(self, workspace, capsys, offset, value):
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        raw = bytearray((workspace / "run" / "best.ckpt").read_bytes())
+        if offset == "section":  # the kind byte of the first section
+            offset = 12 + int.from_bytes(raw[8:12], "little")
+        raw[offset:offset + 1] = value
+        path = workspace / "garbled.ckpt"
+        path.write_bytes(bytes(raw))
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 3
+        assert str(path) in capsys.readouterr().err
+
     def test_checkpoint_variant_mismatch(self, workspace):
         cfg = str(workspace / "cfg.ini")
         main(["train", "--config", cfg])

@@ -1,13 +1,16 @@
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ncacf import models
 from ncacf.data import FeatureTable
-from ncacf.errors import ColdStartUnsupportedError, ConfigError
+from ncacf.errors import ColdStartUnsupportedError, ConfigError, DataError
 from ncacf.models import (Embeddings, Model, ModelVariant, combine,
                           combined_dim, init_model, item_vector, item_vectors,
-                          load_model, predict, predict_all_items, save_model,
-                          score_matrix, tower_widths)
+                          load_model, predict, predict_all_items, read_checkpoint,
+                          save_model, score_matrix, tower_widths)
 
 
 def deep_model(seed=0, num_users=6, num_items=5, k=4, q=1,
@@ -205,15 +208,23 @@ class TestPredictAllItems:
                   for i in items]
         npt.assert_allclose(batch, looped, atol=1e-12)
 
-    def test_score_matrix_matches_per_user(self):
+    @pytest.mark.parametrize("output_activation", ["sigmoid", "identity"])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("combination", ["multiplication", "concatenation"])
+    def test_score_matrix_matches_per_user(self, combination, q, output_activation):
+        # The oracle is the per-pair path: the generic MLP on combine(w, h).
         rng = np.random.default_rng(8)
-        model = deep_model(seed=9, q=1, combination="concatenation")
+        model = deep_model(seed=9, q=q, combination=combination,
+                           output_activation=output_activation)
         feats = random_features(rng, model.num_items, model.feature_dim)
-        iv = item_vectors(model, np.arange(model.num_items), feats, "warm")
+        items = np.arange(model.num_items)
+        iv = item_vectors(model, items, feats, "warm")
         S = score_matrix(model, iv)
         for u in range(model.num_users):
-            row = predict_all_items(model, u, np.arange(model.num_items), feats, "warm")
-            npt.assert_allclose(S[u], row, atol=1e-12)
+            want = [predict(model, u, iv[:, i]) for i in items]
+            npt.assert_allclose(S[u], want, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(predict_all_items(model, u, items, feats, "warm"),
+                                want, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpoint:
@@ -240,6 +251,41 @@ class TestCheckpoint:
         back, _, _, _ = load_model(path)
         assert back.embeddings.H is None
         assert np.array_equal(back.embeddings.W, model.embeddings.W)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_model(path, deep_model(seed=13))
+        before = path.read_bytes()
+
+        def failing(buf, params):  # the array sections are already written
+            buf.write(b"MLP1")
+            raise RuntimeError("write failed")
+
+        monkeypatch.setattr(models, "write_mlp_blob", failing)
+        with pytest.raises(RuntimeError, match="write failed"):
+            save_model(path, deep_model(seed=14))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_every_cut_is_data_error_or_section_boundary(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(path, deep_model(seed=15, num_users=2, num_items=2, k=2))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        loaded = []
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            try:
+                read_checkpoint(cut)
+            except DataError as exc:
+                assert str(cut) in str(exc)
+            else:
+                loaded.append(size)
+        # Only a cut between sections loads (the format cannot detect one):
+        # after the header and after each of the first three of the four
+        # sections W, H, extractor, interaction.
+        header_end = 12 + int.from_bytes(raw[8:12], "little")
+        assert len(loaded) == 4 and loaded[0] == header_end
 
     def test_file_bytes_deterministic(self, tmp_path):
         model = deep_model(seed=12)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
 from oracles import dense_weighted_loss, weighted_ridge_solve
-from ncacf import training
+from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
 from ncacf.errors import DataError, TrainingDivergedError
@@ -252,6 +252,76 @@ class TestSweepOracle:
             assert sum(sizes) == axis.indptr.size - 1 and len(sizes) > 1
             for n, width in zip(sizes, widths):
                 assert n == 1 or n * k * max(k, width) <= floats
+
+
+class TestObjectiveBlocks:
+    """full_loss sums the objective over item blocks whose users x items x
+    width grids fit _LOSS_BLOCK_FLOATS."""
+
+    # Unsorted strict subset of the 23 items.
+    POOL = np.array([21, 3, 9, 0, 14, 7, 18, 2, 11, 5, 20, 16, 8, 1, 13, 6, 22])
+    VARIANTS = {
+        "dot": ModelVariant("mf_uni", "relaxed"),
+        "mult-q0": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0),
+        "mult-q2": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 2),
+        "concat-q0": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 0),
+        "concat-q2": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
+    }
+
+    def _setup(self, name):
+        t, data, scheme = make_weighted(7, 23, 0.4, seed=31)
+        feats = FeatureTable(np.random.default_rng(32).normal(0, 1, (23, 4)))
+        model = init_model(self.VARIANTS[name], 7, 23, 3, 4, seed=11,
+                           hidden_width=5, extractor_layers=2)
+        return model, data, scheme, feats
+
+    def _record_blocks(self, monkeypatch):
+        """Per block of full_loss: [items, largest tower-grid array]."""
+        blocks = []
+        objective = training._batch_objective
+        forward = models.mlp_forward
+
+        def recording_objective(model, data, scheme, features, lam_w, lam_h,
+                                batch, *args, **kwargs):
+            blocks.append([len(batch), 0])
+            return objective(model, data, scheme, features, lam_w, lam_h, batch,
+                             *args, **kwargs)
+
+        def recording_forward(params, x):
+            out, cache = forward(params, x)
+            blocks[-1][1] = max([blocks[-1][1], out.size]
+                                + [a.size for layer in cache for a in layer])
+            return out, cache
+
+        monkeypatch.setattr(training, "_batch_objective", recording_objective)
+        monkeypatch.setattr(models, "mlp_forward", recording_forward)
+        return blocks
+
+    @pytest.mark.parametrize("name", ["dot", "concat-q2"])
+    def test_block_edges_do_not_change_loss(self, monkeypatch, name):
+        model, data, scheme, feats = self._setup(name)
+        want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
+        blocks = self._record_blocks(monkeypatch)
+        per_item = data.num_users * training._grid_width(model)
+        for floats in (5 * per_item + 3, 2 * per_item, 1):  # 5, 2 and 1 items
+            monkeypatch.setattr(training, "_LOSS_BLOCK_FLOATS", floats)
+            blocks.clear()
+            got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
+            assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_block_grids_bounded(self, monkeypatch, name):
+        """Every block's dense users x items arrays and every tower grid
+        fit the budget, or the block is a single item."""
+        floats = 60
+        monkeypatch.setattr(training, "_LOSS_BLOCK_FLOATS", floats)
+        model, data, scheme, feats = self._setup(name)
+        blocks = self._record_blocks(monkeypatch)
+        full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
+        assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
+        for n, grid in blocks:
+            assert n == 1 or max(n * data.num_users, grid) <= floats
 
 
 class TestLosses:
