@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -228,8 +229,11 @@ class PreparedData:
             self.item_pool = self.membership.train
         else:
             self.item_pool = np.arange(self.triplets.num_items)
+
+    @cached_property
+    def train_data(self) -> D.SparsePlaycounts:
         train_idx = self.membership.train_entry_idx(self.triplets)
-        self.train_data = D.SparsePlaycounts.from_triplets(self.triplets.subset(train_idx))
+        return D.SparsePlaycounts.from_triplets(self.triplets.subset(train_idx))
 
     def standardized_features(self):
         if self.features is None:

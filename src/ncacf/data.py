@@ -12,6 +12,7 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,7 @@ class InteractionTriplets:
                 raise DataError("item index out of range")
             if counts.min() <= 0:
                 raise DataError("playcounts must be positive")
-            keys = users * num_items + items
-            if np.unique(keys).size != keys.size:
+            if _has_duplicates(users * num_items + items):
                 raise DataError("duplicate (user, item) pair")
         if user_labels is None:
             user_labels = tuple(f"u{k}" for k in range(num_users))
@@ -74,6 +74,11 @@ class InteractionTriplets:
         return InteractionTriplets(
             self.users[idx], self.items[idx], self.counts[idx],
             self.num_users, self.num_items, self.user_labels, self.item_labels)
+
+
+def _has_duplicates(keys: np.ndarray) -> bool:
+    keys = np.sort(keys)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -174,49 +179,136 @@ class ConfidenceScheme:
 # File ingestion
 # ---------------------------------------------------------------------------
 
+# A chunk of the triplet file is the whole lines holding about this many
+# characters (the readlines hint). At 64 KiB a chunk's strings take a few
+# hundred kilobytes, so loading stays below what one Python object per
+# interaction would take, and the per-chunk overhead stays negligible.
+_CHUNK_BYTES = 1 << 16
+
+
 def load_triplets(path) -> InteractionTriplets:
-    """Parse a triplet file; ids are densely re-indexed in first-seen order."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    seen: dict[tuple[int, int], int] = {}
-    users, items, counts = [], [], []
+    """Parse a triplet file; ids are densely re-indexed in first-seen order.
+
+    The file is parsed a chunk of lines at a time with bulk string and array
+    operations. A defective file raises ParseError naming its first
+    defective line in file order: a line without exactly three fields, a
+    count that is not a positive integer, or a (user, item) pair already
+    seen on an earlier line.
+    """
+    user_index, item_index = _first_seen_index(), _first_seen_index()
+    empty = np.empty(0, dtype=np.int64)
+    users, items, counts, linenos = [empty], [empty], [np.empty(0)], [empty]
+    defect = None
+    lines_read = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected user<TAB>item<TAB>count")
-            raw_u, raw_i, raw_c = parts
-            try:
-                count = int(raw_c)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: count {raw_c!r} is not an integer")
-            if count <= 0:
-                raise ParseError(f"{path}:{lineno}: count must be positive")
-            u = user_index.setdefault(raw_u, len(user_index))
-            i = item_index.setdefault(raw_i, len(item_index))
-            if (u, i) in seen:
-                raise ParseError(
-                    f"{path}:{lineno}: duplicate pair ({raw_u!r}, {raw_i!r}), "
-                    f"first seen on line {seen[(u, i)]}")
-            seen[(u, i)] = lineno
-            users.append(u)
-            items.append(i)
-            counts.append(count)
-    return InteractionTriplets.create(
-        np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
-        np.array(counts, dtype=np.float64),
-        len(user_index), len(item_index),
-        tuple(user_index), tuple(item_index))
+        while defect is None:
+            lines = fh.readlines(_CHUNK_BYTES)
+            if not lines:
+                break
+            raw_u, raw_i, chunk_counts, chunk_linenos, defect = \
+                _parse_chunk(path, lines, lines_read + 1)
+            lines_read += len(lines)
+            users.append(np.fromiter(map(user_index.__getitem__, raw_u), np.int64, len(raw_u)))
+            items.append(np.fromiter(map(item_index.__getitem__, raw_i), np.int64, len(raw_i)))
+            counts.append(chunk_counts)
+            linenos.append(chunk_linenos)
+    users, items, counts, linenos = map(np.concatenate, (users, items, counts, linenos))
+    user_labels, item_labels = tuple(user_index), tuple(item_index)
+    # Every entry precedes the malformed line, so a duplicate comes first.
+    keys = users * len(item_labels) + items
+    if _has_duplicates(keys):
+        # The first duplicate in file order is the second entry of a run of
+        # equal keys in a stable sort.
+        order = np.argsort(keys, kind="stable")
+        repeats = np.flatnonzero(np.diff(keys[order]) == 0)
+        k = repeats[np.argmin(order[repeats + 1])]
+        later, first = order[k + 1], order[k]
+        raise ParseError(
+            f"{path}:{linenos[later]}: duplicate pair ({user_labels[users[later]]!r}, "
+            f"{item_labels[items[later]]!r}), first seen on line {linenos[first]}")
+    if defect is not None:
+        raise defect
+    return InteractionTriplets(users, items, counts, len(user_labels),
+                               len(item_labels), user_labels, item_labels)
+
+
+def _first_seen_index() -> defaultdict:
+    """Label -> dense index; looking up a new label stores the next index."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+def _parse_chunk(path, lines, first_lineno):
+    """Fields of a chunk's data lines before its first malformed line.
+
+    Returns (user labels, item labels, counts, line numbers, defect), where
+    defect is the ParseError of the first malformed line, or None.
+    """
+    text = "".join(lines)
+    # Comment and blank lines are rare: look for them line by line only when
+    # the chunk's text shows one.
+    if text.startswith(("#", "\n")) or "\n#" in text or "\n\n" in text:
+        keep = [k for k, line in enumerate(lines) if line != "\n" and line[0] != "#"]
+        lines = [lines[k] for k in keep]
+        linenos = np.array(keep, dtype=np.int64) + first_lineno
+        text = "".join(lines)
+    else:
+        linenos = np.arange(first_lineno, first_lineno + len(lines))
+    n = len(lines)
+    defect = None
+    fields = _split_fields(text)
+    # A "\n" field closes every line, so the lines have three fields each
+    # exactly when one sits at every fourth place.
+    if len(fields) != 4 * n + 1 or fields[3::4].count("\n") != n:
+        n = next(k for k, line in enumerate(lines) if line.count("\t") != 2)
+        defect = ParseError(f"{path}:{linenos[n]}: expected user<TAB>item<TAB>count")
+        fields = _split_fields("".join(lines[:n]))
+    raw_counts = fields[2::4]
+    parsed = {raw: _int_or_none(raw) for raw in dict.fromkeys(raw_counts)}
+    values = list(map(parsed.__getitem__, raw_counts))
+    if None in parsed.values():
+        n = values.index(None)
+        defect = ParseError(
+            f"{path}:{linenos[n]}: count {raw_counts[n]!r} is not an integer")
+    counts = np.array(values[:n], dtype=np.float64)
+    bad = np.flatnonzero(counts <= 0)
+    if bad.size:
+        n = int(bad[0])
+        defect = ParseError(f"{path}:{linenos[n]}: count must be positive")
+    return fields[0:4 * n:4], fields[1:4 * n:4], counts[:n], linenos[:n], defect
+
+
+def _split_fields(text: str) -> list[str]:
+    """The tab-separated fields of whole lines, each line's followed by "\n"."""
+    if text and text[-1] != "\n":
+        text += "\n"
+    return text.replace("\n", "\t\n\t").split("\t")
+
+
+def _int_or_none(raw: str):
+    try:
+        return int(raw)
+    except ValueError:
+        return None
 
 
 def write_triplets(path, triplets: InteractionTriplets) -> None:
+    values, inverse = np.unique(triplets.counts, return_inverse=True)
+    n = triplets.num_entries
+    # Every row's pieces in one flat list, joined once.
+    pieces = ["\t"] * (6 * n)
+    pieces[0::6] = _gather(triplets.user_labels, triplets.users)
+    pieces[2::6] = _gather(triplets.item_labels, triplets.items)
+    pieces[4::6] = _gather([str(int(v)) for v in values.tolist()], inverse)
+    pieces[5::6] = ["\n"] * n
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# user\titem\tcount\n")
-        for u, i, c in zip(triplets.users, triplets.items, triplets.counts):
-            fh.write(f"{triplets.user_labels[u]}\t{triplets.item_labels[i]}\t{int(c)}\n")
+        fh.write("# user\titem\tcount\n" + "".join(pieces))
+
+
+def _gather(strings, idx: np.ndarray) -> list[str]:
+    """[strings[k] for k in idx] through an object array."""
+    return np.array(strings, dtype=object)[idx].tolist()
 
 
 def load_features(path):
@@ -243,6 +335,8 @@ def load_features(path):
                 raise ParseError(f"{path}:{lineno}: non-numeric feature value")
             labels.append(parts[0])
             rows.append(vec)
+    if not rows:
+        raise ParseError(f"{path}: no feature rows")
     return labels, np.array(rows, dtype=np.float64)
 
 
@@ -250,7 +344,7 @@ def write_features(path, labels, values: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# item\tfeatures...\n")
         for label, row in zip(labels, values):
-            fh.write(label + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+            fh.write(label + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass(frozen=True)
@@ -422,38 +516,36 @@ def split_warm(triplets: InteractionTriplets, num_folds: int, val_fraction: floa
     for k, fold in enumerate(folds):
         fold_of[fold] = k
 
-    always = np.zeros(triplets.num_entries, dtype=bool)
-    order = np.argsort(triplets.items, kind="stable")
-    item_bounds = np.searchsorted(triplets.items[order], np.arange(triplets.num_items + 1))
-    for i in range(triplets.num_items):
-        idx = order[item_bounds[i]:item_bounds[i + 1]]
-        if idx.size == 0:
-            continue
-        if idx.size == 1:
-            always[idx[0]] = True
-            in_val[idx[0]] = False
-            continue
-        covered = np.unique(fold_of[idx][~in_val[idx]])
-        covered = covered[covered >= 0]
-        if covered.size >= 2:
-            continue
-        # Prefer pulling a validation triplet so fold sizes stay balanced.
-        val_members = idx[in_val[idx]]
-        pool = val_members if val_members.size else idx
-        pick = int(pool[rng.integers(pool.size)])
-        always[pick] = True
-        in_val[pick] = False
+    items = triplets.items
+    sizes = np.bincount(items, minlength=triplets.num_items)
+    # Distinct folds covering each item, from its non-validation triplets.
+    covering = np.unique(items[~in_val] * num_folds + fold_of[~in_val]) // num_folds
+    covered = np.bincount(covering, minlength=triplets.num_items)
+    always = (sizes == 1)[items]
+    in_val &= ~always
+    repair = np.flatnonzero((sizes >= 2) & (covered < 2))
+    if repair.size:
+        # The draws run in ascending item order, one per repaired item.
+        order = np.argsort(items, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        for i in repair.tolist():
+            idx = order[starts[i]:starts[i] + sizes[i]]
+            # Prefer pulling a validation triplet so fold sizes stay balanced.
+            val_members = idx[in_val[idx]]
+            pool = val_members if val_members.size else idx
+            pick = int(pool[rng.integers(pool.size)])
+            always[pick] = True
+            in_val[pick] = False
 
     always_idx = np.flatnonzero(always)
     validation = np.flatnonzero(in_val)
-    new_folds = tuple(np.array([e for e in fold if not always[e]], dtype=np.int64)
-                      for fold in folds)
+    new_folds = tuple(fold[~always[fold]] for fold in folds)
     return SplitPlan("warm", seed, num_folds, val_fraction, validation,
                      new_folds, always_idx)
 
 
 def scan_warm_orphans(plan: SplitPlan, triplets: InteractionTriplets) -> list[tuple[int, int]]:
-    """Brute-force membership scan of the warm orphan invariant.
+    """Check of the warm orphan invariant from per-item triplet counts.
 
     Returns (fold, item) pairs where an item appears in an evaluation bucket
     of that fold rotation without any training triplet. Empty means the plan
@@ -461,16 +553,19 @@ def scan_warm_orphans(plan: SplitPlan, triplets: InteractionTriplets) -> list[tu
     """
     if plan.mode != "warm":
         raise ValueError("orphan scan applies to warm plans")
+
+    def per_item(units):
+        return np.bincount(triplets.items[units], minlength=triplets.num_items)
+
+    in_folds = [per_item(fold) for fold in plan.folds]
+    in_train = per_item(plan.train_always) + sum(in_folds)
+    in_val = per_item(plan.validation)
     violations = []
-    for k in range(plan.num_folds):
-        train_items = set(triplets.items[plan.train_always])
-        for j, fold in enumerate(plan.folds):
-            if j != k:
-                train_items.update(triplets.items[fold])
-        eval_items = set(triplets.items[plan.validation])
-        eval_items.update(triplets.items[plan.folds[k]])
-        for item in sorted(eval_items - train_items):
-            violations.append((k, int(item)))
+    # Rotation k trains on all but fold k: an evaluated item is an orphan
+    # there when fold k holds all of its non-validation triplets.
+    for k, in_fold in enumerate(in_folds):
+        orphans = np.flatnonzero((in_val + in_fold > 0) & (in_train == in_fold))
+        violations.extend((k, item) for item in orphans.tolist())
     return violations
 
 
@@ -526,12 +621,16 @@ def write_split_plan(path, plan: SplitPlan) -> None:
         fh.write(f"val_fraction = {plan.val_fraction!r}\n")
         fh.write(f"num_units = {plan.num_units}\n")
         fh.write("[validation]\n")
-        fh.write(" ".join(str(int(x)) for x in plan.validation) + "\n")
+        fh.write(_units_line(plan.validation))
         for k, fold in enumerate(plan.folds):
             fh.write(f"[fold {k}]\n")
-            fh.write(" ".join(str(int(x)) for x in fold) + "\n")
+            fh.write(_units_line(fold))
         fh.write("[train_always]\n")
-        fh.write(" ".join(str(int(x)) for x in plan.train_always) + "\n")
+        fh.write(_units_line(plan.train_always))
+
+
+def _units_line(units: np.ndarray) -> str:
+    return " ".join(map(str, units.tolist())) + "\n"
 
 
 def read_split_plan(path) -> SplitPlan:
@@ -547,7 +646,10 @@ def read_split_plan(path) -> SplitPlan:
                 current = line[1:-1]
                 sections[current] = np.empty(0, dtype=np.int64)
             elif current is not None:
-                sections[current] = np.array([int(x) for x in line.split()], dtype=np.int64)
+                try:
+                    sections[current] = np.array(list(map(int, line.split())), dtype=np.int64)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: split units must be integers")
             elif "=" in line:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
@@ -564,9 +666,12 @@ def read_split_plan(path) -> SplitPlan:
             folds=tuple(sections[f"fold {k}"] for k in range(num_folds)),
             train_always=sections.get("train_always", np.empty(0, dtype=np.int64)),
         )
+        num_units = int(header["num_units"])
     except KeyError as exc:
         raise ParseError(f"{path}: missing split-plan field {exc}")
-    if plan.num_units != int(header["num_units"]):
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad split-plan header value ({exc})")
+    if plan.num_units != num_units:
         raise ParseError(f"{path}: unit count mismatch")
     return plan
 

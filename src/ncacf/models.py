@@ -509,13 +509,18 @@ _SECTION_READERS = {
 def read_checkpoint(path):
     """Returns (header, arrays, mlps, adams).
 
-    A bad magic, version or section kind, a short read, or a header or
-    section that does not parse raises DataError naming the path. A file cut
-    exactly at a section boundary reads as a checkpoint without the later
-    sections: the format records neither a section count nor a checksum.
+    A file that cannot be opened, a bad magic, version or section kind, a
+    short read, or a header or section that does not parse raises DataError
+    naming the path. A file cut exactly at a section boundary reads as a
+    checkpoint without the later sections: the format records neither a
+    section count nor a checksum.
     """
     tables: dict[int, dict] = {kind: {} for kind in _SECTION_READERS}
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open checkpoint ({exc.strerror})") from exc
+    with fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file (magic {magic!r})")

@@ -1,13 +1,20 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written with plain loops and naive
-elimination so it shares no code path with the library.
+elimination so it shares no code path with the library. The data-file
+oracles are per-line and per-item versions of the library's bulk parser,
+writers, warm split and orphan scan; they build the library's containers
+and draw from the library's random partition, so only the loops differ.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from ncacf.data import InteractionTriplets, SplitPlan, _partition_units
+from ncacf.errors import ParseError
+from ncacf.rng import rng_for
 
 
 def gauss_solve(A, b):
@@ -147,3 +154,128 @@ def adam_reference(params, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         vhat = v / (1 - beta2 ** t)
         p = p - lr * mhat / (np.sqrt(vhat) + eps)
     return p
+
+
+def load_triplets_per_line(path):
+    """Per-line triplet parser with a (user, item) dict for duplicates."""
+    user_index = {}
+    item_index = {}
+    seen = {}
+    users, items, counts = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected user<TAB>item<TAB>count")
+            raw_u, raw_i, raw_c = parts
+            try:
+                count = int(raw_c)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: count {raw_c!r} is not an integer")
+            if count <= 0:
+                raise ParseError(f"{path}:{lineno}: count must be positive")
+            u = user_index.setdefault(raw_u, len(user_index))
+            i = item_index.setdefault(raw_i, len(item_index))
+            if (u, i) in seen:
+                raise ParseError(
+                    f"{path}:{lineno}: duplicate pair ({raw_u!r}, {raw_i!r}), "
+                    f"first seen on line {seen[(u, i)]}")
+            seen[(u, i)] = lineno
+            users.append(u)
+            items.append(i)
+            counts.append(count)
+    return InteractionTriplets.create(
+        np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+        np.array(counts, dtype=np.float64),
+        len(user_index), len(item_index),
+        tuple(user_index), tuple(item_index))
+
+
+def write_triplets_per_line(path, triplets):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# user\titem\tcount\n")
+        for u, i, c in zip(triplets.users, triplets.items, triplets.counts):
+            fh.write(f"{triplets.user_labels[u]}\t{triplets.item_labels[i]}\t{int(c)}\n")
+
+
+def write_features_per_line(path, labels, values):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# item\tfeatures...\n")
+        for label, row in zip(labels, values):
+            fh.write(label + "\t" + "\t".join(repr(float(v)) for v in row) + "\n")
+
+
+def write_split_plan_per_unit(path, plan):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# split plan; units are item ids (cold) or triplet row indices (warm)\n")
+        fh.write(f"mode = {plan.mode}\n")
+        fh.write(f"seed = {plan.seed}\n")
+        fh.write(f"num_folds = {plan.num_folds}\n")
+        fh.write(f"val_fraction = {plan.val_fraction!r}\n")
+        fh.write(f"num_units = {plan.num_units}\n")
+        fh.write("[validation]\n")
+        fh.write(" ".join(str(int(x)) for x in plan.validation) + "\n")
+        for k, fold in enumerate(plan.folds):
+            fh.write(f"[fold {k}]\n")
+            fh.write(" ".join(str(int(x)) for x in fold) + "\n")
+        fh.write("[train_always]\n")
+        fh.write(" ".join(str(int(x)) for x in plan.train_always) + "\n")
+
+
+def split_warm_per_item(triplets, num_folds, val_fraction, seed):
+    """Warm split with the orphan repair run item by item."""
+    rng = rng_for(seed, "split.warm")
+    validation, folds = _partition_units(triplets.num_entries, num_folds,
+                                         val_fraction, rng)
+    fold_of = np.full(triplets.num_entries, -2, dtype=np.int64)
+    in_val = np.zeros(triplets.num_entries, dtype=bool)
+    in_val[validation] = True
+    for k, fold in enumerate(folds):
+        fold_of[fold] = k
+
+    always = np.zeros(triplets.num_entries, dtype=bool)
+    order = np.argsort(triplets.items, kind="stable")
+    item_bounds = np.searchsorted(triplets.items[order], np.arange(triplets.num_items + 1))
+    for i in range(triplets.num_items):
+        idx = order[item_bounds[i]:item_bounds[i + 1]]
+        if idx.size == 0:
+            continue
+        if idx.size == 1:
+            always[idx[0]] = True
+            in_val[idx[0]] = False
+            continue
+        covered = np.unique(fold_of[idx][~in_val[idx]])
+        covered = covered[covered >= 0]
+        if covered.size >= 2:
+            continue
+        val_members = idx[in_val[idx]]
+        pool = val_members if val_members.size else idx
+        pick = int(pool[rng.integers(pool.size)])
+        always[pick] = True
+        in_val[pick] = False
+
+    always_idx = np.flatnonzero(always)
+    validation = np.flatnonzero(in_val)
+    new_folds = tuple(np.array([e for e in fold if not always[e]], dtype=np.int64)
+                      for fold in folds)
+    return SplitPlan("warm", seed, num_folds, val_fraction, validation,
+                     new_folds, always_idx)
+
+
+def scan_warm_orphans_sets(plan, triplets):
+    """(fold, item) pairs evaluated in a rotation without a training triplet,
+    from Python sets per rotation."""
+    violations = []
+    for k in range(plan.num_folds):
+        train_items = set(triplets.items[plan.train_always])
+        for j, fold in enumerate(plan.folds):
+            if j != k:
+                train_items.update(triplets.items[fold])
+        eval_items = set(triplets.items[plan.validation])
+        eval_items.update(triplets.items[plan.folds[k]])
+        for item in sorted(eval_items - train_items):
+            violations.append((k, int(item)))
+    return violations

@@ -155,6 +155,18 @@ class TestTrainEvaluate:
         main(["evaluate", "--config", cfg, "--checkpoint", ckpt])
         assert (workspace / "run" / "eval_warm_test.tsv").read_bytes() == first
 
+    def test_evaluate_builds_no_training_matrix(self, workspace, monkeypatch):
+        import ncacf.cli as cli
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluate built the training matrix")
+
+        monkeypatch.setattr(cli.D.SparsePlaycounts, "from_triplets", refuse)
+        assert main(["evaluate", "--config", cfg,
+                     "--checkpoint", str(workspace / "run" / "best.ckpt")]) == 0
+
     def test_wmf_needs_no_features(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", cfg])
@@ -282,6 +294,35 @@ class TestExitCodes:
         path.write_bytes(bytes(raw))
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_missing_checkpoint_is_data_error(self, workspace, capsys):
+        cfg = str(workspace / "cfg.ini")
+        missing = str(workspace / "nope.ckpt")
+        assert main(["evaluate", "--config", cfg, "--checkpoint", missing]) == 3
+        assert missing in capsys.readouterr().err
+        assert main(["train", "--config", cfg, "--resume", missing]) == 3
+        assert missing in capsys.readouterr().err
+
+    def test_missing_pretrained_checkpoint_is_data_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, family="ncacf", coupling="relaxed")
+        main(["synth", "--config", cfg])
+        main(["prepare", "--config", cfg])
+        missing = str(tmp_path / "nope.ckpt")
+        assert main(["train", "--config", cfg, "--pretrained", missing]) == 3
+        assert missing in capsys.readouterr().err
+
+    def test_malformed_split_plan_is_data_error(self, workspace, capsys):
+        plan = workspace / "prepared" / "split_warm.txt"
+        plan.write_text(plan.read_text().replace("[validation]\n", "[validation]\n0 x "))
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 3
+        assert str(plan) in capsys.readouterr().err
+
+    def test_feature_file_without_rows_is_data_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        main(["synth", "--config", cfg])
+        (tmp_path / "raw" / "features.tsv").write_text("# item\tfeatures...\n")
+        assert main(["prepare", "--config", cfg]) == 3
+        assert "no feature rows" in capsys.readouterr().err
 
     def test_checkpoint_variant_mismatch(self, workspace):
         cfg = str(workspace / "cfg.ini")

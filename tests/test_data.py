@@ -1,16 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ncacf.data
 from conftest import random_triplets
-from oracles import two_pass_stats
-from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
-                        SparsePlaycounts, binarize, confidence, filter_activity,
-                        generate_synthetic, load_features, load_triplets,
-                        materialize_fold, read_split_plan, scan_warm_orphans,
-                        split_cold, split_warm, standardize_features,
-                        write_split_plan, write_triplets)
+from oracles import (load_triplets_per_line, scan_warm_orphans_sets,
+                     split_warm_per_item, two_pass_stats, write_features_per_line,
+                     write_split_plan_per_unit, write_triplets_per_line)
+from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets, SplitPlan,
+                        SparsePlaycounts, _partition_units, binarize, confidence,
+                        filter_activity, generate_synthetic, load_features,
+                        load_triplets, materialize_fold, read_split_plan,
+                        scan_warm_orphans, split_cold, split_warm,
+                        standardize_features, write_features, write_split_plan,
+                        write_triplets)
 from ncacf.errors import DataError, ParseError
+from ncacf.rng import rng_for
 
 
 class TestLoadTriplets:
@@ -45,6 +52,12 @@ class TestLoadTriplets:
         p.write_text("# header\na\tb\t3\n")
         assert load_triplets(p).num_entries == 1
 
+    def test_create_rejects_duplicate_pairs(self):
+        with pytest.raises(DataError, match="duplicate"):
+            InteractionTriplets.create([0, 1, 0], [2, 0, 2], np.ones(3), 2, 3)
+        t = InteractionTriplets.create([0, 1, 0], [2, 0, 1], np.ones(3), 2, 3)
+        assert t.num_entries == 3
+
     def test_roundtrip(self, tmp_path):
         # Full density so every id appears in the file and re-indexing is stable.
         t = random_triplets(6, 5, 1.0, seed=0)
@@ -52,6 +65,175 @@ class TestLoadTriplets:
         back = load_triplets(tmp_path / "t.tsv")
         assert back.num_users == t.num_users and back.num_items == t.num_items
         npt.assert_array_equal(back.counts, t.counts)
+
+
+# Chunk sizes for the loader: one line per chunk, chunk edges mid-file, and
+# one chunk for the whole file.
+CHUNK_SIZES = [1, 23, 97, 1 << 16]
+
+LABELS = ["a", "b c", "ü", "日本", "x y z", "#not-comment", "u1", "i1", "  pad", "7"]
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except Exception as exc:  # the class and message are compared
+        return exc
+
+
+def assert_same_outcome(path, monkeypatch, chunk):
+    monkeypatch.setattr(ncacf.data, "_CHUNK_BYTES", chunk)
+    want = _outcome(load_triplets_per_line, path)
+    got = _outcome(load_triplets, path)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert isinstance(got, InteractionTriplets), got
+    for name in ("users", "items", "counts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        npt.assert_array_equal(a, b)
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    assert got.user_labels == want.user_labels
+    assert got.item_labels == want.item_labels
+
+
+def random_triplet_text(rng, rows):
+    """A valid triplet file: comments, blank lines, padded counts, labels with
+    spaces and non-ASCII characters, CRLF or LF line ends, and maybe no
+    final newline."""
+    labels = [f"{rng.choice(LABELS)}{k}" for k in range(12)]
+    pairs = rng.permutation(len(labels) ** 2)[:rows]
+    lines = []
+    for key in pairs.tolist():
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("# comment\twith\ttabs")
+        elif roll < 0.2:
+            lines.append("")
+        count = int(rng.integers(1, 40))
+        text = rng.choice([str(count), f" {count}", f"{count} ", f"+{count}", f"0{count}"])
+        lines.append(f"{labels[key // len(labels)]}\t{labels[key % len(labels)]}\t{text}")
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    text = end.join(lines)
+    return text + end if rng.random() < 0.7 else text
+
+
+class TestLoaderMatchesPerLineOracle:
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_random_valid_files(self, tmp_path, monkeypatch, chunk):
+        rng = np.random.default_rng(chunk)
+        for trial in range(12):
+            path = tmp_path / f"t{trial}.tsv"
+            path.write_bytes(random_triplet_text(rng, int(rng.integers(0, 80))).encode())
+            assert_same_outcome(path, monkeypatch, chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    def test_edge_files(self, tmp_path, monkeypatch, chunk):
+        texts = ["", "\n", "# only a comment", "#\n\n#\n", "a\tb\t3",
+                 "\n\na\tb\t3\n\n", "a\tb\t3\r\nc\td\t4\r\n", "a\tb\t3\rc\td\t4\r"]
+        for k, text in enumerate(texts):
+            path = tmp_path / f"e{k}.tsv"
+            path.write_bytes(text.encode())
+            assert_same_outcome(path, monkeypatch, chunk)
+
+    MALFORMED = {
+        "two fields": "a\tb\t1\nc\td\n",
+        "four fields": "a\tb\t1\nc\td\t2\t3\n",
+        "four fields then two": "a\tb\t1\nc\td\t2\t3\ne\t4\n",
+        "only spaces": "a\tb\t1\n   \nc\td\t2\n",
+        "indented comment": "a\tb\t1\n # note\n",
+        "non-integer": "a\tb\t1\nc\td\tx\n",
+        "float count": "a\tb\t1\nc\td\t1.5\n",
+        "empty count": "a\tb\t1\nc\td\t\n",
+        "zero count": "a\tb\t1\nc\td\t0\n",
+        "negative count": "a\tb\t1\nc\td\t-4\n",
+        "duplicate": "a\tb\t1\nc\td\t2\na\tb\t5\n",
+        "duplicate far apart": "a\tb\t1\n" + "".join(f"u{k}\ti{k}\t2\n" for k in range(60))
+                               + "a\tb\t5\n",
+        "bad last line without newline": "a\tb\t1\nc\td\t0",
+        "duplicate then bad fields": "a\tb\t1\nc\td\t2\na\tb\t3\nbroken\n",
+        "bad fields then duplicate": "a\tb\t1\nbroken\na\tb\t3\n",
+        "zero then non-integer": "a\tb\t1\nc\td\t0\ne\tf\tx\n",
+        "non-integer then zero": "a\tb\t1\ne\tf\tx\nc\td\t0\n",
+        "duplicate then zero": "a\tb\t1\na\tb\t2\nc\td\t0\n",
+        "zero duplicate": "a\tb\t1\na\tb\t0\n",
+        "duplicate of a malformed line": "a\tb\tx\na\tb\t1\n",
+        "two duplicates": "a\tb\t1\nc\td\t1\nc\td\t2\na\tb\t2\n",
+    }
+
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_files(self, tmp_path, monkeypatch, chunk, case):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# header\n" + self.MALFORMED[case])
+        assert_same_outcome(path, monkeypatch, chunk)
+        assert isinstance(_outcome(load_triplets, path), ParseError)
+
+    @pytest.mark.parametrize("chunk", [1, 97])
+    def test_random_defects(self, tmp_path, monkeypatch, chunk):
+        """Valid files with one or two defective lines spliced in anywhere."""
+        rng = np.random.default_rng(100 + chunk)
+        defects = ["x\n", "a\tb\n", "a\tb\tc\td\n", "a\tb\tq\n", "a\tb\t0\n",
+                   "a\tb\t-1\n", "   \n", None]  # None: repeat an earlier line
+        for trial in range(30):
+            lines = random_triplet_text(rng, 40).replace("\r\n", "\n").splitlines(True)
+            for _ in range(int(rng.integers(1, 3))):
+                at = int(rng.integers(0, len(lines) + 1))
+                bad = defects[int(rng.integers(len(defects)))]
+                if bad is None:
+                    data = [l for l in lines[:at] if l.strip() and not l.startswith("#")]
+                    if not data:
+                        continue
+                    bad = data[int(rng.integers(len(data)))]
+                lines.insert(at, bad if bad.endswith("\n") else bad + "\n")
+            path = tmp_path / f"d{trial}.tsv"
+            path.write_bytes("".join(lines).encode())
+            assert_same_outcome(path, monkeypatch, chunk)
+
+
+class TestBulkWritersMatchPerLine:
+    def test_write_triplets(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for trial in range(5):
+            t = random_triplets(9, 7, 0.5, seed=trial)
+            counts = t.counts.copy()
+            counts[::3] += 0.5  # int() truncates non-integer counts
+            counts[::5] = 1e15 + 3
+            users = [f"{rng.choice(LABELS)}{k}" for k in range(t.num_users)]
+            items = [f"{rng.choice(LABELS)}{k}" for k in range(t.num_items)]
+            t = InteractionTriplets.create(t.users, t.items, counts, t.num_users,
+                                           t.num_items, users, items)
+            write_triplets(tmp_path / "a.tsv", t)
+            write_triplets_per_line(tmp_path / "b.tsv", t)
+            assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_write_empty_triplets(self, tmp_path):
+        t = InteractionTriplets.create([], [], [], 0, 0)
+        write_triplets(tmp_path / "a.tsv", t)
+        write_triplets_per_line(tmp_path / "b.tsv", t)
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_write_features(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.normal(0, 1, (6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        values[0] = [-0.0, 0.0, 5e-324, -1e-310, 2.2250738585072014e-308]
+        values[1] = [np.inf, -np.inf, np.nan, 1e308, 1 / 3]
+        labels = [f"{rng.choice(LABELS)}{k}" for k in range(6)]
+        write_features(tmp_path / "a.tsv", labels, values)
+        write_features_per_line(tmp_path / "b.tsv", labels, values)
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_write_split_plan(self, tmp_path):
+        t = random_triplets(25, 20, 0.2, seed=2)
+        plans = [split_cold(41, 4, 0.2, seed=1), split_warm(t, 3, 0.3, seed=5),
+                 SplitPlan("warm", 0, 2, 0.5, np.array([3, 1]),
+                           (np.empty(0, dtype=np.int64), np.array([2])),
+                           np.empty(0, dtype=np.int64))]
+        for plan in plans:
+            write_split_plan(tmp_path / "a.txt", plan)
+            write_split_plan_per_unit(tmp_path / "b.txt", plan)
+            assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
 class TestBinarizeConfidence:
@@ -207,6 +389,62 @@ class TestSplitWarm:
         npt.assert_array_equal(a.train_always, b.train_always)
 
 
+def assert_same_plan(got, want):
+    assert (got.mode, got.seed, got.num_folds, got.val_fraction) == \
+        (want.mode, want.seed, want.num_folds, want.val_fraction)
+    assert len(got.folds) == len(want.folds)
+    for a, b in zip((got.validation, got.train_always) + got.folds,
+                    (want.validation, want.train_always) + want.folds):
+        assert a.dtype == b.dtype
+        npt.assert_array_equal(a, b)
+
+
+def unrepaired_plan(t, num_folds, val_fraction, seed):
+    """The warm partition before any orphan repair."""
+    validation, folds = _partition_units(t.num_entries, num_folds, val_fraction,
+                                         rng_for(seed, "split.warm"))
+    return SplitPlan("warm", seed, num_folds, val_fraction, validation, folds,
+                     np.empty(0, dtype=np.int64))
+
+
+WARM_INSTANCES = [(users, items, density, folds, val, seed)
+                  for seed, (users, items, density) in enumerate(
+                      [(20, 15, 0.2), (30, 40, 0.06), (50, 60, 0.05), (12, 9, 0.5),
+                       (40, 30, 0.1), (80, 100, 0.03)])
+                  for folds, val in ((2, 0.25), (5, 0.2), (3, 0.4), (7, 0.1))]
+
+
+class TestWarmSplitOracles:
+    def test_split_matches_per_item_oracle(self):
+        repaired = 0
+        for users, items, density, folds, val, seed in WARM_INSTANCES:
+            t = random_triplets(users, items, density, seed=seed)
+            got = split_warm(t, folds, val, seed=seed + 17)
+            assert_same_plan(got, split_warm_per_item(t, folds, val, seed=seed + 17))
+            sizes = np.bincount(t.items, minlength=t.num_items)
+            repaired += got.train_always.size - int((sizes == 1).sum())
+        assert len(WARM_INSTANCES) >= 20 and repaired > 0
+
+    def test_scan_matches_set_oracle(self):
+        found = 0
+        for users, items, density, folds, val, seed in WARM_INSTANCES:
+            t = random_triplets(users, items, density, seed=seed)
+            sound = split_warm(t, folds, val, seed=seed)
+            broken = [unrepaired_plan(t, folds, val, seed),
+                      replace(sound, train_always=np.empty(0, dtype=np.int64)),
+                      replace(sound, folds=tuple(f[: f.size // 2] for f in sound.folds))]
+            assert scan_warm_orphans(sound, t) == scan_warm_orphans_sets(sound, t) == []
+            for plan in broken:
+                got = scan_warm_orphans(plan, t)
+                assert got == scan_warm_orphans_sets(plan, t)
+                found += len(got)
+        assert found > 0
+
+    def test_scan_rejects_cold_plans(self):
+        with pytest.raises(ValueError):
+            scan_warm_orphans(split_cold(10, 2, 0.2, seed=0), random_triplets(4, 10, 0.5, 0))
+
+
 class TestMaterializeFold:
     def test_cold_rotation(self):
         plan = split_cold(20, 4, 0.2, seed=0)
@@ -246,6 +484,22 @@ class TestSplitPlanIO:
         npt.assert_array_equal(back.train_always, plan.train_always)
         for fa, fb in zip(back.folds, plan.folds):
             npt.assert_array_equal(fa, fb)
+
+    @pytest.mark.parametrize("edit, where", [
+        (("num_units = 33\n", ""), "num_units"),
+        (("seed = 6", "seed = x"), "header value"),
+        (("val_fraction = 0.2", "val_fraction = ?"), "header value"),
+        (("[validation]\n", "[validation]\n0 x "), ":8:"),
+    ], ids=["no-num-units", "bad-seed", "bad-val-fraction", "bad-unit"])
+    def test_malformed_plan_is_parse_error(self, tmp_path, edit, where):
+        path = tmp_path / "plan.txt"
+        write_split_plan(path, split_cold(33, 4, 0.2, seed=6))
+        text = path.read_text()
+        assert edit[0] in text
+        path.write_text(text.replace(edit[0], edit[1], 1))
+        with pytest.raises(ParseError, match=where) as info:
+            read_split_plan(path)
+        assert str(path) in str(info.value)
 
     def test_bytes_stable_across_rewrites(self, tmp_path):
         plan = split_cold(33, 4, 0.2, seed=6)
@@ -338,6 +592,11 @@ class TestFeatureFileIO:
         labels, back = load_features(tmp_path / "f.tsv")
         assert labels == ["a", "b", "c", "d"]
         npt.assert_array_equal(back, vals)
+
+    def test_no_rows_rejected(self, tmp_path):
+        (tmp_path / "f.tsv").write_text("# item\tfeatures...\n\n")
+        with pytest.raises(ParseError, match="no feature rows"):
+            load_features(tmp_path / "f.tsv")
 
     def test_ragged_rejected(self, tmp_path):
         (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\t1.0\n")
