@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--profile", choices=("desk", "paper-faithful"), default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", default=None, help="run output directory")
 
     p = sub.add_parser("prepare", help="filter, split and standardize a dataset")
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> ExperimentConfig:
     return load_config(args.config, profile=args.profile, seed=args.seed,
-                       threads=args.threads, output=args.output)
+                       output=args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +261,15 @@ def _make_validator(cfg: ExperimentConfig, prep: PreparedData, variant,
 def cmd_train(args) -> int:
     cfg = _config(args)
     variant = cfg.variant()
+    last_path = os.path.join(cfg.output, "last.ckpt")
+    best_path = os.path.join(cfg.output, "best.ckpt")
+    state = None
+    if args.resume and args.pretrained:
+        raise ConfigError("--resume and --pretrained cannot be combined")
+    if args.resume:
+        state = T.resume_state(variant, args.resume, best_path)
+    elif args.pretrained:
+        state = T.pretrained_state(variant, cfg.hyper, args.pretrained)
     prep = PreparedData(cfg)
     features_std = prep.standardized_features()
     if variant.has_content and features_std is None:
@@ -270,8 +278,6 @@ def cmd_train(args) -> int:
 
     os.makedirs(cfg.output, exist_ok=True)
     write_config(os.path.join(cfg.output, "config.ini"), cfg)
-    last_path = os.path.join(cfg.output, "last.ckpt")
-    best_path = os.path.join(cfg.output, "best.ckpt")
 
     extra_arrays = {}
     if features_std is not None:
@@ -289,114 +295,35 @@ def cmd_train(args) -> int:
     if args.resume and os.path.exists(os.path.join(cfg.output, "report.tsv")):
         prev_rows = T.read_report(os.path.join(cfg.output, "report.tsv")).rows
 
-    def save_last(model, adams, progress, best_tracker):
-        head = dict(run_header)
-        head["progress"] = progress
-        head["best"] = best_tracker
-        M.save_model(last_path, model, extra_header=head,
-                     arrays=extra_arrays, adams=adams)
+    # The checkpoints this run has written; a resumed run's best.ckpt already
+    # holds the best model it resumed with.
+    saved = {"last": False, "best": state is not None and state.best_model is not None}
+
+    def save_last(snapshot):
+        M.save_model(last_path, snapshot.model,
+                     extra_header={**run_header, **T.checkpoint_header(snapshot)},
+                     arrays=extra_arrays, adams=snapshot.adams)
+        saved["last"] = True
 
     def save_best(model):
         M.save_model(best_path, model, extra_header=dict(run_header),
                      arrays=extra_arrays)
+        saved["best"] = True
 
-    kwargs = dict(item_pool=prep.item_pool, threads=cfg.threads, validator=validator)
-    U, I = prep.triplets.num_users, prep.triplets.num_items
+    def on_epoch(snapshot):
+        save_last(snapshot)
+        if snapshot.best_epoch == snapshot.global_epoch - 1:
+            save_best(snapshot.best_model)
 
-    initial_best = None
-    if args.resume:
-        head_r = M.read_checkpoint(args.resume)[0]
-        best_info = head_r.get("best") or {}
-        if best_info.get("best_val") is not None:
-            initial_best = (best_info["best_epoch"], best_info["best_val"])
-
-    if variant.family in ("wmf", "mf_hybrid"):
-        start_state = None
-        if args.resume:
-            model0, head0, _, adams0 = M.load_model(args.resume)
-            start_state = (model0, adams0.get("extractor"),
-                           head0["progress"]["iteration"])
-
-        def after_iteration(it, model, adam, report):
-            adams = {} if adam is None else {"extractor": adam}
-            save_last(model, adams, {"iteration": it + 1},
-                      {"best_epoch": report.best_epoch, "best_val": report.best_val})
-            if report.best_epoch == it:
-                save_best(model)
-
-        if variant.family == "wmf":
-            model, report = T.train_wmf(prep.train_data, cfg.hyper, U, I, cfg.seed,
-                                        after_iteration=after_iteration,
-                                        start_state=start_state,
-                                        initial_best=initial_best, **kwargs)
-        else:
-            model, report = T.train_mf_hybrid(prep.train_data, features_std,
-                                              cfg.coupling, cfg.hyper, U, I, cfg.seed,
-                                              after_iteration=after_iteration,
-                                              start_state=start_state,
-                                              initial_best=initial_best, **kwargs)
-        best_model = model
-        if report.best_epoch is not None and os.path.exists(best_path):
-            best_model, _, _, _ = M.load_model(best_path)
-    elif variant.family == "dcb":
-        model, report = T.train_dcb(prep.train_data, features_std, cfg.coupling,
-                                    cfg.hyper, U, I, cfg.seed, **kwargs)
-        best_model = model
-    else:  # mf_uni, ncacf, ncf
-        state = None
-        if args.resume:
-            model0, head0, _, adams0 = M.load_model(args.resume)
-            prog = head0["progress"]
-            best_model0 = None
-            if os.path.exists(best_path):
-                best_model0, _, _, _ = M.load_model(best_path)
-            state = T.TrainState(model=model0, adams=adams0,
-                                 phase_idx=prog["phase_idx"],
-                                 epoch_in_phase=prog["epoch_in_phase"],
-                                 global_epoch=prog["global_epoch"],
-                                 best_model=best_model0)
-        elif args.pretrained:
-            model0, head0, _, _ = M.load_model(args.pretrained)
-            if model0.embed_dim != cfg.hyper.embed_dim:
-                raise ConfigError("pretrained checkpoint embed_dim differs from config")
-            model0.variant = variant
-            model0.interaction = None
-            if not variant.has_content:
-                model0.extractor = None
-            state = T.TrainState(model=model0, adams={}, phase_idx=1,
-                                 epoch_in_phase=0,
-                                 global_epoch=head0.get("progress", {}).get(
-                                     "global_epoch", cfg.hyper.pretrain_epochs))
-
-        def after_epoch(state, report):
-            save_last(state.model, state.adams,
-                      {"phase_idx": state.phase_idx,
-                       "epoch_in_phase": state.epoch_in_phase,
-                       "global_epoch": state.global_epoch},
-                      {"best_epoch": report.best_epoch, "best_val": report.best_val})
-            if report.best_epoch == state.global_epoch - 1 and state.best_model is not None:
-                save_best(state.best_model)
-
-        if variant.family == "mf_uni":
-            model, best_model, report = T.train_mf_uni(
-                prep.train_data, features_std, cfg.coupling, cfg.hyper, U, I,
-                cfg.seed, state=state, after_epoch=after_epoch,
-                initial_best=initial_best, **kwargs)
-        else:
-            model, best_model, report = T.train_ncacf(
-                prep.train_data, features_std, cfg.coupling, cfg.combination,
-                cfg.q_hidden, cfg.hyper, U, I, cfg.seed, family=variant.family,
-                output_activation=cfg.output_activation,
-                state=state, after_epoch=after_epoch,
-                initial_best=initial_best, **kwargs)
-
+    model, best_model, report = T.train(variant, prep.train_data, features_std,
+                                        cfg.hyper, cfg.seed, prep.item_pool,
+                                        validator, state, on_epoch)
     report.rows = prev_rows + report.rows
     report.settings = _hyper_dict(cfg)
     T.write_report(os.path.join(cfg.output, "report.tsv"), report)
-    if not os.path.exists(last_path):
-        save_last(model, {}, {"done": True},
-                  {"best_epoch": report.best_epoch, "best_val": report.best_val})
-    if not os.path.exists(best_path):
+    if not saved["last"]:  # no epoch ran
+        save_last(state or T.TrainState(model))
+    if not saved["best"]:
         save_best(best_model)
     outcome = (f"final objective {report.rows[-1][2]:.6g}" if report.rows
                else "no training epochs run")
@@ -479,13 +406,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a validation signal; cold split with a "
                           "content-free family has none")
     os.makedirs(cfg.output, exist_ok=True)
-    U, I = prep.triplets.num_users, prep.triplets.num_items
 
     def evaluate_pair(lw, lh):
         hyper = replace(cfg.hyper, lambda_w=lw, lambda_h=lh)
-        model = _train_for_sweep(cfg, variant, prep, features_std, hyper,
-                                 validator, U, I)
-        return validator(model)
+        _, best_model, report = T.train(variant, prep.train_data, features_std, hyper,
+                                        cfg.seed, prep.item_pool, validator)
+        # best_val is best_model's validation score, taken during training.
+        return report.best_val if report.best_val is not None else validator(best_model)
 
     (best_lw, best_lh), table = E.grid_search(cfg.grid_lambda_w, cfg.grid_lambda_h,
                                               evaluate_pair)
@@ -500,28 +427,6 @@ def cmd_sweep(args) -> int:
     print(f"best (lambda_w, lambda_h) = ({best_lw!r}, {best_lh!r}); "
           f"table in {sweep_path}")
     return 0
-
-
-def _train_for_sweep(cfg, variant, prep, features_std, hyper, validator, U, I):
-    kwargs = dict(item_pool=prep.item_pool, threads=cfg.threads, validator=validator)
-    if variant.family == "wmf":
-        model, _ = T.train_wmf(prep.train_data, hyper, U, I, cfg.seed, **kwargs)
-    elif variant.family == "mf_hybrid":
-        model, _ = T.train_mf_hybrid(prep.train_data, features_std, cfg.coupling,
-                                     hyper, U, I, cfg.seed, **kwargs)
-    elif variant.family == "dcb":
-        model, _ = T.train_dcb(prep.train_data, features_std, cfg.coupling,
-                               hyper, U, I, cfg.seed, **kwargs)
-    elif variant.family == "mf_uni":
-        _, model, _ = T.train_mf_uni(prep.train_data, features_std, cfg.coupling,
-                                     hyper, U, I, cfg.seed, **kwargs)
-    else:
-        _, model, _ = T.train_ncacf(prep.train_data, features_std, cfg.coupling,
-                                    cfg.combination, cfg.q_hidden, hyper, U, I,
-                                    cfg.seed, family=variant.family,
-                                    output_activation=cfg.output_activation,
-                                    **kwargs)
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ class ExperimentConfig:
     synth_density: float = 0.08
     # [run]
     seed: int = 42
-    threads: int = 1
     profile: str = "desk"
     output: str = "run"
 
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError(f"fold {self.fold} out of range for {self.num_folds} folds")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         self.variant()  # raises ConfigError on inconsistent variant specs
@@ -121,7 +118,7 @@ _SECTIONS = {
     "sweep": ("grid_lambda_w", "grid_lambda_h"),
     "synth": ("synth_users", "synth_items", "synth_k_true", "synth_features",
               "synth_noise", "synth_density"),
-    "run": ("seed", "threads", "profile", "output"),
+    "run": ("seed", "profile", "output"),
 }
 
 _INI_NAME = {
@@ -158,7 +155,7 @@ def _parse_value(name: str, raw: str, current):
 
 
 def load_config(path, profile: str | None = None, seed: int | None = None,
-                threads: int | None = None, output: str | None = None) -> ExperimentConfig:
+                output: str | None = None) -> ExperimentConfig:
     """Parse an INI config; CLI overrides beat file values, which beat the
     profile defaults."""
     # strict=False lets a later section block override earlier keys, which
@@ -176,6 +173,8 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
         known = _SECTIONS[section]
         ini_to_field = {_INI_NAME.get(name, name): name for name in known}
         for key, value in parser.items(section):
+            if (section, key) == ("run", "threads"):
+                continue  # retired, but in the config.ini of earlier runs
             if key not in ini_to_field:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[ini_to_field[key]] = value
@@ -211,8 +210,6 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
         cfg.profile = profile
     if seed is not None:
         cfg.seed = seed
-    if threads is not None:
-        cfg.threads = threads
     if output is not None:
         cfg.output = output
 

@@ -1,6 +1,6 @@
 """Estimation procedures: weighted ALS, hybrid ALS+gradient schemes, unified
 gradient training for the dot-product and deep-interaction models, and the
-two-stage content baseline.
+two-stage content baseline, all behind one entry point, `train`.
 
 All data-term sums run over item batches crossed with every user; pairs
 without a stored playcount contribute with r=0 and confidence 1. Training on
@@ -10,6 +10,7 @@ and regularizers then never touch held-out items.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -18,8 +19,8 @@ import numpy as np
 from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
-                     attach_tower, init_model, tower_grid_backward,
-                     tower_grid_forward)
+                     attach_tower, init_model, load_model,
+                     tower_grid_backward, tower_grid_forward)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
 from .rng import rng_for
 
@@ -284,12 +285,11 @@ def als_update_h(W: np.ndarray, r_i: np.ndarray, c_i: np.ndarray, lam_h: float,
 
 
 def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
-                    lam_w: float, pool_index: np.ndarray, threads: int = 1) -> np.ndarray:
+                    lam_w: float, pool_index: np.ndarray) -> np.ndarray:
     """Solve every user's system against the pooled item matrix.
 
     H_pool holds the columns for `pool_index` items only; an interaction
-    with an item outside the pool is a DataError. `threads` is accepted and
-    ignored: the sweep runs block by block in one thread.
+    with an item outside the pool is a DataError.
     """
     col_of = np.full(data.num_items, -1, dtype=np.int64)
     col_of[pool_index] = np.arange(pool_index.size)
@@ -304,9 +304,8 @@ def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: Confiden
 
 def als_sweep_items(W: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
                     lam_h: float, pool_index: np.ndarray,
-                    prior: np.ndarray | None = None, threads: int = 1) -> np.ndarray:
-    """Solve the pooled items' systems; prior columns align with pool_index.
-    `threads` is ignored, as in als_sweep_users."""
+                    prior: np.ndarray | None = None) -> np.ndarray:
+    """Solve the pooled items' systems; prior columns align with pool_index."""
     indptr = data.by_item.indptr
     starts = indptr[pool_index]
     return _ridge_rows(W, starts, indptr[pool_index + 1] - starts, data.by_item.indices,
@@ -411,16 +410,6 @@ class TrainReport:
             val_ndcg: float | None, seconds: float) -> None:
         self.rows.append((epoch, phase, objective, val_ndcg, seconds))
 
-    def observe_val(self, epoch: int, val_ndcg: float | None) -> bool:
-        """Track the best validation score; True when it improved."""
-        if val_ndcg is None:
-            return False
-        if self.best_val is None or val_ndcg > self.best_val:
-            self.best_val = val_ndcg
-            self.best_epoch = epoch
-            return True
-        return False
-
     def objectives(self) -> list[float]:
         return [row[2] for row in self.rows]
 
@@ -452,127 +441,148 @@ def read_report(path) -> TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# Training drivers
+# Training
 # ---------------------------------------------------------------------------
+
+_ALS_FAMILIES = ("wmf", "mf_hybrid")
+
 
 @dataclass
 class TrainState:
-    """Resumable snapshot of a gradient or hybrid run."""
+    """Resumable snapshot of a run: the model and its Adam moments, the
+    position reached, and the best validation score so far with its model.
+
+    An ALS run counts its finished iterations in global_epoch; a gradient
+    run also keeps its phase and the epochs done in it (dcb's second stage
+    is its phase 1).
+    """
 
     model: Model
-    adams: dict[str, AdamState]
-    phase_idx: int
-    epoch_in_phase: int
-    global_epoch: int
+    adams: dict[str, AdamState] = field(default_factory=dict)
+    phase_idx: int = 0
+    epoch_in_phase: int = 0
+    global_epoch: int = 0
+    best_epoch: int | None = None
+    best_val: float | None = None
     best_model: Model | None = None
 
-
-def train_wmf(data: SparsePlaycounts, hyper: Hyperparams, num_users: int,
-              num_items: int, seed: int, item_pool=None, threads: int = 1,
-              validator=None, after_iteration=None, start_state=None,
-              initial_best=None) -> tuple[Model, TrainReport]:
-    """Content-free weighted matrix factorization by alternating sweeps
-    (item prior 0). n_iters=0 returns the initial embeddings."""
-    if start_state is not None:
-        model, adam, start_iter = start_state
-    else:
-        variant = ModelVariant("wmf", "content_free")
-        model = init_model(variant, num_users, num_items, hyper.embed_dim, 0, seed)
-        adam, start_iter = None, 0
-    return _als_loop(model, data, None, hyper, seed, item_pool, threads,
-                     validator, after_iteration, start_iter=start_iter,
-                     adam=adam, initial_best=initial_best)
+    def observe(self, epoch: int, val: float | None) -> None:
+        """Keep a copy of the model when `val` is a new best score."""
+        if val is not None and (self.best_val is None or val > self.best_val):
+            self.best_epoch, self.best_val = epoch, val
+            self.best_model = self.model.copy()
 
 
-def train_mf_hybrid(data: SparsePlaycounts, features: FeatureTable, coupling: str,
-                    hyper: Hyperparams, num_users: int, num_items: int, seed: int,
-                    item_pool=None, threads: int = 1, validator=None,
-                    full_batch: bool = False, after_iteration=None,
-                    start_state=None, initial_best=None) -> tuple[Model, TrainReport]:
-    """Alternate closed-form embedding updates with n_gd gradient epochs on
-    the content extractor, following the hybrid iteration scheme (relaxed:
-    item-embedding MSE target; strict: weighted prediction error with the
-    user factors frozen between sweeps)."""
-    if hyper.n_iters < 1 or hyper.n_gd < 1:
-        raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
-    if start_state is not None:
-        model, adam, start_iter = start_state
-    else:
-        variant = ModelVariant("mf_hybrid", coupling)
-        model = init_model(variant, num_users, num_items, hyper.embed_dim,
-                           features.dim, seed, hyper.hidden_width,
-                           hyper.extractor_layers)
-        adam, start_iter = None, 0
-    return _als_loop(model, data, features, hyper, seed, item_pool, threads,
-                     validator, after_iteration, start_iter=start_iter,
-                     adam=adam, full_batch=full_batch, initial_best=initial_best)
+def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
+          hyper: Hyperparams, seed: int, item_pool=None, validator=None,
+          state: TrainState | None = None,
+          on_epoch=None) -> tuple[Model, Model, TrainReport]:
+    """Train one variant; returns (final model, best-validation model, report).
+    The best model is the final one when nothing was validated.
 
-
-def _als_loop(model: Model, data, features, hyper: Hyperparams, seed: int,
-              item_pool, threads, validator, after_iteration,
-              start_iter: int = 0, adam: AdamState | None = None,
-              full_batch: bool = False, initial_best=None):
-    """Shared outer loop for WMF and MF-Hybrid: per iteration, ALS sweep(s)
-    over W (and H for models that own it), then n_gd gradient epochs on the
-    content extractor."""
-    scheme = hyper.scheme()
-    pool = _pool_dims(model.num_items, item_pool)
+    wmf and mf_hybrid run the ALS loop, dcb the two-stage loop, and mf_uni,
+    ncacf and ncf the gradient loop. `state` continues a run (resume_state)
+    or starts a deep variant's fine-tuning (pretrained_state); dcb takes
+    none. validator(model) -> float runs every eval_every epochs and after
+    the last one; on_epoch(state) runs after every ALS iteration or gradient
+    epoch.
+    """
+    if state is not None:
+        content = variant.has_content
+        have = (state.model.num_users, state.model.num_items,
+                state.model.feature_dim if content else 0)
+        want = (data.num_users, data.num_items, features.dim if content else 0)
+        if have != want:
+            raise ConfigError(f"the starting checkpoint has (users, items, features) "
+                              f"= {have}, the training data {want}")
+    pool = _pool_dims(data.num_items, item_pool)
     report = TrainReport()
-    if initial_best is not None:
-        report.best_epoch, report.best_val = initial_best
+    if variant.family in _ALS_FAMILIES:
+        if state is None:
+            feature_dim = features.dim if variant.has_content else 0
+            state = TrainState(init_model(variant, data.num_users, data.num_items,
+                                          hyper.embed_dim, feature_dim, seed,
+                                          hyper.hidden_width, hyper.extractor_layers))
+        _als_loop(state, data, features, hyper, seed, pool, validator, on_epoch, report)
+    elif variant.family == "dcb":
+        state = _two_stage(variant, data, features, hyper, seed, pool, validator,
+                           on_epoch, report)
+    else:
+        state = _gradient_loop(variant, data, features, hyper, seed, pool, validator,
+                               state, on_epoch, report)
+    report.best_epoch, report.best_val = state.best_epoch, state.best_val
+    best = state.best_model if state.best_model is not None else state.model
+    return state.model, best, report
+
+
+def _validate_now(validator, epoch: int, last: bool, hyper: Hyperparams) -> bool:
+    return validator is not None and ((epoch + 1) % hyper.eval_every == 0 or last)
+
+
+def _als_loop(state: TrainState, data, features, hyper: Hyperparams, seed: int,
+              pool: np.ndarray, validator, on_epoch, report: TrainReport) -> None:
+    """wmf and mf_hybrid: per iteration, ALS sweep(s) over W (and H for
+    models that own it), then n_gd gradient epochs on the content extractor
+    (relaxed: item-embedding MSE target; strict: weighted prediction error
+    with the user factors frozen between sweeps)."""
+    scheme = hyper.scheme()
+    model = state.model
     variant = model.variant
     relaxed_content = variant.has_content and variant.coupling == "relaxed"
     strict_content = variant.has_content and variant.coupling == "strict"
     rows = features.values[pool] if variant.has_content else None
-    if variant.has_content and adam is None:
-        adam = AdamState.init(model.extractor.param_dict(), hyper.eta)
+    if variant.has_content:
+        if hyper.n_iters < 1 or hyper.n_gd < 1:
+            raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
+        if not state.adams:
+            state.adams = {"extractor": AdamState.init(model.extractor.param_dict(),
+                                                       hyper.eta)}
 
-    for it in range(start_iter, hyper.n_iters):
+    for it in range(state.global_epoch, hyper.n_iters):
         t0 = time.perf_counter()
         if strict_content:
             phi = _phi_columns(model, features, pool)
-            W = als_sweep_users(phi, data, scheme, hyper.lambda_w, pool, threads)
+            W = als_sweep_users(phi, data, scheme, hyper.lambda_w, pool)
             model.embeddings = Embeddings(W, None)
         else:
             H_pool = model.embeddings.H[:, pool]
-            W = als_sweep_users(H_pool, data, scheme, hyper.lambda_w, pool, threads)
+            W = als_sweep_users(H_pool, data, scheme, hyper.lambda_w, pool)
             model.embeddings = Embeddings(W, model.embeddings.H)
             prior = _phi_columns(model, features, pool) if relaxed_content else None
             H_new = model.embeddings.H.copy()
             H_new[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h,
-                                             pool, prior, threads)
+                                             pool, prior)
             model.embeddings = Embeddings(W, H_new)
 
         phase = "als"
         if variant.has_content:
             phase = "als+gd"
-            batch_size = pool.size if full_batch else min(hyper.batch_items, pool.size)
+            batch_size = min(hyper.batch_items, pool.size)
             target = model.embeddings.H[:, pool] if relaxed_content else None
             for j in range(hyper.n_gd):
                 schedule = make_batches(pool.size, batch_size, seed,
                                         it * hyper.n_gd + j)
                 if relaxed_content:
-                    model.extractor, adam = gd_content_mse(
-                        model.extractor, target, rows, adam, schedule)
+                    model.extractor, state.adams["extractor"] = gd_content_mse(
+                        model.extractor, target, rows, state.adams["extractor"],
+                        schedule)
                 else:
-                    adams = {"extractor": adam}
-                    model, adams = gd_wpe(model, data, scheme, features,
-                                          hyper.lambda_w, hyper.lambda_h,
-                                          frozenset({"extractor"}), adams,
-                                          schedule, pool)
-                    adam = adams["extractor"]
+                    model, state.adams = gd_wpe(model, data, scheme, features,
+                                                hyper.lambda_w, hyper.lambda_h,
+                                                frozenset({"extractor"}),
+                                                state.adams, schedule, pool)
 
         objective = full_loss(model, data, scheme, features,
                               hyper.lambda_w, hyper.lambda_h, pool)
         val = None
-        if validator is not None and (
-                (it + 1) % hyper.eval_every == 0 or it == hyper.n_iters - 1):
+        if _validate_now(validator, it, it == hyper.n_iters - 1, hyper):
             val = validator(model)
-        report.observe_val(it, val)
+        state.model = model
+        state.global_epoch = it + 1
+        state.observe(it, val)
         report.log(it, phase, objective, val, time.perf_counter() - t0)
-        if after_iteration is not None:
-            after_iteration(it, model, adam, report)
-    return model, report
+        if on_epoch is not None:
+            on_epoch(state)
 
 
 def _phi_columns(model: Model, features: FeatureTable, pool: np.ndarray) -> np.ndarray:
@@ -580,91 +590,83 @@ def _phi_columns(model: Model, features: FeatureTable, pool: np.ndarray) -> np.n
     return out.T
 
 
-def train_dcb(data: SparsePlaycounts, features: FeatureTable, coupling: str,
-              hyper: Hyperparams, num_users: int, num_items: int, seed: int,
-              item_pool=None, threads: int = 1, validator=None) -> tuple[Model, TrainReport]:
-    """Two-stage baseline: content-free WMF first, then fit the extractor
+def _two_stage(variant: ModelVariant, data, features: FeatureTable,
+               hyper: Hyperparams, seed: int, pool: np.ndarray, validator,
+               on_epoch, report: TrainReport) -> TrainState:
+    """dcb: content-free WMF first (unvalidated), then the extractor is fitted
     with the stage-1 embeddings frozen. Stage 2 gets the hybrid methods'
     total gradient budget (n_iters * n_gd epochs)."""
     scheme = hyper.scheme()
-    pool = _pool_dims(num_items, item_pool)
-    wmf_model, report = train_wmf(data, hyper, num_users, num_items, seed,
-                                  item_pool, threads)
-    variant = ModelVariant("dcb", coupling)
-    model = init_model(variant, num_users, num_items, hyper.embed_dim,
-                       features.dim, seed, hyper.hidden_width,
-                       hyper.extractor_layers)
-    if variant.has_free_items:
-        model.embeddings = Embeddings(wmf_model.embeddings.W.copy(),
-                                      wmf_model.embeddings.H.copy())
-    else:
-        model.embeddings = Embeddings(wmf_model.embeddings.W.copy(), None)
-    adam = AdamState.init(model.extractor.param_dict(), hyper.eta)
+    stage1 = TrainState(init_model(ModelVariant("wmf", "content_free"), data.num_users,
+                                   data.num_items, hyper.embed_dim, 0, seed))
+    _als_loop(stage1, data, None, hyper, seed, pool, None, None, report)
+    wmf = stage1.model.embeddings
+    model = init_model(variant, data.num_users, data.num_items, hyper.embed_dim,
+                       features.dim, seed, hyper.hidden_width, hyper.extractor_layers)
+    model.embeddings = Embeddings(wmf.W.copy(),
+                                  wmf.H.copy() if variant.has_free_items else None)
+    state = TrainState(model, {"extractor": AdamState.init(model.extractor.param_dict(),
+                                                           hyper.eta)},
+                       phase_idx=1, global_epoch=hyper.n_iters)
     rows = features.values[pool]
-    target = wmf_model.embeddings.H[:, pool]
+    target = wmf.H[:, pool]
     stage2_epochs = hyper.n_iters * hyper.n_gd
     for epoch in range(stage2_epochs):
         t0 = time.perf_counter()
         schedule = make_batches(pool.size, min(hyper.batch_items, pool.size),
                                 seed, epoch)
-        if coupling == "relaxed":
-            model.extractor, adam = gd_content_mse(model.extractor, target,
-                                                   rows, adam, schedule)
-            objective = content_mse(model.extractor, target, rows)
+        if variant.coupling == "relaxed":
+            state.model.extractor, state.adams["extractor"] = gd_content_mse(
+                state.model.extractor, target, rows, state.adams["extractor"], schedule)
+            objective = content_mse(state.model.extractor, target, rows)
         else:
-            adams = {"extractor": adam}
-            model, adams = gd_wpe(model, data, scheme, features, hyper.lambda_w,
-                                  hyper.lambda_h, frozenset({"extractor"}),
-                                  adams, schedule, pool)
-            adam = adams["extractor"]
-            objective = loss_strict(model, data, scheme, features,
+            state.model, state.adams = gd_wpe(state.model, data, scheme, features,
+                                              hyper.lambda_w, hyper.lambda_h,
+                                              frozenset({"extractor"}), state.adams,
+                                              schedule, pool)
+            objective = loss_strict(state.model, data, scheme, features,
                                     hyper.lambda_w, pool)
         val = None
-        if validator is not None and (
-                (epoch + 1) % hyper.eval_every == 0 or epoch == stage2_epochs - 1):
-            val = validator(model)
-        report.observe_val(hyper.n_iters + epoch, val)
-        report.log(hyper.n_iters + epoch, "stage2", objective, val,
+        if _validate_now(validator, epoch, epoch == stage2_epochs - 1, hyper):
+            val = validator(state.model)
+        state.observe(state.global_epoch, val)
+        report.log(state.global_epoch, "stage2", objective, val,
                    time.perf_counter() - t0)
-    return model, report
+        state.epoch_in_phase += 1
+        state.global_epoch += 1
+        if on_epoch is not None:
+            on_epoch(state)
+    return state
 
 
-def train_unified(variant: ModelVariant, data: SparsePlaycounts,
-                  features: FeatureTable | None, hyper: Hyperparams,
-                  num_users: int, num_items: int, seed: int, item_pool=None,
-                  threads: int = 1, validator=None, full_batch: bool = False,
-                  freeze_interaction: bool = False, state: TrainState | None = None,
-                  after_epoch=None, initial_best=None) -> tuple[Model, Model, TrainReport]:
-    """Single gradient loop over all owned parameters, batched by items.
+def _gradient_loop(variant: ModelVariant, data, features: FeatureTable | None,
+                   hyper: Hyperparams, seed: int, pool: np.ndarray, validator,
+                   state: TrainState | None, on_epoch, report: TrainReport,
+                   freeze_interaction: bool = False) -> TrainState:
+    """mf_uni, ncacf and ncf: one gradient loop over all owned parameters,
+    batched by items.
 
     Deep-interaction variants run two phases: a dot-product pretraining
     phase (tower absent), then the tower is attached with fresh optimizer
-    state and everything is fine-tuned. Returns (final model,
-    best-validation model, report).
+    state and everything is fine-tuned. freeze_interaction keeps the tower
+    at its initialization.
     """
     scheme = hyper.scheme()
-    feature_dim = features.dim if features is not None else 0
-    pool = _pool_dims(num_items, item_pool)
     deep = variant.interaction_kind == "deep"
     phases = [("pretrain", hyper.pretrain_epochs), ("finetune", hyper.finetune_epochs)] \
         if deep else [("train", hyper.max_epochs)]
 
     if state is None:
-        model = init_model(variant, num_users, num_items, hyper.embed_dim,
-                           feature_dim, seed, hyper.hidden_width,
-                           hyper.extractor_layers, with_interaction=False)
-        state = TrainState(model=model, adams={}, phase_idx=0, epoch_in_phase=0,
-                           global_epoch=0, best_model=None)
-        _enter_phase(state, variant, hyper, seed, freeze_interaction, phases[0][0])
-    elif not state.adams:
-        # Injected state (e.g. a pretrained checkpoint): build optimizer
-        # state for the phase it starts in.
+        feature_dim = features.dim if features is not None else 0
+        state = TrainState(init_model(variant, data.num_users, data.num_items,
+                                      hyper.embed_dim, feature_dim, seed,
+                                      hyper.hidden_width, hyper.extractor_layers,
+                                      with_interaction=False))
+    if not state.adams:
+        # A fresh or pretrained start: optimizer state for its first phase.
         _enter_phase(state, variant, hyper, seed, freeze_interaction,
                      phases[state.phase_idx][0])
-    report = TrainReport()
-    if initial_best is not None:
-        report.best_epoch, report.best_val = initial_best
-    batch_size = pool.size if full_batch else min(hyper.batch_items, pool.size)
+    batch_size = min(hyper.batch_items, pool.size)
 
     while state.phase_idx < len(phases):
         phase_name, phase_epochs = phases[state.phase_idx]
@@ -680,24 +682,21 @@ def train_unified(variant: ModelVariant, data: SparsePlaycounts,
             val = None
             last = (state.epoch_in_phase == phase_epochs - 1
                     and state.phase_idx == len(phases) - 1)
-            if validator is not None and (
-                    (state.global_epoch + 1) % hyper.eval_every == 0 or last):
+            if _validate_now(validator, state.global_epoch, last, hyper):
                 val = validator(state.model)
-            if report.observe_val(state.global_epoch, val):
-                state.best_model = state.model.copy()
+            state.observe(state.global_epoch, val)
             report.log(state.global_epoch, phase_name, objective, val,
                        time.perf_counter() - t0)
             state.epoch_in_phase += 1
             state.global_epoch += 1
-            if after_epoch is not None:
-                after_epoch(state, report)
+            if on_epoch is not None:
+                on_epoch(state)
         state.phase_idx += 1
         state.epoch_in_phase = 0
         if state.phase_idx < len(phases):
             _enter_phase(state, variant, hyper, seed, freeze_interaction,
                          phases[state.phase_idx][0])
-    best = state.best_model if state.best_model is not None else state.model
-    return state.model, best, report
+    return state
 
 
 def _enter_phase(state: TrainState, variant: ModelVariant, hyper: Hyperparams,
@@ -728,28 +727,71 @@ def _phase_owned(variant: ModelVariant, phase_name: str,
     return owned
 
 
-def train_mf_uni(data: SparsePlaycounts, features: FeatureTable, coupling: str,
-                 hyper: Hyperparams, num_users: int, num_items: int, seed: int,
-                 item_pool=None, threads: int = 1, validator=None,
-                 full_batch: bool = False, state=None, after_epoch=None,
-                 initial_best=None):
-    variant = ModelVariant("mf_uni", coupling)
-    return train_unified(variant, data, features, hyper, num_users, num_items,
-                         seed, item_pool, threads, validator, full_batch,
-                         state=state, after_epoch=after_epoch,
-                         initial_best=initial_best)
+# ---------------------------------------------------------------------------
+# Checkpointed runs
+# ---------------------------------------------------------------------------
+
+def checkpoint_header(state: TrainState) -> dict:
+    """The checkpoint header entries that resume_state reads back: the run's
+    position ({"iteration": n} for an ALS run; phase, epoch in phase and
+    global epoch otherwise) and its best validation so far."""
+    if state.model.variant.family in _ALS_FAMILIES:
+        progress = {"iteration": state.global_epoch}
+    else:
+        progress = {"phase_idx": state.phase_idx,
+                    "epoch_in_phase": state.epoch_in_phase,
+                    "global_epoch": state.global_epoch}
+    return {"progress": progress,
+            "best": {"best_epoch": state.best_epoch, "best_val": state.best_val}}
 
 
-def train_ncacf(data: SparsePlaycounts, features: FeatureTable | None, coupling: str,
-                combination: str, q_hidden: int, hyper: Hyperparams,
-                num_users: int, num_items: int, seed: int, item_pool=None,
-                threads: int = 1, validator=None, full_batch: bool = False,
-                freeze_interaction: bool = False, output_activation: str = "sigmoid",
-                family: str = "ncacf", state=None, after_epoch=None,
-                initial_best=None):
-    variant = ModelVariant(family, coupling, "deep", combination, q_hidden,
-                           output_activation)
-    return train_unified(variant, data, features, hyper, num_users, num_items,
-                         seed, item_pool, threads, validator, full_batch,
-                         freeze_interaction, state=state, after_epoch=after_epoch,
-                         initial_best=initial_best)
+def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:
+    """The state that the checkpoint at `path` recorded. Its best model is
+    loaded from best_path (the run's best.ckpt) when the checkpoint records
+    a best validation score and that file exists."""
+    if variant.family == "dcb":
+        raise ConfigError("dcb runs cannot be resumed; rerun them from the start")
+    model, header, _, adams = load_model(path)
+    if model.variant != variant:
+        raise ConfigError(f"{path}: checkpoint variant {model.variant} does not "
+                          f"match config {variant}")
+    progress, best = header.get("progress") or {}, header.get("best") or {}
+    state = TrainState(model, adams, best_epoch=best.get("best_epoch"),
+                       best_val=best.get("best_val"))
+    try:
+        if variant.family in _ALS_FAMILIES:
+            state.global_epoch = progress["iteration"]
+        else:
+            state.phase_idx = progress["phase_idx"]
+            state.epoch_in_phase = progress["epoch_in_phase"]
+            state.global_epoch = progress["global_epoch"]
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint records no {exc} to resume from") from exc
+    if state.best_val is not None and best_path is not None and os.path.exists(best_path):
+        state.best_model = load_model(best_path)[0]
+    return state
+
+
+def pretrained_state(variant: ModelVariant, hyper: Hyperparams, path) -> TrainState:
+    """A deep variant's fine-tuning start from the dot-product model in the
+    checkpoint at `path` (for example a finished mf_uni run): its embeddings,
+    and its extractor when the variant has content, with pretraining done."""
+    if variant.interaction_kind != "deep":
+        raise ConfigError(f"{variant.family} has no pretraining phase; only a "
+                          f"deep-interaction variant starts from a pretrained "
+                          f"checkpoint")
+    model, header, _, _ = load_model(path)
+    if model.embed_dim != hyper.embed_dim:
+        raise ConfigError("pretrained checkpoint embed_dim differs from config")
+    if variant.has_content and model.extractor is None:
+        raise ConfigError(f"{path}: checkpoint has no content extractor for "
+                          f"{variant.family} with {variant.coupling} coupling")
+    model.variant = variant
+    model.interaction = None
+    if not variant.has_content:
+        model.extractor = None
+    if not variant.has_free_items:
+        model.embeddings = Embeddings(model.embeddings.W, None)
+    progress = header.get("progress") or {}
+    return TrainState(model, phase_idx=1,
+                      global_epoch=progress.get("global_epoch", hyper.pretrain_epochs))

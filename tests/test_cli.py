@@ -56,7 +56,6 @@ density = 0.35
 
 [run]
 seed = 7
-threads = 1
 output = {output}
 """
 
@@ -241,6 +240,57 @@ class TestTrainEvaluate:
         assert phases == {"finetune"}
 
 
+    def test_dcb_rerun_replaces_checkpoints(self, workspace):
+        cfg = write_cfg(workspace, name="dcb.ini", family="dcb", coupling="relaxed",
+                        mode="cold", extra="\n[hyperparams]\nn_gd = 3\neval_every = 1\n")
+        run = workspace / "run"
+        assert main(["train", "--config", cfg]) == 0
+        first = {f: (run / f).read_bytes() for f in ("last.ckpt", "best.ckpt")}
+        assert main(["train", "--config", cfg, "--seed", "99"]) == 0
+        for f, old in first.items():
+            assert (run / f).read_bytes() != old, f
+        # best.ckpt is the best-validation model the report names.
+        best_val = next(float(line.split(" = ")[1]) for line in
+                        (run / "report.tsv").read_text().splitlines()
+                        if line.startswith("# best_val = "))
+        assert main(["evaluate", "--config", cfg, "--seed", "99",
+                     "--checkpoint", str(run / "best.ckpt")]) == 0
+        mean = next(float(line.split("\t")[1]) for line in
+                    (run / "eval_cold_validation.tsv").read_text().splitlines()
+                    if line.startswith("mean_ndcg\t"))
+        assert mean == pytest.approx(best_val, rel=1e-12)
+
+    def test_als_resume_matches_uninterrupted(self, workspace):
+        full = write_cfg(workspace, name="full.ini", family="mf_hybrid",
+                         coupling="relaxed", output="run_full")
+        assert main(["train", "--config", full]) == 0
+        short = write_cfg(workspace, name="short.ini", family="mf_hybrid",
+                          coupling="relaxed", output="run_resumed",
+                          extra="\n[hyperparams]\nn_iters = 2\n")
+        assert main(["train", "--config", short]) == 0
+        resumed = write_cfg(workspace, name="resume.ini", family="mf_hybrid",
+                            coupling="relaxed", output="run_resumed")
+        assert main(["train", "--config", resumed, "--resume",
+                     str(workspace / "run_resumed" / "last.ckpt")]) == 0
+        a, b = workspace / "run_full", workspace / "run_resumed"
+        assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
+        from ncacf.training import read_report
+        rows_a = [r[:4] for r in read_report(a / "report.tsv").rows]
+        rows_b = [r[:4] for r in read_report(b / "report.tsv").rows]
+        assert rows_a == rows_b and len(rows_a) == 3
+
+
+    def test_strict_from_relaxed_pretrained_has_no_item_matrix(self, workspace):
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
+                        coupling="relaxed", output="run_uni")
+        assert main(["train", "--config", uni]) == 0
+        deep = write_cfg(workspace, name="deep.ini", family="ncacf", coupling="strict")
+        assert main(["train", "--config", deep, "--pretrained",
+                     str(workspace / "run_uni" / "best.ckpt")]) == 0
+        for name in ("last.ckpt", "best.ckpt"):
+            assert load_model(workspace / "run" / name)[0].embeddings.H is None
+
+
 class TestExitCodes:
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, family="bogus")
@@ -267,7 +317,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise TrainingDivergedError("objective is not finite (inf)")
 
-        monkeypatch.setattr(cli.T, "train_wmf", boom)
+        monkeypatch.setattr(cli.T, "train", boom)
         assert main(["train", "--config", str(workspace / "cfg.ini")]) == 4
 
     @pytest.mark.parametrize("cut", ["10", "200", "half", "size-3"])
@@ -333,6 +383,70 @@ class TestExitCodes:
                      "--checkpoint", str(workspace / "run" / "best.ckpt")]) == 2
 
 
+    @pytest.mark.parametrize("family, coupling, flag", [
+        ("dcb", "relaxed", "--resume"),
+        ("wmf", "content_free", "--pretrained"),
+        ("mf_hybrid", "relaxed", "--pretrained"),
+        ("dcb", "relaxed", "--pretrained"),
+        ("mf_uni", "relaxed", "--pretrained"),
+    ])
+    def test_unhonoured_start_is_config_error(self, workspace, capsys, family,
+                                              coupling, flag):
+        cfg = write_cfg(workspace, name="start.ini", family=family, coupling=coupling)
+        assert main(["train", "--config", cfg]) == 0
+        run = workspace / "run"
+        before = {f: (run / f).read_bytes() for f in sorted(os.listdir(run))}
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, flag, str(run / "last.ckpt")]) == 2
+        assert family in capsys.readouterr().err
+        assert {f: (run / f).read_bytes() for f in sorted(os.listdir(run))} == before
+
+    def test_resume_with_pretrained_is_config_error(self, workspace, capsys):
+        cfg = write_cfg(workspace, name="both.ini", family="ncacf", coupling="relaxed")
+        assert main(["train", "--config", cfg]) == 0
+        last = str(workspace / "run" / "last.ckpt")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", last,
+                     "--pretrained", last]) == 2
+        err = capsys.readouterr().err
+        assert "--resume" in err and "--pretrained" in err
+
+
+    @pytest.mark.parametrize("flag, source, target", [
+        ("--resume", "mf_uni", "ncacf"),
+        ("--pretrained", "ncf", "ncacf"),
+    ])
+    def test_incompatible_start_checkpoint_is_config_error(self, workspace, capsys,
+                                                           flag, source, target):
+        couplings = {"mf_uni": "relaxed", "ncf": "content_free", "ncacf": "relaxed"}
+        src = write_cfg(workspace, name="src.ini", family=source,
+                        coupling=couplings[source], output="run_src")
+        assert main(["train", "--config", src]) == 0
+        cfg = write_cfg(workspace, name="dst.ini", family=target,
+                        coupling=couplings[target])
+        ckpt = str(workspace / "run_src" / "last.ckpt")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, flag, ckpt]) == 2
+        assert ckpt in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+
+    @pytest.mark.parametrize("flag, target", [("--resume", "mf_uni"),
+                                              ("--pretrained", "ncacf")])
+    def test_start_checkpoint_of_other_data_is_config_error(self, workspace, capsys,
+                                                            flag, target):
+        src = write_cfg(workspace, name="src.ini", family="mf_uni", coupling="relaxed",
+                        output="run_src",
+                        extra="\n[data]\nprepared = prepared_src\nmin_user_songs = 8\n")
+        assert main(["prepare", "--config", src]) == 0
+        assert main(["train", "--config", src]) == 0
+        cfg = write_cfg(workspace, name="dst.ini", family=target, coupling="relaxed")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, flag,
+                     str(workspace / "run_src" / "last.ckpt")]) == 2
+        assert "training data" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_single_cell_grid(self, workspace):
         cfg = write_cfg(workspace, name="sweep.ini", family="wmf",
@@ -357,6 +471,30 @@ class TestSweep:
         top = max(table, key=lambda r: (r[2], r[0], r[1]))
         assert (best.hyper.lambda_w, best.hyper.lambda_h) == (top[0], top[1])
 
+
+
+class TestAllFamilies:
+    @pytest.mark.parametrize("family, coupling", [
+        ("wmf", "content_free"), ("dcb", "relaxed"), ("dcb", "strict"),
+        ("mf_hybrid", "relaxed"), ("mf_hybrid", "strict"), ("mf_uni", "relaxed"),
+        ("mf_uni", "strict"), ("ncacf", "relaxed"), ("ncacf", "strict"),
+        ("ncf", "content_free"),
+    ])
+    def test_train_evaluate_sweep(self, workspace, family, coupling):
+        cfg = write_cfg(workspace, name="smoke.ini", family=family, coupling=coupling)
+        assert main(["train", "--config", cfg]) == 0
+        best = workspace / "run" / "best.ckpt"
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(best)]) == 0
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = (workspace / "run" / "sweep.tsv").read_text().splitlines()
+        assert len(rows) == 2
+        # The one grid point is the config's (lambda_w, lambda_h): the sweep
+        # scores the same best-validation model that train kept.
+        best_val = next(float(line.split(" = ")[1]) for line in
+                        (workspace / "run" / "report.tsv").read_text().splitlines()
+                        if line.startswith("# best_val = "))
+        assert float(rows[1].split("\t")[2]) == best_val
+        assert load_model(best)[0].variant == load_config(cfg).variant()
 
 class TestReport:
     def test_single_run_table(self, workspace):
@@ -438,3 +576,19 @@ class TestConfigRoundtrip:
         monkeypatch.setenv("NCACF_OUTPUT_ROOT", str(root))
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.output == str(root / "run")
+
+    def test_retired_threads_key_ignored(self, workspace, capsys):
+        cfg = write_cfg(workspace, name="threads.ini", extra="\n[run]\nthreads = 4\n")
+        loaded = load_config(cfg)
+        assert not hasattr(loaded, "threads")
+        assert main(["train", "--config", cfg]) == 0
+        run = workspace / "run"
+        keys = [line.split(" = ")[0] for line in (run / "config.ini").read_text().splitlines()]
+        assert "threads" not in keys
+        # Run directories written before the key was retired still report.
+        with open(run / "config.ini", "a", encoding="utf-8") as fh:
+            fh.write("\n[run]\nthreads = 4\n")
+        assert main(["report", str(run), "--output", str(workspace / "summary")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2

@@ -263,7 +263,8 @@ class TestCrossValidate:
         plan = split_warm(t, 3, 0.2, seed=seed)
         data_scheme = ConfidenceScheme()
         from ncacf.models import Hyperparams
-        from ncacf.training import train_wmf
+        from ncacf.models import ModelVariant
+        from ncacf import training
         from ncacf.data import SparsePlaycounts
 
         def train_and_score(fold, lw, lh, bucket):
@@ -272,7 +273,8 @@ class TestCrossValidate:
             data = SparsePlaycounts.from_triplets(train)
             hyper = Hyperparams(embed_dim=2, n_iters=3,
                                 lambda_w=lw or 0.1, lambda_h=lh or 1.0)
-            model, _ = train_wmf(data, hyper, 15, 12, seed=seed)
+            model, _, _ = training.train(ModelVariant("wmf", "content_free"), data,
+                                         None, hyper, seed=seed)
             return evaluate(model, membership, bucket, t, data_scheme, None, 5)
 
         return train_and_score

@@ -15,8 +15,7 @@ from ncacf.training import (als_sweep_items, als_sweep_users, als_update_h,
                             als_update_w, content_mse, full_loss,
                             full_loss_gradients, gd_content_mse,
                             loss_relaxed, loss_strict, make_batches,
-                            owned_groups, train_dcb, train_mf_hybrid,
-                            train_mf_uni, train_ncacf, train_wmf,
+                            owned_groups, train, TrainState,
                             _batch_objective)
 
 
@@ -34,6 +33,22 @@ def dense_rc(data, scheme):
         R[u, rows.indices[seg]] = scheme.r(rows.counts[seg])
         C[u, rows.indices[seg]] = scheme.c(rows.counts[seg])
     return R, C
+
+
+WMF = ModelVariant("wmf", "content_free")
+DCB_RELAXED = ModelVariant("dcb", "relaxed")
+UNI_RELAXED = ModelVariant("mf_uni", "relaxed")
+
+
+def _frozen_reduction(data, feats, hyper, seed):
+    """ncacf with a tower that reduces to the dot product and stays frozen;
+    returns (final model, report)."""
+    variant = ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0, "identity")
+    report = training.TrainReport()
+    state = training._gradient_loop(variant, data, feats, hyper, seed,
+                                    np.arange(data.num_items), None, None, None,
+                                    report, freeze_interaction=True)
+    return state.model, report
 
 
 class TestAlsUpdates:
@@ -153,8 +168,8 @@ class TestAlsUpdates:
         rng = np.random.default_rng(8)
         H = rng.normal(0, 1, (4, 25))
         pool = np.arange(25)
-        a = als_sweep_users(H, data, scheme, 0.3, pool, threads=1)
-        b = als_sweep_users(H, data, scheme, 0.3, pool, threads=4)
+        a = als_sweep_users(H, data, scheme, 0.3, pool)
+        b = als_sweep_users(H, data, scheme, 0.3, pool)
         assert np.array_equal(a, b)
 
 
@@ -178,8 +193,8 @@ class TestSweepOracle:
 
     # Block budgets: everything in one block, then blocks of a few rows, then
     # one row per block (K = 3: a row costs at least 3 x 3 floats).
-    @pytest.mark.parametrize("floats, threads", [(1 << 18, 1), (30, 1), (9, 3)])
-    def test_sweeps_match_ridge_oracle(self, monkeypatch, floats, threads):
+    @pytest.mark.parametrize("floats", [1 << 18, 30, 9])
+    def test_sweeps_match_ridge_oracle(self, monkeypatch, floats):
         monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
         rng = np.random.default_rng(12)
         scheme = ConfidenceScheme()
@@ -187,7 +202,7 @@ class TestSweepOracle:
         data = self._data(rng, pool_only=True)
         R, C = dense_rc(data, scheme)
         H_pool = rng.normal(0, 1, (3, pool.size))
-        W = als_sweep_users(H_pool, data, scheme, 0.4, pool, threads)
+        W = als_sweep_users(H_pool, data, scheme, 0.4, pool)
         for u in range(13):
             npt.assert_allclose(
                 W[:, u], weighted_ridge_solve(H_pool, R[u, pool], C[u, pool], 0.4),
@@ -197,7 +212,7 @@ class TestSweepOracle:
         data = self._data(rng, pool_only=False)
         R, C = dense_rc(data, scheme)
         prior = rng.normal(0, 1, (3, pool.size))
-        H = als_sweep_items(W, data, scheme, 0.9, pool, prior, threads)
+        H = als_sweep_items(W, data, scheme, 0.9, pool, prior)
         for j, i in enumerate(pool):
             npt.assert_allclose(
                 H[:, j], weighted_ridge_solve(W, R[:, i], C[:, i], 0.9, prior=prior[:, j]),
@@ -209,13 +224,12 @@ class TestSweepOracle:
         data = self._data(rng, pool_only=True)
         H_pool = rng.normal(0, 1, (3, self.POOL.size))
         W = rng.normal(0, 1, (3, 13))
-        users = als_sweep_users(H_pool, data, scheme, 0.3, self.POOL, 1)
-        items = als_sweep_items(W, data, scheme, 0.3, self.POOL, None, 1)
-        for threads in (2, 4):
-            assert np.array_equal(
-                users, als_sweep_users(H_pool, data, scheme, 0.3, self.POOL, threads))
-            assert np.array_equal(
-                items, als_sweep_items(W, data, scheme, 0.3, self.POOL, None, threads))
+        users = als_sweep_users(H_pool, data, scheme, 0.3, self.POOL)
+        items = als_sweep_items(W, data, scheme, 0.3, self.POOL, None)
+        assert np.array_equal(
+            users, als_sweep_users(H_pool, data, scheme, 0.3, self.POOL))
+        assert np.array_equal(
+            items, als_sweep_items(W, data, scheme, 0.3, self.POOL, None))
         for floats in (9, 30):
             monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
             npt.assert_allclose(
@@ -593,14 +607,14 @@ class TestTrainWmf:
     def test_rank_one_recovery(self):
         data, R = self._rank_one_data()
         hyper = Hyperparams(embed_dim=1, lambda_w=1e-4, lambda_h=1e-4, n_iters=20)
-        model, _ = train_wmf(data, hyper, 8, 6, seed=0)
+        model, _, _ = train(WMF, data, None, hyper, seed=0)
         approx = model.embeddings.W.T @ model.embeddings.H
         assert np.max(np.abs(approx - R)) < 1e-3
 
     def test_objective_non_increasing_per_sweep(self):
         t, data, scheme = make_weighted(12, 9, 0.3, seed=27)
         hyper = Hyperparams(embed_dim=3, lambda_w=0.2, lambda_h=0.2, n_iters=10)
-        _, report = train_wmf(data, hyper, 12, 9, seed=1)
+        _, _, report = train(WMF, data, None, hyper, seed=1)
         obj = report.objectives()
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
@@ -608,7 +622,7 @@ class TestTrainWmf:
     def test_zero_iterations_returns_initial_embeddings(self):
         t, data, scheme = make_weighted(5, 4, 0.5, seed=28)
         hyper = Hyperparams(embed_dim=2, n_iters=0)
-        model, report = train_wmf(data, hyper, 5, 4, seed=2)
+        model, _, report = train(WMF, data, None, hyper, seed=2)
         fresh = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=2)
         assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
         assert np.array_equal(model.embeddings.H, fresh.embeddings.H)
@@ -622,17 +636,15 @@ class TestTrainHybrid:
         feats = FeatureTable(rng.normal(0, 1, (8, 4)))
         hyper = Hyperparams(embed_dim=2, lambda_w=0.3, lambda_h=0.6, n_iters=6,
                             n_gd=1, eta=0.0)  # eta=0 freezes the extractor
-        from ncacf.training import _als_loop
         variant = ModelVariant("mf_hybrid", "relaxed")
         model = init_model(variant, 10, 8, 2, 4, seed=3, hidden_width=4,
                            extractor_layers=2)
         for layer in model.extractor.layers:
             layer.weights[...] = 0.0
             layer.bias[...] = 0.0
-        hybrid_model, hybrid_report = _als_loop(model, data, feats, hyper,
-                                                seed=3, item_pool=None, threads=1,
-                                                validator=None, after_iteration=None)
-        wmf_model, wmf_report = train_wmf(data, hyper, 10, 8, seed=3)
+        hybrid_model, _, hybrid_report = train(variant, data, feats, hyper, seed=3,
+                                               state=TrainState(model))
+        wmf_model, _, wmf_report = train(WMF, data, None, hyper, seed=3)
         assert np.array_equal(hybrid_model.embeddings.W, wmf_model.embeddings.W)
         assert np.array_equal(hybrid_model.embeddings.H, wmf_model.embeddings.H)
         npt.assert_allclose(hybrid_report.objectives(), wmf_report.objectives(),
@@ -643,9 +655,10 @@ class TestTrainHybrid:
         rng = np.random.default_rng(32)
         feats = FeatureTable(rng.normal(0, 1, (4, 3)))
         hyper = Hyperparams(embed_dim=2, lambda_w=0.2, lambda_h=0.5, n_iters=8,
-                            n_gd=1, eta=1e-4, hidden_width=4, extractor_layers=2)
-        _, report = train_mf_hybrid(data, feats, "relaxed", hyper, 5, 4, seed=4,
-                                    full_batch=True)
+                            n_gd=1, eta=1e-4, hidden_width=4, extractor_layers=2,
+                            batch_items=4)  # one batch: the whole pool
+        _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats,
+                             hyper, seed=4)
         obj = report.objectives()
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
@@ -656,7 +669,8 @@ class TestTrainHybrid:
         feats = FeatureTable(rng.normal(0, 1, (4, 3)))
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
-        model, _ = train_mf_hybrid(data, feats, "strict", hyper, 5, 4, seed=5)
+        model, _, _ = train(ModelVariant("mf_hybrid", "strict"), data, feats, hyper,
+                            seed=5)
         assert model.embeddings.H is None
 
 
@@ -671,8 +685,8 @@ class TestTrainDcb:
         data, feats = self._setup()
         hyper = Hyperparams(embed_dim=2, n_iters=4, n_gd=2, hidden_width=4,
                             extractor_layers=2)
-        model, report = train_dcb(data, feats, "relaxed", hyper, 6, 5, seed=6)
-        wmf_model, _ = train_wmf(data, hyper, 6, 5, seed=6)
+        model, _, report = train(DCB_RELAXED, data, feats, hyper, seed=6)
+        wmf_model, _, _ = train(WMF, data, None, hyper, seed=6)
         assert np.array_equal(model.embeddings.W, wmf_model.embeddings.W)
         assert np.array_equal(model.embeddings.H, wmf_model.embeddings.H)
 
@@ -680,7 +694,7 @@ class TestTrainDcb:
         data, feats = self._setup(37)
         hyper = Hyperparams(embed_dim=2, n_iters=3, n_gd=2, hidden_width=4,
                             extractor_layers=2)
-        _, report = train_dcb(data, feats, "relaxed", hyper, 6, 5, seed=7)
+        _, _, report = train(DCB_RELAXED, data, feats, hyper, seed=7)
         phases = [row[1] for row in report.rows]
         assert phases[:3] == ["als"] * 3
         assert phases[3:] == ["stage2"] * 6  # n_iters * n_gd epochs
@@ -690,7 +704,7 @@ class TestTrainDcb:
         hyper = Hyperparams(embed_dim=2, n_iters=10, n_gd=40, eta=1e-2,
                             hidden_width=16, extractor_layers=2,
                             lambda_w=0.05, lambda_h=0.05)
-        model, _ = train_dcb(data, feats, "relaxed", hyper, 6, 5, seed=8)
+        model, _, _ = train(DCB_RELAXED, data, feats, hyper, seed=8)
         mse = content_mse(model.extractor, model.embeddings.H, feats.values)
         assert mse < 1e-3
         phi, _ = mlp_forward(model.extractor, feats.values)
@@ -702,7 +716,7 @@ class TestTrainDcb:
         data, feats = self._setup(41)
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
-        model, _ = train_dcb(data, feats, "strict", hyper, 6, 5, seed=9)
+        model, _, _ = train(ModelVariant("dcb", "strict"), data, feats, hyper, seed=9)
         assert model.embeddings.H is None
 
 
@@ -717,7 +731,7 @@ class TestTrainUnified:
         data, feats = self._setup()
         hyper = Hyperparams(embed_dim=2, eta=0.0, max_epochs=3, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train_mf_uni(data, feats, "relaxed", hyper, 6, 5, seed=10)
+        model, _, _ = train(UNI_RELAXED, data, feats, hyper, seed=10)
         fresh = init_model(ModelVariant("mf_uni", "relaxed"), 6, 5, 2, 3,
                            seed=10, hidden_width=4, extractor_layers=2)
         assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
@@ -727,15 +741,16 @@ class TestTrainUnified:
         data, feats = self._setup(45)
         hyper = Hyperparams(embed_dim=2, max_epochs=3, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train_mf_uni(data, feats, "strict", hyper, 6, 5, seed=11)
+        model, _, _ = train(ModelVariant("mf_uni", "strict"), data, feats, hyper,
+                            seed=11)
         assert model.embeddings.H is None
 
     def test_full_batch_loss_decreases_small_lr(self):
         data, feats = self._setup(47, num_users=5, num_items=4)
         hyper = Hyperparams(embed_dim=2, eta=1e-4, max_epochs=12, hidden_width=4,
-                            extractor_layers=2, lambda_w=0.1, lambda_h=0.3)
-        _, _, report = train_mf_uni(data, feats, "relaxed", hyper, 5, 4, seed=12,
-                                    full_batch=True)
+                            extractor_layers=2, lambda_w=0.1, lambda_h=0.3,
+                            batch_items=4)  # one batch: the whole pool
+        _, _, report = train(UNI_RELAXED, data, feats, hyper, seed=12)
         obj = report.objectives()
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-6 * abs(prev)
@@ -744,9 +759,7 @@ class TestTrainUnified:
         data, feats = self._setup(49)
         hyper = Hyperparams(embed_dim=2, max_epochs=2, pretrain_epochs=0,
                             finetune_epochs=3, hidden_width=4, extractor_layers=2)
-        model, _, _ = train_ncacf(data, feats, "relaxed", "multiplication", 0,
-                                  hyper, 6, 5, seed=13, freeze_interaction=True,
-                                  output_activation="identity")
+        model = _frozen_reduction(data, feats, hyper, seed=13)[0]
         assert np.all(model.interaction.layers[-1].weights == 1.0)
 
     def test_reduction_trajectory_matches_mf_uni(self):
@@ -754,11 +767,8 @@ class TestTrainUnified:
         hyper = Hyperparams(embed_dim=2, eta=1e-3, max_epochs=4, pretrain_epochs=0,
                             finetune_epochs=4, batch_items=2, hidden_width=4,
                             extractor_layers=2)
-        uni_model, _, uni_report = train_mf_uni(data, feats, "relaxed", hyper,
-                                                6, 5, seed=14)
-        red_model, _, red_report = train_ncacf(
-            data, feats, "relaxed", "multiplication", 0, hyper, 6, 5, seed=14,
-            freeze_interaction=True, output_activation="identity")
+        uni_model, _, uni_report = train(UNI_RELAXED, data, feats, hyper, seed=14)
+        red_model, red_report = _frozen_reduction(data, feats, hyper, seed=14)
         npt.assert_allclose(red_model.embeddings.W, uni_model.embeddings.W,
                             rtol=0, atol=1e-9)
         npt.assert_allclose(red_model.embeddings.H, uni_model.embeddings.H,
@@ -770,8 +780,8 @@ class TestTrainUnified:
         data, feats = self._setup(53)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             hidden_width=4, extractor_layers=2)
-        _, _, report = train_ncacf(data, feats, "relaxed", "multiplication", 1,
-                                   hyper, 6, 5, seed=15)
+        _, _, report = train(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+                             data, feats, hyper, seed=15)
         phases = [row[1] for row in report.rows]
         assert phases == ["pretrain"] * 2 + ["finetune"] * 3
 
@@ -779,9 +789,8 @@ class TestTrainUnified:
         data, _ = self._setup(55)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=1, finetune_epochs=2,
                             hidden_width=4)
-        model, _, report = train_ncacf(data, None, "content_free",
-                                       "multiplication", 1, hyper, 6, 5,
-                                       seed=16, family="ncf")
+        model, _, report = train(ModelVariant("ncf", "content_free", "deep", q_hidden=1),
+                                 data, None, hyper, seed=16)
         assert model.extractor is None
         assert model.interaction is not None
         assert len(report.rows) == 3
