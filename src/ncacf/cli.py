@@ -275,6 +275,10 @@ def cmd_train(args) -> int:
     if variant.has_content and features_std is None:
         raise DataError("this variant needs item features; none were prepared")
     validator = _make_validator(cfg, prep, variant, features_std)
+    if state is not None:
+        state.model.check_fits(prep.train_data.num_users, prep.train_data.num_items,
+                               features_std.dim if features_std is not None else 0,
+                               "the starting checkpoint", "the training data")
 
     os.makedirs(cfg.output, exist_ok=True)
     write_config(os.path.join(cfg.output, "config.ini"), cfg)
@@ -368,10 +372,13 @@ def cmd_evaluate(args) -> int:
             f"content branch (cold-start evaluation unsupported)")
 
     prep = PreparedData(cfg)
+    if model.variant.has_content and prep.features is None:
+        raise DataError("cold evaluation of a content model needs the features file")
+    model.check_fits(prep.triplets.num_users, prep.triplets.num_items,
+                     prep.features.dim if prep.features is not None else 0,
+                     f"checkpoint {args.checkpoint}", "the prepared data")
     features_std = None
     if model.variant.has_content:
-        if prep.features is None:
-            raise DataError("cold evaluation of a content model needs the features file")
         if "feat_mean" not in arrays:
             raise DataError("checkpoint lacks feature standardization statistics")
         features_std = D.FeatureTable(

@@ -240,6 +240,17 @@ class Model:
             extras=dict(self.extras),
         )
 
+    def check_fits(self, num_users: int, num_items: int, feature_dim: int,
+                   source: str, target: str) -> None:
+        """ConfigError unless the model was built for this many users and
+        items and, when it has content, this feature width."""
+        content = self.variant.has_content
+        have = (self.num_users, self.num_items, self.feature_dim if content else 0)
+        want = (num_users, num_items, feature_dim if content else 0)
+        if have != want:
+            raise ConfigError(f"{source} has (users, items, features) = {have}, "
+                              f"{target} {want}")
+
 
 def init_model(variant: ModelVariant, num_users: int, num_items: int,
                embed_dim: int, feature_dim: int, seed: int,

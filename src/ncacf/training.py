@@ -3,7 +3,9 @@ gradient training for the dot-product and deep-interaction models, and the
 two-stage content baseline, all behind one entry point, `train`.
 
 All data-term sums run over item batches crossed with every user; pairs
-without a stored playcount contribute with r=0 and confidence 1. Training on
+without a stored playcount contribute with r=0 and confidence 1. A dot
+product sums them at nnz cost through K x K Gramians; only a tower expands
+the users x batch grid. Training on
 a cold split passes the training items as `item_pool`: batches, ALS sweeps
 and regularizers then never touch held-out items.
 """
@@ -74,6 +76,12 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     """Confidence-weighted prediction error over (all users) x (batch items),
     plus regularizers.
 
+    A dot product s = w . h never expands that grid: the error of every
+    pair scored as unobserved (r = 0, c = 1) is <W W^T, H_b H_b^T>, and the
+    batch's stored pairs add c (s - r)^2 - s^2 each; the gradients split the
+    same way. That costs O(nnz K + (U + B) K^2). A tower scores the dense
+    users x batch grid.
+
     The user regularizer is scaled by batch/pool so the batch objectives of
     one epoch sum to the full objective; the item-side terms are summed over
     the batch only. Returns (loss, grads keyed by parameter group).
@@ -89,17 +97,24 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
         phi = phi_out.T  # (K, B)
     H_use = phi if strict else model.embeddings.H[:, batch]
 
-    R, C = _batch_rc(data, scheme, batch)
     deep = model.interaction is not None
     if deep:
+        R, C = _batch_rc(data, scheme, batch)
         S, tower_cache = tower_grid_forward(model.interaction, W, H_use,
                                             variant.combination)
+        diff = S - R
+        data_loss = np.sum(C * diff * diff)
     else:
-        S = W.T @ H_use
+        users, cols, counts = data.by_item.take(batch)
+        # Non-finite parameters give inf - inf here; the check below raises.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_w, gram_h = W @ W.T, H_use @ H_use.T
+            s = sum(w[users] * h[cols] for w, h in zip(W, H_use))
+            c, diff = scheme.c(counts), s - scheme.r(counts)
+            data_loss = np.sum(gram_w * gram_h) + np.sum(c * diff * diff - s * s)
 
-    diff = S - R
     scale_w = batch.size / pool_size
-    loss = float(np.sum(C * diff * diff)) + lam_w * float(np.sum(W * W)) * scale_w
+    loss = float(data_loss) + lam_w * float(np.sum(W * W)) * scale_w
     D = None
     if not strict:
         prior = phi if variant.has_content else 0.0
@@ -110,16 +125,19 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     if not want_grads:
         return loss, {}
 
-    dS = 2.0 * C * diff
     grads: dict[str, object] = {}
     if deep:
         tower_grads, gW_data, gH_use = tower_grid_backward(model.interaction,
-                                                           tower_cache, dS)
+                                                           tower_cache, 2.0 * C * diff)
         if "interaction" in owned:
             grads["interaction"] = tower_grads
     else:
-        gW_data = H_use @ dS.T
-        gH_use = W @ dS
+        # dS = 2 S everywhere, plus q where a pair is stored.
+        q = 2.0 * (c * diff - s)
+        gW_data = 2.0 * (gram_h @ W) + np.stack(
+            [np.bincount(users, q * h[cols], minlength=W.shape[1]) for h in H_use])
+        gH_use = 2.0 * (gram_w @ H_use) + np.stack(
+            [np.bincount(cols, q * w[users], minlength=batch.size) for w in W])
 
     if "W" in owned:
         grads["W"] = gW_data + (2.0 * lam_w * scale_w) * W
@@ -138,27 +156,36 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     return loss, grads
 
 
-# Floats in each users x items x width grid of one block of the full
-# objective: the dense R, C and scores (width 1) and, for a deep model, each
-# layer of the tower grid.
+# Floats in each users x items x width grid of one block of a tower's
+# objective: the dense R, C and scores (width 1) and each layer of the tower
+# grid. A dot product's objective expands no grid.
 _LOSS_BLOCK_FLOATS = 1 << 21
 
 
 def _grid_width(model: Model) -> int:
-    """Widest grid per (user, item) pair that _batch_objective builds: 1 for
-    a dot product, else the widest tower layer (and the product grid's K)."""
-    if model.interaction is None:
-        return 1
+    """Widest grid per (user, item) pair that _batch_objective builds for a
+    tower: its widest layer (and the product grid's K)."""
     widths = [layer.out_dim for layer in model.interaction.layers]
     if model.variant.combination == "multiplication":
         widths.append(model.interaction.in_dim)
     return max(widths)
 
 
-def _chunked_loss(model, data, scheme, features, lam_w, lam_h, pool) -> float:
-    # Confidences and tower grids are only ever expanded for one block of
-    # items at a time.
-    block = max(1, _LOSS_BLOCK_FLOATS // (model.num_users * _grid_width(model)))
+def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
+              features: FeatureTable | None, lam_w: float, lam_h: float,
+              item_pool=None) -> float:
+    """Weighted prediction error over every user x pooled item, plus
+    lambda_W ||W||^2 and, for free item embeddings, lambda_H times the sum over
+    pooled items of ||h_i - phi(x_i)||^2 (prior 0 for content-free models).
+    Strict coupling scores h_i = phi(x_i) and has no lambda_H term.
+
+    A dot product takes one pass over the pool; a tower's grids are expanded
+    for one block of items at a time.
+    """
+    pool = _pool_dims(model.num_items, item_pool)
+    block = max(1, pool.size)
+    if model.interaction is not None:
+        block = max(1, _LOSS_BLOCK_FLOATS // (model.num_users * _grid_width(model)))
     total = 0.0
     for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,
@@ -166,34 +193,6 @@ def _chunked_loss(model, data, scheme, features, lam_w, lam_h, pool) -> float:
                                    want_grads=False)
         total += part
     return total
-
-
-def loss_relaxed(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-                 features: FeatureTable | None, lam_w: float, lam_h: float,
-                 item_pool=None) -> float:
-    """Weighted prediction error + lambda_W ||W||^2 + lambda_H sum over items
-    of ||h_i - phi(x_i)||^2 (prior 0 for content-free models)."""
-    if model.variant.coupling == "strict":
-        raise ConfigError("loss_relaxed needs a model with free item embeddings")
-    pool = _pool_dims(model.num_items, item_pool)
-    return _chunked_loss(model, data, scheme, features, lam_w, lam_h, pool)
-
-
-def loss_strict(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-                features: FeatureTable, lam_w: float, item_pool=None) -> float:
-    """Weighted prediction error with h_i = phi(x_i), plus lambda_W ||W||^2."""
-    if model.variant.coupling != "strict":
-        raise ConfigError("loss_strict needs a strict-coupling model")
-    pool = _pool_dims(model.num_items, item_pool)
-    return _chunked_loss(model, data, scheme, features, lam_w, 0.0, pool)
-
-
-def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-              features: FeatureTable | None, lam_w: float, lam_h: float,
-              item_pool=None) -> float:
-    if model.variant.coupling == "strict":
-        return loss_strict(model, data, scheme, features, lam_w, item_pool)
-    return loss_relaxed(model, data, scheme, features, lam_w, lam_h, item_pool)
 
 
 def full_loss_gradients(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
@@ -488,13 +487,9 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     epoch.
     """
     if state is not None:
-        content = variant.has_content
-        have = (state.model.num_users, state.model.num_items,
-                state.model.feature_dim if content else 0)
-        want = (data.num_users, data.num_items, features.dim if content else 0)
-        if have != want:
-            raise ConfigError(f"the starting checkpoint has (users, items, features) "
-                              f"= {have}, the training data {want}")
+        state.model.check_fits(data.num_users, data.num_items,
+                               features.dim if features is not None else 0,
+                               "the starting checkpoint", "the training data")
     pool = _pool_dims(data.num_items, item_pool)
     report = TrainReport()
     if variant.family in _ALS_FAMILIES:
@@ -624,8 +619,8 @@ def _two_stage(variant: ModelVariant, data, features: FeatureTable,
                                               hyper.lambda_w, hyper.lambda_h,
                                               frozenset({"extractor"}), state.adams,
                                               schedule, pool)
-            objective = loss_strict(state.model, data, scheme, features,
-                                    hyper.lambda_w, pool)
+            objective = full_loss(state.model, data, scheme, features,
+                                  hyper.lambda_w, hyper.lambda_h, pool)
         val = None
         if _validate_now(validator, epoch, epoch == stage2_epochs - 1, hyper):
             val = validator(state.model)

@@ -1,7 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written with plain loops and naive
-elimination so it shares no code path with the library. The data-file
+elimination so it shares no code path with the library. The dense
+dot-product objective is the users x items version of the library's
+nnz-cost one; it shares the model containers and the content extractor's
+forward and backward passes, not the data term. The data-file
 oracles are per-line and per-item versions of the library's bulk parser,
 writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
@@ -14,6 +17,7 @@ import numpy as np
 
 from ncacf.data import InteractionTriplets, SplitPlan, _partition_units
 from ncacf.errors import ParseError
+from ncacf.numerics import mlp_backward, mlp_forward
 from ncacf.rng import rng_for
 
 
@@ -109,6 +113,55 @@ def dense_weighted_loss(W, H_eff, R, C, lam_w, lam_h=0.0, prior=None,
             p = prior[:, i] if prior is not None else np.zeros(H_eff.shape[0])
             total += lam_h * sum((H_eff[k, i] - p[k]) ** 2 for k in range(H_eff.shape[0]))
     return total
+
+
+def dense_dot_objective(model, data, scheme, features, lam_w, lam_h, batch,
+                        pool_size, owned):
+    """The batch objective of a model without a tower over the dense
+    users x batch grid, with its gradients for the owned groups: the
+    library's objective before it moved to nnz cost. Returns (loss, grads)."""
+    variant = model.variant
+    W = model.embeddings.W
+    strict = variant.coupling == "strict"
+    batch = np.asarray(batch, dtype=np.int64)
+    R = np.zeros((data.num_users, batch.size))
+    C = np.ones((data.num_users, batch.size))
+    cols = data.by_item
+    for j, item in enumerate(batch):
+        seg = slice(cols.indptr[item], cols.indptr[item + 1])
+        R[cols.indices[seg], j] = scheme.r(cols.counts[seg])
+        C[cols.indices[seg], j] = scheme.c(cols.counts[seg])
+
+    phi = phi_cache = None
+    if variant.has_content:
+        phi_out, phi_cache = mlp_forward(model.extractor, features.values[batch])
+        phi = phi_out.T
+    H_use = phi if strict else model.embeddings.H[:, batch]
+    diff = W.T @ H_use - R
+    scale_w = batch.size / pool_size
+    loss = float(np.sum(C * diff * diff)) + lam_w * float(np.sum(W * W)) * scale_w
+    D = None
+    if not strict:
+        D = H_use - (phi if variant.has_content else 0.0)
+        loss += lam_h * float(np.sum(D * D))
+
+    dS = 2.0 * C * diff
+    grads = {}
+    if "W" in owned:
+        grads["W"] = H_use @ dS.T + (2.0 * lam_w * scale_w) * W
+    if strict:
+        if "extractor" in owned:
+            grads["extractor"] = mlp_backward(model.extractor, phi_cache,
+                                              (W @ dS).T)[0].arrays
+    else:
+        if "H" in owned:
+            gH = np.zeros_like(model.embeddings.H)
+            gH[:, batch] = W @ dS + 2.0 * lam_h * D
+            grads["H"] = gH
+        if "extractor" in owned and variant.has_content:
+            grads["extractor"] = mlp_backward(model.extractor, phi_cache,
+                                              (-2.0 * lam_h * D).T)[0].arrays
+    return loss, grads
 
 
 def dcg_positions(rel):

@@ -445,6 +445,33 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, flag,
                      str(workspace / "run_src" / "last.ckpt")]) == 2
         assert "training data" in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize("family, differs", [("wmf", "users"), ("mf_uni", "users"),
+                                                 ("mf_uni", "features")])
+    def test_evaluated_checkpoint_of_other_data_is_config_error(self, workspace,
+                                                                capsys, family,
+                                                                differs):
+        coupling = "content_free" if family == "wmf" else "relaxed"
+        if differs == "users":
+            data = "min_user_songs = 8\n"
+        else:  # the first two of the six feature columns
+            rows = (workspace / "raw" / "features.tsv").read_text().splitlines()
+            (workspace / "raw" / "features_2.tsv").write_text(
+                "".join("\t".join(row.split("\t")[:3]) + "\n" for row in rows))
+            data = "features = raw/features_2.tsv\n"
+        src = write_cfg(workspace, name="src.ini", family=family, coupling=coupling,
+                        output="run_src",
+                        extra="\n[data]\nprepared = prepared_src\n" + data)
+        assert main(["prepare", "--config", src]) == 0
+        assert main(["train", "--config", src]) == 0
+        cfg = write_cfg(workspace, name="dst.ini", family=family, coupling=coupling)
+        ckpt = str(workspace / "run_src" / "best.ckpt")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert ckpt in err and "prepared data" in err
+        assert not (workspace / "run").exists()
 
 
 class TestSweep:

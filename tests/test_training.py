@@ -1,9 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
-from oracles import dense_weighted_loss, weighted_ridge_solve
+from oracles import dense_dot_objective, dense_weighted_loss, weighted_ridge_solve
 from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
@@ -13,8 +16,7 @@ from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
 from ncacf.numerics import AdamState
 from ncacf.training import (als_sweep_items, als_sweep_users, als_update_h,
                             als_update_w, content_mse, full_loss,
-                            full_loss_gradients, gd_content_mse,
-                            loss_relaxed, loss_strict, make_batches,
+                            full_loss_gradients, gd_content_mse, make_batches,
                             owned_groups, train, TrainState,
                             _batch_objective)
 
@@ -269,13 +271,13 @@ class TestSweepOracle:
 
 
 class TestObjectiveBlocks:
-    """full_loss sums the objective over item blocks whose users x items x
-    width grids fit _LOSS_BLOCK_FLOATS."""
+    """full_loss sums a tower's objective over item blocks whose users x
+    items x width grids fit _LOSS_BLOCK_FLOATS; a dot product expands no
+    users x items grid at all."""
 
     # Unsorted strict subset of the 23 items.
     POOL = np.array([21, 3, 9, 0, 14, 7, 18, 2, 11, 5, 20, 16, 8, 1, 13, 6, 22])
     VARIANTS = {
-        "dot": ModelVariant("mf_uni", "relaxed"),
         "mult-q0": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0),
         "mult-q2": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 2),
         "concat-q0": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 0),
@@ -311,7 +313,7 @@ class TestObjectiveBlocks:
         monkeypatch.setattr(models, "mlp_forward", recording_forward)
         return blocks
 
-    @pytest.mark.parametrize("name", ["dot", "concat-q2"])
+    @pytest.mark.parametrize("name", list(VARIANTS))
     def test_block_edges_do_not_change_loss(self, monkeypatch, name):
         model, data, scheme, feats = self._setup(name)
         want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
@@ -337,6 +339,82 @@ class TestObjectiveBlocks:
         for n, grid in blocks:
             assert n == 1 or max(n * data.num_users, grid) <= floats
 
+    @pytest.mark.parametrize("variant", [ModelVariant("mf_uni", "relaxed"),
+                                         ModelVariant("mf_uni", "strict"),
+                                         ModelVariant("wmf", "content_free")],
+                             ids=["mf_uni-relaxed", "mf_uni-strict", "wmf"])
+    def test_dot_product_allocates_below_one_users_x_pool_grid(self, variant):
+        """At 0.5% density, the peak of every allocation a dot-product
+        full_loss makes stays below one float per user x pooled item."""
+        users, items = 2000, 400
+        t, data, scheme = make_weighted(users, items, 0.005, seed=33)
+        feats = FeatureTable(np.random.default_rng(34).normal(0, 1, (items, 6)))
+        model = init_model(variant, users, items, 8, 6, seed=12, hidden_width=8,
+                           extractor_layers=2)
+        pool = np.random.default_rng(35).permutation(items)[:300]
+        assert t.num_entries * 50 < users * pool.size
+        want = full_loss(model, data, scheme, feats, 0.3, 0.7, pool)
+        tracemalloc.start()
+        try:
+            got = full_loss(model, data, scheme, feats, 0.3, 0.7, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < users * pool.size * 8
+
+
+class TestNnzObjective:
+    """The nnz-cost objective of every model without a tower matches the dense
+    users x items reference, on single batches of an unsorted item pool."""
+
+    VARIANTS = [ModelVariant("mf_uni", "relaxed"), ModelVariant("mf_uni", "strict"),
+                ModelVariant("dcb", "relaxed"), ModelVariant("dcb", "strict"),
+                ModelVariant("mf_hybrid", "relaxed"), ModelVariant("mf_hybrid", "strict"),
+                ModelVariant("wmf", "content_free"),
+                ModelVariant("ncacf", "relaxed", "deep"),
+                ModelVariant("ncacf", "strict", "deep"),
+                ModelVariant("ncf", "content_free", "deep")]
+    # Unsorted strict subset of the 40 items, and batches of it.
+    POOL = np.random.default_rng(36).permutation(40)[:31]
+    BATCHES = (POOL[:7], POOL[7:8], POOL[8:], POOL)
+
+    @staticmethod
+    def _assert_relative(got, want):
+        # Relative to the largest entry: a sum over pairs can cancel to a
+        # small entry that carries only the rounding of its larger terms.
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: f"{v.family}-{v.coupling}")
+    def test_matches_dense_reference(self, variant):
+        t, data, scheme = make_weighted(25, 40, 0.15, seed=37)
+        feats = FeatureTable(np.random.default_rng(38).normal(0, 1, (40, 5)))
+        model = init_model(variant, 25, 40, 4, 5, seed=13, hidden_width=6,
+                           extractor_layers=2, with_interaction=False)
+        # Embeddings large enough that scores and playcounts are comparable.
+        model.embeddings.W[...] *= 60.0
+        if model.embeddings.H is not None:
+            model.embeddings.H[...] *= 60.0
+        owned = owned_groups(variant, with_interaction=False)
+        for batch in self.BATCHES:
+            got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7, batch,
+                                          self.POOL.size, True, owned)
+            want, ref = dense_dot_objective(model, data, scheme, feats, 0.3, 0.7,
+                                            batch, self.POOL.size, owned)
+            npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert set(grads) == set(ref) == owned
+            for group in owned:
+                if group == "extractor":
+                    assert set(grads[group]) == set(ref[group])
+                    for name in ref[group]:
+                        self._assert_relative(grads[group][name], ref[group][name])
+                else:
+                    self._assert_relative(grads[group], ref[group])
+        want, _ = dense_dot_objective(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                                      self.POOL.size, frozenset())
+        npt.assert_allclose(full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL),
+                            want, rtol=1e-12, atol=0)
+
 
 class TestLosses:
     def test_relaxed_matches_triple_loop_oracle(self):
@@ -346,7 +424,7 @@ class TestLosses:
         variant = ModelVariant("mf_uni", "relaxed")
         model = init_model(variant, 4, 3, 2, 5, seed=1, hidden_width=4,
                            extractor_layers=2)
-        got = loss_relaxed(model, data, scheme, feats, 0.3, 0.8)
+        got = full_loss(model, data, scheme, feats, 0.3, 0.8)
         R, C = dense_rc(data, scheme)
         prior, _ = mlp_forward(model.extractor, feats.values)
         want = dense_weighted_loss(model.embeddings.W, model.embeddings.H,
@@ -359,13 +437,13 @@ class TestLosses:
         feats = FeatureTable(rng.normal(0, 1, (3, 5)))
         strict = init_model(ModelVariant("mf_uni", "strict"), 4, 3, 2, 5,
                             seed=2, hidden_width=4, extractor_layers=2)
-        got = loss_strict(strict, data, scheme, feats, 0.3)
+        got = full_loss(strict, data, scheme, feats, 0.3, 0.0)
         phi, _ = mlp_forward(strict.extractor, feats.values)
         relaxed = init_model(ModelVariant("mf_uni", "relaxed"), 4, 3, 2, 5,
                              seed=2, hidden_width=4, extractor_layers=2)
         relaxed.embeddings = Embeddings(strict.embeddings.W.copy(), phi.T.copy())
         relaxed.extractor = strict.extractor.copy()
-        want = loss_relaxed(relaxed, data, scheme, feats, 0.3, 123.0)
+        want = full_loss(relaxed, data, scheme, feats, 0.3, 123.0)
         npt.assert_allclose(got, want, rtol=1e-12)  # lam_h term vanishes
 
     def test_strict_loss_with_zeroed_extractor(self):
@@ -377,7 +455,7 @@ class TestLosses:
         for layer in model.extractor.layers:
             layer.weights[...] = 0.0
             layer.bias[...] = 0.0
-        got = loss_strict(model, data, scheme, feats, lam_w=1.0)
+        got = full_loss(model, data, scheme, feats, lam_w=1.0, lam_h=0.0)
         R, C = dense_rc(data, scheme)
         want = np.sum(C * R * R) + np.sum(model.embeddings.W ** 2)
         npt.assert_allclose(got, want, rtol=1e-12)
@@ -392,14 +470,14 @@ class TestLosses:
         scheme = ConfidenceScheme()
         model = init_model(ModelVariant("wmf", "content_free"), 2, 2, 2, 0, seed=0)
         model.embeddings = Embeddings(np.eye(2), np.eye(2))  # W^T H = I = R
-        got = loss_relaxed(model, data, scheme, None, 0.0, 0.0)
+        got = full_loss(model, data, scheme, None, 0.0, 0.0)
         npt.assert_allclose(got, 0.0, atol=1e-20)
 
     def test_zero_model_loss_is_weighted_positives(self):
         t, data, scheme = make_weighted(5, 4, 0.5, seed=13)
         model = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=0)
         model.embeddings = Embeddings(np.zeros((2, 5)), np.zeros((2, 4)))
-        got = loss_relaxed(model, data, scheme, None, 1.0, 0.0)
+        got = full_loss(model, data, scheme, None, 1.0, 0.0)
         R, C = dense_rc(data, scheme)
         npt.assert_allclose(got, np.sum(C * R * R), rtol=1e-12)
 
@@ -410,7 +488,7 @@ class TestLosses:
         model = init_model(
             ModelVariant("ncacf", "relaxed", "deep", "concatenation", 1),
             3, 3, 2, 4, seed=3, hidden_width=4, extractor_layers=2)
-        got = loss_relaxed(model, data, scheme, feats, 0.2, 0.5)
+        got = full_loss(model, data, scheme, feats, 0.2, 0.5)
         R, C = dense_rc(data, scheme)
 
         def deep_score(w, h):
@@ -461,39 +539,57 @@ class TestGradients:
         assert not grads["H"][:, outside].any()
 
     def test_batch_gradients_sum_to_full_gradient(self):
+        """For ncf with its tower, ncf with the tower absent, and the
+        dot-product mf_uni and strict dcb."""
         t, data, scheme = make_weighted(4, 6, 0.5, seed=22)
-        model = init_model(ModelVariant("ncf", "content_free", "deep"), 4, 6, 2, 0,
-                           seed=7)
-        owned = owned_groups(model.variant, with_interaction=True)
-        pool = np.arange(6)
-        _, full = _batch_objective(model, data, scheme, None, 0.3, 0.7, pool,
-                                   pool.size, True, owned)
-        parts = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-        acc = {}
-        for part in parts:
-            _, g = _batch_objective(model, data, scheme, None, 0.3, 0.7, part,
-                                    pool.size, True, owned)
-            for group, val in g.items():
-                if isinstance(val, dict):
-                    acc.setdefault(group, {})
-                    for name, arr in val.items():
-                        acc[group][name] = acc[group].get(name, 0) + arr
+        feats = FeatureTable(np.random.default_rng(62).normal(0, 1, (6, 3)))
+        ncf = ModelVariant("ncf", "content_free", "deep")
+        cases = [(ncf, True), (ncf, False), (ModelVariant("mf_uni", "relaxed"), False),
+                 (ModelVariant("dcb", "strict"), False)]
+        for variant, tower in cases:
+            model = init_model(variant, 4, 6, 2, 3 if variant.has_content else 0,
+                               seed=7, hidden_width=4, extractor_layers=2,
+                               with_interaction=tower)
+            owned = owned_groups(model.variant, with_interaction=tower)
+            pool = np.arange(6)
+            _, full = _batch_objective(model, data, scheme, feats, 0.3, 0.7, pool,
+                                       pool.size, True, owned)
+            assert set(full) == owned
+            parts = [np.array([0, 1, 2]), np.array([3, 4, 5])]
+            acc = {}
+            for part in parts:
+                _, g = _batch_objective(model, data, scheme, feats, 0.3, 0.7, part,
+                                        pool.size, True, owned)
+                for group, val in g.items():
+                    if isinstance(val, dict):
+                        acc.setdefault(group, {})
+                        for name, arr in val.items():
+                            acc[group][name] = acc[group].get(name, 0) + arr
+                    else:
+                        acc[group] = acc.get(group, 0) + val
+            for group in full:
+                if isinstance(full[group], dict):
+                    for name in full[group]:
+                        npt.assert_allclose(acc[group][name], full[group][name],
+                                            rtol=1e-10, atol=1e-12)
                 else:
-                    acc[group] = acc.get(group, 0) + val
-        for group in full:
-            if isinstance(full[group], dict):
-                for name in full[group]:
-                    npt.assert_allclose(acc[group][name], full[group][name],
-                                        rtol=1e-10, atol=1e-12)
-            else:
-                npt.assert_allclose(acc[group], full[group], rtol=1e-10, atol=1e-12)
+                    npt.assert_allclose(acc[group], full[group], rtol=1e-10, atol=1e-12)
 
     def test_non_finite_objective_raises(self):
+        """An inf or nan in W or H raises, with no numpy warning on the way."""
         t, data, scheme = make_weighted(3, 3, 0.5, seed=23)
-        model = init_model(ModelVariant("wmf", "content_free"), 3, 3, 2, 0, seed=8)
-        model.embeddings.W[0, 0] = np.inf
-        with pytest.raises(TrainingDivergedError):
-            loss_relaxed(model, data, scheme, None, 0.1, 0.1)
+        for group in ("W", "H"):
+            for value in (np.inf, -np.inf, np.nan):
+                model = init_model(ModelVariant("wmf", "content_free"), 3, 3, 2, 0,
+                                   seed=8)
+                getattr(model.embeddings, group)[0, 0] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(TrainingDivergedError):
+                        full_loss(model, data, scheme, None, 0.1, 0.1)
+                    with pytest.raises(TrainingDivergedError):
+                        full_loss_gradients(model, data, scheme, None, 0.1, 0.1,
+                                            {"W", "H"})
 
 
 class TestGdContentMse:
