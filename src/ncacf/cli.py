@@ -387,12 +387,15 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(cfg.output, exist_ok=True)
     scheme = cfg.hyper.scheme()
-    for bucket in ("validation", "test"):
-        result = E.evaluate(model, prep.membership, bucket, prep.triplets,
-                            scheme, features_std, cfg.top_k)
-        out = os.path.join(cfg.output, f"eval_{setting}_{bucket}.tsv")
+    # Both buckets are scored before either file is written, so that a
+    # failing evaluation leaves no eval file.
+    results = [E.evaluate(model, prep.membership, bucket, prep.triplets,
+                          scheme, features_std, cfg.top_k)
+               for bucket in ("validation", "test")]
+    for result in results:
+        out = os.path.join(cfg.output, f"eval_{setting}_{result.bucket}.tsv")
         E.write_eval_result(out, result, per_user=True)
-        print(f"{setting}/{bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
+        print(f"{setting}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
               f"over {result.num_users} users ({result.num_excluded} excluded)")
     return 0
 

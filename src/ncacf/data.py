@@ -93,6 +93,13 @@ class CompressedAxis:
     indices: np.ndarray  # int64 (nnz,)
     counts: np.ndarray  # float64 (nnz,)
 
+    @classmethod
+    def build(cls, keys, values, counts, n: int) -> "CompressedAxis":
+        """Group (key, value, count) entries into the n segments of their keys."""
+        order = np.lexsort((values, keys))
+        indptr = np.searchsorted(keys[order], np.arange(n + 1))
+        return cls(indptr, values[order], counts[order])
+
     def take(self, keys: np.ndarray):
         """Entries of the segments `keys`, concatenated in that order.
 
@@ -123,15 +130,9 @@ class SparsePlaycounts:
 
     @classmethod
     def from_triplets(cls, t: InteractionTriplets) -> "SparsePlaycounts":
-        by_user = _compress(t.users, t.items, t.counts, t.num_users)
-        by_item = _compress(t.items, t.users, t.counts, t.num_items)
+        by_user = CompressedAxis.build(t.users, t.items, t.counts, t.num_users)
+        by_item = CompressedAxis.build(t.items, t.users, t.counts, t.num_items)
         return cls(t.num_users, t.num_items, by_user, by_item)
-
-
-def _compress(keys, values, counts, n) -> CompressedAxis:
-    order = np.lexsort((values, keys))
-    indptr = np.searchsorted(keys[order], np.arange(n + 1))
-    return CompressedAxis(indptr, values[order], counts[order])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Warm evaluation ranks every item the user did not consume in training
 (masking is total) and scores relevance against the chosen evaluation
 bucket. Cold evaluation ranks exactly the bucket's items, which the model
-never saw. Users with no relevant item in the bucket are excluded from the
-mean; the exclusion count is reported.
+never saw. Every candidate is ranked, none is sampled, and ties break
+toward the smaller item index. Users with no relevant item in the bucket are
+excluded from the mean; the exclusion count is reported. Users are scored
+and ranked a block at a time; a non-finite score raises
+TrainingDivergedError.
 """
 
 from __future__ import annotations
@@ -13,72 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (ConfidenceScheme, FoldMembership, InteractionTriplets)
-from .errors import DataError
-from .models import Model, item_vectors, score_matrix
-from .rng import rng_for
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Top-k items for one user, scores non-increasing, ties by item index."""
-
-    user: int
-    items: np.ndarray
-    scores: np.ndarray
-
-
-def rank_items(scores: np.ndarray, top_k: int, mask=None,
-               candidates: np.ndarray | None = None, user: int = -1) -> RankedList:
-    """Rank candidate items by score, excluding masked ones.
-
-    `scores` is indexed by item id over the candidate set (default: all ids
-    0..len(scores)-1). Ties break toward the smaller item index so rankings
-    are bit-reproducible.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    if candidates is None:
-        candidates = np.arange(scores.size)
-    else:
-        candidates = np.asarray(candidates, dtype=np.int64)
-    if mask is not None and len(mask):
-        mask_arr = np.asarray(sorted(mask), dtype=np.int64)
-        keep = ~np.isin(candidates, mask_arr)
-        candidates = candidates[keep]
-        scores = scores[keep]
-    if candidates.size == 0:
-        raise DataError("no candidate items to rank")
-    # lexsort: last key is primary. Sort by score descending, then id ascending.
-    order = np.lexsort((candidates, -scores))[:top_k]
-    return RankedList(user, candidates[order], scores[order])
-
-
-def dcg(relevance) -> float:
-    """Sum of rel_j / log2(j + 1) over 1-based positions."""
-    rel = np.asarray(relevance, dtype=np.float64)
-    if rel.size == 0:
-        return 0.0
-    positions = np.arange(1, rel.size + 1, dtype=np.float64)
-    return float(np.sum(rel / np.log2(positions + 1.0)))
-
-
-def ndcg_user(ranked: RankedList, ground_truth, top_k: int | None = None):
-    """DCG over IDCG for one ranked list; None when the truth set is empty.
-
-    The ideal list places min(|truth|, top_k) relevant items at the head;
-    top_k defaults to the ranked list's length.
-    """
-    truth = set(int(i) for i in ground_truth)
-    if not truth:
-        return None
-    if top_k is None:
-        top_k = len(ranked.items)
-    rel = np.fromiter((1.0 if int(i) in truth else 0.0 for i in ranked.items),
-                      dtype=np.float64, count=len(ranked.items))
-    ideal = dcg(np.ones(min(len(truth), top_k)))
-    return dcg(rel) / ideal
+from .data import (CompressedAxis, ConfidenceScheme, FoldMembership,
+                   InteractionTriplets)
+from .errors import DataError, TrainingDivergedError
+from .models import Model, block_units, grid_width, item_vectors, score_matrix
 
 
 @dataclass(frozen=True)
@@ -103,91 +44,118 @@ class EvalResult:
         return len(self.ndcg)
 
 
-def _bucket_relevance(triplets: InteractionTriplets, entry_idx: np.ndarray,
-                      scheme: ConfidenceScheme):
-    """user -> set of relevant (binarized-positive) items among the bucket
-    entries."""
-    truth: dict[int, set[int]] = {}
-    counts = triplets.counts[entry_idx]
-    positive = entry_idx[scheme.r(counts) > 0]
-    for e in positive:
-        truth.setdefault(int(triplets.users[e]), set()).add(int(triplets.items[e]))
-    return truth
+# Temporaries per (user, candidate) pair of one evaluation block besides a
+# tower's grid, each counted as a float: the scores (negated in place), their
+# partitioned copy, and the finiteness and boundary masks. The boundary
+# entries selected for sorting, about top_k per user, are not counted.
+_RANK_FLOATS = 4
 
 
 def evaluate(model: Model, membership: FoldMembership, bucket: str,
              triplets: InteractionTriplets, scheme: ConfidenceScheme,
              features, top_k: int) -> EvalResult:
-    """Rank and score one evaluation bucket for every eligible user."""
-    setting = membership.mode
-    if setting == "cold":
-        bucket_items = membership.bucket_units(bucket)
-        if bucket_items.size == 0:
-            raise DataError(f"bucket {bucket!r} holds no items")
-        keep = np.isin(triplets.items, bucket_items)
-        truth = _bucket_relevance(triplets, np.flatnonzero(keep), scheme)
-        iv = item_vectors(model, bucket_items, features, "cold")
-        scores_all = score_matrix(model, iv)
-        per_user: dict[int, float] = {}
-        pool_total = 0
-        for u in sorted(truth):
-            ranked = rank_items(scores_all[u], top_k, candidates=bucket_items, user=u)
-            per_user[u] = ndcg_user(ranked, truth[u], top_k)
-            pool_total += bucket_items.size
-        excluded = model.num_users - len(per_user)
-        return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
+    """Rank and score one evaluation bucket for every eligible user.
 
-    # Warm: candidates are all items minus the user's training items.
-    bucket_idx = membership.bucket_units(bucket)
-    if bucket_idx.size == 0:
-        raise DataError(f"bucket {bucket!r} holds no interactions")
-    truth = _bucket_relevance(triplets, bucket_idx, scheme)
-    train_idx = membership.train_entry_idx(triplets)
-    consumed: dict[int, set[int]] = {}
-    for e in train_idx:
-        consumed.setdefault(int(triplets.users[e]), set()).add(int(triplets.items[e]))
-    all_items = np.arange(triplets.num_items)
-    iv = item_vectors(model, all_items, features, "warm")
-    scores_all = score_matrix(model, iv)
-    per_user = {}
-    pool_total = 0
-    for u in sorted(truth):
-        mask = consumed.get(u, set())
-        ranked = rank_items(scores_all[u], top_k, mask=mask, candidates=all_items, user=u)
-        per_user[u] = ndcg_user(ranked, truth[u], top_k)
-        pool_total += triplets.num_items - len(mask)
-    excluded = model.num_users - len(per_user)
-    return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
-
-
-def random_ndcg_baseline(pool_sizes, truth_sizes, top_k: int, seed: int,
-                         trials: int = 200):
-    """Monte-Carlo mean NDCG of uniformly random rankings.
-
-    pool_sizes and truth_sizes are parallel per-user lists. Returns
-    (mean, standard_error) over trials of the user-averaged NDCG.
+    Eligible users are ranked a block at a time, each block sized so that its
+    scores, ranking temporaries and tower grid fit models.BLOCK_FLOATS.
     """
-    rng = rng_for(seed, "random-baseline")
-    pool_sizes = np.asarray(pool_sizes, dtype=np.int64)
-    truth_sizes = np.asarray(truth_sizes, dtype=np.int64)
-    keep = truth_sizes > 0
-    pool_sizes = pool_sizes[keep]
-    truth_sizes = truth_sizes[keep]
-    if pool_sizes.size == 0:
-        raise DataError("random baseline needs at least one user with relevant items")
-    discounts = 1.0 / np.log2(np.arange(1, top_k + 1) + 1.0)
-    means = np.empty(trials)
-    for t in range(trials):
-        vals = np.empty(pool_sizes.size)
-        for j, (n, m) in enumerate(zip(pool_sizes, truth_sizes)):
-            k = min(top_k, n)
-            rel = np.zeros(n)
-            rel[:m] = 1.0
-            rng.shuffle(rel)
-            ideal = dcg(np.ones(min(m, top_k)))
-            vals[j] = float(rel[:k] @ discounts[:k]) / ideal
-        means[t] = vals.mean()
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(trials))
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    setting = membership.mode
+    consumed = None
+    if setting == "cold":
+        candidates = membership.bucket_units(bucket)
+        if candidates.size == 0:
+            raise DataError(f"bucket {bucket!r} holds no items")
+        column = np.full(triplets.num_items, -1, dtype=np.int64)
+        column[candidates] = np.arange(candidates.size)
+        entries = np.flatnonzero(column[triplets.items] >= 0)
+    else:
+        # Warm: candidates are all items minus the user's training items.
+        entries = membership.bucket_units(bucket)
+        if entries.size == 0:
+            raise DataError(f"bucket {bucket!r} holds no interactions")
+        candidates = column = np.arange(triplets.num_items)
+        train = membership.train_entry_idx(triplets)
+        consumed = CompressedAxis.build(triplets.users[train], triplets.items[train],
+                                        triplets.counts[train], triplets.num_users)
+    n = candidates.size
+    positive = entries[scheme.r(triplets.counts[entries]) > 0]
+    # Relevant (user, candidate column) pairs as sorted keys user * n + column;
+    # triplets hold each (user, item) pair once.
+    truth = np.sort(triplets.users[positive] * n + column[triplets.items[positive]])
+    users, truth_sizes = np.unique(truth // n, return_counts=True)
+    valid = np.full(users.size, n)
+    if consumed is not None:
+        valid -= np.diff(consumed.indptr)[users]
+    if np.any(valid == 0):
+        raise DataError("no candidate items to rank")
+    iv = item_vectors(model, candidates, features, setting)
+    tower = 0 if model.interaction is None else grid_width(model)
+    step = block_units(n * (_RANK_FLOATS + tower))
+    dcg = np.empty(users.size)
+    for lo in range(0, users.size, step):
+        block = slice(lo, lo + step)
+        dcg[block] = _block_dcg(model, iv, users[block], valid[block], consumed,
+                                candidates, truth, top_k)
+    # The ideal list places min(|truth|, top_k) relevant items at the head.
+    ideal_len, at = np.unique(np.minimum(truth_sizes, top_k), return_inverse=True)
+    ideal = np.array([_dcg(np.ones((1, m)))[0] for m in ideal_len])
+    ndcg = dcg / ideal[at]
+    return EvalResult(setting, bucket, membership.fold,
+                      dict(zip(users.tolist(), ndcg.tolist())),
+                      model.num_users - users.size, int(valid.sum()))
+
+
+def _block_dcg(model: Model, item_vecs: np.ndarray, users: np.ndarray,
+               valid: np.ndarray, consumed: CompressedAxis | None,
+               candidates: np.ndarray, truth: np.ndarray, top_k: int) -> np.ndarray:
+    """DCG of each user's top-k list over the candidate columns.
+
+    Candidates rank by score, highest first, ties toward the smaller item
+    index. A warm user's training items (the `consumed` rows) rank after
+    every candidate and are cut, so user r's list holds min(top_k, valid[r])
+    items. A non-finite score raises TrainingDivergedError: sorting would
+    place NaN arbitrarily.
+    """
+    n = candidates.size
+    k = min(top_k, n)
+    neg = score_matrix(model, item_vecs, users)
+    if not np.isfinite(neg).all():
+        raise TrainingDivergedError("a model score is not finite")
+    np.negative(neg, out=neg)
+    if consumed is not None:
+        cols, rows, _ = consumed.take(users)
+        neg[rows, cols] = np.inf
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    # Sort only the entries that can enter a top k: those tied with or
+    # above the row's k-th score, by (row, -score, item).
+    rows, cols = np.nonzero(neg <= kth)
+    order = np.lexsort((candidates[cols], neg[rows, cols], rows))
+    per_row = np.bincount(rows, minlength=users.size)
+    top = cols[order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]]
+    keys = users[:, None] * n + top
+    found = truth[np.minimum(np.searchsorted(truth, keys), truth.size - 1)]
+    return _dcg_by_length((found == keys).astype(np.float64), np.minimum(valid, k))
+
+
+def _dcg(rel: np.ndarray) -> np.ndarray:
+    """Row sums of rel_j / log2(j + 1) over the 1-based positions j of a
+    (rows, length) relevance matrix."""
+    positions = np.arange(1, rel.shape[1] + 1, dtype=np.float64)
+    return np.sum(rel / np.log2(positions + 1.0), axis=1)
+
+
+def _dcg_by_length(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """DCG of each row r over its first lengths[r] positions. Rows are summed
+    in groups of one length, because padding a row with zeros changes the
+    order of numpy's pairwise summation and so the last bits."""
+    out = np.empty(lengths.size)
+    distinct, group = np.unique(lengths, return_inverse=True)
+    for g, length in enumerate(distinct):
+        rows = group == g
+        out[rows] = _dcg(rel[rows, :length])
+    return out
 
 
 def fold_mean_std(values) -> tuple[float, float]:
@@ -197,28 +165,6 @@ def fold_mean_std(values) -> tuple[float, float]:
         return float("nan"), float("nan")
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), std
-
-
-def cross_validate(num_folds: int, train_and_score, grid_w=None, grid_h=None,
-                   tune_fold: int = 0):
-    """Drive a full cross-validation: tune (lambda_W, lambda_H) on one fold's
-    validation bucket, then train/test every fold with the chosen pair.
-
-    train_and_score(fold, lam_w, lam_h, bucket) must train on the fold's
-    training buckets and return the bucket's EvalResult. Returns
-    (per-fold EvalResults, mean, std, (lam_w, lam_h)).
-    """
-    if num_folds < 2:
-        raise ValueError("cross-validation needs at least 2 folds")
-    best = (None, None)
-    if grid_w is not None and grid_h is not None:
-        best, _ = grid_search(
-            grid_w, grid_h,
-            lambda lw, lh: train_and_score(tune_fold, lw, lh, "validation").mean)
-    results = [train_and_score(k, best[0], best[1], "test")
-               for k in range(num_folds)]
-    mean, std = fold_mean_std([r.mean for r in results])
-    return results, mean, std, best
 
 
 def grid_search(grid_w, grid_h, evaluate_pair) -> tuple[tuple[float, float], list]:

@@ -407,9 +407,32 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     return grads, gW, gH
 
 
-def score_matrix(model: Model, item_vecs: np.ndarray) -> np.ndarray:
-    """Scores for every user against the given item-vector columns: (U, n)."""
-    W = model.embeddings.W
+# Floats one block of a users x items computation may hold: a tower's
+# objective counts its widest grid (the dense R, C and scores are width 1),
+# an evaluation block its scores and ranking temporaries plus that grid.
+BLOCK_FLOATS = 1 << 21
+
+
+def block_units(floats_per_unit: int) -> int:
+    """Units (items of a tower objective, users of an evaluation) in one
+    block whose temporaries take floats_per_unit floats per unit: as many as
+    fit BLOCK_FLOATS, and at least one."""
+    return max(1, BLOCK_FLOATS // floats_per_unit)
+
+
+def grid_width(model: Model) -> int:
+    """Widest grid per (user, item) pair that the tower builds: its widest
+    layer (and the product grid's K)."""
+    widths = [layer.out_dim for layer in model.interaction.layers]
+    if model.variant.combination == "multiplication":
+        widths.append(model.interaction.in_dim)
+    return max(widths)
+
+
+def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.ndarray:
+    """Scores of the given users (default: all) against the given item-vector
+    columns: (len(users), n)."""
+    W = model.embeddings.W[:, users]
     if model.interaction is None:
         return W.T @ item_vecs
     scores, _ = tower_grid_forward(model.interaction, W, item_vecs,

@@ -21,8 +21,8 @@ import numpy as np
 from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
-                     attach_tower, init_model, load_model,
-                     tower_grid_backward, tower_grid_forward)
+                     attach_tower, block_units, grid_width, init_model,
+                     load_model, tower_grid_backward, tower_grid_forward)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
 from .rng import rng_for
 
@@ -156,21 +156,6 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     return loss, grads
 
 
-# Floats in each users x items x width grid of one block of a tower's
-# objective: the dense R, C and scores (width 1) and each layer of the tower
-# grid. A dot product's objective expands no grid.
-_LOSS_BLOCK_FLOATS = 1 << 21
-
-
-def _grid_width(model: Model) -> int:
-    """Widest grid per (user, item) pair that _batch_objective builds for a
-    tower: its widest layer (and the product grid's K)."""
-    widths = [layer.out_dim for layer in model.interaction.layers]
-    if model.variant.combination == "multiplication":
-        widths.append(model.interaction.in_dim)
-    return max(widths)
-
-
 def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
               features: FeatureTable | None, lam_w: float, lam_h: float,
               item_pool=None) -> float:
@@ -185,7 +170,7 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     pool = _pool_dims(model.num_items, item_pool)
     block = max(1, pool.size)
     if model.interaction is not None:
-        block = max(1, _LOSS_BLOCK_FLOATS // (model.num_users * _grid_width(model)))
+        block = block_units(model.num_users * grid_width(model))
     total = 0.0
     for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,

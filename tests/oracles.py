@@ -8,15 +8,24 @@ forward and backward passes, not the data term. The data-file
 oracles are per-line and per-item versions of the library's bulk parser,
 writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
+The per-user ranking (`rank_items`, `ndcg_user`, `evaluate_per_user`)
+sorts each user's whole candidate list with one lexsort and scores it with
+Python sets; the library ranks blocks of users with a partial sort.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ncacf.data import InteractionTriplets, SplitPlan, _partition_units
-from ncacf.errors import ParseError
+from ncacf.data import (ConfidenceScheme, FoldMembership, InteractionTriplets,
+                        SplitPlan, _partition_units)
+from ncacf.errors import DataError, ParseError
+from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
+from ncacf.models import Model, item_vectors, score_matrix
 from ncacf.numerics import mlp_backward, mlp_forward
 from ncacf.rng import rng_for
 
@@ -332,3 +341,180 @@ def scan_warm_orphans_sets(plan, triplets):
         for item in sorted(eval_items - train_items):
             violations.append((k, int(item)))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Per-user ranking and NDCG, the reference for evaluation.evaluate's blocked
+# kernel; the Monte-Carlo random-ranking baseline; cross-validation over folds.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RankedList:
+    """Top-k items for one user, scores non-increasing, ties by item index."""
+
+    user: int
+    items: np.ndarray
+    scores: np.ndarray
+
+
+def rank_items(scores: np.ndarray, top_k: int, mask=None,
+               candidates: np.ndarray | None = None, user: int = -1) -> RankedList:
+    """Rank candidate items by score, excluding masked ones.
+
+    `scores` is indexed by item id over the candidate set (default: all ids
+    0..len(scores)-1). Ties break toward the smaller item index so rankings
+    are bit-reproducible.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    scores = np.asarray(scores, dtype=np.float64)
+    if candidates is None:
+        candidates = np.arange(scores.size)
+    else:
+        candidates = np.asarray(candidates, dtype=np.int64)
+    if mask is not None and len(mask):
+        mask_arr = np.asarray(sorted(mask), dtype=np.int64)
+        keep = ~np.isin(candidates, mask_arr)
+        candidates = candidates[keep]
+        scores = scores[keep]
+    if candidates.size == 0:
+        raise DataError("no candidate items to rank")
+    # lexsort: last key is primary. Sort by score descending, then id ascending.
+    order = np.lexsort((candidates, -scores))[:top_k]
+    return RankedList(user, candidates[order], scores[order])
+
+
+def dcg(relevance) -> float:
+    """Sum of rel_j / log2(j + 1) over 1-based positions."""
+    rel = np.asarray(relevance, dtype=np.float64)
+    if rel.size == 0:
+        return 0.0
+    positions = np.arange(1, rel.size + 1, dtype=np.float64)
+    return float(np.sum(rel / np.log2(positions + 1.0)))
+
+
+def ndcg_user(ranked: RankedList, ground_truth, top_k: int | None = None):
+    """DCG over IDCG for one ranked list; None when the truth set is empty.
+
+    The ideal list places min(|truth|, top_k) relevant items at the head;
+    top_k defaults to the ranked list's length.
+    """
+    truth = set(int(i) for i in ground_truth)
+    if not truth:
+        return None
+    if top_k is None:
+        top_k = len(ranked.items)
+    rel = np.fromiter((1.0 if int(i) in truth else 0.0 for i in ranked.items),
+                      dtype=np.float64, count=len(ranked.items))
+    ideal = dcg(np.ones(min(len(truth), top_k)))
+    return dcg(rel) / ideal
+
+
+def _bucket_relevance(triplets: InteractionTriplets, entry_idx: np.ndarray,
+                      scheme: ConfidenceScheme):
+    """user -> set of relevant (binarized-positive) items among the bucket
+    entries."""
+    truth: dict[int, set[int]] = {}
+    counts = triplets.counts[entry_idx]
+    positive = entry_idx[scheme.r(counts) > 0]
+    for e in positive:
+        truth.setdefault(int(triplets.users[e]), set()).add(int(triplets.items[e]))
+    return truth
+
+
+def evaluate_per_user(model: Model, membership: FoldMembership, bucket: str,
+             triplets: InteractionTriplets, scheme: ConfidenceScheme,
+             features, top_k: int) -> EvalResult:
+    """evaluation.evaluate as one rank_items and one ndcg_user call per
+    eligible user, over the unblocked score matrix of every user."""
+    setting = membership.mode
+    if setting == "cold":
+        bucket_items = membership.bucket_units(bucket)
+        if bucket_items.size == 0:
+            raise DataError(f"bucket {bucket!r} holds no items")
+        keep = np.isin(triplets.items, bucket_items)
+        truth = _bucket_relevance(triplets, np.flatnonzero(keep), scheme)
+        iv = item_vectors(model, bucket_items, features, "cold")
+        scores_all = score_matrix(model, iv)
+        per_user: dict[int, float] = {}
+        pool_total = 0
+        for u in sorted(truth):
+            ranked = rank_items(scores_all[u], top_k, candidates=bucket_items, user=u)
+            per_user[u] = ndcg_user(ranked, truth[u], top_k)
+            pool_total += bucket_items.size
+        excluded = model.num_users - len(per_user)
+        return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
+
+    # Warm: candidates are all items minus the user's training items.
+    bucket_idx = membership.bucket_units(bucket)
+    if bucket_idx.size == 0:
+        raise DataError(f"bucket {bucket!r} holds no interactions")
+    truth = _bucket_relevance(triplets, bucket_idx, scheme)
+    train_idx = membership.train_entry_idx(triplets)
+    consumed: dict[int, set[int]] = {}
+    for e in train_idx:
+        consumed.setdefault(int(triplets.users[e]), set()).add(int(triplets.items[e]))
+    all_items = np.arange(triplets.num_items)
+    iv = item_vectors(model, all_items, features, "warm")
+    scores_all = score_matrix(model, iv)
+    per_user = {}
+    pool_total = 0
+    for u in sorted(truth):
+        mask = consumed.get(u, set())
+        ranked = rank_items(scores_all[u], top_k, mask=mask, candidates=all_items, user=u)
+        per_user[u] = ndcg_user(ranked, truth[u], top_k)
+        pool_total += triplets.num_items - len(mask)
+    excluded = model.num_users - len(per_user)
+    return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
+
+
+def random_ndcg_baseline(pool_sizes, truth_sizes, top_k: int, seed: int,
+                         trials: int = 200):
+    """Monte-Carlo mean NDCG of uniformly random rankings.
+
+    pool_sizes and truth_sizes are parallel per-user lists. Returns
+    (mean, standard_error) over trials of the user-averaged NDCG.
+    """
+    rng = rng_for(seed, "random-baseline")
+    pool_sizes = np.asarray(pool_sizes, dtype=np.int64)
+    truth_sizes = np.asarray(truth_sizes, dtype=np.int64)
+    keep = truth_sizes > 0
+    pool_sizes = pool_sizes[keep]
+    truth_sizes = truth_sizes[keep]
+    if pool_sizes.size == 0:
+        raise DataError("random baseline needs at least one user with relevant items")
+    discounts = 1.0 / np.log2(np.arange(1, top_k + 1) + 1.0)
+    means = np.empty(trials)
+    for t in range(trials):
+        vals = np.empty(pool_sizes.size)
+        for j, (n, m) in enumerate(zip(pool_sizes, truth_sizes)):
+            k = min(top_k, n)
+            rel = np.zeros(n)
+            rel[:m] = 1.0
+            rng.shuffle(rel)
+            ideal = dcg(np.ones(min(m, top_k)))
+            vals[j] = float(rel[:k] @ discounts[:k]) / ideal
+        means[t] = vals.mean()
+    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(trials))
+
+
+def cross_validate(num_folds: int, train_and_score, grid_w=None, grid_h=None,
+                   tune_fold: int = 0):
+    """Drive a full cross-validation: tune (lambda_W, lambda_H) on one fold's
+    validation bucket, then train/test every fold with the chosen pair.
+
+    train_and_score(fold, lam_w, lam_h, bucket) must train on the fold's
+    training buckets and return the bucket's EvalResult. Returns
+    (per-fold EvalResults, mean, std, (lam_w, lam_h)).
+    """
+    if num_folds < 2:
+        raise ValueError("cross-validation needs at least 2 folds")
+    best = (None, None)
+    if grid_w is not None and grid_h is not None:
+        best, _ = grid_search(
+            grid_w, grid_h,
+            lambda lw, lh: train_and_score(tune_fold, lw, lh, "validation").mean)
+    results = [train_and_score(k, best[0], best[1], "test")
+               for k in range(num_folds)]
+    mean, std = fold_mean_std([r.mean for r in results])
+    return results, mean, std, best

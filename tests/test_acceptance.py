@@ -14,15 +14,17 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck_full_loss
-from oracles import ndcg_by_permutations, weighted_ridge_solve
+from oracles import (RankedList, ndcg_by_permutations, ndcg_user,
+                     random_ndcg_baseline, weighted_ridge_solve)
 from ncacf.cli import main
-from ncacf.data import (ConfidenceScheme, SparsePlaycounts, generate_synthetic,
+from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+                        InteractionTriplets, SparsePlaycounts, generate_synthetic,
                         materialize_fold, read_split_plan, scan_warm_orphans,
                         split_cold, standardize_features)
-from ncacf.evaluation import (RankedList, evaluate, ndcg_user,
-                              random_ndcg_baseline)
+from ncacf.evaluation import evaluate
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           predict, score_matrix)
+from ncacf.numerics import Layer, MLPParams
 from ncacf.training import (als_update_h, als_update_w, owned_groups,
                             read_report, train)
 
@@ -138,25 +140,46 @@ def test_criterion_4_block_coordinate_monotonicity():
                               f"(limits 1e-8, 30s)")
 
 
+def _ranked_patterns_ndcg(patterns):
+    """evaluate's NDCG@n for one user per relevance pattern of length n: every
+    user ranks the n cold items in index order (score n - i for item i), and
+    the pattern's 1s are the user's relevant items."""
+    num_users, n = patterns.shape
+    users, items = np.nonzero(patterns)
+    t = InteractionTriplets.create(users, items, np.full(users.size, 9.0),
+                                   num_users, n)
+    model = init_model(ModelVariant("mf_uni", "relaxed"), num_users, n, 1, 1,
+                       seed=0, hidden_width=1, extractor_layers=1)
+    model.embeddings = Embeddings(np.ones((1, num_users)), model.embeddings.H)
+    model.extractor = MLPParams([Layer(np.eye(1), np.zeros(1), "identity")])
+    feats = FeatureTable(n - np.arange(n, dtype=np.float64)[:, None])
+    membership = FoldMembership("cold", 0, np.empty(0, dtype=np.int64),
+                                np.empty(0, dtype=np.int64), np.arange(n))
+    result = evaluate(model, membership, "test", t, ConfidenceScheme(), feats, n)
+    return [result.ndcg[u] for u in range(num_users)]
+
+
 def test_criterion_5_ndcg_permutation_oracle():
-    """ndcg_user vs exhaustive permutation normalization, all lists <= 6."""
+    """ndcg_user and evaluate vs exhaustive permutation normalization, all
+    lists <= 6."""
     t0 = time.perf_counter()
     checked = 0
     worst = 0.0
     for n in range(1, 7):
-        for bits in itertools.product([0, 1], repeat=n):
-            if not any(bits):
-                continue
+        patterns = [bits for bits in itertools.product([0, 1], repeat=n) if any(bits)]
+        ranked_ndcg = _ranked_patterns_ndcg(np.array(patterns))
+        for bits, blocked in zip(patterns, ranked_ndcg):
             items = np.arange(n)
             truth = {i for i in items if bits[i]}
             ranked = RankedList(0, items, np.zeros(n))
             got = ndcg_user(ranked, truth, top_k=n)
             want = ndcg_by_permutations(list(bits))
-            worst = max(worst, abs(got - want))
+            worst = max(worst, abs(got - want), abs(blocked - want))
             checked += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
-    assert report_line(5, ok, f"{checked} relevance patterns, max deviation "
+    assert report_line(5, ok, f"{checked} relevance patterns (ndcg_user and "
+                              f"evaluate), max deviation "
                               f"{worst:.2e} in {elapsed:.1f}s (limit 10s)")
 
 

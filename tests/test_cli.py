@@ -6,7 +6,7 @@ import pytest
 from ncacf.cli import main
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import load_triplets
-from ncacf.models import load_model
+from ncacf.models import load_model, save_model
 
 
 BASE_CFG = """
@@ -192,6 +192,57 @@ class TestTrainEvaluate:
         ckpt = str(tmp_path / "run" / "best.ckpt")
         assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
         assert (tmp_path / "run" / "eval_cold_test.tsv").exists()
+
+    @pytest.mark.parametrize("family, coupling, mode",
+                             [("wmf", "content_free", "warm"),
+                              ("mf_uni", "relaxed", "cold"),
+                              ("ncacf", "relaxed", "cold")])
+    def test_eval_files_match_per_user_oracle(self, tmp_path, monkeypatch, family,
+                                              coupling, mode):
+        """evaluate's files, num_excluded and pool_size_total included, are
+        the bytes that the per-user ranking oracle gives the same command."""
+        import ncacf.cli as cli
+        from oracles import evaluate_per_user
+        cfg = write_cfg(tmp_path, family=family, coupling=coupling, mode=mode,
+                        extra="\n[variant]\ncombination = concatenation\nq_hidden = 2\n"
+                              if family == "ncacf" else None)
+        assert main(["synth", "--config", cfg]) == 0
+        assert main(["prepare", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        ckpt = str(tmp_path / "run" / "best.ckpt")
+        names = [f"eval_{mode}_validation.tsv", f"eval_{mode}_test.tsv"]
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
+        got = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        monkeypatch.setattr(cli.E, "evaluate", evaluate_per_user)
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt,
+                     "--output", str(tmp_path / "oracle")]) == 0
+        for name in names:
+            assert got[name] == (tmp_path / "oracle" / name).read_bytes(), name
+        assert b"pool_size_total" in got[names[1]]
+
+    def test_non_finite_checkpoint_scores_exit_4(self, workspace, capsys):
+        """One NaN in W, in the column of a user whom only the test bucket
+        ranks: exit 4, and not even the validation file is written."""
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        ckpt = workspace / "run" / "best.ckpt"
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt)]) == 0
+
+        def ranked_users(bucket):
+            text = (workspace / "run" / f"eval_warm_{bucket}.tsv").read_text()
+            return {int(line.split("\t")[0])
+                    for line in text.split("# user\tndcg\n")[1].splitlines()}
+
+        user = min(ranked_users("test") - ranked_users("validation"))
+        model, header, arrays, adams = load_model(ckpt)
+        model.embeddings.W[0, user] = np.nan
+        path = workspace / "nan.ckpt"
+        save_model(path, model, header, arrays, adams)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path),
+                     "--output", str(workspace / "nan_eval")]) == 4
+        assert "not finite" in capsys.readouterr().err
+        assert not list((workspace / "nan_eval").glob("eval_*"))
 
     def test_trained_rerun_bit_identical(self, workspace):
         cfg = str(workspace / "cfg.ini")

@@ -4,14 +4,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from conftest import random_triplets
-from oracles import dcg_positions, ndcg_by_permutations
-from ncacf.data import (ConfidenceScheme, FeatureTable, SparsePlaycounts,
-                        materialize_fold, split_cold, split_warm)
-from ncacf.errors import ColdStartUnsupportedError, DataError
-from ncacf.evaluation import (EvalResult, RankedList, dcg, evaluate,
-                              fold_mean_std, grid_search, ndcg_user,
-                              random_ndcg_baseline, rank_items,
+from oracles import (RankedList, cross_validate, dcg, dcg_positions,
+                     evaluate_per_user, ndcg_by_permutations, ndcg_user,
+                     random_ndcg_baseline, rank_items)
+from ncacf import evaluation, models
+from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+                        InteractionTriplets, SparsePlaycounts, materialize_fold,
+                        split_cold, split_warm)
+from ncacf.errors import ColdStartUnsupportedError, DataError, TrainingDivergedError
+from ncacf.evaluation import (EvalResult, evaluate, fold_mean_std, grid_search,
                               write_eval_result)
 from ncacf.models import Embeddings, ModelVariant, init_model
 
@@ -239,6 +242,143 @@ class TestEvaluate:
         assert all(0.0 <= v <= 1.0 for v in res.ndcg.values())
 
 
+class TestBlockedRanking:
+    """evaluate ranks blocks of users with a partial sort; evaluate_per_user
+    (tests/oracles.py) ranks one user at a time with a full lexsort. Per-user
+    NDCGs, pool sizes and exclusion counts must be equal, not close."""
+
+    VARIANTS = {
+        "dot": ModelVariant("mf_uni", "relaxed"),
+        "concat": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
+        "mult": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 1),
+    }
+
+    def _setup(self, setting, kind, seed=41):
+        """40 users x 30 items; a warm fold or a cold fold whose test bucket
+        is listed in descending item order."""
+        t = random_triplets(40, 30, 0.4, seed=seed)
+        if setting == "warm":
+            membership = materialize_fold(split_warm(t, 3, 0.2, seed=seed), 1)
+        else:
+            m = materialize_fold(split_cold(30, 3, 0.2, seed=seed), 1)
+            membership = FoldMembership("cold", 1, m.train, m.validation, m.test[::-1])
+        rng = np.random.default_rng(seed + 1)
+        model = init_model(self.VARIANTS[kind], 40, 30, 4, 5, seed=seed,
+                           hidden_width=6, extractor_layers=2)
+        # Small embeddings keep the scores in a narrow range, so that scores
+        # rounded to two decimals tie often.
+        model.embeddings = Embeddings(rng.normal(0, 0.05, (4, 40)),
+                                      rng.normal(0, 0.05, (4, 30)))
+        feats = FeatureTable(rng.normal(0, 1, (30, 5)))
+        return t, membership, model, feats
+
+    @staticmethod
+    def _round_scores(monkeypatch):
+        """Round every score to two decimals, in the library and the oracle."""
+        def rounded(model, item_vecs, users=slice(None)):
+            return np.round(models.score_matrix(model, item_vecs, users), 2)
+
+        monkeypatch.setattr(evaluation, "score_matrix", rounded)
+        monkeypatch.setattr(oracles, "score_matrix", rounded)
+
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """Per block: [users, candidates, largest tower-grid array]."""
+        blocks = []
+        score = evaluation.score_matrix
+        forward = models.mlp_forward
+
+        def recording_score(model, item_vecs, users=slice(None)):
+            blocks.append([len(users), item_vecs.shape[1], 0])
+            return score(model, item_vecs, users)
+
+        def recording_forward(params, x):
+            out, cache = forward(params, x)
+            if blocks:
+                blocks[-1][2] = max([blocks[-1][2], out.size]
+                                    + [a.size for layer in cache for a in layer])
+            return out, cache
+
+        monkeypatch.setattr(evaluation, "score_matrix", recording_score)
+        monkeypatch.setattr(models, "mlp_forward", recording_forward)
+        return blocks
+
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @pytest.mark.parametrize("setting", ["cold", "warm"])
+    def test_matches_per_user_oracle(self, monkeypatch, setting, kind):
+        t, membership, model, feats = self._setup(setting, kind)
+        scheme = ConfidenceScheme()
+        self._round_scores(monkeypatch)
+        iv = models.item_vectors(model, np.arange(30), feats, setting)
+        S = evaluation.score_matrix(model, iv)
+        assert max(row.size - np.unique(row).size for row in S) > 5  # heavy ties
+        # Lists of 3; longer than some warm users' candidate lists (22); and
+        # longer than every cold bucket and warm candidate list (40).
+        for top_k in (3, 22, 40):
+            for bucket in ("validation", "test"):
+                want = evaluate_per_user(model, membership, bucket, t, scheme,
+                                         feats, top_k)
+                if setting == "warm" and top_k == 22:
+                    valid = 30 - np.bincount(t.users[membership.train], minlength=40)
+                    users = np.array(sorted(want.ndcg))
+                    assert (valid[users] < top_k).any() and (valid[users] >= top_k).any()
+                per_user = want.pool_size_total // max(1, want.num_users)
+                # Default budget; one user per block; three users per block.
+                for floats in (models.BLOCK_FLOATS, 1, None):
+                    if floats is None:
+                        width = 0 if model.interaction is None else models.grid_width(model)
+                        floats = 3 * per_user * (evaluation._RANK_FLOATS + width)
+                    monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+                    got = evaluate(model, membership, bucket, t, scheme, feats, top_k)
+                    assert got == want, (top_k, bucket, floats)
+
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    def test_block_temporaries_bounded(self, monkeypatch, kind):
+        """Every block's scores, ranking temporaries and tower grids fit
+        models.BLOCK_FLOATS, or the block is a single user."""
+        floats = 900
+        monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+        for setting in ("cold", "warm"):
+            t, membership, model, feats = self._setup(setting, kind)
+            blocks = self._record_blocks(monkeypatch)
+            result = evaluate(model, membership, "test", t, ConfidenceScheme(),
+                              feats, 5)
+            assert len(blocks) > 1 and sum(b[0] for b in blocks) == result.num_users
+            for users, n, grid in blocks:
+                assert users == 1 or evaluation._RANK_FLOATS * users * n + grid <= floats
+
+    def test_user_without_candidates_is_data_error(self):
+        """A warm user whose every item is a training item has nothing to rank."""
+        t = random_triplets(6, 8, 0.5, seed=43)
+        users = np.concatenate([np.zeros(8, dtype=np.int64), t.users + 1])
+        items = np.concatenate([np.arange(8), t.items])
+        counts = np.concatenate([np.full(8, 9.0), t.counts])
+        t = InteractionTriplets.create(users, items, counts, 7, 8)
+        # The test bucket repeats one of user 0's training entries.
+        membership = FoldMembership("warm", 0, np.arange(t.num_entries),
+                                    np.arange(8, 12), np.array([0, 9]))
+        model = _wmf_model(np.ones((2, 7)), np.ones((2, 8)))
+        for fn in (evaluate, evaluate_per_user):
+            with pytest.raises(DataError, match="no candidate"):
+                fn(model, membership, "test", t, ConfidenceScheme(), None, 3)
+        # The validation bucket's users all have candidates.
+        assert evaluate(model, membership, "validation", t, ConfidenceScheme(),
+                        None, 3) == evaluate_per_user(model, membership, "validation",
+                                                      t, ConfidenceScheme(), None, 3)
+
+    @pytest.mark.parametrize("kind, value", [("dot", np.nan), ("dot", np.inf),
+                                             ("dot", -np.inf), ("concat", np.nan),
+                                             ("mult", np.nan)])
+    @pytest.mark.parametrize("setting", ["cold", "warm"])
+    def test_non_finite_score_raises(self, setting, kind, value):
+        t, membership, model, feats = self._setup(setting, kind)
+        result = evaluate(model, membership, "test", t, ConfidenceScheme(), feats, 5)
+        user = max(result.ndcg)  # an eligible user, in the last block
+        model.embeddings.W[1, user] = value
+        with pytest.raises(TrainingDivergedError, match="not finite"):
+            evaluate(model, membership, "test", t, ConfidenceScheme(), feats, 5)
+
+
 class TestGridSearch:
     def test_singleton(self):
         best, table = grid_search([0.5], [2.0], lambda lw, lh: 0.7)
@@ -280,7 +420,6 @@ class TestCrossValidate:
         return train_and_score
 
     def test_deterministic_rerun(self):
-        from ncacf.evaluation import cross_validate
         fn = self._runner()
         a = cross_validate(3, fn, grid_w=[0.1, 1.0], grid_h=[1.0])
         b = cross_validate(3, fn, grid_w=[0.1, 1.0], grid_h=[1.0])
@@ -288,7 +427,6 @@ class TestCrossValidate:
         assert len(a[0]) == 3
 
     def test_mean_permutation_invariant(self):
-        from ncacf.evaluation import cross_validate
         fn = self._runner()
         results, mean, std, _ = cross_validate(3, fn)
         per_fold = [r.mean for r in results]
@@ -297,7 +435,6 @@ class TestCrossValidate:
         npt.assert_allclose(std, s2, rtol=1e-15)
 
     def test_needs_two_folds(self):
-        from ncacf.evaluation import cross_validate
         with pytest.raises(ValueError):
             cross_validate(1, lambda *a: None)
 

@@ -272,7 +272,7 @@ class TestSweepOracle:
 
 class TestObjectiveBlocks:
     """full_loss sums a tower's objective over item blocks whose users x
-    items x width grids fit _LOSS_BLOCK_FLOATS; a dot product expands no
+    items x width grids fit models.BLOCK_FLOATS; a dot product expands no
     users x items grid at all."""
 
     # Unsorted strict subset of the 23 items.
@@ -318,9 +318,9 @@ class TestObjectiveBlocks:
         model, data, scheme, feats = self._setup(name)
         want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
         blocks = self._record_blocks(monkeypatch)
-        per_item = data.num_users * training._grid_width(model)
+        per_item = data.num_users * models.grid_width(model)
         for floats in (5 * per_item + 3, 2 * per_item, 1):  # 5, 2 and 1 items
-            monkeypatch.setattr(training, "_LOSS_BLOCK_FLOATS", floats)
+            monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
             blocks.clear()
             got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
@@ -331,7 +331,7 @@ class TestObjectiveBlocks:
         """Every block's dense users x items arrays and every tower grid
         fit the budget, or the block is a single item."""
         floats = 60
-        monkeypatch.setattr(training, "_LOSS_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
         model, data, scheme, feats = self._setup(name)
         blocks = self._record_blocks(monkeypatch)
         full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
