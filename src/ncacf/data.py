@@ -423,8 +423,8 @@ def filter_activity(triplets: InteractionTriplets, min_user_songs: int,
     users = triplets.users[keep]
     items = triplets.items[keep]
     counts = triplets.counts[keep]
-    u_ids = np.unique(users)
-    i_ids = np.unique(items)
+    u_ids = np.flatnonzero(u_deg)  # the degrees of the final `keep`
+    i_ids = np.flatnonzero(i_deg)
     u_map = np.full(triplets.num_users, -1, dtype=np.int64)
     i_map = np.full(triplets.num_items, -1, dtype=np.int64)
     u_map[u_ids] = np.arange(u_ids.size)
@@ -520,8 +520,9 @@ def split_warm(triplets: InteractionTriplets, num_folds: int, val_fraction: floa
     items = triplets.items
     sizes = np.bincount(items, minlength=triplets.num_items)
     # Distinct folds covering each item, from its non-validation triplets.
-    covering = np.unique(items[~in_val] * num_folds + fold_of[~in_val]) // num_folds
-    covered = np.bincount(covering, minlength=triplets.num_items)
+    keys = items[~in_val] * num_folds + fold_of[~in_val]
+    per_fold = np.bincount(keys, minlength=triplets.num_items * num_folds)
+    covered = np.count_nonzero(per_fold.reshape(triplets.num_items, num_folds), axis=1)
     always = (sizes == 1)[items]
     in_val &= ~always
     repair = np.flatnonzero((sizes >= 2) & (covered < 2))

@@ -146,19 +146,6 @@ class Embeddings:
         return self.W.shape[0]
 
 
-def combine(w: np.ndarray, h: np.ndarray, mode: str) -> np.ndarray:
-    """Elementwise product (length K) or stacked [w; h] (length 2K)."""
-    w = np.asarray(w, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if w.shape != h.shape:
-        raise ValueError("embedding lengths differ")
-    if mode == "multiplication":
-        return w * h
-    if mode == "concatenation":
-        return np.concatenate([w, h])
-    raise ValueError(f"unknown combination {mode!r}")
-
-
 def combined_dim(embed_dim: int, combination: str) -> int:
     return embed_dim if combination == "multiplication" else 2 * embed_dim
 
@@ -318,25 +305,6 @@ def item_vectors(model: Model, items: np.ndarray, features: FeatureTable | None,
     return model.embeddings.H[:, items]
 
 
-def item_vector(model: Model, item: int, features: FeatureTable | None,
-                setting: str) -> np.ndarray:
-    return item_vectors(model, np.array([item]), features, setting)[:, 0]
-
-
-def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
-    """Score one (user, item-vector) pair.
-
-    Deep variants fall back to the plain dot product while their tower is
-    not attached (the pretraining configuration).
-    """
-    w = model.embeddings.W[:, user]
-    if model.interaction is None:
-        return float(w @ item_vec)
-    v = combine(w, item_vec, model.variant.combination)
-    out, _ = mlp_forward(model.interaction, v)
-    return float(out[0])
-
-
 def tower_grid_forward(tower: MLPParams, W: np.ndarray, item_vecs: np.ndarray,
                        combination: str):
     """The tower over every (user, item) pair of W (K, U) and item_vecs
@@ -407,17 +375,24 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     return grads, gW, gH
 
 
-# Floats one block of a users x items computation may hold: a tower's
-# objective counts its widest grid (the dense R, C and scores are width 1),
-# an evaluation block its scores and ranking temporaries plus that grid.
+# Floats one block of a users x items computation may hold: the dense R, C
+# and scores of an objective block, or an evaluation block's scores and
+# ranking temporaries. Both blocks also count a tower's widest grid per pair,
+# though the tower itself runs on one user sub-block of them at a time.
 BLOCK_FLOATS = 1 << 21
 
+# Floats in one grid of a tower user sub-block (512 KiB): a sub-block's few
+# live grids fit a core's L2 cache (2 MiB on the Xeon it was tuned on), where
+# 2^16-2^18 ran a concatenation tower's batches fastest and 2^14-2^15 slower.
+TOWER_BLOCK_FLOATS = 1 << 16
 
-def block_units(floats_per_unit: int) -> int:
-    """Units (items of a tower objective, users of an evaluation) in one
-    block whose temporaries take floats_per_unit floats per unit: as many as
-    fit BLOCK_FLOATS, and at least one."""
-    return max(1, BLOCK_FLOATS // floats_per_unit)
+
+def block_units(floats_per_unit: int, budget: int | None = None) -> int:
+    """Units (items of a tower objective, users of an evaluation or of a
+    tower sub-block) in one block whose temporaries take floats_per_unit
+    floats per unit: as many as fit `budget` (default BLOCK_FLOATS), and at
+    least one."""
+    return max(1, (BLOCK_FLOATS if budget is None else budget) // floats_per_unit)
 
 
 def grid_width(model: Model) -> int:
@@ -429,26 +404,24 @@ def grid_width(model: Model) -> int:
     return max(widths)
 
 
+def tower_user_blocks(model: Model, num_users: int, num_items: int) -> list[slice]:
+    """Consecutive slices of 0..num_users-1, each a sub-block of users whose
+    tower grids over num_items items fit TOWER_BLOCK_FLOATS (or one user)."""
+    step = block_units(max(1, num_items) * grid_width(model), TOWER_BLOCK_FLOATS)
+    return [slice(lo, lo + step) for lo in range(0, num_users, step)]
+
+
 def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.ndarray:
     """Scores of the given users (default: all) against the given item-vector
-    columns: (len(users), n)."""
+    columns: (len(users), n). A tower scores one user sub-block at a time."""
     W = model.embeddings.W[:, users]
     if model.interaction is None:
         return W.T @ item_vecs
-    scores, _ = tower_grid_forward(model.interaction, W, item_vecs,
-                                   model.variant.combination)
+    scores = np.empty((W.shape[1], item_vecs.shape[1]))
+    for block in tower_user_blocks(model, W.shape[1], item_vecs.shape[1]):
+        scores[block] = tower_grid_forward(model.interaction, W[:, block], item_vecs,
+                                           model.variant.combination)[0]
     return scores
-
-
-def predict_all_items(model: Model, user: int, items: np.ndarray,
-                      features: FeatureTable | None, setting: str) -> np.ndarray:
-    """Scores for one user over an ordered item list."""
-    iv = item_vectors(model, items, features, setting)
-    if model.interaction is None:
-        return model.embeddings.W[:, user] @ iv
-    scores, _ = tower_grid_forward(model.interaction, model.embeddings.W[:, [user]],
-                                   iv, model.variant.combination)
-    return scores[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Dense numerical kernels: SPD solves, a small MLP with analytic gradients,
-the Adam optimizer, and a central-difference gradient oracle.
+and the Adam optimizer.
 
 Everything is double precision. All functions are pure: optimizer state and
 parameters go in and come out, nothing is mutated in place.
@@ -272,27 +272,6 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         new_m[name] = m
         new_v[name] = v
     return new_params, replace(state, step=t, m=new_m, v=new_v)
-
-
-def finite_diff_grad(fn, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function at `point`."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.empty_like(point)
-    flat = point.ravel()
-    gflat = grad.ravel()
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = fn(point)
-        flat[j] = orig - h
-        fm = fn(point)
-        flat[j] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError(f"non-finite evaluation at coordinate {j}")
-        gflat[j] = (fp - fm) / (2.0 * h)
-    return grad
 
 
 # ---------------------------------------------------------------------------

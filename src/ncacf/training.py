@@ -5,9 +5,11 @@ two-stage content baseline, all behind one entry point, `train`.
 All data-term sums run over item batches crossed with every user; pairs
 without a stored playcount contribute with r=0 and confidence 1. A dot
 product sums them at nnz cost through K x K Gramians; only a tower expands
-the users x batch grid. Training on
-a cold split passes the training items as `item_pool`: batches, ALS sweeps
-and regularizers then never touch held-out items.
+the users x batch grid, and it runs its forward and backward passes on one
+cache-sized sub-block of users at a time, summing the sub-blocks' gradients
+into one optimizer step per batch. Training on a cold split passes the
+training items as `item_pool`: batches, ALS sweeps and regularizers then
+never touch held-out items.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
                      attach_tower, block_units, grid_width, init_model,
-                     load_model, tower_grid_backward, tower_grid_forward)
+                     load_model, tower_grid_backward, tower_grid_forward,
+                     tower_user_blocks)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
 from .rng import rng_for
 
@@ -80,7 +83,8 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     pair scored as unobserved (r = 0, c = 1) is <W W^T, H_b H_b^T>, and the
     batch's stored pairs add c (s - r)^2 - s^2 each; the gradients split the
     same way. That costs O(nnz K + (U + B) K^2). A tower scores the dense
-    users x batch grid.
+    users x batch grid, one sub-block of users at a time
+    (models.tower_user_blocks), and sums the sub-blocks' gradients.
 
     The user regularizer is scaled by batch/pool so the batch objectives of
     one epoch sum to the full objective; the item-side terms are summed over
@@ -99,11 +103,22 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
     deep = model.interaction is not None
     if deep:
+        # One user sub-block at a time: forward, its error, and at once its
+        # backward pass, so that no grid outlives its sub-block.
         R, C = _batch_rc(data, scheme, batch)
-        S, tower_cache = tower_grid_forward(model.interaction, W, H_use,
-                                            variant.combination)
-        diff = S - R
-        data_loss = np.sum(C * diff * diff)
+        data_loss, tower_grads = 0.0, {}
+        gW_data, gH_use = np.empty_like(W), np.zeros_like(H_use)
+        for users in tower_user_blocks(model, W.shape[1], batch.size):
+            S, cache = tower_grid_forward(model.interaction, W[:, users], H_use,
+                                          variant.combination)
+            diff = S - R[users]
+            data_loss += np.sum(C[users] * diff * diff)
+            if want_grads:
+                grads_b, gW_data[:, users], gH_b = tower_grid_backward(
+                    model.interaction, cache, 2.0 * C[users] * diff)
+                gH_use += gH_b
+                for name, g in grads_b.items():
+                    tower_grads[name] = tower_grads.get(name, 0.0) + g
     else:
         users, cols, counts = data.by_item.take(batch)
         # Non-finite parameters give inf - inf here; the check below raises.
@@ -127,8 +142,6 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
     grads: dict[str, object] = {}
     if deep:
-        tower_grads, gW_data, gH_use = tower_grid_backward(model.interaction,
-                                                           tower_cache, 2.0 * C * diff)
         if "interaction" in owned:
             grads["interaction"] = tower_grads
     else:
@@ -164,8 +177,8 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     pooled items of ||h_i - phi(x_i)||^2 (prior 0 for content-free models).
     Strict coupling scores h_i = phi(x_i) and has no lambda_H term.
 
-    A dot product takes one pass over the pool; a tower's grids are expanded
-    for one block of items at a time.
+    A dot product takes one pass over the pool; a tower takes one block of
+    items at a time, and each block one user sub-block at a time.
     """
     pool = _pool_dims(model.num_items, item_pool)
     block = max(1, pool.size)
@@ -241,31 +254,6 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         out[:, rows] = solve_spd(A, b).T
         start = stop
     return out
-
-
-def _dense_row(F: np.ndarray, r, c, lam: float, prior=None) -> np.ndarray:
-    """_ridge_rows for one row that stores every column of F."""
-    m = F.shape[1]
-    c = np.asarray(c, dtype=np.float64)
-    prior = None if prior is None else np.reshape(prior, (-1, 1))
-    return _ridge_rows(F, np.zeros(1, dtype=np.int64), np.array([m]), np.arange(m),
-                       c - 1.0, c * np.asarray(r), lam, prior)[:, 0]
-
-
-def als_update_w(H: np.ndarray, r_u: np.ndarray, c_u: np.ndarray, lam_w: float) -> np.ndarray:
-    """Exact per-user minimizer: (H diag(c) H^T + lam I)^-1 H diag(c) r."""
-    if lam_w <= 0:
-        raise ValueError("lambda_W must be positive")
-    return _dense_row(H, r_u, c_u, lam_w)
-
-
-def als_update_h(W: np.ndarray, r_i: np.ndarray, c_i: np.ndarray, lam_h: float,
-                 prior: np.ndarray | None = None) -> np.ndarray:
-    """Exact per-item minimizer with a content prior:
-    (W diag(c) W^T + lam I)^-1 (W diag(c) r + lam * prior)."""
-    if lam_h <= 0:
-        raise ValueError("lambda_H must be positive")
-    return _dense_row(W, r_i, c_i, lam_h, prior)
 
 
 def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,

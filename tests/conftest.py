@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncacf.data import (ConfidenceScheme, InteractionTriplets, SparsePlaycounts)
-from ncacf.numerics import finite_diff_grad
+from oracles import finite_diff_grad
 from ncacf.training import full_loss, full_loss_gradients
 
 

@@ -1,10 +1,15 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written with plain loops and naive
-elimination so it shares no code path with the library. The dense
-dot-product objective is the users x items version of the library's
-nnz-cost one; it shares the model containers and the content extractor's
-forward and backward passes, not the data term. The data-file
+elimination so it shares no code path with the library. The dense batch
+objective is the one-pass users x items version of the library's nnz-cost
+dot-product objective and of its tower objective, which the library runs
+one user sub-block at a time; it shares the model containers, the content
+extractor and the tower's grid passes, not the blocking. The per-pair
+scoring (`combine`, `predict`, `predict_all_items`), the per-row ALS
+updates (`als_update_w`, `als_update_h`) and the central-difference
+gradient (`finite_diff_grad`) are the references for the library's grid
+scoring, blocked ALS sweeps and analytic gradients. The data-file
 oracles are per-line and per-item versions of the library's bulk parser,
 writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
@@ -21,13 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncacf.data import (ConfidenceScheme, FoldMembership, InteractionTriplets,
-                        SplitPlan, _partition_units)
+from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+                        InteractionTriplets, SplitPlan, _partition_units)
 from ncacf.errors import DataError, ParseError
 from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
-from ncacf.models import Model, item_vectors, score_matrix
+from ncacf.models import (Model, item_vectors, score_matrix, tower_grid_backward,
+                          tower_grid_forward)
 from ncacf.numerics import mlp_backward, mlp_forward
 from ncacf.rng import rng_for
+from ncacf.training import _ridge_rows
 
 
 def gauss_solve(A, b):
@@ -124,11 +131,12 @@ def dense_weighted_loss(W, H_eff, R, C, lam_w, lam_h=0.0, prior=None,
     return total
 
 
-def dense_dot_objective(model, data, scheme, features, lam_w, lam_h, batch,
-                        pool_size, owned):
-    """The batch objective of a model without a tower over the dense
-    users x batch grid, with its gradients for the owned groups: the
-    library's objective before it moved to nnz cost. Returns (loss, grads)."""
+def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
+                          pool_size, owned):
+    """The batch objective over the dense users x batch grid in one pass,
+    with its gradients for the owned groups: for a dot product the library's
+    objective before it moved to nnz cost, for a tower before it split the
+    grid into user sub-blocks. Returns (loss, grads)."""
     variant = model.variant
     W = model.embeddings.W
     strict = variant.coupling == "strict"
@@ -146,7 +154,12 @@ def dense_dot_objective(model, data, scheme, features, lam_w, lam_h, batch,
         phi_out, phi_cache = mlp_forward(model.extractor, features.values[batch])
         phi = phi_out.T
     H_use = phi if strict else model.embeddings.H[:, batch]
-    diff = W.T @ H_use - R
+    if model.interaction is None:
+        S = W.T @ H_use
+    else:
+        S, tower_cache = tower_grid_forward(model.interaction, W, H_use,
+                                            variant.combination)
+    diff = S - R
     scale_w = batch.size / pool_size
     loss = float(np.sum(C * diff * diff)) + lam_w * float(np.sum(W * W)) * scale_w
     D = None
@@ -156,21 +169,124 @@ def dense_dot_objective(model, data, scheme, features, lam_w, lam_h, batch,
 
     dS = 2.0 * C * diff
     grads = {}
+    if model.interaction is None:
+        gW_data, gH_use = H_use @ dS.T, W @ dS
+    else:
+        tower_grads, gW_data, gH_use = tower_grid_backward(model.interaction,
+                                                           tower_cache, dS)
+        if "interaction" in owned:
+            grads["interaction"] = tower_grads
     if "W" in owned:
-        grads["W"] = H_use @ dS.T + (2.0 * lam_w * scale_w) * W
+        grads["W"] = gW_data + (2.0 * lam_w * scale_w) * W
     if strict:
         if "extractor" in owned:
             grads["extractor"] = mlp_backward(model.extractor, phi_cache,
-                                              (W @ dS).T)[0].arrays
+                                              gH_use.T)[0].arrays
     else:
         if "H" in owned:
             gH = np.zeros_like(model.embeddings.H)
-            gH[:, batch] = W @ dS + 2.0 * lam_h * D
+            gH[:, batch] = gH_use + 2.0 * lam_h * D
             grads["H"] = gH
         if "extractor" in owned and variant.has_content:
             grads["extractor"] = mlp_backward(model.extractor, phi_cache,
                                               (-2.0 * lam_h * D).T)[0].arrays
     return loss, grads
+
+
+# ---------------------------------------------------------------------------
+# Per-pair scoring, per-row ALS updates and central differences: the
+# references for models.score_matrix, the blocked ALS sweeps and the
+# analytic gradients.
+# ---------------------------------------------------------------------------
+
+def combine(w: np.ndarray, h: np.ndarray, mode: str) -> np.ndarray:
+    """Elementwise product (length K) or stacked [w; h] (length 2K)."""
+    w = np.asarray(w, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    if w.shape != h.shape:
+        raise ValueError("embedding lengths differ")
+    if mode == "multiplication":
+        return w * h
+    if mode == "concatenation":
+        return np.concatenate([w, h])
+    raise ValueError(f"unknown combination {mode!r}")
+
+
+def item_vector(model: Model, item: int, features: FeatureTable | None,
+                setting: str) -> np.ndarray:
+    return item_vectors(model, np.array([item]), features, setting)[:, 0]
+
+
+def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
+    """Score one (user, item-vector) pair.
+
+    Deep variants fall back to the plain dot product while their tower is
+    not attached (the pretraining configuration).
+    """
+    w = model.embeddings.W[:, user]
+    if model.interaction is None:
+        return float(w @ item_vec)
+    v = combine(w, item_vec, model.variant.combination)
+    out, _ = mlp_forward(model.interaction, v)
+    return float(out[0])
+
+
+def predict_all_items(model: Model, user: int, items: np.ndarray,
+                      features: FeatureTable | None, setting: str) -> np.ndarray:
+    """Scores for one user over an ordered item list."""
+    iv = item_vectors(model, items, features, setting)
+    if model.interaction is None:
+        return model.embeddings.W[:, user] @ iv
+    scores, _ = tower_grid_forward(model.interaction, model.embeddings.W[:, [user]],
+                                   iv, model.variant.combination)
+    return scores[0]
+
+
+def _dense_row(F: np.ndarray, r, c, lam: float, prior=None) -> np.ndarray:
+    """_ridge_rows for one row that stores every column of F."""
+    m = F.shape[1]
+    c = np.asarray(c, dtype=np.float64)
+    prior = None if prior is None else np.reshape(prior, (-1, 1))
+    return _ridge_rows(F, np.zeros(1, dtype=np.int64), np.array([m]), np.arange(m),
+                       c - 1.0, c * np.asarray(r), lam, prior)[:, 0]
+
+
+def als_update_w(H: np.ndarray, r_u: np.ndarray, c_u: np.ndarray, lam_w: float) -> np.ndarray:
+    """Exact per-user minimizer: (H diag(c) H^T + lam I)^-1 H diag(c) r."""
+    if lam_w <= 0:
+        raise ValueError("lambda_W must be positive")
+    return _dense_row(H, r_u, c_u, lam_w)
+
+
+def als_update_h(W: np.ndarray, r_i: np.ndarray, c_i: np.ndarray, lam_h: float,
+                 prior: np.ndarray | None = None) -> np.ndarray:
+    """Exact per-item minimizer with a content prior:
+    (W diag(c) W^T + lam I)^-1 (W diag(c) r + lam * prior)."""
+    if lam_h <= 0:
+        raise ValueError("lambda_H must be positive")
+    return _dense_row(W, r_i, c_i, lam_h, prior)
+
+
+def finite_diff_grad(fn, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function at `point`."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    point = np.asarray(point, dtype=np.float64)
+    grad = np.empty_like(point)
+    flat = point.ravel()
+    gflat = grad.ravel()
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        fp = fn(point)
+        flat[j] = orig - h
+        fm = fn(point)
+        flat[j] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise FloatingPointError(f"non-finite evaluation at coordinate {j}")
+        gflat[j] = (fp - fm) / (2.0 * h)
+    return grad
+
 
 
 def dcg_positions(rel):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import gradcheck_full_loss
-from oracles import (RankedList, ndcg_by_permutations, ndcg_user,
-                     random_ndcg_baseline, weighted_ridge_solve)
+from oracles import (RankedList, als_update_h, als_update_w, ndcg_by_permutations,
+                     ndcg_user, predict, random_ndcg_baseline, weighted_ridge_solve)
 from ncacf.cli import main
 from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, generate_synthetic,
@@ -23,10 +23,9 @@ from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
                         split_cold, standardize_features)
 from ncacf.evaluation import evaluate
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
-                          predict, score_matrix)
+                          score_matrix)
 from ncacf.numerics import Layer, MLPParams
-from ncacf.training import (als_update_h, als_update_w, owned_groups,
-                            read_report, train)
+from ncacf.training import owned_groups, read_report, train
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -335,6 +338,21 @@ class TestFilterActivity:
         with pytest.raises(DataError):
             filter_activity(t, 100, 100)
 
+    def test_relabels_survivors_densely_in_id_order(self):
+        t = random_triplets(30, 25, 0.15, seed=4)
+        got = filter_activity(t, 3, 3)
+        assert 0 < got.num_users < t.num_users and 0 < got.num_items < t.num_items
+        for ids, n, labels, old in ((got.users, got.num_users, got.user_labels, t.user_labels),
+                                    (got.items, got.num_items, got.item_labels, t.item_labels)):
+            assert np.bincount(ids, minlength=n).min() > 0
+            positions = [old.index(label) for label in labels]
+            assert positions == sorted(positions)
+        entries = set(zip((t.user_labels[u] for u in t.users),
+                          (t.item_labels[i] for i in t.items), t.counts.tolist()))
+        assert set(zip((got.user_labels[u] for u in got.users),
+                       (got.item_labels[i] for i in got.items),
+                       got.counts.tolist())) <= entries
+
 
 class TestSplitCold:
     def test_sizes(self):
@@ -387,6 +405,28 @@ class TestSplitWarm:
         b = split_warm(t, 3, 0.2, seed=2)
         npt.assert_array_equal(a.validation, b.validation)
         npt.assert_array_equal(a.train_always, b.train_always)
+
+
+def test_filter_and_warm_split_leave_numpy_ma_unimported():
+    """filter_activity and split_warm find distinct ids without the plain
+    np.unique, which imports numpy.ma (about 12 ms of every prepare)."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from ncacf.data import InteractionTriplets, filter_activity, split_warm",
+        "rng = np.random.default_rng(0)",
+        "users, items = np.nonzero(rng.random((30, 20)) < 0.3)",
+        "counts = rng.integers(1, 9, users.size).astype(float)",
+        "t = InteractionTriplets.create(users, items, counts, 30, 20)",
+        "split_warm(filter_activity(t, 2, 2), 3, 0.2, seed=1)",
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'",
+    ])
+    src = os.path.dirname(os.path.dirname(ncacf.data.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def assert_same_plan(got, want):

@@ -4,12 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import combine, item_vector, predict, predict_all_items
 from ncacf import models
 from ncacf.data import FeatureTable
 from ncacf.errors import ColdStartUnsupportedError, ConfigError, DataError
-from ncacf.models import (Embeddings, Model, ModelVariant, combine,
-                          combined_dim, init_model, item_vector, item_vectors,
-                          load_model, predict, predict_all_items, read_checkpoint,
+from ncacf.models import (Embeddings, Model, ModelVariant, combined_dim,
+                          init_model, item_vectors, load_model, read_checkpoint,
                           save_model, score_matrix, tower_widths)
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import adam_reference, gauss_solve, mlp_scalar_forward
+from oracles import adam_reference, finite_diff_grad, gauss_solve, mlp_scalar_forward
 from ncacf.errors import TrainingDivergedError
-from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step,
-                            finite_diff_grad, mlp_backward, mlp_forward,
-                            read_adam_blob, read_mlp_blob, relu, sigmoid,
-                            solve_spd, write_adam_blob, write_mlp_blob)
+from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step, mlp_backward,
+                            mlp_forward, read_adam_blob, read_mlp_blob, relu,
+                            sigmoid, solve_spd, write_adam_blob, write_mlp_blob)
 
 
 def random_mlp(rng, dims, acts=None, bias=True):

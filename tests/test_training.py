@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
-from oracles import dense_dot_objective, dense_weighted_loss, weighted_ridge_solve
+from oracles import (als_update_h, als_update_w, combine, dense_batch_objective,
+                     dense_weighted_loss, finite_diff_grad, weighted_ridge_solve)
 from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
@@ -14,8 +15,7 @@ from ncacf.errors import DataError, TrainingDivergedError
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           mlp_forward)
 from ncacf.numerics import AdamState
-from ncacf.training import (als_sweep_items, als_sweep_users, als_update_h,
-                            als_update_w, content_mse, full_loss,
+from ncacf.training import (als_sweep_items, als_sweep_users, content_mse, full_loss,
                             full_loss_gradients, gd_content_mse, make_batches,
                             owned_groups, train, TrainState,
                             _batch_objective)
@@ -24,6 +24,30 @@ from ncacf.training import (als_sweep_items, als_sweep_users, als_update_h,
 def make_weighted(num_users, num_items, density, seed):
     t = random_triplets(num_users, num_items, density, seed)
     return t, SparsePlaycounts.from_triplets(t), ConfidenceScheme()
+
+
+def record_tower_grids(monkeypatch):
+    """Per tower_grid_forward call: (users, largest array it builds)."""
+    calls = []
+    forward = models.tower_grid_forward
+
+    def recording(tower, W, item_vecs, combination):
+        scores, cache = forward(tower, W, item_vecs, combination)
+        _, _, first, rest = cache
+        arrays = list(first or ()) + [a for layer in rest or () for a in layer]
+        calls.append((W.shape[1], max([scores.size] + [a.size for a in arrays])))
+        return scores, cache
+
+    monkeypatch.setattr(models, "tower_grid_forward", recording)
+    monkeypatch.setattr(training, "tower_grid_forward", recording)
+    return calls
+
+
+def finetune_adams(model):
+    """The fresh Adam state a deep model's fine-tuning phase starts with."""
+    state = TrainState(model)
+    training._enter_phase(state, model.variant, Hyperparams(), 0, False, "finetune")
+    return state.adams
 
 
 def dense_rc(data, scheme):
@@ -329,15 +353,30 @@ class TestObjectiveBlocks:
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_block_grids_bounded(self, monkeypatch, name):
         """Every block's dense users x items arrays and every tower grid
-        fit the budget, or the block is a single item."""
-        floats = 60
+        fit the budget, or the block is a single item. Every tower grid that
+        full_loss and score_matrix build fits models.TOWER_BLOCK_FLOATS, or
+        its sub-block is a single user."""
+        floats, tower_floats = 60, 20
         monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", tower_floats)
         model, data, scheme, feats = self._setup(name)
         blocks = self._record_blocks(monkeypatch)
+        grids = record_tower_grids(monkeypatch)
         full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
         assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
         for n, grid in blocks:
             assert n == 1 or max(n * data.num_users, grid) <= floats
+        assert len(grids) > len(blocks) and any(users > 1 for users, _ in grids)
+        for users, grid in grids:
+            assert users == 1 or grid <= tower_floats
+        # Three users to a sub-block of the scores: 3 + 3 + 1.
+        tower_floats = 3 * self.POOL.size * models.grid_width(model) + 1
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", tower_floats)
+        grids.clear()
+        scores = models.score_matrix(model, model.embeddings.H[:, self.POOL])
+        assert scores.shape == (data.num_users, self.POOL.size)
+        assert [users for users, _ in grids] == [3, 3, 1]
+        assert all(grid <= tower_floats for _, grid in grids)
 
     @pytest.mark.parametrize("variant", [ModelVariant("mf_uni", "relaxed"),
                                          ModelVariant("mf_uni", "strict"),
@@ -399,8 +438,8 @@ class TestNnzObjective:
         for batch in self.BATCHES:
             got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7, batch,
                                           self.POOL.size, True, owned)
-            want, ref = dense_dot_objective(model, data, scheme, feats, 0.3, 0.7,
-                                            batch, self.POOL.size, owned)
+            want, ref = dense_batch_objective(model, data, scheme, feats, 0.3, 0.7,
+                                              batch, self.POOL.size, owned)
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert set(grads) == set(ref) == owned
             for group in owned:
@@ -410,10 +449,123 @@ class TestNnzObjective:
                         self._assert_relative(grads[group][name], ref[group][name])
                 else:
                     self._assert_relative(grads[group], ref[group])
-        want, _ = dense_dot_objective(model, data, scheme, feats, 0.3, 0.7, self.POOL,
-                                      self.POOL.size, frozenset())
+        want, _ = dense_batch_objective(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                                        self.POOL.size, frozenset())
         npt.assert_allclose(full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL),
                             want, rtol=1e-12, atol=0)
+
+
+class TestTowerSubBlocks:
+    """A tower's batch objective runs one user sub-block at a time, sized by
+    models.TOWER_BLOCK_FLOATS, and matches the one-pass users x batch oracle
+    whether a sub-block holds one user, an uneven share, or every user."""
+
+    VARIANTS = {
+        "concat-q0": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 0),
+        "concat-q2": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
+        "mult-q0": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0),
+        "mult-q2": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 2),
+        "strict-concat-q2": ModelVariant("ncacf", "strict", "deep", "concatenation", 2),
+        "strict-mult-q0": ModelVariant("ncacf", "strict", "deep", "multiplication", 0),
+        "ncf-concat-q2": ModelVariant("ncf", "content_free", "deep", "concatenation", 2),
+        "ncf-mult-q2": ModelVariant("ncf", "content_free", "deep", "multiplication", 2),
+    }
+    USERS = 11
+    # Unsorted strict subset of the 30 items, and batches of it.
+    POOL = np.random.default_rng(71).permutation(30)[:23]
+    BATCHES = (POOL[:7], POOL[7:8], POOL[8:], POOL)
+
+    def _setup(self, name):
+        t, data, scheme = make_weighted(self.USERS, 30, 0.3, seed=72)
+        feats = FeatureTable(np.random.default_rng(73).normal(0, 1, (30, 5)))
+        model = init_model(self.VARIANTS[name], self.USERS, 30, 4, 5, seed=14,
+                           hidden_width=6, extractor_layers=2)
+        # Embeddings large enough that the relus switch across the grid.
+        model.embeddings.W[...] *= 50.0
+        if model.embeddings.H is not None:
+            model.embeddings.H[...] *= 50.0
+        return model, data, scheme, feats
+
+    @staticmethod
+    def _assert_relative(got, want):
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_matches_unsplit_oracle(self, monkeypatch, name):
+        model, data, scheme, feats = self._setup(name)
+        owned = owned_groups(model.variant, with_interaction=True)
+        backward = training.tower_grid_backward
+        rows = []
+
+        def recording_backward(tower, cache, grad_scores):
+            rows.append(grad_scores.shape[0])
+            return backward(tower, cache, grad_scores)
+
+        monkeypatch.setattr(training, "tower_grid_backward", recording_backward)
+        width = models.grid_width(model)
+        for batch in self.BATCHES:
+            want, ref = dense_batch_objective(model, data, scheme, feats, 0.3, 0.7,
+                                              batch, self.POOL.size, owned)
+            assert set(ref) == owned
+            for per_block in (1, 4, self.USERS):  # 4 + 4 + 3 users is uneven
+                monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS",
+                                    per_block * batch.size * width + width - 1)
+                rows.clear()
+                got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7,
+                                              batch, self.POOL.size, True, owned)
+                assert rows == [per_block] * (self.USERS // per_block) \
+                    + ([self.USERS % per_block] if self.USERS % per_block else [])
+                npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+                assert set(grads) == owned
+                for group in owned:
+                    if isinstance(ref[group], dict):
+                        assert set(grads[group]) == set(ref[group])
+                        for part in ref[group]:
+                            self._assert_relative(grads[group][part], ref[group][part])
+                    else:
+                        self._assert_relative(grads[group], ref[group])
+
+    def test_repeated_epoch_bit_identical(self, monkeypatch):
+        from ncacf.training import gd_wpe
+        model, data, scheme, feats = self._setup("concat-q2")
+        owned = owned_groups(model.variant, with_interaction=True)
+        # Batches of 5 items, 3 users to a sub-block.
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 3 * 5 * models.grid_width(model))
+        schedule = make_batches(self.POOL.size, 5, seed=3, epoch=0)
+        runs = []
+        for _ in range(2):
+            start = model.copy()
+            end, _ = gd_wpe(start, data, scheme, feats, 0.3, 0.7, owned,
+                            finetune_adams(start), schedule, self.POOL)
+            runs.append([end.embeddings.W, end.embeddings.H,
+                         *end.extractor.param_dict().values(),
+                         *end.interaction.param_dict().values()])
+        assert not np.array_equal(runs[0][0], model.embeddings.W)
+        assert all(np.array_equal(x, y) for x, y in zip(*runs))
+
+    def test_batch_allocates_below_one_users_x_batch_grid(self):
+        """The peak of every allocation one gd_wpe batch of a concatenation
+        tower makes (2000 users x 64 items, grid width 32) stays below one
+        users x batch x width grid of floats."""
+        users, items = 2000, 64
+        t, data, scheme = make_weighted(users, items, 0.02, seed=74)
+        feats = FeatureTable(np.random.default_rng(75).normal(0, 1, (items, 6)))
+        variant = ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2)
+        model = init_model(variant, users, items, 16, 6, seed=15, hidden_width=8,
+                           extractor_layers=2)
+        assert models.grid_width(model) == 32
+        owned = owned_groups(variant, with_interaction=True)
+        adams = finetune_adams(model)
+        schedule = make_batches(items, items, seed=0, epoch=0)
+        assert len(schedule.batches) == 1
+        tracemalloc.start()
+        try:
+            training.gd_wpe(model, data, scheme, feats, 0.3, 0.7, owned, adams,
+                            schedule, np.arange(items))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < users * items * 32 * 8
 
 
 class TestLosses:
@@ -492,7 +644,6 @@ class TestLosses:
         R, C = dense_rc(data, scheme)
 
         def deep_score(w, h):
-            from ncacf.models import combine
             out, _ = mlp_forward(model.interaction, combine(w, h, "concatenation"))
             return float(out[0])
 
@@ -608,7 +759,7 @@ class TestGdContentMse:
             assert np.array_equal(la.bias, lb.bias)
 
     def test_gradient_matches_finite_differences(self):
-        from ncacf.numerics import finite_diff_grad, mlp_backward, mlp_forward
+        from ncacf.numerics import mlp_backward, mlp_forward
         rng = np.random.default_rng(61)
         model = init_model(ModelVariant("dcb", "relaxed"), 3, 5, 2, 4, seed=19,
                            hidden_width=4, extractor_layers=2)
