@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import cached_property
 
 import numpy as np
@@ -336,16 +336,10 @@ def cmd_train(args) -> int:
 
 
 def _hyper_dict(cfg: ExperimentConfig) -> dict:
-    out = {"family": cfg.family, "coupling": cfg.coupling,
-           "combination": cfg.combination, "q_hidden": cfg.q_hidden,
-           "split_mode": cfg.split_mode, "fold": cfg.fold, "seed": cfg.seed,
-           "top_k": cfg.top_k}
-    for f in ("embed_dim", "lambda_w", "lambda_h", "tau", "alpha", "epsilon",
-              "eta", "batch_items", "n_iters", "n_gd", "max_epochs",
-              "pretrain_epochs", "finetune_epochs", "eval_every",
-              "hidden_width", "extractor_layers"):
-        out[f] = getattr(cfg.hyper, f)
-    return out
+    return {"family": cfg.family, "coupling": cfg.coupling,
+            "combination": cfg.combination, "q_hidden": cfg.q_hidden,
+            "split_mode": cfg.split_mode, "fold": cfg.fold, "seed": cfg.seed,
+            "top_k": cfg.top_k, **asdict(cfg.hyper)}
 
 
 # ---------------------------------------------------------------------------

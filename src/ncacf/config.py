@@ -98,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError(f"split mode must be cold or warm, got {self.split_mode!r}")
         if self.setting not in ("cold", "warm", "both"):
             raise ConfigError(f"eval setting must be cold, warm or both")
+        if self.min_user_songs < 1 or self.min_item_users < 1:
+            raise ConfigError("min_user_songs and min_item_users must be >= 1")
+        if not (0.0 < self.val_fraction < 1.0):
+            raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
         if not (0 <= self.fold < self.num_folds):
             raise ConfigError(f"fold {self.fold} out of range for {self.num_folds} folds")
         if self.top_k < 1:
@@ -143,8 +147,6 @@ def _parse_value(name: str, raw: str, current):
         return None
     kind = type(current) if current is not None else str
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes")
         if kind is int:
             return int(raw)
         if kind is float:

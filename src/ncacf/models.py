@@ -346,20 +346,20 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     W, item_vecs, first_cache, rest_cache = cache
     U, n = grad_scores.shape
     if first_cache is None:
-        bundle, g_grid = mlp_backward(tower, rest_cache, grad_scores.reshape(-1, 1))
+        grads, g_grid = mlp_backward(tower, rest_cache, grad_scores.reshape(-1, 1))
         g_grid = g_grid.reshape(U, n, -1)
         gW = np.einsum("unk,kn->ku", g_grid, item_vecs)
         gH = np.einsum("unk,ku->kn", g_grid, W)
-        return bundle.arrays, gW, gH
+        return grads, gW, gH
     first = tower.layers[0]
     pre, post = first_cache
     grads: dict[str, np.ndarray] = {}
     if rest_cache is None:
         g_post = grad_scores[:, :, None]
     else:
-        bundle, g_post = mlp_backward(MLPParams(tower.layers[1:]), rest_cache,
-                                      grad_scores.reshape(-1, 1))
-        for name, arr in bundle.arrays.items():  # "layer{i}.x" of the later layers
+        rest, g_post = mlp_backward(MLPParams(tower.layers[1:]), rest_cache,
+                                    grad_scores.reshape(-1, 1))
+        for name, arr in rest.items():  # "layer{i}.x" of the later layers
             i, part = name[len("layer"):].split(".")
             grads[f"layer{int(i) + 1}.{part}"] = arr
         g_post = g_post.reshape(U, n, -1)

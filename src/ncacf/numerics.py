@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,32 +117,25 @@ class MLPParams:
             ]
         )
 
-    def param_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
+    def param_dict(self) -> dict[str, np.ndarray]:
         """Name -> array view of every parameter, in a fixed order."""
         out: dict[str, np.ndarray] = {}
         for i, layer in enumerate(self.layers):
-            out[f"{prefix}layer{i}.weight"] = layer.weights
+            out[f"layer{i}.weight"] = layer.weights
             if layer.bias is not None:
-                out[f"{prefix}layer{i}.bias"] = layer.bias
+                out[f"layer{i}.bias"] = layer.bias
         return out
 
-    def with_params(self, params: dict[str, np.ndarray], prefix: str = "") -> "MLPParams":
+    def with_params(self, params: dict[str, np.ndarray]) -> "MLPParams":
         """Rebuild the net with replacement arrays from `params`."""
         layers = []
         for i, layer in enumerate(self.layers):
-            w = params[f"{prefix}layer{i}.weight"]
+            w = params[f"layer{i}.weight"]
             b = None
             if layer.bias is not None:
-                b = params[f"{prefix}layer{i}.bias"]
+                b = params[f"layer{i}.bias"]
             layers.append(Layer(np.asarray(w, dtype=np.float64), b, layer.activation))
         return MLPParams(layers)
-
-
-@dataclass
-class GradientBundle:
-    """Per-parameter gradients, keyed by the same names as param_dict()."""
-
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def mlp_forward(params: MLPParams, x: np.ndarray):
@@ -167,12 +160,12 @@ def mlp_forward(params: MLPParams, x: np.ndarray):
     return (h[0] if squeeze else h), cache
 
 
-def mlp_backward(params: MLPParams, cache, grad_output: np.ndarray, prefix: str = ""):
+def mlp_backward(params: MLPParams, cache, grad_output: np.ndarray):
     """Exact reverse-mode gradients for a forward pass.
 
-    grad_output has the shape of the forward output. Returns a
-    GradientBundle over the net's parameters plus the gradient with respect
-    to the input (same leading shape as the forward input).
+    grad_output has the shape of the forward output. Returns the parameter
+    gradients, keyed like param_dict(), plus the gradient with respect to the
+    input (same leading shape as the forward input).
     """
     if len(cache) != len(params.layers):
         raise ValueError("cache does not match network depth")
@@ -188,11 +181,11 @@ def mlp_backward(params: MLPParams, cache, grad_output: np.ndarray, prefix: str 
         if inp.shape[0] != g.shape[0]:
             raise ValueError("cache batch size does not match grad_output")
         g_pre = g * activation_grad(layer.activation, pre, post)
-        grads[f"{prefix}layer{i}.weight"] = g_pre.T @ inp
+        grads[f"layer{i}.weight"] = g_pre.T @ inp
         if layer.bias is not None:
-            grads[f"{prefix}layer{i}.bias"] = g_pre.sum(axis=0)
+            grads[f"layer{i}.bias"] = g_pre.sum(axis=0)
         g = g_pre @ layer.weights
-    return GradientBundle(grads), (g[0] if squeeze else g)
+    return grads, (g[0] if squeeze else g)
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:

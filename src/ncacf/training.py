@@ -2,6 +2,13 @@
 gradient training for the dot-product and deep-interaction models, and the
 two-stage content baseline, all behind one entry point, `train`.
 
+`train` runs every family as a list of phases through one epoch loop. A
+phase has a name, an epoch count, an entry step that sets up the model and
+its Adam state, and a one-epoch body that returns the objective. wmf and
+mf_hybrid run one ALS phase, mf_uni one gradient phase, ncacf and ncf a
+dot-product pretraining phase and then a fine-tuning phase with the tower,
+and dcb an unvalidated, uncheckpointed WMF phase and then its stage 2.
+
 All data-term sums run over item batches crossed with every user; pairs
 without a stored playcount contribute with r=0 and confidence 1. A dot
 product sums them at nnz cost through K x K Gramians; only a tower expands
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,9 +31,9 @@ import numpy as np
 from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
-                     attach_tower, block_units, grid_width, init_model,
-                     load_model, tower_grid_backward, tower_grid_forward,
-                     tower_user_blocks)
+                     attach_tower, block_units, extract_item_embeddings,
+                     grid_width, init_model, load_model, tower_grid_backward,
+                     tower_grid_forward, tower_user_blocks)
 from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
 from .rng import rng_for
 
@@ -156,16 +164,15 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
         grads["W"] = gW_data + (2.0 * lam_w * scale_w) * W
     if strict:
         if "extractor" in owned:
-            bundle, _ = mlp_backward(model.extractor, phi_cache, gH_use.T)
-            grads["extractor"] = bundle.arrays
+            grads["extractor"], _ = mlp_backward(model.extractor, phi_cache, gH_use.T)
     else:
         if "H" in owned:
             gH = np.zeros_like(model.embeddings.H)
             gH[:, batch] = gH_use + 2.0 * lam_h * D
             grads["H"] = gH
         if "extractor" in owned and variant.has_content:
-            bundle, _ = mlp_backward(model.extractor, phi_cache, (-2.0 * lam_h * D).T)
-            grads["extractor"] = bundle.arrays
+            grads["extractor"], _ = mlp_backward(model.extractor, phi_cache,
+                                                 (-2.0 * lam_h * D).T)
     return loss, grads
 
 
@@ -307,8 +314,8 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
         d = out - target.T[batch]
         if not np.all(np.isfinite(d)):
             raise TrainingDivergedError("content MSE diverged")
-        bundle, _ = mlp_backward(extractor, cache, 2.0 * d)
-        params, adam = adam_step(adam, extractor.param_dict(), bundle.arrays)
+        grads, _ = mlp_backward(extractor, cache, 2.0 * d)
+        params, adam = adam_step(adam, extractor.param_dict(), grads)
         extractor = extractor.with_params(params)
     return extractor, adam
 
@@ -332,25 +339,30 @@ def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     return model, adams
 
 
+_GROUPS = ("W", "H", "extractor", "interaction")
+
+
+def group_params(model: Model, group: str) -> dict[str, np.ndarray]:
+    """The named arrays of one parameter group: {"W": W} or {"H": H} from the
+    embeddings, the MLP's param_dict() for "extractor" and "interaction"."""
+    if group in ("W", "H"):
+        return {group: getattr(model.embeddings, group)}
+    return getattr(model, group).param_dict()
+
+
+def _fresh_adams(model: Model, groups, eta: float) -> dict[str, AdamState]:
+    return {g: AdamState.init(group_params(model, g), eta) for g in _GROUPS if g in groups}
+
+
 def _apply_updates(model: Model, grads: dict, adams: dict[str, AdamState]) -> Model:
     model = replace(model)
     for group, g in grads.items():
-        if group == "W":
-            params, adams["W"] = adam_step(adams["W"], {"W": model.embeddings.W}, {"W": g})
-            model.embeddings = Embeddings(params["W"], model.embeddings.H)
-        elif group == "H":
-            params, adams["H"] = adam_step(adams["H"], {"H": model.embeddings.H}, {"H": g})
-            model.embeddings = Embeddings(model.embeddings.W, params["H"])
-        elif group == "extractor":
-            params, adams["extractor"] = adam_step(
-                adams["extractor"], model.extractor.param_dict(), g)
-            model.extractor = model.extractor.with_params(params)
-        elif group == "interaction":
-            params, adams["interaction"] = adam_step(
-                adams["interaction"], model.interaction.param_dict(), g)
-            model.interaction = model.interaction.with_params(params)
+        params, adams[group] = adam_step(adams[group], group_params(model, group),
+                                         g if isinstance(g, dict) else {group: g})
+        if group in ("W", "H"):
+            model.embeddings = replace(model.embeddings, **params)
         else:
-            raise KeyError(f"unknown parameter group {group!r}")
+            setattr(model, group, getattr(model, group).with_params(params))
     return model
 
 
@@ -424,12 +436,12 @@ class TrainState:
     """Resumable snapshot of a run: the model and its Adam moments, the
     position reached, and the best validation score so far with its model.
 
-    An ALS run counts its finished iterations in global_epoch; a gradient
-    run also keeps its phase and the epochs done in it (dcb's second stage
-    is its phase 1).
+    The position is the phase, the epochs done in it, and the epochs done in
+    all phases; an ALS iteration is one epoch. model is None until the first
+    phase of a fresh run builds it.
     """
 
-    model: Model
+    model: Model | None = None
     adams: dict[str, AdamState] = field(default_factory=dict)
     phase_idx: int = 0
     epoch_in_phase: int = 0
@@ -445,6 +457,21 @@ class TrainState:
             self.best_model = self.model.copy()
 
 
+@dataclass(frozen=True)
+class Phase:
+    """A stretch of `epochs` epochs that the report labels `name`.
+    enter(state) sets up the model and its Adam state when the phase starts,
+    but not when a run resumes inside it; epoch(state) runs one epoch and
+    returns the objective. An unobserved phase is neither validated nor
+    checkpointed."""
+
+    name: str
+    epochs: int
+    enter: Callable[[TrainState], None]
+    epoch: Callable[[TrainState], float]
+    observed: bool = True
+
+
 def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
           hyper: Hyperparams, seed: int, item_pool=None, validator=None,
           state: TrainState | None = None,
@@ -452,247 +479,166 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     """Train one variant; returns (final model, best-validation model, report).
     The best model is the final one when nothing was validated.
 
-    wmf and mf_hybrid run the ALS loop, dcb the two-stage loop, and mf_uni,
-    ncacf and ncf the gradient loop. `state` continues a run (resume_state)
-    or starts a deep variant's fine-tuning (pretrained_state); dcb takes
-    none. validator(model) -> float runs every eval_every epochs and after
-    the last one; on_epoch(state) runs after every ALS iteration or gradient
-    epoch.
+    One loop runs the family's phases (`_phases`):
+    - wmf and mf_hybrid: "als" / "als+gd", n_iters iterations of ALS sweeps
+      and, with content, n_gd extractor epochs each;
+    - mf_uni: "train", max_epochs gradient epochs over every parameter;
+    - ncacf and ncf: "pretrain", dot-product gradient epochs without the
+      tower, then "finetune", which attaches it with fresh Adam state;
+    - dcb: "als", an unobserved content-free WMF run, then "stage2",
+      n_iters * n_gd epochs that fit the extractor to the frozen embeddings.
+
+    `state` continues a run (resume_state) or starts a deep variant's
+    fine-tuning (pretrained_state); dcb takes none. validator(model) -> float
+    runs after every epoch whose number + 1 is a multiple of eval_every
+    (eval_every = 0: none) and after the last epoch of the last phase;
+    on_epoch(state) runs after every epoch. Neither runs in an unobserved
+    phase.
     """
-    if state is not None:
+    if state is None:
+        state = TrainState()
+    else:
         state.model.check_fits(data.num_users, data.num_items,
                                features.dim if features is not None else 0,
                                "the starting checkpoint", "the training data")
-    pool = _pool_dims(data.num_items, item_pool)
+    phases = _phases(variant, data, features, hyper, seed,
+                     _pool_dims(data.num_items, item_pool))
     report = TrainReport()
-    if variant.family in _ALS_FAMILIES:
-        if state is None:
-            feature_dim = features.dim if variant.has_content else 0
-            state = TrainState(init_model(variant, data.num_users, data.num_items,
-                                          hyper.embed_dim, feature_dim, seed,
-                                          hyper.hidden_width, hyper.extractor_layers))
-        _als_loop(state, data, features, hyper, seed, pool, validator, on_epoch, report)
-    elif variant.family == "dcb":
-        state = _two_stage(variant, data, features, hyper, seed, pool, validator,
-                           on_epoch, report)
-    else:
-        state = _gradient_loop(variant, data, features, hyper, seed, pool, validator,
-                               state, on_epoch, report)
+    while state.phase_idx < len(phases):
+        phase = phases[state.phase_idx]
+        if state.epoch_in_phase == 0:
+            phase.enter(state)
+        while state.epoch_in_phase < phase.epochs:
+            t0 = time.perf_counter()
+            objective = phase.epoch(state)
+            epoch = state.global_epoch
+            last = (state.phase_idx == len(phases) - 1
+                    and state.epoch_in_phase == phase.epochs - 1)
+            val = None
+            if validator is not None and phase.observed and (
+                    last or hyper.eval_every and (epoch + 1) % hyper.eval_every == 0):
+                val = validator(state.model)
+            state.observe(epoch, val)
+            report.log(epoch, phase.name, objective, val, time.perf_counter() - t0)
+            state.epoch_in_phase += 1
+            state.global_epoch += 1
+            if on_epoch is not None and phase.observed:
+                on_epoch(state)
+        state.phase_idx += 1
+        state.epoch_in_phase = 0
     report.best_epoch, report.best_val = state.best_epoch, state.best_val
     best = state.best_model if state.best_model is not None else state.model
     return state.model, best, report
 
 
-def _validate_now(validator, epoch: int, last: bool, hyper: Hyperparams) -> bool:
-    return validator is not None and ((epoch + 1) % hyper.eval_every == 0 or last)
-
-
-def _als_loop(state: TrainState, data, features, hyper: Hyperparams, seed: int,
-              pool: np.ndarray, validator, on_epoch, report: TrainReport) -> None:
-    """wmf and mf_hybrid: per iteration, ALS sweep(s) over W (and H for
-    models that own it), then n_gd gradient epochs on the content extractor
-    (relaxed: item-embedding MSE target; strict: weighted prediction error
-    with the user factors frozen between sweeps)."""
+def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
+            hyper: Hyperparams, seed: int, pool: np.ndarray) -> list[Phase]:
+    """The phases that train `variant` on the pooled items (see train)."""
     scheme = hyper.scheme()
-    model = state.model
-    variant = model.variant
-    relaxed_content = variant.has_content and variant.coupling == "relaxed"
-    strict_content = variant.has_content and variant.coupling == "strict"
-    rows = features.values[pool] if variant.has_content else None
-    if variant.has_content:
-        if hyper.n_iters < 1 or hyper.n_gd < 1:
-            raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
-        if not state.adams:
-            state.adams = {"extractor": AdamState.init(model.extractor.param_dict(),
-                                                       hyper.eta)}
-
-    for it in range(state.global_epoch, hyper.n_iters):
-        t0 = time.perf_counter()
-        if strict_content:
-            phi = _phi_columns(model, features, pool)
-            W = als_sweep_users(phi, data, scheme, hyper.lambda_w, pool)
-            model.embeddings = Embeddings(W, None)
-        else:
-            H_pool = model.embeddings.H[:, pool]
-            W = als_sweep_users(H_pool, data, scheme, hyper.lambda_w, pool)
-            model.embeddings = Embeddings(W, model.embeddings.H)
-            prior = _phi_columns(model, features, pool) if relaxed_content else None
-            H_new = model.embeddings.H.copy()
-            H_new[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h,
-                                             pool, prior)
-            model.embeddings = Embeddings(W, H_new)
-
-        phase = "als"
-        if variant.has_content:
-            phase = "als+gd"
-            batch_size = min(hyper.batch_items, pool.size)
-            target = model.embeddings.H[:, pool] if relaxed_content else None
-            for j in range(hyper.n_gd):
-                schedule = make_batches(pool.size, batch_size, seed,
-                                        it * hyper.n_gd + j)
-                if relaxed_content:
-                    model.extractor, state.adams["extractor"] = gd_content_mse(
-                        model.extractor, target, rows, state.adams["extractor"],
-                        schedule)
-                else:
-                    model, state.adams = gd_wpe(model, data, scheme, features,
-                                                hyper.lambda_w, hyper.lambda_h,
-                                                frozenset({"extractor"}),
-                                                state.adams, schedule, pool)
-
-        objective = full_loss(model, data, scheme, features,
-                              hyper.lambda_w, hyper.lambda_h, pool)
-        val = None
-        if _validate_now(validator, it, it == hyper.n_iters - 1, hyper):
-            val = validator(model)
-        state.model = model
-        state.global_epoch = it + 1
-        state.observe(it, val)
-        report.log(it, phase, objective, val, time.perf_counter() - t0)
-        if on_epoch is not None:
-            on_epoch(state)
-
-
-def _phi_columns(model: Model, features: FeatureTable, pool: np.ndarray) -> np.ndarray:
-    out, _ = mlp_forward(model.extractor, features.values[pool])
-    return out.T
-
-
-def _two_stage(variant: ModelVariant, data, features: FeatureTable,
-               hyper: Hyperparams, seed: int, pool: np.ndarray, validator,
-               on_epoch, report: TrainReport) -> TrainState:
-    """dcb: content-free WMF first (unvalidated), then the extractor is fitted
-    with the stage-1 embeddings frozen. Stage 2 gets the hybrid methods'
-    total gradient budget (n_iters * n_gd epochs)."""
-    scheme = hyper.scheme()
-    stage1 = TrainState(init_model(ModelVariant("wmf", "content_free"), data.num_users,
-                                   data.num_items, hyper.embed_dim, 0, seed))
-    _als_loop(stage1, data, None, hyper, seed, pool, None, None, report)
-    wmf = stage1.model.embeddings
-    model = init_model(variant, data.num_users, data.num_items, hyper.embed_dim,
-                       features.dim, seed, hyper.hidden_width, hyper.extractor_layers)
-    model.embeddings = Embeddings(wmf.W.copy(),
-                                  wmf.H.copy() if variant.has_free_items else None)
-    state = TrainState(model, {"extractor": AdamState.init(model.extractor.param_dict(),
-                                                           hyper.eta)},
-                       phase_idx=1, global_epoch=hyper.n_iters)
-    rows = features.values[pool]
-    target = wmf.H[:, pool]
-    stage2_epochs = hyper.n_iters * hyper.n_gd
-    for epoch in range(stage2_epochs):
-        t0 = time.perf_counter()
-        schedule = make_batches(pool.size, min(hyper.batch_items, pool.size),
-                                seed, epoch)
-        if variant.coupling == "relaxed":
-            state.model.extractor, state.adams["extractor"] = gd_content_mse(
-                state.model.extractor, target, rows, state.adams["extractor"], schedule)
-            objective = content_mse(state.model.extractor, target, rows)
-        else:
-            state.model, state.adams = gd_wpe(state.model, data, scheme, features,
-                                              hyper.lambda_w, hyper.lambda_h,
-                                              frozenset({"extractor"}), state.adams,
-                                              schedule, pool)
-            objective = full_loss(state.model, data, scheme, features,
-                                  hyper.lambda_w, hyper.lambda_h, pool)
-        val = None
-        if _validate_now(validator, epoch, epoch == stage2_epochs - 1, hyper):
-            val = validator(state.model)
-        state.observe(state.global_epoch, val)
-        report.log(state.global_epoch, "stage2", objective, val,
-                   time.perf_counter() - t0)
-        state.epoch_in_phase += 1
-        state.global_epoch += 1
-        if on_epoch is not None:
-            on_epoch(state)
-    return state
-
-
-def _gradient_loop(variant: ModelVariant, data, features: FeatureTable | None,
-                   hyper: Hyperparams, seed: int, pool: np.ndarray, validator,
-                   state: TrainState | None, on_epoch, report: TrainReport,
-                   freeze_interaction: bool = False) -> TrainState:
-    """mf_uni, ncacf and ncf: one gradient loop over all owned parameters,
-    batched by items.
-
-    Deep-interaction variants run two phases: a dot-product pretraining
-    phase (tower absent), then the tower is attached with fresh optimizer
-    state and everything is fine-tuned. freeze_interaction keeps the tower
-    at its initialization.
-    """
-    scheme = hyper.scheme()
-    deep = variant.interaction_kind == "deep"
-    phases = [("pretrain", hyper.pretrain_epochs), ("finetune", hyper.finetune_epochs)] \
-        if deep else [("train", hyper.max_epochs)]
-
-    if state is None:
-        feature_dim = features.dim if features is not None else 0
-        state = TrainState(init_model(variant, data.num_users, data.num_items,
-                                      hyper.embed_dim, feature_dim, seed,
-                                      hyper.hidden_width, hyper.extractor_layers,
-                                      with_interaction=False))
-    if not state.adams:
-        # A fresh or pretrained start: optimizer state for its first phase.
-        _enter_phase(state, variant, hyper, seed, freeze_interaction,
-                     phases[state.phase_idx][0])
     batch_size = min(hyper.batch_items, pool.size)
+    rows = features.values[pool] if variant.has_content else None
 
-    while state.phase_idx < len(phases):
-        phase_name, phase_epochs = phases[state.phase_idx]
-        while state.epoch_in_phase < phase_epochs:
-            t0 = time.perf_counter()
-            owned = _phase_owned(variant, phase_name, freeze_interaction)
-            schedule = make_batches(pool.size, batch_size, seed, state.global_epoch)
-            state.model, state.adams = gd_wpe(
-                state.model, data, scheme, features, hyper.lambda_w,
-                hyper.lambda_h, owned, state.adams, schedule, pool)
-            objective = full_loss(state.model, data, scheme, features,
-                                  hyper.lambda_w, hyper.lambda_h, pool)
-            val = None
-            last = (state.epoch_in_phase == phase_epochs - 1
-                    and state.phase_idx == len(phases) - 1)
-            if _validate_now(validator, state.global_epoch, last, hyper):
-                val = validator(state.model)
-            state.observe(state.global_epoch, val)
-            report.log(state.global_epoch, phase_name, objective, val,
-                       time.perf_counter() - t0)
-            state.epoch_in_phase += 1
-            state.global_epoch += 1
-            if on_epoch is not None:
-                on_epoch(state)
-        state.phase_idx += 1
-        state.epoch_in_phase = 0
-        if state.phase_idx < len(phases):
-            _enter_phase(state, variant, hyper, seed, freeze_interaction,
-                         phases[state.phase_idx][0])
-    return state
+    def fresh_model(v: ModelVariant) -> Model:
+        return init_model(v, data.num_users, data.num_items, hyper.embed_dim,
+                          features.dim if v.has_content else 0, seed,
+                          hyper.hidden_width, hyper.extractor_layers,
+                          with_interaction=False)
 
+    def entry(groups, tower: bool = False):
+        """Build the model on a fresh start, attach the tower if asked, and
+        give `groups` fresh Adam state."""
+        def enter(state: TrainState) -> None:
+            if state.model is None:
+                state.model = fresh_model(variant)
+            if tower and state.model.interaction is None:
+                state.model.interaction = attach_tower(variant, state.model.embed_dim,
+                                                       seed)
+            state.adams = _fresh_adams(state.model, groups, hyper.eta)
+        return enter
 
-def _enter_phase(state: TrainState, variant: ModelVariant, hyper: Hyperparams,
-                 seed: int, freeze_interaction: bool, phase_name: str) -> None:
-    """(Re)build optimizer state at a phase boundary; attach the tower when
-    fine-tuning starts."""
-    model = state.model
-    if phase_name == "finetune" and model.interaction is None:
-        model.interaction = attach_tower(variant, model.embed_dim, seed)
-    owned = _phase_owned(variant, phase_name, freeze_interaction)
-    adams: dict[str, AdamState] = {}
-    if "W" in owned:
-        adams["W"] = AdamState.init({"W": model.embeddings.W}, hyper.eta)
-    if "H" in owned:
-        adams["H"] = AdamState.init({"H": model.embeddings.H}, hyper.eta)
-    if "extractor" in owned:
-        adams["extractor"] = AdamState.init(model.extractor.param_dict(), hyper.eta)
-    if "interaction" in owned:
-        adams["interaction"] = AdamState.init(model.interaction.param_dict(), hyper.eta)
-    state.adams = adams
+    def objective(state: TrainState) -> float:
+        return full_loss(state.model, data, scheme, features,
+                         hyper.lambda_w, hyper.lambda_h, pool)
 
+    def gradient_epoch(state: TrainState, epoch: int) -> None:
+        """Batched steps on the weighted prediction error; the groups that
+        have Adam state move."""
+        state.model, state.adams = gd_wpe(state.model, data, scheme, features,
+                                          hyper.lambda_w, hyper.lambda_h,
+                                          frozenset(state.adams), state.adams,
+                                          make_batches(pool.size, batch_size, seed, epoch),
+                                          pool)
 
-def _phase_owned(variant: ModelVariant, phase_name: str,
-                 freeze_interaction: bool) -> frozenset[str]:
-    owned = owned_groups(variant, with_interaction=(phase_name != "pretrain"))
-    if freeze_interaction:
-        owned = owned - {"interaction"}
-    return owned
+    def extractor_epoch(state: TrainState, epoch: int) -> None:
+        """Fit the extractor alone: relaxed coupling to the item embeddings,
+        strict coupling to the weighted prediction error."""
+        if variant.coupling == "strict":
+            gradient_epoch(state, epoch)
+        else:
+            model = state.model
+            model.extractor, state.adams["extractor"] = gd_content_mse(
+                model.extractor, model.embeddings.H[:, pool], rows,
+                state.adams["extractor"], make_batches(pool.size, batch_size, seed, epoch))
+
+    def als_epoch(state: TrainState) -> float:
+        """ALS sweeps over W and, when the model has it, H; then n_gd
+        extractor epochs when it has content (not in dcb's WMF stage)."""
+        model = state.model
+        content = model.variant.has_content
+        if model.variant.coupling == "strict":
+            phi = extract_item_embeddings(model, features, pool)
+            model.embeddings = Embeddings(
+                als_sweep_users(phi, data, scheme, hyper.lambda_w, pool), None)
+        else:
+            W = als_sweep_users(model.embeddings.H[:, pool], data, scheme,
+                                hyper.lambda_w, pool)
+            prior = extract_item_embeddings(model, features, pool) if content else None
+            H = model.embeddings.H.copy()
+            H[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h, pool, prior)
+            model.embeddings = Embeddings(W, H)
+        for j in range(hyper.n_gd if content else 0):
+            extractor_epoch(state, state.epoch_in_phase * hyper.n_gd + j)
+        return objective(state)
+
+    if variant.family == "dcb":
+        def enter_stage1(state: TrainState) -> None:
+            state.model = fresh_model(ModelVariant("wmf", "content_free"))
+
+        def enter_stage2(state: TrainState) -> None:
+            wmf = state.model.embeddings
+            state.model = fresh_model(variant)
+            state.model.embeddings = Embeddings(
+                wmf.W, wmf.H if variant.has_free_items else None)
+            state.adams = _fresh_adams(state.model, {"extractor"}, hyper.eta)
+
+        def stage2_epoch(state: TrainState) -> float:
+            extractor_epoch(state, state.epoch_in_phase)
+            if variant.coupling == "strict":
+                return objective(state)
+            return content_mse(state.model.extractor,
+                               state.model.embeddings.H[:, pool], rows)
+
+        return [Phase("als", hyper.n_iters, enter_stage1, als_epoch, observed=False),
+                Phase("stage2", hyper.n_iters * hyper.n_gd, enter_stage2, stage2_epoch)]
+
+    if variant.family in _ALS_FAMILIES:
+        if variant.has_content and (hyper.n_iters < 1 or hyper.n_gd < 1):
+            raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
+        groups = {"extractor"} if variant.has_content else set()
+        return [Phase("als+gd" if variant.has_content else "als", hyper.n_iters,
+                      entry(groups), als_epoch)]
+
+    def wpe_epoch(state: TrainState) -> float:
+        gradient_epoch(state, state.global_epoch)
+        return objective(state)
+
+    if variant.interaction_kind == "deep":
+        return [Phase("pretrain", hyper.pretrain_epochs,
+                      entry(owned_groups(variant, False)), wpe_epoch),
+                Phase("finetune", hyper.finetune_epochs,
+                      entry(owned_groups(variant, True), tower=True), wpe_epoch)]
+    return [Phase("train", hyper.max_epochs, entry(owned_groups(variant, False)),
+                  wpe_epoch)]
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +647,9 @@ def _phase_owned(variant: ModelVariant, phase_name: str,
 
 def checkpoint_header(state: TrainState) -> dict:
     """The checkpoint header entries that resume_state reads back: the run's
-    position ({"iteration": n} for an ALS run; phase, epoch in phase and
-    global epoch otherwise) and its best validation so far."""
+    position ({"iteration": n} for an ALS run, whose one phase makes
+    iteration, epoch in phase and global epoch equal; phase, epoch in phase
+    and global epoch otherwise) and its best validation so far."""
     if state.model.variant.family in _ALS_FAMILIES:
         progress = {"iteration": state.global_epoch}
     else:
@@ -728,7 +675,7 @@ def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:
                        best_val=best.get("best_val"))
     try:
         if variant.family in _ALS_FAMILIES:
-            state.global_epoch = progress["iteration"]
+            state.global_epoch = state.epoch_in_phase = progress["iteration"]
         else:
             state.phase_idx = progress["phase_idx"]
             state.epoch_in_phase = progress["epoch_in_phase"]

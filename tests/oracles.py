@@ -181,7 +181,7 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
     if strict:
         if "extractor" in owned:
             grads["extractor"] = mlp_backward(model.extractor, phi_cache,
-                                              gH_use.T)[0].arrays
+                                              gH_use.T)[0]
     else:
         if "H" in owned:
             gH = np.zeros_like(model.embeddings.H)
@@ -189,7 +189,7 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
             grads["H"] = gH
         if "extractor" in owned and variant.has_content:
             grads["extractor"] = mlp_backward(model.extractor, phi_cache,
-                                              (-2.0 * lam_h * D).T)[0].arrays
+                                              (-2.0 * lam_h * D).T)[0]
     return loss, grads
 
 

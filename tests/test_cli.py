@@ -311,6 +311,35 @@ class TestTrainEvaluate:
                     if line.startswith("mean_ndcg\t"))
         assert mean == pytest.approx(best_val, rel=1e-12)
 
+    def test_ncacf_resume_across_phase_boundary(self, workspace):
+        full = write_cfg(workspace, name="full.ini", family="ncacf",
+                         coupling="relaxed", output="run_full")
+        assert main(["train", "--config", full]) == 0
+        short = write_cfg(workspace, name="short.ini", family="ncacf",
+                          coupling="relaxed", output="run_resumed",
+                          extra="\n[hyperparams]\nfinetune_epochs = 0\n")
+        assert main(["train", "--config", short]) == 0
+        resumed = write_cfg(workspace, name="resume.ini", family="ncacf",
+                            coupling="relaxed", output="run_resumed")
+        assert main(["train", "--config", resumed, "--resume",
+                     str(workspace / "run_resumed" / "last.ckpt")]) == 0
+        a, b = workspace / "run_full", workspace / "run_resumed"
+        assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
+        from ncacf.training import read_report
+        rows_a = [r[:4] for r in read_report(a / "report.tsv").rows]
+        rows_b = [r[:4] for r in read_report(b / "report.tsv").rows]
+        assert rows_a == rows_b
+        assert [r[1] for r in rows_a] == ["pretrain"] * 2 + ["finetune"] * 3
+
+    def test_eval_every_zero_validates_last_epoch_only(self, workspace):
+        cfg = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed",
+                        extra="\n[hyperparams]\neval_every = 0\n")
+        assert main(["train", "--config", cfg]) == 0
+        from ncacf.training import read_report
+        rows = read_report(workspace / "run" / "report.tsv").rows
+        assert len(rows) == 4
+        assert [r[0] for r in rows if r[3] is not None] == [3]
+
     def test_als_resume_matches_uninterrupted(self, workspace):
         full = write_cfg(workspace, name="full.ini", family="mf_hybrid",
                          coupling="relaxed", output="run_full")
@@ -346,6 +375,19 @@ class TestExitCodes:
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, family="bogus")
         assert main(["prepare", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("[data]\nmin_user_songs", "0"), ("[data]\nmin_item_users", "0"),
+        ("[split]\nval_fraction", "0.0"), ("[split]\nval_fraction", "1.0"),
+    ], ids=["min_user_songs", "min_item_users", "val_fraction_0", "val_fraction_1"])
+    def test_out_of_range_data_setting_is_config_error(self, tmp_path, capsys, key,
+                                                       value):
+        assert main(["synth", "--config", write_cfg(tmp_path)]) == 0
+        cfg = write_cfg(tmp_path, name="bad.ini", extra=f"\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 2
+        assert key.split("\n")[1] in capsys.readouterr().err
+        assert not (tmp_path / "prepared").exists()
 
     def test_missing_prepared_data_is_data_error(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -137,17 +137,17 @@ class TestMlpBackward:
         x = rng.normal(0, 1, 4)
         g = rng.normal(0, 1, 3)
         _, cache = mlp_forward(net, x)
-        bundle, grad_in = mlp_backward(net, cache, g)
-        npt.assert_allclose(bundle.arrays["layer0.weight"], np.outer(g, x), atol=1e-12)
-        npt.assert_allclose(bundle.arrays["layer0.bias"], g, atol=1e-12)
+        grads, grad_in = mlp_backward(net, cache, g)
+        npt.assert_allclose(grads["layer0.weight"], np.outer(g, x), atol=1e-12)
+        npt.assert_allclose(grads["layer0.bias"], g, atol=1e-12)
         npt.assert_allclose(grad_in, A.T @ g, atol=1e-12)
 
     def test_dead_relu_blocks_gradient(self):
         net = MLPParams([Layer(np.eye(2), np.array([-5.0, -5.0]), "relu")])
         x = np.array([1.0, 2.0])
         _, cache = mlp_forward(net, x)
-        bundle, grad_in = mlp_backward(net, cache, np.ones(2))
-        assert not bundle.arrays["layer0.weight"].any()
+        grads, grad_in = mlp_backward(net, cache, np.ones(2))
+        assert not grads["layer0.weight"].any()
         assert not grad_in.any()
 
     def test_matches_finite_differences(self):
@@ -156,10 +156,10 @@ class TestMlpBackward:
         x = rng.normal(0, 1, 5)
 
         _, cache = mlp_forward(net, x)
-        bundle, _ = mlp_backward(net, cache, np.ones(1))
+        grads, _ = mlp_backward(net, cache, np.ones(1))
         for li, layer in enumerate(net.layers):
             for arr_name, arr in (("weight", layer.weights), ("bias", layer.bias)):
-                analytic = bundle.arrays[f"layer{li}.{arr_name}"]
+                analytic = grads[f"layer{li}.{arr_name}"]
 
                 def f(a, _layer=layer, _name=arr_name):
                     saved = _layer.weights if _name == "weight" else _layer.bias

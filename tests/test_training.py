@@ -45,9 +45,8 @@ def record_tower_grids(monkeypatch):
 
 def finetune_adams(model):
     """The fresh Adam state a deep model's fine-tuning phase starts with."""
-    state = TrainState(model)
-    training._enter_phase(state, model.variant, Hyperparams(), 0, False, "finetune")
-    return state.adams
+    return {group: AdamState.init(training.group_params(model, group), Hyperparams().eta)
+            for group in owned_groups(model.variant, True)}
 
 
 def dense_rc(data, scheme):
@@ -66,15 +65,14 @@ DCB_RELAXED = ModelVariant("dcb", "relaxed")
 UNI_RELAXED = ModelVariant("mf_uni", "relaxed")
 
 
-def _frozen_reduction(data, feats, hyper, seed):
-    """ncacf with a tower that reduces to the dot product and stays frozen;
-    returns (final model, report)."""
+def _frozen_reduction(monkeypatch, data, feats, hyper, seed):
+    """ncacf with a tower that reduces to the dot product and stays frozen
+    (no phase owns it); returns (final model, report)."""
     variant = ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0, "identity")
-    report = training.TrainReport()
-    state = training._gradient_loop(variant, data, feats, hyper, seed,
-                                    np.arange(data.num_items), None, None, None,
-                                    report, freeze_interaction=True)
-    return state.model, report
+    monkeypatch.setattr(training, "owned_groups",
+                        lambda v, tower: owned_groups(v, tower) - {"interaction"})
+    model, _, report = train(variant, data, feats, hyper, seed)
+    return model, report
 
 
 class TestAlsUpdates:
@@ -767,7 +765,7 @@ class TestGdContentMse:
         target = rng.normal(0, 1, (2, 5))
         extractor = model.extractor
         out, cache = mlp_forward(extractor, rows)
-        bundle, _ = mlp_backward(extractor, cache, 2.0 * (out - target.T))
+        grads, _ = mlp_backward(extractor, cache, 2.0 * (out - target.T))
         for li, layer in enumerate(extractor.layers):
             for name, arr in (("weight", layer.weights), ("bias", layer.bias)):
                 def f(values, _arr=arr):
@@ -776,7 +774,7 @@ class TestGdContentMse:
                 original = arr.copy()
                 numeric = finite_diff_grad(f, original.copy(), h=1e-5)
                 arr[...] = original
-                npt.assert_allclose(bundle.arrays[f"layer{li}.{name}"], numeric,
+                npt.assert_allclose(grads[f"layer{li}.{name}"], numeric,
                                     rtol=1e-4, atol=1e-7)
 
     def test_full_batch_loss_non_increasing(self):
@@ -967,6 +965,29 @@ class TestTrainDcb:
         assert model.embeddings.H is None
 
 
+@pytest.mark.parametrize("variant", [
+    WMF, ModelVariant("mf_hybrid", "relaxed"), DCB_RELAXED, UNI_RELAXED,
+    ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+    ModelVariant("ncf", "content_free", "deep", q_hidden=1),
+], ids=lambda v: v.family)
+def test_validation_cadence_counts_reported_epochs(variant):
+    """Every family validates the reported epochs e with (e + 1) % eval_every
+    == 0, and the last; dcb's WMF stage is never validated."""
+    t, data, scheme = make_weighted(6, 5, 0.5, seed=57)
+    feats = FeatureTable(np.random.default_rng(58).normal(0, 1, (5, 3)))
+    hyper = Hyperparams(embed_dim=2, n_iters=4, n_gd=2, max_epochs=5,
+                        pretrain_epochs=2, finetune_epochs=4, eval_every=3,
+                        hidden_width=4, extractor_layers=2)
+    _, _, report = train(variant, data, feats, hyper, seed=17,
+                         validator=lambda model: 0.5)
+    assert len(report.rows) == {"wmf": 4, "mf_hybrid": 4, "dcb": 4 + 8, "mf_uni": 5,
+                                "ncacf": 6, "ncf": 6}[variant.family]
+    last = report.rows[-1][0]
+    observed = [row for row in report.rows if (variant.family, row[1]) != ("dcb", "als")]
+    assert [row[0] for row in report.rows if row[3] is not None] == \
+        [row[0] for row in observed if (row[0] + 1) % 3 == 0 or row[0] == last]
+
+
 class TestTrainUnified:
     def _setup(self, seed=43, num_users=6, num_items=5):
         t, data, scheme = make_weighted(num_users, num_items, 0.5, seed=seed)
@@ -1002,20 +1023,21 @@ class TestTrainUnified:
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-6 * abs(prev)
 
-    def test_ncacf_freeze_keeps_tower_at_init(self):
+    def test_ncacf_freeze_keeps_tower_at_init(self, monkeypatch):
         data, feats = self._setup(49)
         hyper = Hyperparams(embed_dim=2, max_epochs=2, pretrain_epochs=0,
                             finetune_epochs=3, hidden_width=4, extractor_layers=2)
-        model = _frozen_reduction(data, feats, hyper, seed=13)[0]
+        model = _frozen_reduction(monkeypatch, data, feats, hyper, seed=13)[0]
         assert np.all(model.interaction.layers[-1].weights == 1.0)
 
-    def test_reduction_trajectory_matches_mf_uni(self):
+    def test_reduction_trajectory_matches_mf_uni(self, monkeypatch):
         data, feats = self._setup(51)
         hyper = Hyperparams(embed_dim=2, eta=1e-3, max_epochs=4, pretrain_epochs=0,
                             finetune_epochs=4, batch_items=2, hidden_width=4,
                             extractor_layers=2)
         uni_model, _, uni_report = train(UNI_RELAXED, data, feats, hyper, seed=14)
-        red_model, red_report = _frozen_reduction(data, feats, hyper, seed=14)
+        red_model, red_report = _frozen_reduction(monkeypatch, data, feats, hyper,
+                                                  seed=14)
         npt.assert_allclose(red_model.embeddings.W, uni_model.embeddings.W,
                             rtol=0, atol=1e-9)
         npt.assert_allclose(red_model.embeddings.H, uni_model.embeddings.H,
