@@ -96,16 +96,20 @@ def _config(args) -> ExperimentConfig:
 def cmd_prepare(args) -> int:
     cfg = _config(args)
     raw = D.load_triplets(cfg.triplets)
-    filtered = D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users)
+    # Indexed as every verb indexes the file written below, so that the
+    # manifest, the standardized features and the snapshot match what the
+    # verbs see.
+    filtered = D.reindex_first_seen(
+        D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users))
     os.makedirs(cfg.prepared, exist_ok=True)
-    D.write_triplets(os.path.join(cfg.prepared, "triplets.tsv"), filtered)
+    tri_path, feat_path, snap_path = _prepared_paths(cfg)
+    D.write_triplets(tri_path, filtered)
 
     table = None
     if cfg.features is not None and os.path.exists(cfg.features):
         labels, values = D.load_features(cfg.features)
         table = D.align_features(labels, values, filtered.item_labels)
-        D.write_features(os.path.join(cfg.prepared, "features.tsv"),
-                         filtered.item_labels, table.values)
+        D.write_features(feat_path, filtered.item_labels, table.values)
 
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
@@ -126,8 +130,15 @@ def cmd_prepare(args) -> int:
 
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))
+    D.write_snapshot(snap_path, filtered, table, tri_path, feat_path)
     print(f"prepared dataset in {cfg.prepared}")
     return 0
+
+
+def _prepared_paths(cfg: ExperimentConfig) -> tuple[str, str, str]:
+    """The prepared triplet and feature files and their binary snapshot."""
+    return tuple(os.path.join(cfg.prepared, name)
+                 for name in ("triplets.tsv", "features.tsv", "snapshot.bin"))
 
 
 def _bucket_interactions(triplets: D.InteractionTriplets, plan: D.SplitPlan,
@@ -210,15 +221,10 @@ def cmd_synth(args) -> int:
 
 class PreparedData:
     def __init__(self, cfg: ExperimentConfig):
-        tri_path = os.path.join(cfg.prepared, "triplets.tsv")
+        tri_path, feat_path, snap_path = _prepared_paths(cfg)
         if not os.path.exists(tri_path):
             raise DataError(f"{tri_path} missing; run `ncacf prepare` first")
-        self.triplets = D.load_triplets(tri_path)
-        self.features = None
-        feat_path = os.path.join(cfg.prepared, "features.tsv")
-        if os.path.exists(feat_path):
-            labels, values = D.load_features(feat_path)
-            self.features = D.align_features(labels, values, self.triplets.item_labels)
+        self.triplets, self.features = D.load_prepared(tri_path, feat_path, snap_path)
         plan_path = os.path.join(cfg.prepared, f"split_{cfg.split_mode}.txt")
         if not os.path.exists(plan_path):
             raise DataError(f"{plan_path} missing; run `ncacf prepare` first")

@@ -108,7 +108,9 @@ class ExperimentConfig:
             raise ConfigError("top_k must be >= 1")
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
-        self.variant()  # raises ConfigError on inconsistent variant specs
+        variant = self.variant()  # raises ConfigError on inconsistent variant specs
+        if variant.family == "mf_hybrid" and (self.hyper.n_iters < 1 or self.hyper.n_gd < 1):
+            raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
         return self
 
 

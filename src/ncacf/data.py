@@ -7,11 +7,18 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
   features:  item<TAB>v1<TAB>...<TAB>vL    fixed L per file
   split plan: key = value header plus explicit membership sections (see
   write_split_plan).
+A prepared dataset also gets a binary snapshot of its parsed triplets and
+aligned features (see write_snapshot), checked against the text files.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
+import struct
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -396,6 +403,124 @@ def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
 
 
 # ---------------------------------------------------------------------------
+# Prepared-data snapshot
+#
+# A binary copy of what a verb parses from a prepared triplets.tsv and
+# features.tsv. Layout: the fixed header _SNAP_HEAD (magic b"NCPS", u32
+# version, then u64 byte length and u32 CRC32 of the triplet file, of the
+# feature file and of the payload; the feature file's length is _NO_FILE
+# when none was prepared), then the payload: np.save records of users,
+# items and counts, of the UTF-8 user and item labels (each followed by
+# "\n"), and of the aligned feature matrix when there is one.
+# ---------------------------------------------------------------------------
+
+_SNAP_MAGIC = b"NCPS"
+_SNAP_VERSION = 1
+_SNAP_HEAD = struct.Struct("<4sIQIQIQI")
+_NO_FILE = (2 ** 64 - 1, 0)
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Write to `<path>.tmp` in the same directory, then rename it onto path.
+    If the write fails or the process dies midway, path keeps its previous
+    contents; a write that raises also removes the temporary."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _file_digest(path) -> tuple[int, int]:
+    """(byte length, CRC32) of a file; _NO_FILE when it does not exist."""
+    if not os.path.exists(path):
+        return _NO_FILE
+    size, crc = 0, 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            size += len(chunk)
+            crc = zlib.crc32(chunk, crc)
+    return size, crc
+
+
+def _label_bytes(labels) -> np.ndarray:
+    return np.frombuffer("".join(label + "\n" for label in labels).encode("utf-8"),
+                         dtype=np.uint8)
+
+
+def _byte_labels(raw: np.ndarray) -> tuple[str, ...]:
+    return tuple(raw.tobytes().decode("utf-8").split("\n")[:-1])
+
+
+def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable | None,
+                   triplets_path, features_path) -> None:
+    """Snapshot the triplets just written to triplets_path and the features
+    (aligned to their items) just written to features_path; features None
+    records that no feature file was prepared."""
+    buf = io.BytesIO()
+    records = [triplets.users, triplets.items, triplets.counts,
+               _label_bytes(triplets.user_labels), _label_bytes(triplets.item_labels)]
+    if features is not None:
+        records.append(features.values)
+    for record in records:
+        np.save(buf, record, allow_pickle=False)
+    payload = buf.getbuffer()
+    feature_digest = _NO_FILE if features is None else _file_digest(features_path)
+    with replacing(path) as fh:
+        fh.write(_SNAP_HEAD.pack(_SNAP_MAGIC, _SNAP_VERSION, *_file_digest(triplets_path),
+                                 *feature_digest, len(payload), zlib.crc32(payload)))
+        fh.write(payload)
+
+
+def read_snapshot(path, triplets_path, features_path):
+    """(triplets, aligned features or None) from a snapshot, or None when
+    it is missing, unreadable, of another version or damaged, or when the
+    text files are not those it was written with."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        magic, version, *digests, size, crc = _SNAP_HEAD.unpack_from(raw)
+        if (magic != _SNAP_MAGIC or version != _SNAP_VERSION
+                or len(raw) - _SNAP_HEAD.size != size
+                or zlib.crc32(memoryview(raw)[_SNAP_HEAD.size:]) != crc
+                or digests != [*_file_digest(triplets_path), *_file_digest(features_path)]):
+            return None
+        # BytesIO shares the bytes it is given; a memoryview it would copy.
+        buf = io.BytesIO(raw)
+        buf.seek(_SNAP_HEAD.size)
+        users, items, counts, user_raw, item_raw = (
+            np.lib.format.read_array(buf, allow_pickle=False) for _ in range(5))
+        user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
+        features = None
+        if tuple(digests[2:]) != _NO_FILE:
+            features = FeatureTable(np.lib.format.read_array(buf, allow_pickle=False))
+    except (OSError, ValueError, struct.error):
+        return None
+    return (InteractionTriplets(users, items, counts, len(user_labels), len(item_labels),
+                                user_labels, item_labels), features)
+
+
+def load_prepared(triplets_path, features_path, snapshot_path):
+    """(triplets, features aligned to its items or None) of a prepared
+    dataset: from the snapshot when read_snapshot accepts it, else parsed
+    from the text files (the features only when their file exists)."""
+    loaded = read_snapshot(snapshot_path, triplets_path, features_path)
+    if loaded is not None:
+        return loaded
+    triplets = load_triplets(triplets_path)
+    features = None
+    if os.path.exists(features_path):
+        labels, values = load_features(features_path)
+        features = align_features(labels, values, triplets.item_labels)
+    return triplets, features
+
+
+# ---------------------------------------------------------------------------
 # Activity filtering
 # ---------------------------------------------------------------------------
 
@@ -433,6 +558,27 @@ def filter_activity(triplets: InteractionTriplets, min_user_songs: int,
         u_map[users], i_map[items], counts.copy(), int(u_ids.size), int(i_ids.size),
         tuple(triplets.user_labels[u] for u in u_ids),
         tuple(triplets.item_labels[i] for i in i_ids))
+
+
+def reindex_first_seen(triplets: InteractionTriplets) -> InteractionTriplets:
+    """The same entries with users and items numbered in the order of their
+    first entries: the indexing load_triplets gives the file that
+    write_triplets makes of them. Ids without entries are dropped."""
+    users, user_labels = _first_seen_ids(triplets.users, triplets.user_labels)
+    items, item_labels = _first_seen_ids(triplets.items, triplets.item_labels)
+    return InteractionTriplets(users, items, triplets.counts, len(user_labels),
+                               len(item_labels), user_labels, item_labels)
+
+
+def _first_seen_ids(ids: np.ndarray, labels):
+    """(ids renumbered by first occurrence, the labels in the new order)."""
+    first = np.full(len(labels), ids.size)
+    np.minimum.at(first, ids, np.arange(ids.size))
+    present = np.flatnonzero(first < ids.size)
+    old = present[np.argsort(first[present])]  # the old id of each new one
+    new = np.empty(len(labels), dtype=np.int64)
+    new[old] = np.arange(old.size)
+    return new[ids], tuple(labels[k] for k in old.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ plain dot product or a tower MLP applied to the combined embeddings.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import logging
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable
+from .data import ConfidenceScheme, FeatureTable, replacing
 from .errors import ColdStartUnsupportedError, ConfigError, DataError
 from .numerics import (AdamState, Layer, MLPParams, activation_grad,
                        apply_activation, mlp_backward, mlp_forward,
@@ -453,27 +452,11 @@ def _read_array_payload(raw: bytes) -> np.ndarray:
     return data.reshape(shape).copy()
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Write to `<path>.tmp` in the same directory, then rename it onto path.
-    If the write fails or the process dies midway, path keeps its previous
-    contents; a write that raises also removes the temporary."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 def write_checkpoint(path, header: dict, arrays: dict[str, np.ndarray] | None = None,
                      mlps: dict[str, MLPParams] | None = None,
                      adams: dict[str, AdamState] | None = None) -> None:
     raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(raw_header)))
         fh.write(raw_header)

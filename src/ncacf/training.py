@@ -622,8 +622,6 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
                 Phase("stage2", hyper.n_iters * hyper.n_gd, enter_stage2, stage2_epoch)]
 
     if variant.family in _ALS_FAMILIES:
-        if variant.has_content and (hyper.n_iters < 1 or hyper.n_gd < 1):
-            raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
         groups = {"extractor"} if variant.has_content else set()
         return [Phase("als+gd" if variant.has_content else "als", hyper.n_iters,
                       entry(groups), als_epoch)]

@@ -1,12 +1,16 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from ncacf.cli import main
+from ncacf.cli import PreparedData, main
 from ncacf.config import ExperimentConfig, load_config, write_config
-from ncacf.data import load_triplets
+from ncacf.data import (align_features, load_features, load_prepared, load_triplets,
+                        read_snapshot)
 from ncacf.models import load_model, save_model
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 BASE_CFG = """
@@ -71,6 +75,21 @@ def write_cfg(tmp_path, name="cfg.ini", family="wmf", coupling="content_free",
     return str(path)
 
 
+def write_fixture_cfg(tmp_path, triplets=os.path.join(FIXTURES, "triplets_2k.tsv")):
+    """A cold mf_uni config over the bundled ~2k-interaction fixture (or
+    other triplets with its items), dropping users and items seen once."""
+    text = BASE_CFG.format(family="mf_uni", coupling="relaxed", mode="cold",
+                           output="run")
+    for old, new in (("raw/triplets.tsv", str(triplets)),
+                     ("raw/features.tsv", os.path.join(FIXTURES, "features_2k.tsv")),
+                     ("min_user_songs = 1", "min_user_songs = 2"),
+                     ("min_item_users = 1", "min_item_users = 2")):
+        text = text.replace(old, new)
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.fixture
 def workspace(tmp_path):
     cfg = write_cfg(tmp_path)
@@ -102,7 +121,8 @@ class TestPrepare:
     def test_rerun_bit_identical(self, workspace):
         cfg = str(workspace / "cfg.ini")
         files = ["manifest.txt", "triplets.tsv", "features.tsv",
-                 "split_cold.txt", "split_warm.txt", "features_std.tsv"]
+                 "split_cold.txt", "split_warm.txt", "features_std.tsv",
+                 "snapshot.bin"]
         first = {f: (workspace / "prepared" / f).read_bytes() for f in files}
         assert main(["prepare", "--config", cfg]) == 0
         for f in files:
@@ -121,6 +141,27 @@ class TestPrepare:
                 == int(total[4]))
         cold_rows = [r for r in rows if r[0] == "cold"]
         assert sum(int(r[3]) for r in cold_rows) == int(total[3])
+
+    def test_manifest_and_features_match_what_verbs_read(self, tmp_path):
+        # Thirty users with one interaction each, on items in reverse order,
+        # come first: filtering drops them, and with them the lines on which
+        # those items were first seen.
+        fixture = (pathlib.Path(FIXTURES) / "triplets_2k.tsv").read_text()
+        solo = "".join(f"solo{k}\ti{29 - k}\t3\n" for k in range(30))
+        (tmp_path / "triplets.tsv").write_text(solo + fixture)
+        cfg = write_fixture_cfg(tmp_path, tmp_path / "triplets.tsv")
+        assert main(["prepare", "--config", cfg]) == 0
+        prep = PreparedData(load_config(cfg))
+        text = (tmp_path / "prepared" / "manifest.txt").read_text()
+        for bucket in ("train", "validation", "test"):
+            row = next(l.split("\t") for l in text.splitlines()
+                       if l.startswith(f"cold\t{bucket}\t"))
+            items = prep.membership.bucket_units(bucket) if bucket != "train" \
+                else prep.membership.train
+            assert int(row[4]) == np.isin(prep.triplets.items, items).sum(), bucket
+        labels, std = load_features(tmp_path / "prepared" / "features_std.tsv")
+        assert tuple(labels) == prep.triplets.item_labels
+        assert np.array_equal(std, prep.standardized_features().values)
 
     def test_missing_feature_names_item(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -467,6 +508,20 @@ class TestExitCodes:
         assert main(["prepare", "--config", cfg]) == 3
         assert "no feature rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_iters", "n_gd"])
+    def test_mf_hybrid_without_budget_writes_nothing(self, workspace, capsys, key):
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 0
+        before = (workspace / "run" / "config.ini").read_bytes()
+        for output in ("run", "fresh"):
+            cfg = write_cfg(workspace, name="hybrid.ini", family="mf_hybrid",
+                            coupling="relaxed", output=output,
+                            extra=f"\n[hyperparams]\n{key} = 0\n")
+            capsys.readouterr()
+            assert main(["train", "--config", cfg]) == 2
+            assert "mf_hybrid needs n_iters >= 1 and n_gd >= 1" in capsys.readouterr().err
+        assert (workspace / "run" / "config.ini").read_bytes() == before
+        assert not (workspace / "fresh").exists()
+
     def test_checkpoint_variant_mismatch(self, workspace):
         cfg = str(workspace / "cfg.ini")
         main(["train", "--config", cfg])
@@ -565,6 +620,92 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ckpt in err and "prepared data" in err
         assert not (workspace / "run").exists()
+
+
+def text_load(prepared):
+    triplets = load_triplets(prepared / "triplets.tsv")
+    features = None
+    if (prepared / "features.tsv").exists():
+        labels, values = load_features(prepared / "features.tsv")
+        features = align_features(labels, values, triplets.item_labels)
+    return triplets, features
+
+
+def assert_same_load(got, want):
+    (triplets, features), (want_triplets, want_features) = got, want
+    for name in ("users", "items", "counts"):
+        a, b = getattr(triplets, name), getattr(want_triplets, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("num_users", "num_items", "user_labels", "item_labels"):
+        assert getattr(triplets, name) == getattr(want_triplets, name), name
+    assert (features is None) == (want_features is None)
+    if features is not None:
+        assert features.values.dtype == want_features.values.dtype
+        assert np.array_equal(features.values, want_features.values)
+
+
+class TestSnapshot:
+    @pytest.fixture
+    def prepared(self, tmp_path):
+        assert main(["prepare", "--config", write_fixture_cfg(tmp_path)]) == 0
+        return tmp_path / "prepared"
+
+    @staticmethod
+    def paths(prepared):
+        """The triplet file, feature file and snapshot of a prepared dir."""
+        return [prepared / name for name in ("triplets.tsv", "features.tsv", "snapshot.bin")]
+
+    def test_equals_text_load(self, prepared):
+        tri, feat, snap = self.paths(prepared)
+        snapshot = read_snapshot(snap, tri, feat)
+        assert snapshot is not None
+        assert_same_load(snapshot, text_load(prepared))
+        assert_same_load(load_prepared(tri, feat, snap), text_load(prepared))
+
+    @pytest.mark.parametrize("damage", [
+        "missing", "triplets_edited", "features_edited", "features_removed",
+        "truncated", "flipped_payload_byte", "unknown_version"])
+    def test_falls_back_to_text(self, prepared, damage):
+        tri, feat, snap = self.paths(prepared)
+        raw = bytearray(snap.read_bytes())
+        if damage == "missing":
+            snap.unlink()
+        elif damage == "triplets_edited":
+            tri.write_text(tri.read_text() + "newcomer\ti3\t9\n")
+        elif damage == "features_edited":
+            lines = feat.read_text().splitlines(keepends=True)
+            fields = lines[1].split("\t")
+            fields[1] = "0.5"
+            lines[1] = "\t".join(fields)
+            feat.write_text("".join(lines))
+        elif damage == "features_removed":
+            feat.unlink()
+        else:
+            if damage == "truncated":
+                del raw[-10:]
+            elif damage == "flipped_payload_byte":
+                raw[len(raw) // 2] ^= 0x01
+            else:
+                raw[4:8] = (2).to_bytes(4, "little")
+            snap.write_bytes(raw)
+        want = text_load(prepared)
+        if damage == "features_edited":
+            assert want[1].values[0, 0] == 0.5
+        assert read_snapshot(snap, tri, feat) is None
+        assert_same_load(load_prepared(tri, feat, snap), want)
+
+    def test_verbs_read_the_snapshot(self, prepared, monkeypatch):
+        import ncacf.data
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verb parsed the prepared text files")
+
+        monkeypatch.setattr(ncacf.data, "load_triplets", refuse)
+        monkeypatch.setattr(ncacf.data, "load_features", refuse)
+        cfg = str(prepared.parent / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["evaluate", "--config", cfg, "--checkpoint",
+                     str(prepared.parent / "run" / "best.ckpt")]) == 0
 
 
 class TestSweep:
