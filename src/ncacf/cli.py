@@ -8,6 +8,7 @@ driven by an INI config (see config.py) plus a few overrides. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import asdict, replace
@@ -105,11 +106,16 @@ def cmd_prepare(args) -> int:
     tri_path, feat_path, snap_path = _prepared_paths(cfg)
     D.write_triplets(tri_path, filtered)
 
+    std_path = os.path.join(cfg.prepared, "features_std.tsv")
     table = None
     if cfg.features is not None and os.path.exists(cfg.features):
         labels, values = D.load_features(cfg.features)
         table = D.align_features(labels, values, filtered.item_labels)
         D.write_features(feat_path, filtered.item_labels, table.values)
+    else:  # an earlier prepare's feature files would describe other data
+        for path in (feat_path, std_path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
@@ -125,8 +131,7 @@ def cmd_prepare(args) -> int:
         else np.arange(filtered.num_items)
     if table is not None:
         std = D.standardize_features(table, std_items)
-        D.write_features(os.path.join(cfg.prepared, "features_std.tsv"),
-                         filtered.item_labels, std.values)
+        D.write_features(std_path, filtered.item_labels, std.values)
 
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))

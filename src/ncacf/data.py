@@ -8,13 +8,16 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
   split plan: key = value header plus explicit membership sections (see
   write_split_plan).
 A prepared dataset also gets a binary snapshot of its parsed triplets and
-aligned features (see write_snapshot), checked against the text files.
+aligned features (see write_snapshot), checked against the text files. The
+snapshot and checkpoints share one checked binary container, the record
+file (see write_records).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import struct
@@ -403,21 +406,16 @@ def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
 
 
 # ---------------------------------------------------------------------------
-# Prepared-data snapshot
+# Record files
 #
-# A binary copy of what a verb parses from a prepared triplets.tsv and
-# features.tsv. Layout: the fixed header _SNAP_HEAD (magic b"NCPS", u32
-# version, then u64 byte length and u32 CRC32 of the triplet file, of the
-# feature file and of the payload; the feature file's length is _NO_FILE
-# when none was prepared), then the payload: np.save records of users,
-# items and counts, of the UTF-8 user and item labels (each followed by
-# "\n"), and of the aligned feature matrix when there is one.
+# The one binary container, shared by the prepared snapshot and checkpoints.
+# Layout: the fixed head _RECORD_HEAD (magic, u32 format version, u32 record
+# count, u64 header length, u64 payload length, u32 CRC32 of the header and
+# payload together), a sorted-key UTF-8 JSON header, then the payload: one
+# np.save record per array.
 # ---------------------------------------------------------------------------
 
-_SNAP_MAGIC = b"NCPS"
-_SNAP_VERSION = 1
-_SNAP_HEAD = struct.Struct("<4sIQIQIQI")
-_NO_FILE = (2 ** 64 - 1, 0)
+_RECORD_HEAD = struct.Struct("<4sIIQQI")
 
 
 @contextlib.contextmanager
@@ -436,16 +434,84 @@ def replacing(path):
         raise
 
 
-def _file_digest(path) -> tuple[int, int]:
-    """(byte length, CRC32) of a file; _NO_FILE when it does not exist."""
+def write_records(path, magic: bytes, version: int, header: dict, records) -> None:
+    """Write `header` and the arrays `records`, in order, to path through
+    replacing()."""
+    raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    buf = io.BytesIO()
+    for record in records:
+        # C order, so that the bytes depend on the values alone.
+        np.save(buf, np.ascontiguousarray(record), allow_pickle=False)
+    payload = buf.getbuffer()
+    with replacing(path) as fh:
+        fh.write(_RECORD_HEAD.pack(magic, version, len(records), len(raw_header),
+                                   len(payload), zlib.crc32(payload, zlib.crc32(raw_header))))
+        fh.write(raw_header)
+        fh.write(payload)
+
+
+def read_records(path, magic: bytes, version: int, what: str,
+                 rerun: str) -> tuple[dict, list[np.ndarray]]:
+    """(header, arrays) of a file write_records wrote. A file that cannot be
+    opened, another magic or version, a cut, an extension or a changed byte
+    raises DataError naming the path and `what` the file is; another
+    version's message says to rerun `rerun`."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open {what} ({exc.strerror})") from exc
+    if raw[:4] != magic:
+        raise DataError(f"{path}: not a {what} (magic {raw[:4]!r})")
+    got = int.from_bytes(raw[4:8], "little")
+    if len(raw) >= 8 and got != version:
+        raise DataError(f"{path}: {what} format version {got} is no longer read; "
+                        f"rerun {rerun}")
+    if len(raw) < _RECORD_HEAD.size:
+        raise DataError(f"{path}: {what} truncated in its head")
+    _, _, count, header_len, payload_len, crc = _RECORD_HEAD.unpack_from(raw)
+    if len(raw) != _RECORD_HEAD.size + header_len + payload_len:
+        raise DataError(f"{path}: {what} is {len(raw)} bytes, its head records "
+                        f"{_RECORD_HEAD.size + header_len + payload_len}")
+    if zlib.crc32(memoryview(raw)[_RECORD_HEAD.size:]) != crc:
+        raise DataError(f"{path}: {what} fails its CRC32 check")
+    # BytesIO shares the bytes it is given; a memoryview it would copy.
+    buf = io.BytesIO(raw)
+    buf.seek(_RECORD_HEAD.size)
+    try:
+        header = json.loads(buf.read(header_len).decode("utf-8"))
+        records = [np.lib.format.read_array(buf, allow_pickle=False) for _ in range(count)]
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, a bad record
+        raise DataError(f"{path}: {what} does not parse ({exc})") from exc
+    if buf.tell() != len(raw) or not isinstance(header, dict):
+        raise DataError(f"{path}: {what} does not hold {count} records under a header")
+    return header, records
+
+
+# ---------------------------------------------------------------------------
+# Prepared-data snapshot
+#
+# A record file with a binary copy of what a verb parses from a prepared
+# triplets.tsv and features.tsv. Its header holds the byte length and CRC32
+# of both text files (null for a feature file that was not prepared); its
+# records are users, items and counts, the UTF-8 user and item labels (each
+# followed by "\n"), and the aligned feature matrix when there is one.
+# ---------------------------------------------------------------------------
+
+_SNAP_MAGIC = b"NCPS"
+_SNAP_VERSION = 2
+
+
+def _file_digest(path) -> list[int] | None:
+    """[byte length, CRC32] of a file; None when it does not exist."""
     if not os.path.exists(path):
-        return _NO_FILE
+        return None
     size, crc = 0, 0
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             size += len(chunk)
             crc = zlib.crc32(chunk, crc)
-    return size, crc
+    return [size, crc]
 
 
 def _label_bytes(labels) -> np.ndarray:
@@ -462,19 +528,13 @@ def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable |
     """Snapshot the triplets just written to triplets_path and the features
     (aligned to their items) just written to features_path; features None
     records that no feature file was prepared."""
-    buf = io.BytesIO()
     records = [triplets.users, triplets.items, triplets.counts,
                _label_bytes(triplets.user_labels), _label_bytes(triplets.item_labels)]
     if features is not None:
         records.append(features.values)
-    for record in records:
-        np.save(buf, record, allow_pickle=False)
-    payload = buf.getbuffer()
-    feature_digest = _NO_FILE if features is None else _file_digest(features_path)
-    with replacing(path) as fh:
-        fh.write(_SNAP_HEAD.pack(_SNAP_MAGIC, _SNAP_VERSION, *_file_digest(triplets_path),
-                                 *feature_digest, len(payload), zlib.crc32(payload)))
-        fh.write(payload)
+    header = {"triplets": _file_digest(triplets_path),
+              "features": None if features is None else _file_digest(features_path)}
+    write_records(path, _SNAP_MAGIC, _SNAP_VERSION, header, records)
 
 
 def read_snapshot(path, triplets_path, features_path):
@@ -482,25 +542,17 @@ def read_snapshot(path, triplets_path, features_path):
     it is missing, unreadable, of another version or damaged, or when the
     text files are not those it was written with."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        magic, version, *digests, size, crc = _SNAP_HEAD.unpack_from(raw)
-        if (magic != _SNAP_MAGIC or version != _SNAP_VERSION
-                or len(raw) - _SNAP_HEAD.size != size
-                or zlib.crc32(memoryview(raw)[_SNAP_HEAD.size:]) != crc
-                or digests != [*_file_digest(triplets_path), *_file_digest(features_path)]):
-            return None
-        # BytesIO shares the bytes it is given; a memoryview it would copy.
-        buf = io.BytesIO(raw)
-        buf.seek(_SNAP_HEAD.size)
-        users, items, counts, user_raw, item_raw = (
-            np.lib.format.read_array(buf, allow_pickle=False) for _ in range(5))
-        user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
-        features = None
-        if tuple(digests[2:]) != _NO_FILE:
-            features = FeatureTable(np.lib.format.read_array(buf, allow_pickle=False))
-    except (OSError, ValueError, struct.error):
+        header, records = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
+                                       "prepared snapshot", "`ncacf prepare`")
+    except DataError:
         return None
+    if (header != {"triplets": _file_digest(triplets_path),
+                   "features": _file_digest(features_path)}
+            or len(records) != 5 + (header["features"] is not None)):
+        return None
+    users, items, counts, user_raw, item_raw, *rest = records
+    user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
+    features = FeatureTable(rest[0]) if rest else None
     return (InteractionTriplets(users, items, counts, len(user_labels), len(item_labels),
                                 user_labels, item_labels), features)
 

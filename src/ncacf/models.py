@@ -1,5 +1,5 @@
 """Model variants: parameter containers, initialization, prediction paths,
-and checkpoint serialization.
+and checkpoints.
 
 A model couples a user embedding matrix W (K x U), an optional free item
 embedding matrix H (K x I), an optional content extractor mapping item
@@ -9,21 +9,15 @@ plain dot product or a tower MLP applied to the combined embeddings.
 
 from __future__ import annotations
 
-import io
-import json
 import logging
-import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable, replacing
+from .data import ConfidenceScheme, FeatureTable, read_records, write_records
 from .errors import ColdStartUnsupportedError, ConfigError, DataError
 from .numerics import (AdamState, Layer, MLPParams, activation_grad,
-                       apply_activation, mlp_backward, mlp_forward,
-                       read_adam_blob, read_mlp_blob, write_adam_blob,
-                       write_mlp_blob)
+                       apply_activation, mlp_backward, mlp_forward)
 from .rng import rng_for
 
 log = logging.getLogger(__name__)
@@ -209,7 +203,6 @@ class Model:
     extractor: MLPParams | None
     interaction: MLPParams | None
     init_seed: int = 0
-    extras: dict = field(default_factory=dict)
 
     def copy(self) -> "Model":
         return Model(
@@ -223,7 +216,6 @@ class Model:
             extractor=None if self.extractor is None else self.extractor.copy(),
             interaction=None if self.interaction is None else self.interaction.copy(),
             init_seed=self.init_seed,
-            extras=dict(self.extras),
         )
 
     def check_fits(self, num_users: int, num_items: int, feature_dim: int,
@@ -426,127 +418,39 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# Layout: magic b"NCKP", u32 version, u32 header_len, UTF-8 JSON header, then
-# tagged sections until EOF. Section: u8 kind (0 array / 1 mlp / 2 adam),
-# u16 name_len, name, u64 payload_len, payload. Array payload: u8 ndim,
-# u32[ndim] dims, f64 little-endian data.
+# A record file (data.write_records) with magic b"NCKP". Its header holds the
+# variant, the dims, init_seed, each MLP's layer activations, each Adam
+# group's [step, lr, beta1, beta2, eps], the caller's run entries and a
+# `records` list naming the arrays in payload order: W, H, the extra arrays,
+# "<mlp>.layer<i>.weight"/".bias" and "<group>.m.<param>"/"<group>.v.<param>".
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"NCKP"
-_CKPT_VERSION = 1
-_KIND_ARRAY, _KIND_MLP, _KIND_ADAM = 0, 1, 2
-
-
-def _array_payload(arr: np.ndarray) -> bytes:
-    buf = io.BytesIO()
-    buf.write(struct.pack("<B", arr.ndim))
-    buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return buf.getvalue()
-
-
-def _read_array_payload(raw: bytes) -> np.ndarray:
-    (ndim,) = struct.unpack_from("<B", raw, 0)
-    shape = struct.unpack_from(f"<{ndim}I", raw, 1)
-    data = np.frombuffer(raw, dtype="<f8", offset=1 + 4 * ndim)
-    return data.reshape(shape).copy()
-
-
-def write_checkpoint(path, header: dict, arrays: dict[str, np.ndarray] | None = None,
-                     mlps: dict[str, MLPParams] | None = None,
-                     adams: dict[str, AdamState] | None = None) -> None:
-    raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
-    with replacing(path) as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(raw_header)))
-        fh.write(raw_header)
-        for kind, table, dump in (
-            (_KIND_ARRAY, arrays or {}, _array_payload),
-            (_KIND_MLP, mlps or {}, None),
-            (_KIND_ADAM, adams or {}, None),
-        ):
-            for name in sorted(table):
-                if kind == _KIND_ARRAY:
-                    payload = dump(table[name])
-                else:
-                    buf = io.BytesIO()
-                    (write_mlp_blob if kind == _KIND_MLP else write_adam_blob)(buf, table[name])
-                    payload = buf.getvalue()
-                raw_name = name.encode("utf-8")
-                fh.write(struct.pack("<BH", kind, len(raw_name)))
-                fh.write(raw_name)
-                fh.write(struct.pack("<Q", len(payload)))
-                fh.write(payload)
-
-
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    # Checked against the bytes left before reading, so that a garbled
-    # length allocates nothing.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise DataError(f"{path}: checkpoint truncated in {what} "
-                        f"({left} of {n} bytes left)")
-    return fh.read(n)
-
-
-_SECTION_READERS = {
-    _KIND_ARRAY: _read_array_payload,
-    _KIND_MLP: lambda raw: read_mlp_blob(io.BytesIO(raw)),
-    _KIND_ADAM: lambda raw: read_adam_blob(io.BytesIO(raw)),
-}
-
-
-def read_checkpoint(path):
-    """Returns (header, arrays, mlps, adams).
-
-    A file that cannot be opened, a bad magic, version or section kind, a
-    short read, or a header or section that does not parse raises DataError
-    naming the path. A file cut exactly at a section boundary reads as a
-    checkpoint without the later sections: the format records neither a
-    section count nor a checksum.
-    """
-    tables: dict[int, dict] = {kind: {} for kind in _SECTION_READERS}
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open checkpoint ({exc.strerror})") from exc
-    with fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"{path}: not a checkpoint file (magic {magic!r})")
-        version, header_len = struct.unpack("<II", _read_exact(fh, 8, path, "the file header"))
-        if version != _CKPT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        raw_header = _read_exact(fh, header_len, path, "the JSON header")
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
-            raise DataError(f"{path}: checkpoint header does not parse ({exc})") from exc
-        while True:
-            head = fh.read(3)
-            if not head:
-                break
-            if len(head) != 3:
-                raise DataError(f"{path}: checkpoint truncated in a section head")
-            kind, name_len = struct.unpack("<BH", head)
-            if kind not in tables:
-                raise DataError(f"{path}: unknown section kind {kind}")
-            raw_name = _read_exact(fh, name_len, path, "a section name")
-            (payload_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "a section length"))
-            payload = _read_exact(fh, payload_len, path, f"section {raw_name!r}")
-            try:
-                tables[kind][raw_name.decode("utf-8")] = _SECTION_READERS[kind](payload)
-            except (ValueError, IndexError, struct.error) as exc:
-                raise DataError(f"{path}: section {raw_name!r} does not parse ({exc})") from exc
-    return header, tables[_KIND_ARRAY], tables[_KIND_MLP], tables[_KIND_ADAM]
+_CKPT_VERSION = 2
+_MLPS = ("extractor", "interaction")
 
 
 def save_model(path, model: Model, extra_header: dict | None = None,
                arrays: dict[str, np.ndarray] | None = None,
                adams: dict[str, AdamState] | None = None) -> None:
     """Persist a model (plus optional training state) to one checkpoint."""
+    named = {"W": model.embeddings.W}
+    if model.embeddings.H is not None:
+        named["H"] = model.embeddings.H
+    named.update(sorted((arrays or {}).items()))
+    activations = {}
+    for name in _MLPS:
+        mlp = getattr(model, name)
+        if mlp is not None:
+            activations[name] = [layer.activation for layer in mlp.layers]
+            named.update((f"{name}.{key}", arr) for key, arr in mlp.param_dict().items())
+    adams = dict(sorted((adams or {}).items()))
+    for group, state in adams.items():
+        for moment in ("m", "v"):
+            table = getattr(state, moment)
+            named.update((f"{group}.{moment}.{key}", table[key]) for key in sorted(table))
     header = {
-        "kind": "ncacf-model",
+        **(extra_header or {}),
         "variant": {
             "family": model.variant.family,
             "coupling": model.variant.coupling,
@@ -562,43 +466,43 @@ def save_model(path, model: Model, extra_header: dict | None = None,
             "feature_dim": model.feature_dim,
         },
         "init_seed": model.init_seed,
-        "extras": model.extras,
+        "mlps": activations,
+        "adams": {group: [state.step, state.lr, state.beta1, state.beta2, state.eps]
+                  for group, state in adams.items()},
+        "records": list(named),
     }
-    if extra_header:
-        header.update(extra_header)
-    all_arrays = {"W": model.embeddings.W}
-    if model.embeddings.H is not None:
-        all_arrays["H"] = model.embeddings.H
-    if arrays:
-        all_arrays.update(arrays)
-    mlps = {}
-    if model.extractor is not None:
-        mlps["extractor"] = model.extractor
-    if model.interaction is not None:
-        mlps["interaction"] = model.interaction
-    write_checkpoint(path, header, all_arrays, mlps, adams)
+    write_records(path, _CKPT_MAGIC, _CKPT_VERSION, header, list(named.values()))
 
 
 def load_model(path):
-    """Returns (model, header, arrays, adams); arrays excludes W/H."""
-    header, arrays, mlps, adams = read_checkpoint(path)
-    if not isinstance(header, dict) or header.get("kind") != "ncacf-model":
-        raise DataError(f"{path}: not a model checkpoint")
+    """Returns (model, header, arrays, adams); arrays holds the extra arrays
+    save_model was given."""
+    header, records = read_records(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
+                                   "`ncacf train`")
     try:
-        variant = ModelVariant(**header["variant"])
-        dims = {key: header["dims"][key]
-                for key in ("num_users", "num_items", "embed_dim", "feature_dim")}
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: checkpoint header lacks a valid {exc}") from exc
-    if "W" not in arrays:
-        raise DataError(f"{path}: checkpoint has no W section")
-    model = Model(
-        variant=variant,
-        **dims,
-        embeddings=Embeddings(arrays.pop("W"), arrays.pop("H", None)),
-        extractor=mlps.get("extractor"),
-        interaction=mlps.get("interaction"),
-        init_seed=header.get("init_seed", 0),
-        extras=header.get("extras", {}),
-    )
-    return model, header, arrays, adams
+        named = dict(zip(header["records"], records, strict=True))
+
+        def pop_prefixed(prefix):
+            return {key[len(prefix):]: named.pop(key)
+                    for key in list(named) if key.startswith(prefix)}
+
+        mlps = {name: MLPParams([Layer(named.pop(f"{name}.layer{i}.weight"),
+                                       named.pop(f"{name}.layer{i}.bias", None), act)
+                                 for i, act in enumerate(acts)])
+                for name, acts in header["mlps"].items()}
+        adams = {group: AdamState(step, lr, beta1, beta2, eps, pop_prefixed(f"{group}.m."),
+                                  pop_prefixed(f"{group}.v."))
+                 for group, (step, lr, beta1, beta2, eps) in header["adams"].items()}
+        model = Model(
+            variant=ModelVariant(**header["variant"]),
+            **{key: header["dims"][key]
+               for key in ("num_users", "num_items", "embed_dim", "feature_dim")},
+            embeddings=Embeddings(named.pop("W"), named.pop("H", None)),
+            extractor=mlps.get("extractor"),
+            interaction=mlps.get("interaction"),
+            init_seed=header["init_seed"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: checkpoint does not hold a valid model "
+                        f"({type(exc).__name__}: {exc})") from exc
+    return model, header, named, adams

@@ -7,8 +7,6 @@ parameters go in and come out, nothing is mutated in place.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,8 +14,6 @@ import numpy as np
 from .errors import TrainingDivergedError
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
-
-_ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
 
 
 def relu(x):
@@ -265,86 +261,3 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         new_m[name] = m
         new_v[name] = v
     return new_params, replace(state, step=t, m=new_m, v=new_v)
-
-
-# ---------------------------------------------------------------------------
-# Binary serialization.
-#
-# All multi-byte values are little-endian. Layouts:
-#
-# MLP blob:   magic b"MLP1"
-#             u32 n_layers
-#             per layer: u32 out_dim, u32 in_dim, u8 has_bias, u8 act_code,
-#                        f64[out*in] weights row-major, f64[out] bias if any
-#
-# Adam blob:  magic b"ADM1"
-#             u64 step; f64 lr, beta1, beta2, eps
-#             u32 n_entries
-#             per entry: u16 name_len, name utf-8, u8 ndim, u32[ndim] dims,
-#                        f64[size] m, f64[size] v
-# ---------------------------------------------------------------------------
-
-_MLP_MAGIC = b"MLP1"
-_ADAM_MAGIC = b"ADM1"
-
-
-def write_mlp_blob(buf: io.BufferedIOBase, params: MLPParams) -> None:
-    buf.write(_MLP_MAGIC)
-    buf.write(struct.pack("<I", len(params.layers)))
-    for layer in params.layers:
-        buf.write(struct.pack("<IIBB", layer.out_dim, layer.in_dim,
-                              1 if layer.bias is not None else 0,
-                              _ACT_CODE[layer.activation]))
-        buf.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        if layer.bias is not None:
-            buf.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-
-
-def read_mlp_blob(buf: io.BufferedIOBase) -> MLPParams:
-    magic = buf.read(4)
-    if magic != _MLP_MAGIC:
-        raise ValueError(f"bad MLP blob magic {magic!r}")
-    (n_layers,) = struct.unpack("<I", buf.read(4))
-    layers = []
-    for _ in range(n_layers):
-        out_dim, in_dim, has_bias, act_code = struct.unpack("<IIBB", buf.read(10))
-        w = np.frombuffer(buf.read(8 * out_dim * in_dim), dtype="<f8").reshape(out_dim, in_dim)
-        b = None
-        if has_bias:
-            b = np.frombuffer(buf.read(8 * out_dim), dtype="<f8").copy()
-        layers.append(Layer(w.copy(), b, ACTIVATIONS[act_code]))
-    return MLPParams(layers)
-
-
-def write_adam_blob(buf: io.BufferedIOBase, state: AdamState) -> None:
-    buf.write(_ADAM_MAGIC)
-    buf.write(struct.pack("<Qdddd", state.step, state.lr, state.beta1, state.beta2, state.eps))
-    buf.write(struct.pack("<I", len(state.m)))
-    for name in sorted(state.m):
-        raw = name.encode("utf-8")
-        m = state.m[name]
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        buf.write(struct.pack("<B", m.ndim))
-        buf.write(struct.pack(f"<{m.ndim}I", *m.shape))
-        buf.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(state.v[name], dtype="<f8").tobytes())
-
-
-def read_adam_blob(buf: io.BufferedIOBase) -> AdamState:
-    magic = buf.read(4)
-    if magic != _ADAM_MAGIC:
-        raise ValueError(f"bad Adam blob magic {magic!r}")
-    step, lr, beta1, beta2, eps = struct.unpack("<Qdddd", buf.read(40))
-    (n_entries,) = struct.unpack("<I", buf.read(4))
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for _ in range(n_entries):
-        (name_len,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", buf.read(1))
-        shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        m[name] = np.frombuffer(buf.read(8 * size), dtype="<f8").reshape(shape).copy()
-        v[name] = np.frombuffer(buf.read(8 * size), dtype="<f8").reshape(shape).copy()
-    return AdamState(step=step, lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=m, v=v)

@@ -200,16 +200,6 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     return total
 
 
-def full_loss_gradients(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-                        features: FeatureTable | None, lam_w: float, lam_h: float,
-                        owned, item_pool=None):
-    """Full-objective analytic gradients for the given parameter groups."""
-    pool = _pool_dims(model.num_items, item_pool)
-    return _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                            pool, pool.size, want_grads=True,
-                            owned=frozenset(owned))
-
-
 # ---------------------------------------------------------------------------
 # ALS updates
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ncacf.data import (ConfidenceScheme, InteractionTriplets, SparsePlaycounts)
-from oracles import finite_diff_grad
-from ncacf.training import full_loss, full_loss_gradients
+from oracles import finite_diff_grad, full_loss_gradients
+from ncacf.training import full_loss
 
 
 def random_triplets(num_users, num_items, density, seed, tau=7.0):

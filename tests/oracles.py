@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here is deliberately written with plain loops and naive
-elimination so it shares no code path with the library. The dense batch
+elimination so it shares no code path with the library, apart from
+`full_loss_gradients`, the library's own full-objective gradients that the
+finite-difference checks test. The dense batch
 objective is the one-pass users x items version of the library's nnz-cost
 dot-product objective and of its tower objective, which the library runs
 one user sub-block at a time; it shares the model containers, the content
@@ -34,7 +36,7 @@ from ncacf.models import (Model, item_vectors, score_matrix, tower_grid_backward
                           tower_grid_forward)
 from ncacf.numerics import mlp_backward, mlp_forward
 from ncacf.rng import rng_for
-from ncacf.training import _ridge_rows
+from ncacf.training import _batch_objective, _pool_dims, _ridge_rows
 
 
 def gauss_solve(A, b):
@@ -191,6 +193,17 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
             grads["extractor"] = mlp_backward(model.extractor, phi_cache,
                                               (-2.0 * lam_h * D).T)[0]
     return loss, grads
+
+
+def full_loss_gradients(model, data, scheme, features, lam_w, lam_h, owned,
+                        item_pool=None):
+    """The library's analytic gradients of the full objective for the given
+    parameter groups: its batch objective taken over the whole item pool as
+    one batch. Not an independent oracle; the finite-difference checks are
+    what test it."""
+    pool = _pool_dims(model.num_items, item_pool)
+    return _batch_objective(model, data, scheme, features, lam_w, lam_h,
+                            pool, pool.size, want_grads=True, owned=frozenset(owned))
 
 
 # ---------------------------------------------------------------------------

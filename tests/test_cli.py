@@ -163,6 +163,22 @@ class TestPrepare:
         assert tuple(labels) == prep.triplets.item_labels
         assert np.array_equal(std, prep.standardized_features().values)
 
+    def test_prepare_without_features_removes_stale_feature_files(self, workspace,
+                                                                   monkeypatch):
+        cfg = workspace / "cfg.ini"
+        cfg.write_text(cfg.read_text().replace("features = raw/features.tsv",
+                                               "features = none"))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        for name in ("features.tsv", "features_std.tsv"):
+            assert not (workspace / "prepared" / name).exists(), name
+        import ncacf.data
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the prepared text files were parsed")
+
+        monkeypatch.setattr(ncacf.data, "load_triplets", refuse)
+        assert PreparedData(load_config(str(cfg))).features is None
+
     def test_missing_feature_names_item(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", cfg])
@@ -471,8 +487,8 @@ class TestExitCodes:
         cfg = str(workspace / "cfg.ini")
         assert main(["train", "--config", cfg]) == 0
         raw = bytearray((workspace / "run" / "best.ckpt").read_bytes())
-        if offset == "section":  # the kind byte of the first section
-            offset = 12 + int.from_bytes(raw[8:12], "little")
+        if offset == "section":  # the first byte of the first record
+            offset = 32 + int.from_bytes(raw[12:20], "little")
         raw[offset:offset + 1] = value
         path = workspace / "garbled.ckpt"
         path.write_bytes(bytes(raw))
@@ -494,6 +510,19 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.ckpt")
         assert main(["train", "--config", cfg, "--pretrained", missing]) == 3
         assert missing in capsys.readouterr().err
+
+    def test_version_1_checkpoint_asks_for_a_rerun(self, workspace, capsys):
+        cfg = str(workspace / "cfg.ini")
+        path = workspace / "v1.ckpt"
+        path.write_bytes(b"NCKP" + (1).to_bytes(4, "little"))
+        message = "checkpoint format version 1 is no longer read; rerun `ncacf train`"
+        for argv in (["evaluate", "--checkpoint", str(path)], ["train", "--resume", str(path)]):
+            assert main(argv + ["--config", cfg]) == 3
+            err = capsys.readouterr().err
+            assert str(path) in err and message in err
+        ncacf_cfg = write_cfg(workspace, name="ncacf.ini", family="ncacf", coupling="relaxed")
+        assert main(["train", "--config", ncacf_cfg, "--pretrained", str(path)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_malformed_split_plan_is_data_error(self, workspace, capsys):
         plan = workspace / "prepared" / "split_warm.txt"
@@ -686,7 +715,7 @@ class TestSnapshot:
             elif damage == "flipped_payload_byte":
                 raw[len(raw) // 2] ^= 0x01
             else:
-                raw[4:8] = (2).to_bytes(4, "little")
+                raw[4:8] = (3).to_bytes(4, "little")
             snap.write_bytes(raw)
         want = text_load(prepared)
         if damage == "features_edited":

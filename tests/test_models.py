@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import numpy as np
@@ -5,12 +6,14 @@ import numpy.testing as npt
 import pytest
 
 from oracles import combine, item_vector, predict, predict_all_items
-from ncacf import models
+from ncacf import data
 from ncacf.data import FeatureTable
 from ncacf.errors import ColdStartUnsupportedError, ConfigError, DataError
 from ncacf.models import (Embeddings, Model, ModelVariant, combined_dim,
-                          init_model, item_vectors, load_model, read_checkpoint,
-                          save_model, score_matrix, tower_widths)
+                          init_model, item_vectors, load_model, save_model,
+                          score_matrix, tower_widths)
+from ncacf.numerics import AdamState, adam_step
+from ncacf.training import group_params
 
 
 def deep_model(seed=0, num_users=6, num_items=5, k=4, q=1,
@@ -256,36 +259,84 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_model(path, deep_model(seed=13))
         before = path.read_bytes()
+        real_replacing = data.replacing
 
-        def failing(buf, params):  # the array sections are already written
-            buf.write(b"MLP1")
-            raise RuntimeError("write failed")
+        class HalfWriter:  # writes half of its first write, then fails
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(models, "write_mlp_blob", failing)
-        with pytest.raises(RuntimeError, match="write failed"):
+            def write(self, raw):
+                self.fh.write(raw[:len(raw) // 2])
+                raise OSError("write failed")
+
+        @contextlib.contextmanager
+        def failing(target):
+            with real_replacing(target) as fh:
+                yield HalfWriter(fh)
+
+        monkeypatch.setattr(data, "replacing", failing)
+        with pytest.raises(OSError, match="write failed"):
             save_model(path, deep_model(seed=14))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
-    def test_every_cut_is_data_error_or_section_boundary(self, tmp_path):
+    def test_every_cut_and_bit_flip_is_data_error(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_model(path, deep_model(seed=15, num_users=2, num_items=2, k=2))
         raw = path.read_bytes()
-        cut = tmp_path / "cut.ckpt"
-        loaded = []
-        for size in range(len(raw)):
-            cut.write_bytes(raw[:size])
-            try:
-                read_checkpoint(cut)
-            except DataError as exc:
-                assert str(cut) in str(exc)
-            else:
-                loaded.append(size)
-        # Only a cut between sections loads (the format cannot detect one):
-        # after the header and after each of the first three of the four
-        # sections W, H, extractor, interaction.
-        header_end = 12 + int.from_bytes(raw[8:12], "little")
-        assert len(loaded) == 4 and loaded[0] == header_end
+        damaged = tmp_path / "damaged.ckpt"
+        # Every cut, and one flipped bit in every byte (the bit cycling
+        # through all eight positions).
+        cases = [raw[:size] for size in range(len(raw))]
+        for offset in range(len(raw)):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 1 << (offset % 8)
+            cases.append(bytes(flipped))
+        for case in cases:
+            damaged.write_bytes(case)
+            with pytest.raises(DataError) as exc:
+                load_model(damaged)
+            assert str(damaged) in str(exc.value)
+
+    def test_training_state_roundtrip_bit_equal(self, tmp_path):
+        model = deep_model(seed=16, q=2, combination="concatenation")
+        rng = np.random.default_rng(17)
+        adams = {}
+        for group in ("W", "H", "extractor", "interaction"):
+            params = group_params(model, group)
+            state = AdamState.init(params, lr=3e-3, beta2=0.99)
+            for _ in range(2):
+                grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+                params, state = adam_step(state, params, grads)
+            adams[group] = state
+        arrays = {"feat_mean": rng.normal(size=3), "feat_std": rng.random(3) + 0.5}
+        path = tmp_path / "state.ckpt"
+        save_model(path, model, {"progress": {"global_epoch": 2}}, arrays, adams)
+        back, header, back_arrays, back_adams = load_model(path)
+        assert header["progress"] == {"global_epoch": 2}
+        assert (back.variant, back.init_seed) == (model.variant, model.init_seed)
+        for a, b in ((model.embeddings.W, back.embeddings.W),
+                     (model.embeddings.H, back.embeddings.H)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        for name in ("extractor", "interaction"):
+            want, got = getattr(model, name), getattr(back, name)
+            assert [l.activation for l in want.layers] == [l.activation for l in got.layers]
+            assert want.param_dict().keys() == got.param_dict().keys()
+            for key, arr in want.param_dict().items():
+                assert np.array_equal(arr, got.param_dict()[key]), (name, key)
+        assert back_arrays.keys() == arrays.keys()
+        for key, arr in arrays.items():
+            assert np.array_equal(arr, back_arrays[key]), key
+        assert back_adams.keys() == adams.keys()
+        for group, state in adams.items():
+            got = back_adams[group]
+            assert ((got.step, got.lr, got.beta1, got.beta2, got.eps)
+                    == (state.step, state.lr, state.beta1, state.beta2, state.eps))
+            for moment in ("m", "v"):
+                want_table, got_table = getattr(state, moment), getattr(got, moment)
+                assert want_table.keys() == got_table.keys()
+                for key, arr in want_table.items():
+                    assert np.array_equal(arr, got_table[key]), (group, moment, key)
 
     def test_file_bytes_deterministic(self, tmp_path):
         model = deep_model(seed=12)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +5,7 @@ import pytest
 from oracles import adam_reference, finite_diff_grad, gauss_solve, mlp_scalar_forward
 from ncacf.errors import TrainingDivergedError
 from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step, mlp_backward,
-                            mlp_forward, read_adam_blob, read_mlp_blob, relu,
-                            sigmoid, solve_spd, write_adam_blob, write_mlp_blob)
+                            mlp_forward, relu, sigmoid, solve_spd)
 
 
 def random_mlp(rng, dims, acts=None, bias=True):
@@ -252,38 +249,3 @@ class TestActivations:
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(2)
         assert np.all(relu(rng.normal(0, 10, 100)) >= 0.0)
-
-
-class TestSerialization:
-    def test_mlp_blob_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(5)
-        net = random_mlp(rng, [4, 3, 1], acts=["relu", "sigmoid"])
-        net.layers[1].bias = None  # exercise the bias-absent path
-        buf = io.BytesIO()
-        write_mlp_blob(buf, net)
-        buf.seek(0)
-        back = read_mlp_blob(buf)
-        assert len(back.layers) == 2
-        for a, b in zip(net.layers, back.layers):
-            assert a.activation == b.activation
-            assert np.array_equal(a.weights, b.weights)
-            assert (a.bias is None) == (b.bias is None)
-            if a.bias is not None:
-                assert np.array_equal(a.bias, b.bias)
-
-    def test_adam_blob_roundtrip_bit_exact(self):
-        p = {"w": np.arange(6, dtype=float).reshape(2, 3), "b": np.array([0.5])}
-        st = AdamState.init(p, lr=1e-4)
-        _, st = adam_step(st, p, {"w": np.ones((2, 3)), "b": np.array([2.0])})
-        buf = io.BytesIO()
-        write_adam_blob(buf, st)
-        buf.seek(0)
-        back = read_adam_blob(buf)
-        assert back.step == st.step and back.lr == st.lr
-        for name in p:
-            assert np.array_equal(back.m[name], st.m[name])
-            assert np.array_equal(back.v[name], st.v[name])
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            read_mlp_blob(io.BytesIO(b"XXXX"))

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
 from oracles import (als_update_h, als_update_w, combine, dense_batch_objective,
-                     dense_weighted_loss, finite_diff_grad, weighted_ridge_solve)
+                     dense_weighted_loss, finite_diff_grad, full_loss_gradients,
+                     weighted_ridge_solve)
 from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
@@ -16,9 +17,8 @@ from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           mlp_forward)
 from ncacf.numerics import AdamState
 from ncacf.training import (als_sweep_items, als_sweep_users, content_mse, full_loss,
-                            full_loss_gradients, gd_content_mse, make_batches,
-                            owned_groups, train, TrainState,
-                            _batch_objective)
+                            gd_content_mse, make_batches, owned_groups, train,
+                            TrainState, _batch_objective)
 
 
 def make_weighted(num_users, num_items, density, seed):
