@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import ConfidenceScheme, FeatureTable, read_records, write_records
 from .errors import ColdStartUnsupportedError, ConfigError, DataError
-from .numerics import (AdamState, Layer, MLPParams, activation_grad,
-                       apply_activation, mlp_backward, mlp_forward)
+from .numerics import (AdamState, Layer, MLPParams, activation_backward,
+                       apply_activation, mlp_backward, mlp_forward, sum_rows)
 from .rng import rng_for
 
 log = logging.getLogger(__name__)
@@ -321,12 +321,13 @@ def tower_grid_forward(tower: MLPParams, W: np.ndarray, item_vecs: np.ndarray,
     post = apply_activation(first.activation, pre)
     if len(tower.layers) == 1:
         return post[:, :, 0], (W, item_vecs, (pre, post), None)
-    out, cache = mlp_forward(MLPParams(tower.layers[1:]), post.reshape(U * n, -1))
+    out, cache = mlp_forward(tower.tail, post.reshape(U * n, -1))
     return out.reshape(U, n), (W, item_vecs, (pre, post), cache)
 
 
 def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
-    """Reverse pass of tower_grid_forward for the (U, n) score gradient.
+    """Reverse pass of tower_grid_forward for the (U, n) score gradient,
+    which it leaves unchanged.
 
     Returns (tower gradients keyed like tower.param_dict(), gW (K, U),
     gH (K, n)). A concatenation tower's first layer is reduced through the
@@ -336,6 +337,8 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     """
     W, item_vecs, first_cache, rest_cache = cache
     U, n = grad_scores.shape
+    # C order keeps G_u's sums in row order (see numerics.sum_rows).
+    grad_scores = np.ascontiguousarray(grad_scores)
     if first_cache is None:
         grads, g_grid = mlp_backward(tower, rest_cache, grad_scores.reshape(-1, 1))
         g_grid = g_grid.reshape(U, n, -1)
@@ -343,19 +346,19 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
         gH = np.einsum("unk,ku->kn", g_grid, W)
         return grads, gW, gH
     first = tower.layers[0]
-    pre, post = first_cache
+    _, post = first_cache
     grads: dict[str, np.ndarray] = {}
     if rest_cache is None:
         g_post = grad_scores[:, :, None]
     else:
-        rest, g_post = mlp_backward(MLPParams(tower.layers[1:]), rest_cache,
-                                    grad_scores.reshape(-1, 1))
+        rest, g_post = mlp_backward(tower.tail, rest_cache, grad_scores.reshape(-1, 1))
         for name, arr in rest.items():  # "layer{i}.x" of the later layers
             i, part = name[len("layer"):].split(".")
             grads[f"layer{int(i) + 1}.{part}"] = arr
         g_post = g_post.reshape(U, n, -1)
-    g_pre = g_post * activation_grad(first.activation, pre, post)
-    G_u = g_pre.sum(axis=1)
+    g_pre = activation_backward(first.activation, g_post, post,
+                                owned=rest_cache is not None)
+    G_u = sum_rows(g_pre)
     G_i = g_pre.sum(axis=0)
     k = W.shape[0]
     grads["layer0.weight"] = np.concatenate([G_u.T @ W.T, G_i.T @ item_vecs.T], axis=1)

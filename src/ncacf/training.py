@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -297,7 +297,8 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
     """One epoch of batched gradient steps on the content MSE.
 
     target is (K, n) aligned with the feature rows (n, L); the schedule
-    batches index into those n items. Returns (extractor, adam).
+    batches index into those n items. The steps update the extractor's
+    arrays and adam in place; returns (extractor, adam).
     """
     for batch in schedule.batches:
         out, cache = mlp_forward(extractor, rows[batch])
@@ -305,8 +306,7 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
         if not np.all(np.isfinite(d)):
             raise TrainingDivergedError("content MSE diverged")
         grads, _ = mlp_backward(extractor, cache, 2.0 * d)
-        params, adam = adam_step(adam, extractor.param_dict(), grads)
-        extractor = extractor.with_params(params)
+        adam_step(adam, extractor.param_dict(), grads)
     return extractor, adam
 
 
@@ -318,14 +318,17 @@ def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
 
     Exactly the `owned` parameter groups move. Embedding moments follow
     dense-optimizer semantics: items outside a batch contribute zero
-    gradient but their moments still decay. Returns (model, adams).
+    gradient but their moments still decay. The steps update the model's
+    arrays and adams in place; returns (model, adams).
     """
     for batch in schedule.batches:
         items = item_pool[batch]
         _, grads = _batch_objective(model, data, scheme, features, lam_w, lam_h,
                                     items, item_pool.size, want_grads=True,
                                     owned=owned)
-        model = _apply_updates(model, grads, adams)
+        for group, g in grads.items():
+            adam_step(adams[group], group_params(model, group),
+                      g if isinstance(g, dict) else {group: g})
     return model, adams
 
 
@@ -342,18 +345,6 @@ def group_params(model: Model, group: str) -> dict[str, np.ndarray]:
 
 def _fresh_adams(model: Model, groups, eta: float) -> dict[str, AdamState]:
     return {g: AdamState.init(group_params(model, g), eta) for g in _GROUPS if g in groups}
-
-
-def _apply_updates(model: Model, grads: dict, adams: dict[str, AdamState]) -> Model:
-    model = replace(model)
-    for group, g in grads.items():
-        params, adams[group] = adam_step(adams[group], group_params(model, group),
-                                         g if isinstance(g, dict) else {group: g})
-        if group in ("W", "H"):
-            model.embeddings = replace(model.embeddings, **params)
-        else:
-            setattr(model, group, getattr(model, group).with_params(params))
-    return model
 
 
 def owned_groups(variant: ModelVariant, with_interaction: bool) -> frozenset[str]:
@@ -441,7 +432,8 @@ class TrainState:
     best_model: Model | None = None
 
     def observe(self, epoch: int, val: float | None) -> None:
-        """Keep a copy of the model when `val` is a new best score."""
+        """Keep a copy of the model when `val` is a new best score (a copy,
+        because later Adam steps update the model's arrays in place)."""
         if val is not None and (self.best_val is None or val > self.best_val):
             self.best_epoch, self.best_val = epoch, val
             self.best_model = self.model.copy()
@@ -553,11 +545,9 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
     def gradient_epoch(state: TrainState, epoch: int) -> None:
         """Batched steps on the weighted prediction error; the groups that
         have Adam state move."""
-        state.model, state.adams = gd_wpe(state.model, data, scheme, features,
-                                          hyper.lambda_w, hyper.lambda_h,
-                                          frozenset(state.adams), state.adams,
-                                          make_batches(pool.size, batch_size, seed, epoch),
-                                          pool)
+        gd_wpe(state.model, data, scheme, features, hyper.lambda_w, hyper.lambda_h,
+               frozenset(state.adams), state.adams,
+               make_batches(pool.size, batch_size, seed, epoch), pool)
 
     def extractor_epoch(state: TrainState, epoch: int) -> None:
         """Fit the extractor alone: relaxed coupling to the item embeddings,
@@ -565,10 +555,9 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
         if variant.coupling == "strict":
             gradient_epoch(state, epoch)
         else:
-            model = state.model
-            model.extractor, state.adams["extractor"] = gd_content_mse(
-                model.extractor, model.embeddings.H[:, pool], rows,
-                state.adams["extractor"], make_batches(pool.size, batch_size, seed, epoch))
+            gd_content_mse(state.model.extractor, state.model.embeddings.H[:, pool], rows,
+                           state.adams["extractor"],
+                           make_batches(pool.size, batch_size, seed, epoch))
 
     def als_epoch(state: TrainState) -> float:
         """ALS sweeps over W and, when the model has it, H; then n_gd

@@ -17,7 +17,11 @@ writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
 The per-user ranking (`rank_items`, `ndcg_user`, `evaluate_per_user`)
 sorts each user's whole candidate list with one lexsort and scores it with
-Python sets; the library ranks blocks of users with a partial sort.
+Python sets; the library ranks blocks of users with a partial sort. The
+reference kernels (`sigmoid_reference`, `mlp_forward_reference`,
+`mlp_backward_reference` and the tower-grid pair) are the library's MLP
+passes before they moved to in-place activations and faster exact
+reductions, which must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from ncacf.errors import DataError, ParseError
 from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
 from ncacf.models import (Model, item_vectors, score_matrix, tower_grid_backward,
                           tower_grid_forward)
-from ncacf.numerics import mlp_backward, mlp_forward
+from ncacf.numerics import MLPParams, mlp_backward, mlp_forward
 from ncacf.rng import rng_for
 from ncacf.training import _batch_objective, _pool_dims, _ridge_rows
 
@@ -107,6 +111,122 @@ def mlp_scalar_forward(layers, x):
             out.append(scalar_activation(act, v))
         h = out
     return np.array(h)
+
+
+# The library's MLP, sigmoid and tower-grid kernels as they were before they
+# moved to in-place activations, einsum reductions and a broadcast
+# one-neuron layer: the fast kernels must reproduce these bit for bit.
+
+def _activation_reference(name, x):
+    if name == "relu":
+        return np.maximum(x, 0.0)
+    if name == "identity":
+        return x
+    return sigmoid_reference(x)
+
+
+def _activation_grad_reference(name, pre, post):
+    if name == "relu":
+        return pre > 0
+    if name == "identity":
+        return np.ones_like(pre)
+    return post * (1.0 - post)
+
+
+def sigmoid_reference(x):
+    """Sign-split sigmoid: gathers each sign's entries, clamps into (0, 1)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def mlp_forward_reference(params, x):
+    """(output, per-layer (input, pre, post)) for a batch x (n, in)."""
+    h = np.asarray(x, dtype=np.float64)
+    cache = []
+    for layer in params.layers:
+        pre = h @ layer.weights.T
+        if layer.bias is not None:
+            pre += layer.bias
+        post = _activation_reference(layer.activation, pre)
+        cache.append((h, pre, post))
+        h = post
+    return h, cache
+
+
+def mlp_backward_reference(params, cache, grad_output):
+    """(parameter gradients keyed like param_dict(), input gradient)."""
+    g = np.asarray(grad_output, dtype=np.float64)
+    grads = {}
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        inp, pre, post = cache[i]
+        g_pre = g * _activation_grad_reference(layer.activation, pre, post)
+        grads[f"layer{i}.weight"] = g_pre.T @ inp
+        if layer.bias is not None:
+            grads[f"layer{i}.bias"] = g_pre.sum(axis=0)
+        g = g_pre @ layer.weights
+    return grads, g
+
+
+def tower_grid_forward_reference(tower, W, item_vecs, combination):
+    """(U, n) scores of every user of W (K, U) against item_vecs (K, n), and
+    the cache tower_grid_backward_reference consumes."""
+    U, n = W.shape[1], item_vecs.shape[1]
+    if combination == "multiplication":
+        grid = (W.T[:, None, :] * item_vecs.T[None, :, :]).reshape(U * n, -1)
+        out, cache = mlp_forward_reference(tower, grid)
+        return out.reshape(U, n), (W, item_vecs, None, cache)
+    first = tower.layers[0]
+    k = W.shape[0]
+    per_user = W.T @ first.weights[:, :k].T
+    if first.bias is not None:
+        per_user += first.bias
+    pre = per_user[:, None, :] + (item_vecs.T @ first.weights[:, k:].T)[None, :, :]
+    post = _activation_reference(first.activation, pre)
+    if len(tower.layers) == 1:
+        return post[:, :, 0], (W, item_vecs, (pre, post), None)
+    out, cache = mlp_forward_reference(MLPParams(tower.layers[1:]), post.reshape(U * n, -1))
+    return out.reshape(U, n), (W, item_vecs, (pre, post), cache)
+
+
+def tower_grid_backward_reference(tower, cache, grad_scores):
+    """(tower gradients, gW (K, U), gH (K, n)) for the (U, n) score gradient."""
+    W, item_vecs, first_cache, rest_cache = cache
+    U, n = grad_scores.shape
+    if first_cache is None:
+        grads, g_grid = mlp_backward_reference(tower, rest_cache,
+                                               grad_scores.reshape(-1, 1))
+        g_grid = g_grid.reshape(U, n, -1)
+        gW = np.einsum("unk,kn->ku", g_grid, item_vecs)
+        gH = np.einsum("unk,ku->kn", g_grid, W)
+        return grads, gW, gH
+    first = tower.layers[0]
+    pre, post = first_cache
+    grads = {}
+    if rest_cache is None:
+        g_post = grad_scores[:, :, None]
+    else:
+        rest, g_post = mlp_backward_reference(MLPParams(tower.layers[1:]), rest_cache,
+                                              grad_scores.reshape(-1, 1))
+        for name, arr in rest.items():
+            i, part = name[len("layer"):].split(".")
+            grads[f"layer{int(i) + 1}.{part}"] = arr
+        g_post = g_post.reshape(U, n, -1)
+    g_pre = g_post * _activation_grad_reference(first.activation, pre, post)
+    G_u = g_pre.sum(axis=1)
+    G_i = g_pre.sum(axis=0)
+    k = W.shape[0]
+    grads["layer0.weight"] = np.concatenate([G_u.T @ W.T, G_i.T @ item_vecs.T], axis=1)
+    if first.bias is not None:
+        grads["layer0.bias"] = G_u.sum(axis=0)
+    gW = first.weights[:, :k].T @ G_u.T
+    gH = first.weights[:, k:].T @ G_i.T
+    return grads, gW, gH
 
 
 def dense_weighted_loss(W, H_eff, R, C, lam_w, lam_h=0.0, prior=None,
@@ -240,8 +360,8 @@ def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
     if model.interaction is None:
         return float(w @ item_vec)
     v = combine(w, item_vec, model.variant.combination)
-    out, _ = mlp_forward(model.interaction, v)
-    return float(out[0])
+    out, _ = mlp_forward(model.interaction, v[None, :])
+    return float(out[0, 0])
 
 
 def predict_all_items(model: Model, user: int, items: np.ndarray,

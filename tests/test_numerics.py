@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import adam_reference, finite_diff_grad, gauss_solve, mlp_scalar_forward
+from oracles import (adam_reference, finite_diff_grad, gauss_solve,
+                     mlp_backward_reference, mlp_forward_reference,
+                     mlp_scalar_forward, sigmoid_reference)
 from ncacf.errors import TrainingDivergedError
 from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step, mlp_backward,
                             mlp_forward, relu, sigmoid, solve_spd)
@@ -86,22 +88,22 @@ class TestMlpForward:
     def test_identity_layer(self):
         net = MLPParams([Layer(np.eye(3), np.zeros(3), "identity")])
         x = np.array([1.0, -2.0, 0.5])
-        out, _ = mlp_forward(net, x)
-        npt.assert_array_equal(out, x)
+        out, _ = mlp_forward(net, x[None, :])
+        npt.assert_array_equal(out[0], x)
 
     def test_relu_layer(self):
         net = MLPParams([Layer(np.eye(2), np.zeros(2), "relu")])
-        out, _ = mlp_forward(net, np.array([-1.0, 2.0]))
-        npt.assert_array_equal(out, [0.0, 2.0])
+        out, _ = mlp_forward(net, np.array([[-1.0, 2.0]]))
+        npt.assert_array_equal(out[0], [0.0, 2.0])
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(7)
         net = random_mlp(rng, [4, 5, 3], acts=["relu", "identity"])
         x = rng.normal(0, 1, 4)
-        out, _ = mlp_forward(net, x)
+        out, _ = mlp_forward(net, x[None, :])
         expect = mlp_scalar_forward(
             [(l.weights, l.bias, l.activation) for l in net.layers], x)
-        npt.assert_allclose(out, expect, atol=1e-12)
+        npt.assert_allclose(out[0], expect, atol=1e-12)
 
     def test_batched_equals_per_row(self):
         rng = np.random.default_rng(8)
@@ -109,18 +111,18 @@ class TestMlpForward:
         X = rng.normal(0, 1, (6, 3))
         batch, _ = mlp_forward(net, X)
         for row in range(6):
-            single, _ = mlp_forward(net, X[row])
-            npt.assert_allclose(batch[row], single, rtol=0, atol=1e-12)
+            single, _ = mlp_forward(net, X[row][None, :])
+            npt.assert_allclose(batch[row], single[0], rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
         net = MLPParams([Layer(np.eye(2), None, "identity")])
         with pytest.raises(ValueError):
-            mlp_forward(net, np.ones(3))
+            mlp_forward(net, np.ones((1, 3)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         net = random_mlp(rng, [3, 3])
-        x = rng.normal(0, 1, 3)
+        x = rng.normal(0, 1, (1, 3))
         a, _ = mlp_forward(net, x)
         b, _ = mlp_forward(net, x)
         assert np.array_equal(a, b)
@@ -133,27 +135,27 @@ class TestMlpBackward:
         net = MLPParams([Layer(A, np.zeros(3), "identity")])
         x = rng.normal(0, 1, 4)
         g = rng.normal(0, 1, 3)
-        _, cache = mlp_forward(net, x)
-        grads, grad_in = mlp_backward(net, cache, g)
+        _, cache = mlp_forward(net, x[None, :])
+        grads, grad_in = mlp_backward(net, cache, g[None, :])
         npt.assert_allclose(grads["layer0.weight"], np.outer(g, x), atol=1e-12)
         npt.assert_allclose(grads["layer0.bias"], g, atol=1e-12)
-        npt.assert_allclose(grad_in, A.T @ g, atol=1e-12)
+        npt.assert_allclose(grad_in[0], A.T @ g, atol=1e-12)
 
     def test_dead_relu_blocks_gradient(self):
         net = MLPParams([Layer(np.eye(2), np.array([-5.0, -5.0]), "relu")])
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0]])
         _, cache = mlp_forward(net, x)
-        grads, grad_in = mlp_backward(net, cache, np.ones(2))
+        grads, grad_in = mlp_backward(net, cache, np.ones((1, 2)))
         assert not grads["layer0.weight"].any()
         assert not grad_in.any()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         net = random_mlp(rng, [5, 4, 3, 1], acts=["relu", "relu", "sigmoid"])
-        x = rng.normal(0, 1, 5)
+        x = rng.normal(0, 1, (1, 5))
 
         _, cache = mlp_forward(net, x)
-        grads, _ = mlp_backward(net, cache, np.ones(1))
+        grads, _ = mlp_backward(net, cache, np.ones((1, 1)))
         for li, layer in enumerate(net.layers):
             for arr_name, arr in (("weight", layer.weights), ("bias", layer.bias)):
                 analytic = grads[f"layer{li}.{arr_name}"]
@@ -169,25 +171,57 @@ class TestMlpBackward:
                         _layer.weights = saved
                     else:
                         _layer.bias = saved
-                    return float(out[0])
+                    return float(out[0, 0])
 
                 numeric = finite_diff_grad(f, arr.copy(), h=1e-5)
                 npt.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
+    def test_grad_output_left_unchanged(self):
+        rng = np.random.default_rng(12)
+        net = random_mlp(rng, [3, 4, 2], acts=["relu", "relu"])
+        _, cache = mlp_forward(net, rng.normal(0, 1, (6, 3)))
+        g = rng.normal(0, 1, (6, 2))
+        before = g.copy()
+        mlp_backward(net, cache, g)
+        assert np.array_equal(g, before)
+
+    # Extractor shapes: (batch, features -> hidden -> K); K = 1 and hidden
+    # width 1 take sum's path for their bias sums.
+    @pytest.mark.parametrize("dims", [[5, 8, 8, 3], [4, 6, 1], [3, 1, 4], [20, 64, 64, 16]])
+    @pytest.mark.parametrize("rows", [1, 5, 200])
+    def test_extractor_bit_equal_to_reference(self, dims, rows):
+        rng = np.random.default_rng(rows + len(dims))
+        net = random_mlp(rng, dims)
+        x = rng.normal(0, 1, (rows, dims[0]))
+        out, cache = mlp_forward(net, x)
+        want, cache_ref = mlp_forward_reference(net, x)
+        assert np.array_equal(out, want)
+        for (inp, _, post), (inp_ref, _, post_ref) in zip(cache, cache_ref):
+            assert np.array_equal(inp, inp_ref) and np.array_equal(post, post_ref)
+        # Training hands the extractor a transposed (Fortran-ordered) gradient.
+        for g in (rng.normal(0, 1, (rows, dims[-1])), rng.normal(0, 1, (dims[-1], rows)).T):
+            grads, g_in = mlp_backward(net, cache, g)
+            grads_ref, g_in_ref = mlp_backward_reference(net, cache_ref, g)
+            assert grads.keys() == grads_ref.keys() == net.param_dict().keys()
+            for name in grads_ref:
+                assert np.array_equal(grads[name], grads_ref[name]), name
+            assert np.array_equal(g_in, g_in_ref)
+
     def test_stale_cache_rejected(self):
         net = MLPParams([Layer(np.eye(2), None, "identity")])
-        _, cache = mlp_forward(net, np.ones(2))
+        _, cache = mlp_forward(net, np.ones((1, 2)))
         deeper = MLPParams([Layer(np.eye(2), None, "identity")] * 2)
         with pytest.raises(ValueError):
-            mlp_backward(deeper, cache, np.ones(2))
+            mlp_backward(deeper, cache, np.ones((1, 2)))
 
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = {"x": np.array([1.0, 2.0])}
+        before = p["x"].copy()
         st = AdamState.init(p, lr=0.1)
         new_p, new_st = adam_step(st, p, {"x": np.zeros(2)})
-        npt.assert_array_equal(new_p["x"], p["x"])
+        npt.assert_array_equal(new_p["x"], before)
         assert new_st.step == 1
 
     def test_first_step_magnitude_is_lr(self):
@@ -202,17 +236,19 @@ class TestAdam:
         g = np.array([1.0, -2.0])
         p0 = np.array([0.3, 0.7])
         st = AdamState.init({"x": p0}, lr=0.01)
-        p1, st1 = adam_step(st, {"x": p0}, {"x": g})
+        p1, st1 = adam_step(st, {"x": p0.copy()}, {"x": g})
         p2, _ = adam_step(st1, {"x": p1["x"]}, {"x": g})
-        once, _ = adam_step(AdamState.init({"x": p0}, lr=0.01), {"x": p0}, {"x": 2 * g})
+        once, _ = adam_step(AdamState.init({"x": p0}, lr=0.01), {"x": p0.copy()},
+                            {"x": 2 * g})
         assert not np.allclose(p2["x"], once["x"])
         npt.assert_allclose(p2["x"], adam_reference(p0, [g, g], lr=0.01), atol=1e-14)
 
     def test_lr_zero_is_identity(self):
         p = {"x": np.array([5.0])}
+        before = p["x"].copy()
         st = AdamState.init(p, lr=0.0)
         new_p, _ = adam_step(st, p, {"x": np.array([123.0])})
-        npt.assert_array_equal(new_p["x"], p["x"])
+        npt.assert_array_equal(new_p["x"], before)
 
     def test_non_finite_gradient_raises(self):
         p = {"x": np.zeros(1)}
@@ -245,6 +281,17 @@ class TestActivations:
         x = np.array([-1e6, -50.0, 0.0, 50.0, 1e6])
         s = sigmoid(x)
         assert np.all(s > 0.0) and np.all(s < 1.0)
+
+    def test_sigmoid_bit_equal_to_sign_split_reference(self):
+        rng = np.random.default_rng(3)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 1e308, -1e308,
+                 709.0, -709.0, 36.0, -36.0, 5e-324, -5e-324]
+        x = np.concatenate([edges, rng.normal(0, 1, 500), rng.normal(0, 40, 500)])
+        got, want = sigmoid(x), sigmoid_reference(x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[4])
+        grid = x[5:].reshape(-1, 10)
+        assert np.array_equal(sigmoid(grid), sigmoid_reference(grid))
 
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(2)

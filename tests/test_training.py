@@ -642,8 +642,9 @@ class TestLosses:
         R, C = dense_rc(data, scheme)
 
         def deep_score(w, h):
-            out, _ = mlp_forward(model.interaction, combine(w, h, "concatenation"))
-            return float(out[0])
+            out, _ = mlp_forward(model.interaction,
+                                 combine(w, h, "concatenation")[None, :])
+            return float(out[0, 0])
 
         prior, _ = mlp_forward(model.extractor, feats.values)
         want = dense_weighted_loss(model.embeddings.W, model.embeddings.H, R, C,
@@ -1063,3 +1064,67 @@ class TestTrainUnified:
         assert model.extractor is None
         assert model.interaction is not None
         assert len(report.rows) == 3
+
+
+class TestKeptModelsOwnTheirArrays:
+    """Adam updates the model's arrays in place, so every model a run keeps
+    past a step (the best model, a checkpoint, a resumed run's best) must
+    hold arrays of its own."""
+
+    @staticmethod
+    def _arrays(model):
+        mlps = [m for m in (model.extractor, model.interaction) if m is not None]
+        return [a.copy() for a in (model.embeddings.W, model.embeddings.H,
+                                   *(a for m in mlps for a in m.param_dict().values()))]
+
+    @staticmethod
+    def _equal(xs, ys):
+        return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+    def _run(self, tmp_path, state=None, first_score=100.0):
+        """ncacf validated after every epoch by falling scores, so that the
+        first validated model stays best; returns (final, best, kept), kept
+        holding each epoch's last.ckpt path and a copy of the model's arrays."""
+        t, data, scheme = make_weighted(6, 5, 0.5, seed=81)
+        feats = FeatureTable(np.random.default_rng(82).normal(0, 1, (5, 3)))
+        variant = ModelVariant("ncacf", "relaxed", "deep", "concatenation", 1)
+        hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
+                            eval_every=1, hidden_width=4, extractor_layers=2)
+        scores = iter(np.arange(first_score, 0.0, -1.0))
+        kept = []
+
+        def on_epoch(snapshot):
+            path = tmp_path / f"last{snapshot.global_epoch}.ckpt"
+            models.save_model(path, snapshot.model, training.checkpoint_header(snapshot),
+                              adams=snapshot.adams)
+            kept.append((path, self._arrays(snapshot.model)))
+            if snapshot.best_epoch == snapshot.global_epoch - 1:
+                models.save_model(tmp_path / "best.ckpt", snapshot.best_model)
+
+        final, best, _ = train(variant, data, feats, hyper, seed=7,
+                               validator=lambda model: float(next(scores)),
+                               state=state, on_epoch=on_epoch)
+        return variant, final, best, kept
+
+    def test_best_model_and_checkpoints_unchanged_by_later_steps(self, tmp_path):
+        _, final, best, kept = self._run(tmp_path)
+        assert len(kept) == 5
+        first = kept[0][1]
+        assert not self._equal(self._arrays(final), first)  # training moved on
+        assert self._equal(self._arrays(best), first)
+        assert self._equal(self._arrays(models.load_model(tmp_path / "best.ckpt")[0]),
+                           first)
+        for path, arrays in kept:
+            assert self._equal(self._arrays(models.load_model(path)[0]), arrays), path
+
+    def test_resumed_best_model_unchanged_by_later_steps(self, tmp_path):
+        variant, _, _, kept = self._run(tmp_path)
+        state = training.resume_state(variant, kept[2][0], tmp_path / "best.ckpt")
+        resumed_best = state.best_model
+        before = self._arrays(resumed_best)
+        assert self._equal(before, kept[0][1])
+        (tmp_path / "resumed").mkdir()
+        _, final, best, _ = self._run(tmp_path / "resumed", state, first_score=50.0)
+        assert best is resumed_best
+        assert self._equal(self._arrays(resumed_best), before)
+        assert not self._equal(self._arrays(final), before)
