@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", choices=("desk", "paper-faithful"), default=None)
         p.add_argument("--output", default=None, help="run output directory")
 
-    p = sub.add_parser("prepare", help="filter, split and standardize a dataset")
+    p = sub.add_parser("prepare", help="filter, split and snapshot a dataset")
     common(p)
     p.set_defaults(func=cmd_prepare)
 
@@ -97,25 +97,22 @@ def _config(args) -> ExperimentConfig:
 def cmd_prepare(args) -> int:
     cfg = _config(args)
     raw = D.load_triplets(cfg.triplets)
-    # Indexed as every verb indexes the file written below, so that the
-    # manifest, the standardized features and the snapshot match what the
-    # verbs see.
+    # Indexed as load_triplets indexes the file written below, so that the
+    # manifest and the snapshot match that file.
     filtered = D.reindex_first_seen(
         D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users))
     os.makedirs(cfg.prepared, exist_ok=True)
     tri_path, feat_path, snap_path = _prepared_paths(cfg)
     D.write_triplets(tri_path, filtered)
 
-    std_path = os.path.join(cfg.prepared, "features_std.tsv")
     table = None
     if cfg.features is not None and os.path.exists(cfg.features):
         labels, values = D.load_features(cfg.features)
         table = D.align_features(labels, values, filtered.item_labels)
         D.write_features(feat_path, filtered.item_labels, table.values)
-    else:  # an earlier prepare's feature files would describe other data
-        for path in (feat_path, std_path):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+    else:  # an earlier prepare's feature file would describe other data
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(feat_path)
 
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
@@ -124,14 +121,6 @@ def cmd_prepare(args) -> int:
     orphans = D.scan_warm_orphans(warm, filtered)
     if orphans:
         raise DataError(f"warm split repair failed for {len(orphans)} fold/item pairs")
-
-    plan = cold if cfg.split_mode == "cold" else warm
-    membership = D.materialize_fold(plan, cfg.fold)
-    std_items = membership.train if cfg.split_mode == "cold" \
-        else np.arange(filtered.num_items)
-    if table is not None:
-        std = D.standardize_features(table, std_items)
-        D.write_features(std_path, filtered.item_labels, std.values)
 
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))
@@ -227,13 +216,19 @@ def cmd_synth(args) -> int:
 class PreparedData:
     def __init__(self, cfg: ExperimentConfig):
         tri_path, feat_path, snap_path = _prepared_paths(cfg)
-        if not os.path.exists(tri_path):
-            raise DataError(f"{tri_path} missing; run `ncacf prepare` first")
-        self.triplets, self.features = D.load_prepared(tri_path, feat_path, snap_path)
+        if not os.path.exists(snap_path):
+            raise DataError(f"{snap_path} missing; run `ncacf prepare` first")
+        self.triplets, self.features = D.read_snapshot(snap_path, tri_path, feat_path)
         plan_path = os.path.join(cfg.prepared, f"split_{cfg.split_mode}.txt")
         if not os.path.exists(plan_path):
             raise DataError(f"{plan_path} missing; run `ncacf prepare` first")
         self.plan = D.read_split_plan(plan_path)
+        # The units are items (cold) or triplet rows (warm), each in one section.
+        units = np.concatenate([self.plan.validation, self.plan.train_always, *self.plan.folds])
+        n = self.triplets.num_items if self.plan.mode == "cold" else self.triplets.num_entries
+        if not np.array_equal(np.sort(units), np.arange(n)):
+            raise DataError(f"{plan_path}: the split units are not 0 .. {n - 1} each once; "
+                            f"rerun `ncacf prepare`")
         self.membership = D.materialize_fold(self.plan, cfg.fold)
         if cfg.split_mode == "cold":
             self.item_pool = self.membership.train
@@ -245,8 +240,11 @@ class PreparedData:
         train_idx = self.membership.train_entry_idx(self.triplets)
         return D.SparsePlaycounts.from_triplets(self.triplets.subset(train_idx))
 
-    def standardized_features(self):
+    def standardized_features(self, variant):
+        """The features standardized over the item pool; None without them."""
         if self.features is None:
+            if variant.has_content:
+                raise DataError("this variant needs item features; none were prepared")
             return None
         return D.standardize_features(self.features, self.item_pool)
 
@@ -282,9 +280,7 @@ def cmd_train(args) -> int:
     elif args.pretrained:
         state = T.pretrained_state(variant, cfg.hyper, args.pretrained)
     prep = PreparedData(cfg)
-    features_std = prep.standardized_features()
-    if variant.has_content and features_std is None:
-        raise DataError("this variant needs item features; none were prepared")
+    features_std = prep.standardized_features(variant)
     validator = _make_validator(cfg, prep, variant, features_std)
     if state is not None:
         state.model.check_fits(prep.train_data.num_users, prep.train_data.num_items,
@@ -388,7 +384,7 @@ def cmd_evaluate(args) -> int:
             raise DataError("checkpoint lacks feature standardization statistics")
         features_std = D.FeatureTable(
             (prep.features.values - arrays["feat_mean"]) / arrays["feat_std"],
-            arrays["feat_mean"], arrays["feat_std"], standardized=True)
+            arrays["feat_mean"], arrays["feat_std"])
 
     os.makedirs(cfg.output, exist_ok=True)
     scheme = cfg.hyper.scheme()
@@ -413,9 +409,7 @@ def cmd_sweep(args) -> int:
     cfg = _config(args)
     variant = cfg.variant()
     prep = PreparedData(cfg)
-    features_std = prep.standardized_features()
-    if variant.has_content and features_std is None:
-        raise DataError("this variant needs item features; none were prepared")
+    features_std = prep.standardized_features(variant)
     validator = _make_validator(cfg, prep, variant, features_std)
     if validator is None:
         raise ConfigError("sweep needs a validation signal; cold split with a "

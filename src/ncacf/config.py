@@ -13,8 +13,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .models import (COMBINATIONS, COUPLINGS, FAMILIES, Hyperparams,
-                     ModelVariant)
+from .models import COMBINATIONS, Hyperparams, ModelVariant
 
 OUTPUT_ROOT_ENV = "NCACF_OUTPUT_ROOT"
 
@@ -88,10 +87,6 @@ class ExperimentConfig:
                             self.q_hidden, self.output_activation)
 
     def validate(self) -> "ExperimentConfig":
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
-        if self.coupling not in COUPLINGS:
-            raise ConfigError(f"unknown coupling {self.coupling!r}")
         if self.combination not in COMBINATIONS:
             raise ConfigError(f"unknown combination {self.combination!r}")
         if self.split_mode not in ("cold", "warm"):

@@ -8,9 +8,10 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
   split plan: key = value header plus explicit membership sections (see
   write_split_plan).
 A prepared dataset also gets a binary snapshot of its parsed triplets and
-aligned features (see write_snapshot), checked against the text files. The
-snapshot and checkpoints share one checked binary container, the record
-file (see write_records).
+aligned features (see write_snapshot): the one copy of the prepared data
+that the verbs read, checked against the text files. The snapshot and
+checkpoints share one checked binary container, the record file (see
+write_records).
 """
 
 from __future__ import annotations
@@ -365,7 +366,6 @@ class FeatureTable:
     values: np.ndarray  # (I, L)
     means: np.ndarray | None = None
     stds: np.ndarray | None = None
-    standardized: bool = False
 
     @property
     def num_items(self) -> int:
@@ -402,7 +402,7 @@ def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
     bad = np.flatnonzero(stds <= 0)
     if bad.size:
         raise DataError(f"feature dimension {int(bad[0])} is constant over training items")
-    return FeatureTable((table.values - means) / stds, means, stds, standardized=True)
+    return FeatureTable((table.values - means) / stds, means, stds)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +454,29 @@ def read_records(path, magic: bytes, version: int, what: str,
                  rerun: str) -> tuple[dict, list[np.ndarray]]:
     """(header, arrays) of a file write_records wrote. A file that cannot be
     opened, another magic or version, a cut, an extension or a changed byte
-    raises DataError naming the path and `what` the file is; another
-    version's message says to rerun `rerun`."""
+    raises DataError naming the path and `what` the file is, and saying to
+    rerun `rerun`, the command that writes it."""
+    def fail(problem: str) -> DataError:
+        return DataError(f"{path}: {problem}; rerun {rerun}")
+
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise DataError(f"{path}: cannot open {what} ({exc.strerror})") from exc
+        raise fail(f"cannot open {what} ({exc.strerror})") from exc
     if raw[:4] != magic:
-        raise DataError(f"{path}: not a {what} (magic {raw[:4]!r})")
+        raise fail(f"not a {what} (magic {raw[:4]!r})")
     got = int.from_bytes(raw[4:8], "little")
     if len(raw) >= 8 and got != version:
-        raise DataError(f"{path}: {what} format version {got} is no longer read; "
-                        f"rerun {rerun}")
+        raise fail(f"{what} format version {got} is no longer read")
     if len(raw) < _RECORD_HEAD.size:
-        raise DataError(f"{path}: {what} truncated in its head")
+        raise fail(f"{what} truncated in its head")
     _, _, count, header_len, payload_len, crc = _RECORD_HEAD.unpack_from(raw)
     if len(raw) != _RECORD_HEAD.size + header_len + payload_len:
-        raise DataError(f"{path}: {what} is {len(raw)} bytes, its head records "
-                        f"{_RECORD_HEAD.size + header_len + payload_len}")
+        raise fail(f"{what} is {len(raw)} bytes, its head records "
+                   f"{_RECORD_HEAD.size + header_len + payload_len}")
     if zlib.crc32(memoryview(raw)[_RECORD_HEAD.size:]) != crc:
-        raise DataError(f"{path}: {what} fails its CRC32 check")
+        raise fail(f"{what} fails its CRC32 check")
     # BytesIO shares the bytes it is given; a memoryview it would copy.
     buf = io.BytesIO(raw)
     buf.seek(_RECORD_HEAD.size)
@@ -482,9 +484,9 @@ def read_records(path, magic: bytes, version: int, what: str,
         header = json.loads(buf.read(header_len).decode("utf-8"))
         records = [np.lib.format.read_array(buf, allow_pickle=False) for _ in range(count)]
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, a bad record
-        raise DataError(f"{path}: {what} does not parse ({exc})") from exc
+        raise fail(f"{what} does not parse ({exc})") from exc
     if buf.tell() != len(raw) or not isinstance(header, dict):
-        raise DataError(f"{path}: {what} does not hold {count} records under a header")
+        raise fail(f"{what} does not hold {count} records under a header")
     return header, records
 
 
@@ -538,38 +540,26 @@ def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable |
 
 
 def read_snapshot(path, triplets_path, features_path):
-    """(triplets, aligned features or None) from a snapshot, or None when
-    it is missing, unreadable, of another version or damaged, or when the
-    text files are not those it was written with."""
-    try:
-        header, records = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
-                                       "prepared snapshot", "`ncacf prepare`")
-    except DataError:
-        return None
-    if (header != {"triplets": _file_digest(triplets_path),
-                   "features": _file_digest(features_path)}
-            or len(records) != 5 + (header["features"] is not None)):
-        return None
+    """(triplets, aligned features or None) from a snapshot. A snapshot that
+    read_records rejects, or text files that are not those it was written
+    with (edited, removed or added since), raise DataError naming the path
+    and saying to rerun `ncacf prepare`."""
+    rerun = "`ncacf prepare`"
+    header, records = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
+                                   "prepared snapshot", rerun)
+    for key, text_path in (("triplets", triplets_path), ("features", features_path)):
+        if header.get(key) != _file_digest(text_path):
+            raise DataError(f"{path}: {text_path} is not the file `ncacf prepare` "
+                            f"wrote with this snapshot; rerun {rerun}")
+    want = 5 + (header.get("features") is not None)
+    if len(records) != want:
+        raise DataError(f"{path}: prepared snapshot holds {len(records)} records, "
+                        f"not {want}; rerun {rerun}")
     users, items, counts, user_raw, item_raw, *rest = records
     user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
     features = FeatureTable(rest[0]) if rest else None
     return (InteractionTriplets(users, items, counts, len(user_labels), len(item_labels),
                                 user_labels, item_labels), features)
-
-
-def load_prepared(triplets_path, features_path, snapshot_path):
-    """(triplets, features aligned to its items or None) of a prepared
-    dataset: from the snapshot when read_snapshot accepts it, else parsed
-    from the text files (the features only when their file exists)."""
-    loaded = read_snapshot(snapshot_path, triplets_path, features_path)
-    if loaded is not None:
-        return loaded
-    triplets = load_triplets(triplets_path)
-    features = None
-    if os.path.exists(features_path):
-        labels, values = load_features(features_path)
-        features = align_features(labels, values, triplets.item_labels)
-    return triplets, features
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from ncacf.cli import PreparedData, main
 from ncacf.config import ExperimentConfig, load_config, write_config
-from ncacf.data import (align_features, load_features, load_prepared, load_triplets,
-                        read_snapshot)
+from ncacf.data import align_features, load_features, load_triplets, read_snapshot
+from ncacf.errors import DataError
 from ncacf.models import load_model, save_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -121,8 +121,7 @@ class TestPrepare:
     def test_rerun_bit_identical(self, workspace):
         cfg = str(workspace / "cfg.ini")
         files = ["manifest.txt", "triplets.tsv", "features.tsv",
-                 "split_cold.txt", "split_warm.txt", "features_std.tsv",
-                 "snapshot.bin"]
+                 "split_cold.txt", "split_warm.txt", "snapshot.bin"]
         first = {f: (workspace / "prepared" / f).read_bytes() for f in files}
         assert main(["prepare", "--config", cfg]) == 0
         for f in files:
@@ -159,9 +158,9 @@ class TestPrepare:
             items = prep.membership.bucket_units(bucket) if bucket != "train" \
                 else prep.membership.train
             assert int(row[4]) == np.isin(prep.triplets.items, items).sum(), bucket
-        labels, std = load_features(tmp_path / "prepared" / "features_std.tsv")
+        labels, values = load_features(tmp_path / "prepared" / "features.tsv")
         assert tuple(labels) == prep.triplets.item_labels
-        assert np.array_equal(std, prep.standardized_features().values)
+        assert np.array_equal(values, prep.features.values)
 
     def test_prepare_without_features_removes_stale_feature_files(self, workspace,
                                                                    monkeypatch):
@@ -226,8 +225,9 @@ class TestTrainEvaluate:
     def test_wmf_needs_no_features(self, tmp_path):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", cfg])
+        cfg = write_cfg(tmp_path, extra="\n[data]\nfeatures = none\n")
         main(["prepare", "--config", cfg])
-        os.remove(tmp_path / "prepared" / "features.tsv")
+        assert not (tmp_path / "prepared" / "features.tsv").exists()
         assert main(["train", "--config", cfg]) == 0
 
     def test_wmf_zero_iterations(self, workspace, capsys):
@@ -530,6 +530,47 @@ class TestExitCodes:
         assert main(["train", "--config", str(workspace / "cfg.ini")]) == 3
         assert str(plan) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["training_fold_out_of_range",
+                                      "test_fold_out_of_range", "duplicate"])
+    @pytest.mark.parametrize("mode", ["cold", "warm"])
+    def test_split_plan_units_outside_the_data_are_data_error(self, tmp_path, capsys,
+                                                              mode, edit):
+        """A plan unit past the prepared items (cold) or triplet rows (warm),
+        or one listed in two sections, stops train before it writes. Each
+        edit keeps the plan's unit count, so the plan still parses."""
+        cfg = write_cfg(tmp_path, family="mf_uni", coupling="relaxed", mode=mode)
+        assert main(["synth", "--config", cfg]) == 0
+        assert main(["prepare", "--config", cfg]) == 0
+        plan = tmp_path / "prepared" / f"split_{mode}.txt"
+        lines = plan.read_text().splitlines(keepends=True)
+
+        def units_line(section):
+            return lines.index(f"[{section}]\n") + 1
+
+        # fold = 0 in the config: fold 0 is the test fold, fold 1 trains.
+        target = units_line("fold 0" if edit == "test_fold_out_of_range" else "fold 1")
+        units = lines[target].split()
+        units[0] = "99999" if edit != "duplicate" else lines[units_line("validation")].split()[0]
+        lines[target] = " ".join(units) + "\n"
+        plan.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 3
+        assert str(plan) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_edited_warm_triplets_are_data_error(self, workspace, capsys):
+        """Warm split units are row numbers of prepared/triplets.tsv as
+        prepare wrote it: with one data line deleted, train exits 3 and
+        writes nothing."""
+        tri = workspace / "prepared" / "triplets.tsv"
+        lines = tri.read_text().splitlines(keepends=True)
+        tri.write_text("".join(lines[:1] + lines[2:]))
+        capsys.readouterr()
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 3
+        err = capsys.readouterr().err
+        assert str(tri) in err and "ncacf prepare" in err
+        assert not (workspace / "run").exists()
+
     def test_feature_file_without_rows_is_data_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
         main(["synth", "--config", cfg])
@@ -689,12 +730,14 @@ class TestSnapshot:
         snapshot = read_snapshot(snap, tri, feat)
         assert snapshot is not None
         assert_same_load(snapshot, text_load(prepared))
-        assert_same_load(load_prepared(tri, feat, snap), text_load(prepared))
 
     @pytest.mark.parametrize("damage", [
         "missing", "triplets_edited", "features_edited", "features_removed",
         "truncated", "flipped_payload_byte", "unknown_version"])
-    def test_falls_back_to_text(self, prepared, damage):
+    def test_falls_back_to_text(self, prepared, capsys, damage):
+        """No kind of damage lets a verb fall back to the text files:
+        read_snapshot raises a DataError naming the snapshot, and train
+        exits 3 with the rerun message before it writes anything."""
         tri, feat, snap = self.paths(prepared)
         raw = bytearray(snap.read_bytes())
         if damage == "missing":
@@ -717,11 +760,14 @@ class TestSnapshot:
             else:
                 raw[4:8] = (3).to_bytes(4, "little")
             snap.write_bytes(raw)
-        want = text_load(prepared)
         if damage == "features_edited":
-            assert want[1].values[0, 0] == 0.5
-        assert read_snapshot(snap, tri, feat) is None
-        assert_same_load(load_prepared(tri, feat, snap), want)
+            assert text_load(prepared)[1].values[0, 0] == 0.5
+        with pytest.raises(DataError, match="snapshot.bin"):
+            read_snapshot(snap, tri, feat)
+        capsys.readouterr()
+        assert main(["train", "--config", str(prepared.parent / "cfg.ini")]) == 3
+        assert "ncacf prepare" in capsys.readouterr().err
+        assert not (prepared.parent / "run").exists()
 
     def test_verbs_read_the_snapshot(self, prepared, monkeypatch):
         import ncacf.data

@@ -429,6 +429,22 @@ def test_filter_and_warm_split_leave_numpy_ma_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_leaves_scipy_unimported():
+    """The library needs no scipy (only the benchmark reads its version):
+    importing the CLI imports none of it."""
+    code = "\n".join([
+        "import sys",
+        "import ncacf.cli",
+        "assert 'scipy' not in sys.modules, 'scipy was imported'",
+    ])
+    src = os.path.dirname(os.path.dirname(ncacf.data.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def assert_same_plan(got, want):
     assert (got.mode, got.seed, got.num_folds, got.val_fraction) == \
         (want.mode, want.seed, want.num_folds, want.val_fraction)
