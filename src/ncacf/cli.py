@@ -97,10 +97,9 @@ def _config(args) -> ExperimentConfig:
 def cmd_prepare(args) -> int:
     cfg = _config(args)
     raw = D.load_triplets(cfg.triplets)
-    # Indexed as load_triplets indexes the file written below, so that the
+    # Numbered as load_triplets numbers the file written below, so that the
     # manifest and the snapshot match that file.
-    filtered = D.reindex_first_seen(
-        D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users))
+    filtered = D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users)
     os.makedirs(cfg.prepared, exist_ok=True)
     tri_path, feat_path, snap_path = _prepared_paths(cfg)
     D.write_triplets(tri_path, filtered)
@@ -286,6 +285,11 @@ def cmd_train(args) -> int:
         state.model.check_fits(prep.train_data.num_users, prep.train_data.num_items,
                                features_std.dim if features_std is not None else 0,
                                "the starting checkpoint", "the training data")
+    # A resumed run continues the best.ckpt and report.tsv of its own directory.
+    if args.resume and (os.path.dirname(os.path.realpath(args.resume))
+                        != os.path.realpath(cfg.output)):
+        raise ConfigError(f"--resume {args.resume} is not in the run's output "
+                          f"directory {cfg.output}; resume a run in its own directory")
 
     os.makedirs(cfg.output, exist_ok=True)
     write_config(os.path.join(cfg.output, "config.ini"), cfg)
@@ -395,7 +399,7 @@ def cmd_evaluate(args) -> int:
                for bucket in ("validation", "test")]
     for result in results:
         out = os.path.join(cfg.output, f"eval_{setting}_{result.bucket}.tsv")
-        E.write_eval_result(out, result, per_user=True)
+        E.write_eval_result(out, result)
         print(f"{setting}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
               f"over {result.num_users} users ({result.num_excluded} excluded)")
     return 0

@@ -368,10 +368,6 @@ class FeatureTable:
     stds: np.ndarray | None = None
 
     @property
-    def num_items(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.values.shape[1]
 
@@ -568,7 +564,8 @@ def read_snapshot(path, triplets_path, features_path):
 
 def filter_activity(triplets: InteractionTriplets, min_user_songs: int,
                     min_item_users: int) -> InteractionTriplets:
-    """Drop inactive users/items, iterating to a fixpoint, then re-densify.
+    """Drop inactive users/items, iterating to a fixpoint, then renumber the
+    survivors densely in the order of their first entries (reindex_first_seen).
 
     A user survives with >= min_user_songs surviving items; an item survives
     with >= min_item_users surviving users. Counted on raw playcounts.
@@ -587,19 +584,7 @@ def filter_activity(triplets: InteractionTriplets, min_user_songs: int,
         keep &= ~drop
     if not keep.any():
         raise DataError("activity filtering removed every interaction")
-    users = triplets.users[keep]
-    items = triplets.items[keep]
-    counts = triplets.counts[keep]
-    u_ids = np.flatnonzero(u_deg)  # the degrees of the final `keep`
-    i_ids = np.flatnonzero(i_deg)
-    u_map = np.full(triplets.num_users, -1, dtype=np.int64)
-    i_map = np.full(triplets.num_items, -1, dtype=np.int64)
-    u_map[u_ids] = np.arange(u_ids.size)
-    i_map[i_ids] = np.arange(i_ids.size)
-    return InteractionTriplets(
-        u_map[users], i_map[items], counts.copy(), int(u_ids.size), int(i_ids.size),
-        tuple(triplets.user_labels[u] for u in u_ids),
-        tuple(triplets.item_labels[i] for i in i_ids))
+    return reindex_first_seen(triplets.subset(np.flatnonzero(keep)))
 
 
 def reindex_first_seen(triplets: InteractionTriplets) -> InteractionTriplets:

@@ -187,8 +187,8 @@ def grid_search(grid_w, grid_h, evaluate_pair) -> tuple[tuple[float, float], lis
     return (best[1], best[2]), table
 
 
-def write_eval_result(path, result: EvalResult, per_user: bool = False) -> None:
-    """Structured text export: summary record plus optional per-user values."""
+def write_eval_result(path, result: EvalResult) -> None:
+    """Structured text export: summary record plus per-user values."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# field\tvalue\n")
         fh.write(f"setting\t{result.setting}\n")
@@ -198,7 +198,6 @@ def write_eval_result(path, result: EvalResult, per_user: bool = False) -> None:
         fh.write(f"num_excluded\t{result.num_excluded}\n")
         fh.write(f"pool_size_total\t{result.pool_size_total}\n")
         fh.write(f"mean_ndcg\t{result.mean!r}\n")
-        if per_user:
-            fh.write("# user\tndcg\n")
-            for u in sorted(result.ndcg):
-                fh.write(f"{u}\t{result.ndcg[u]!r}\n")
+        fh.write("# user\tndcg\n")
+        for u in sorted(result.ndcg):
+            fh.write(f"{u}\t{result.ndcg[u]!r}\n")

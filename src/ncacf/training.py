@@ -45,9 +45,6 @@ from .rng import rng_for
 class BatchSchedule:
     """Seeded per-epoch permutation of item indices, cut into batches."""
 
-    seed: int
-    epoch: int
-    batch_size: int
     batches: tuple[np.ndarray, ...]
 
 
@@ -57,7 +54,7 @@ def make_batches(num_items: int, batch_size: int, seed: int, epoch: int) -> Batc
         raise ValueError("batch_size must be >= 1")
     perm = rng_for(seed, "batches", epoch).permutation(num_items)
     batches = tuple(perm[s:s + batch_size] for s in range(0, num_items, batch_size))
-    return BatchSchedule(seed, epoch, batch_size, batches)
+    return BatchSchedule(batches)
 
 
 def _pool_dims(num_items: int, item_pool) -> np.ndarray:
@@ -375,9 +372,6 @@ class TrainReport:
             val_ndcg: float | None, seconds: float) -> None:
         self.rows.append((epoch, phase, objective, val_ndcg, seconds))
 
-    def objectives(self) -> list[float]:
-        return [row[2] for row in self.rows]
-
 
 def write_report(path, report: TrainReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -470,8 +464,8 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     - dcb: "als", an unobserved content-free WMF run, then "stage2",
       n_iters * n_gd epochs that fit the extractor to the frozen embeddings.
 
-    `state` continues a run (resume_state) or starts a deep variant's
-    fine-tuning (pretrained_state); dcb takes none. validator(model) -> float
+    `state` continues a run of any family (resume_state) or starts a deep
+    variant's fine-tuning (pretrained_state). validator(model) -> float
     runs after every epoch whose number + 1 is a multiple of eval_every
     (eval_every = 0: none) and after the last epoch of the last phase;
     on_epoch(state) runs after every epoch. Neither runs in an unobserved
@@ -622,43 +616,32 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
 # Checkpointed runs
 # ---------------------------------------------------------------------------
 
+_POSITION = ("phase_idx", "epoch_in_phase", "global_epoch")
+
+
 def checkpoint_header(state: TrainState) -> dict:
     """The checkpoint header entries that resume_state reads back: the run's
-    position ({"iteration": n} for an ALS run, whose one phase makes
-    iteration, epoch in phase and global epoch equal; phase, epoch in phase
-    and global epoch otherwise) and its best validation so far."""
-    if state.model.variant.family in _ALS_FAMILIES:
-        progress = {"iteration": state.global_epoch}
-    else:
-        progress = {"phase_idx": state.phase_idx,
-                    "epoch_in_phase": state.epoch_in_phase,
-                    "global_epoch": state.global_epoch}
-    return {"progress": progress,
+    position (phase, epochs done in it and epochs done in all phases; the
+    same three keys for every family) and its best validation so far."""
+    return {"progress": {key: getattr(state, key) for key in _POSITION},
             "best": {"best_epoch": state.best_epoch, "best_val": state.best_val}}
 
 
 def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:
-    """The state that the checkpoint at `path` recorded. Its best model is
-    loaded from best_path (the run's best.ckpt) when the checkpoint records
-    a best validation score and that file exists."""
-    if variant.family == "dcb":
-        raise ConfigError("dcb runs cannot be resumed; rerun them from the start")
+    """The state that the checkpoint at `path` recorded, for any family. Its
+    best model is loaded from best_path (the run's best.ckpt) when the
+    checkpoint records a best validation score and that file exists."""
     model, header, _, adams = load_model(path)
     if model.variant != variant:
         raise ConfigError(f"{path}: checkpoint variant {model.variant} does not "
                           f"match config {variant}")
     progress, best = header.get("progress") or {}, header.get("best") or {}
-    state = TrainState(model, adams, best_epoch=best.get("best_epoch"),
-                       best_val=best.get("best_val"))
     try:
-        if variant.family in _ALS_FAMILIES:
-            state.global_epoch = state.epoch_in_phase = progress["iteration"]
-        else:
-            state.phase_idx = progress["phase_idx"]
-            state.epoch_in_phase = progress["epoch_in_phase"]
-            state.global_epoch = progress["global_epoch"]
+        state = TrainState(model, adams, **{key: progress[key] for key in _POSITION},
+                           best_epoch=best.get("best_epoch"), best_val=best.get("best_val"))
     except KeyError as exc:
-        raise DataError(f"{path}: checkpoint records no {exc} to resume from") from exc
+        raise DataError(f"{path}: checkpoint records no {exc} to resume from; "
+                        f"rerun `ncacf train`") from exc
     if state.best_val is not None and best_path is not None and os.path.exists(best_path):
         state.best_model = load_model(best_path)[0]
     return state

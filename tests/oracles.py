@@ -594,7 +594,7 @@ def scan_warm_orphans_sets(plan, triplets):
 
 # ---------------------------------------------------------------------------
 # Per-user ranking and NDCG, the reference for evaluation.evaluate's blocked
-# kernel; the Monte-Carlo random-ranking baseline; cross-validation over folds.
+# kernel; the exact random-ranking baseline; cross-validation over folds.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -717,34 +717,19 @@ def evaluate_per_user(model: Model, membership: FoldMembership, bucket: str,
     return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
 
 
-def random_ndcg_baseline(pool_sizes, truth_sizes, top_k: int, seed: int,
-                         trials: int = 200):
-    """Monte-Carlo mean NDCG of uniformly random rankings.
+def random_ndcg_baseline(pool_sizes, truth_sizes, top_k: int) -> float:
+    """Exact mean NDCG of uniformly random rankings: each of a user's first
+    min(top_k, n) positions holds one of its m relevant items out of n
+    candidates with probability m / n.
 
-    pool_sizes and truth_sizes are parallel per-user lists. Returns
-    (mean, standard_error) over trials of the user-averaged NDCG.
+    pool_sizes and truth_sizes are parallel per-user lists; users without
+    relevant items are skipped.
     """
-    rng = rng_for(seed, "random-baseline")
-    pool_sizes = np.asarray(pool_sizes, dtype=np.int64)
-    truth_sizes = np.asarray(truth_sizes, dtype=np.int64)
-    keep = truth_sizes > 0
-    pool_sizes = pool_sizes[keep]
-    truth_sizes = truth_sizes[keep]
-    if pool_sizes.size == 0:
+    vals = [m / n * dcg(np.ones(min(top_k, n))) / dcg(np.ones(min(m, top_k)))
+            for n, m in zip(pool_sizes, truth_sizes) if m > 0]
+    if not vals:
         raise DataError("random baseline needs at least one user with relevant items")
-    discounts = 1.0 / np.log2(np.arange(1, top_k + 1) + 1.0)
-    means = np.empty(trials)
-    for t in range(trials):
-        vals = np.empty(pool_sizes.size)
-        for j, (n, m) in enumerate(zip(pool_sizes, truth_sizes)):
-            k = min(top_k, n)
-            rel = np.zeros(n)
-            rel[:m] = 1.0
-            rng.shuffle(rel)
-            ideal = dcg(np.ones(min(m, top_k)))
-            vals[j] = float(rel[:k] @ discounts[:k]) / ideal
-        means[t] = vals.mean()
-    return float(means.mean()), float(means.std(ddof=1) / np.sqrt(trials))
+    return float(np.mean(vals))
 
 
 def cross_validate(num_folds: int, train_and_score, grid_w=None, grid_h=None,

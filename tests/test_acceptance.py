@@ -130,7 +130,7 @@ def test_criterion_4_block_coordinate_monotonicity():
                         batch_items=40)  # one batch: all 40 items
     _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats, hyper,
                          seed=1)
-    obj = report.objectives()
+    obj = [row[2] for row in report.rows]
     worst = max((cur - prev) / abs(prev) for prev, cur in zip(obj, obj[1:]))
     elapsed = time.perf_counter() - t0
     ok = len(obj) == 20 and worst <= 1e-8 and elapsed < 30.0
@@ -221,9 +221,9 @@ def cold_start_benchmark():
         for u, c in zip(t.users[keep], t.counts[keep]):
             if c >= scheme.tau:
                 truth_sizes[u] = truth_sizes.get(u, 0) + 1
-        base, base_se = random_ndcg_baseline(
+        base = random_ndcg_baseline(
             [cold_items.size] * len(truth_sizes),
-            [truth_sizes[u] for u in sorted(truth_sizes)], 10, seed=0, trials=100)
+            [truth_sizes[u] for u in sorted(truth_sizes)], 10)
 
         def cold_ndcg(model):
             return evaluate(model, membership, "validation", t, scheme,

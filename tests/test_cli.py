@@ -416,6 +416,68 @@ class TestTrainEvaluate:
         rows_b = [r[:4] for r in read_report(b / "report.tsv").rows]
         assert rows_a == rows_b and len(rows_a) == 3
 
+    @pytest.mark.parametrize("family, coupling, mode", [
+        ("wmf", "content_free", "warm"), ("mf_hybrid", "relaxed", "warm"),
+        ("mf_uni", "relaxed", "warm"), ("dcb", "relaxed", "cold"),
+        ("ncacf", "relaxed", "warm")])
+    def test_every_family_checkpoints_one_position(self, workspace, family, coupling,
+                                                   mode):
+        cfg = write_cfg(workspace, name="pos.ini", family=family, coupling=coupling,
+                        mode=mode)
+        assert main(["train", "--config", cfg]) == 0
+        progress = load_model(workspace / "run" / "last.ckpt")[1]["progress"]
+        assert set(progress) == {"phase_idx", "epoch_in_phase", "global_epoch"}
+        from ncacf.training import read_report
+        assert progress["global_epoch"] == len(
+            read_report(workspace / "run" / "report.tsv").rows)
+
+    @pytest.mark.parametrize("family, coupling, mode, stop_after", [
+        ("dcb", "relaxed", "cold", 5), ("dcb", "strict", "cold", 7),
+        ("mf_hybrid", "relaxed", "warm", 2)])
+    def test_interrupted_run_resumes_to_uninterrupted_checkpoints(
+            self, workspace, monkeypatch, family, coupling, mode, stop_after):
+        """A run stopped by an exception after `stop_after` epochs, then
+        resumed from its last.ckpt, ends with the checkpoints of a run that
+        was never stopped."""
+        import ncacf.cli as cli
+
+        extra = "\n[hyperparams]\nn_gd = 2\neval_every = 1\n"
+        full = write_cfg(workspace, name="full.ini", family=family, coupling=coupling,
+                         mode=mode, output="run_full", extra=extra)
+        assert main(["train", "--config", full]) == 0
+        cut = write_cfg(workspace, name="cut.ini", family=family, coupling=coupling,
+                        mode=mode, output="run_cut", extra=extra)
+
+        class Stop(Exception):
+            pass
+
+        real_train = cli.T.train
+
+        def stopping_train(*args):
+            on_epoch = args[-1]
+
+            def stop(state):
+                on_epoch(state)
+                if state.global_epoch == stop_after:
+                    raise Stop
+
+            return real_train(*args[:-1], stop)
+
+        monkeypatch.setattr(cli.T, "train", stopping_train)
+        with pytest.raises(Stop):
+            main(["train", "--config", cut])
+        monkeypatch.undo()
+        a, b = workspace / "run_full", workspace / "run_cut"
+        assert not (b / "report.tsv").exists()
+        progress = load_model(b / "last.ckpt")[1]["progress"]
+        assert progress["global_epoch"] == stop_after
+        assert progress["phase_idx"] == (1 if family == "dcb" else 0)
+        assert 0 < progress["epoch_in_phase"]
+        assert (b / "last.ckpt").read_bytes() != (a / "last.ckpt").read_bytes()
+        assert main(["train", "--config", cut, "--resume", str(b / "last.ckpt")]) == 0
+        for name in ("last.ckpt", "best.ckpt"):
+            assert (b / name).read_bytes() == (a / name).read_bytes(), name
+
 
     def test_strict_from_relaxed_pretrained_has_no_item_matrix(self, workspace):
         uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
@@ -602,7 +664,6 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("family, coupling, flag", [
-        ("dcb", "relaxed", "--resume"),
         ("wmf", "content_free", "--pretrained"),
         ("mf_hybrid", "relaxed", "--pretrained"),
         ("dcb", "relaxed", "--pretrained"),
@@ -628,6 +689,41 @@ class TestExitCodes:
                      "--pretrained", last]) == 2
         err = capsys.readouterr().err
         assert "--resume" in err and "--pretrained" in err
+
+    def test_resume_from_another_run_directory_is_config_error(self, workspace,
+                                                               capsys):
+        cfg = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed",
+                        extra="\n[hyperparams]\neval_every = 1\n")
+        run_a, run_b = workspace / "run_a", workspace / "run_b"
+        assert main(["train", "--config", cfg, "--output", str(run_a)]) == 0
+        assert main(["train", "--config", cfg, "--output", str(run_b),
+                     "--seed", "9"]) == 0
+        before = {f: (run_b / f).read_bytes() for f in sorted(os.listdir(run_b))}
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--output", str(run_b),
+                     "--resume", str(run_a / "last.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert str(run_a / "last.ckpt") in err and str(run_b) in err
+        assert {f: (run_b / f).read_bytes() for f in sorted(os.listdir(run_b))} == before
+
+    def test_checkpoint_without_run_position_asks_for_a_rerun(self, workspace,
+                                                               capsys):
+        """A last.ckpt that records only {"iteration": n}, the position wmf and
+        mf_hybrid once recorded, cannot be resumed; evaluate still reads it."""
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        run = workspace / "run"
+        model, header, arrays, adams = load_model(run / "last.ckpt")
+        header["progress"] = {"iteration": 3}
+        save_model(run / "last.ckpt", model, header, arrays, adams)
+        before = {f: (run / f).read_bytes() for f in sorted(os.listdir(run))}
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", str(run / "last.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert str(run / "last.ckpt") in err and "rerun `ncacf train`" in err
+        assert {f: (run / f).read_bytes() for f in sorted(os.listdir(run))} == before
+        assert main(["evaluate", "--config", cfg, "--checkpoint",
+                     str(run / "last.ckpt")]) == 0
 
 
     @pytest.mark.parametrize("flag, source, target", [

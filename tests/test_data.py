@@ -16,7 +16,7 @@ from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets, Spl
                         SparsePlaycounts, _partition_units, binarize, confidence,
                         filter_activity, generate_synthetic, load_features,
                         load_triplets, materialize_fold, read_split_plan,
-                        scan_warm_orphans, split_cold, split_warm,
+                        reindex_first_seen, scan_warm_orphans, split_cold, split_warm,
                         standardize_features, write_features, write_split_plan,
                         write_triplets)
 from ncacf.errors import DataError, ParseError
@@ -338,20 +338,25 @@ class TestFilterActivity:
         with pytest.raises(DataError):
             filter_activity(t, 100, 100)
 
-    def test_relabels_survivors_densely_in_id_order(self):
+    def test_relabels_survivors_densely_in_first_seen_order(self):
         t = random_triplets(30, 25, 0.15, seed=4)
         got = filter_activity(t, 3, 3)
         assert 0 < got.num_users < t.num_users and 0 < got.num_items < t.num_items
-        for ids, n, labels, old in ((got.users, got.num_users, got.user_labels, t.user_labels),
-                                    (got.items, got.num_items, got.item_labels, t.item_labels)):
+        for ids, n in ((got.users, got.num_users), (got.items, got.num_items)):
             assert np.bincount(ids, minlength=n).min() > 0
-            positions = [old.index(label) for label in labels]
-            assert positions == sorted(positions)
-        entries = set(zip((t.user_labels[u] for u in t.users),
-                          (t.item_labels[i] for i in t.items), t.counts.tolist()))
-        assert set(zip((got.user_labels[u] for u in got.users),
-                       (got.item_labels[i] for i in got.items),
-                       got.counts.tolist())) <= entries
+            firsts = [ids.tolist().index(k) for k in range(n)]
+            assert firsts == sorted(firsts)
+        entries = list(zip((t.user_labels[u] for u in t.users),
+                           (t.item_labels[i] for i in t.items), t.counts.tolist()))
+        survivors = set(zip((got.user_labels[u] for u in got.users),
+                            (got.item_labels[i] for i in got.items),
+                            got.counts.tolist()))
+        assert survivors <= set(entries)
+        want = reindex_first_seen(
+            t.subset([k for k, entry in enumerate(entries) if entry in survivors]))
+        for name in ("users", "items", "counts"):
+            npt.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.user_labels, got.item_labels) == (want.user_labels, want.item_labels)
 
 
 class TestSplitCold:

@@ -189,7 +189,7 @@ class TestEvaluate:
         users = sorted(truth_sizes)
         pools = [bucket.size] * len(users)
         sizes = [truth_sizes[u] for u in users]
-        base_mean, base_se = random_ndcg_baseline(pools, sizes, 3, seed=0, trials=400)
+        base_mean = random_ndcg_baseline(pools, sizes, 3)
 
         rng = np.random.default_rng(11)
         trials = []
@@ -203,7 +203,7 @@ class TestEvaluate:
             trials.append(res.mean)
         got = np.mean(trials)
         se = np.std(trials, ddof=1) / np.sqrt(len(trials))
-        assert abs(got - base_mean) <= 3 * np.sqrt(se ** 2 + base_se ** 2)
+        assert abs(got - base_mean) <= 3 * se
 
     def test_warm_masking_is_total(self):
         t = random_triplets(10, 15, 0.5, seed=13)
@@ -454,7 +454,7 @@ class TestEvalExport:
     def test_written_summary_matches_result(self, tmp_path):
         res = EvalResult("cold", "test", 0, {1: 0.5, 3: 0.75}, 2, 40)
         path = tmp_path / "eval.tsv"
-        write_eval_result(path, res, per_user=True)
+        write_eval_result(path, res)
         text = path.read_text()
         assert f"mean_ndcg\t{res.mean!r}" in text
         assert "num_excluded\t2" in text

@@ -861,7 +861,7 @@ class TestTrainWmf:
         t, data, scheme = make_weighted(12, 9, 0.3, seed=27)
         hyper = Hyperparams(embed_dim=3, lambda_w=0.2, lambda_h=0.2, n_iters=10)
         _, _, report = train(WMF, data, None, hyper, seed=1)
-        obj = report.objectives()
+        obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
 
@@ -893,8 +893,8 @@ class TestTrainHybrid:
         wmf_model, _, wmf_report = train(WMF, data, None, hyper, seed=3)
         assert np.array_equal(hybrid_model.embeddings.W, wmf_model.embeddings.W)
         assert np.array_equal(hybrid_model.embeddings.H, wmf_model.embeddings.H)
-        npt.assert_allclose(hybrid_report.objectives(), wmf_report.objectives(),
-                            rtol=1e-12)
+        npt.assert_allclose([row[2] for row in hybrid_report.rows],
+                            [row[2] for row in wmf_report.rows], rtol=1e-12)
 
     def test_full_objective_non_increasing(self):
         t, data, scheme = make_weighted(5, 4, 0.6, seed=31)
@@ -905,7 +905,7 @@ class TestTrainHybrid:
                             batch_items=4)  # one batch: the whole pool
         _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats,
                              hyper, seed=4)
-        obj = report.objectives()
+        obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
 
@@ -1020,7 +1020,7 @@ class TestTrainUnified:
                             extractor_layers=2, lambda_w=0.1, lambda_h=0.3,
                             batch_items=4)  # one batch: the whole pool
         _, _, report = train(UNI_RELAXED, data, feats, hyper, seed=12)
-        obj = report.objectives()
+        obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-6 * abs(prev)
 
@@ -1043,8 +1043,8 @@ class TestTrainUnified:
                             rtol=0, atol=1e-9)
         npt.assert_allclose(red_model.embeddings.H, uni_model.embeddings.H,
                             rtol=0, atol=1e-9)
-        npt.assert_allclose(red_report.objectives(), uni_report.objectives(),
-                            rtol=1e-9)
+        npt.assert_allclose([row[2] for row in red_report.rows],
+                            [row[2] for row in uni_report.rows], rtol=1e-9)
 
     def test_phase_boundary_visible_in_report(self):
         data, feats = self._setup(53)
