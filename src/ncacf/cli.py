@@ -306,9 +306,16 @@ def cmd_train(args) -> int:
         "hyper": _hyper_dict(cfg),
     }
 
+    # A resumed run keeps the rows of the epochs before its checkpoint; a
+    # fresh run drops the report of whatever run used the directory before.
+    report_path = os.path.join(cfg.output, "report.tsv")
     prev_rows = []
-    if args.resume and os.path.exists(os.path.join(cfg.output, "report.tsv")):
-        prev_rows = T.read_report(os.path.join(cfg.output, "report.tsv")).rows
+    if os.path.exists(report_path):
+        if args.resume:
+            prev_rows = [row for row in T.read_report(report_path).rows
+                         if row[0] < state.global_epoch]
+        else:
+            os.remove(report_path)
 
     # The checkpoints this run has written; a resumed run's best.ckpt already
     # holds the best model it resumed with.
@@ -335,7 +342,7 @@ def cmd_train(args) -> int:
                                         validator, state, on_epoch)
     report.rows = prev_rows + report.rows
     report.settings = _hyper_dict(cfg)
-    T.write_report(os.path.join(cfg.output, "report.tsv"), report)
+    T.write_report(report_path, report)
     if not saved["last"]:  # no epoch ran
         save_last(state or T.TrainState(model))
     if not saved["best"]:

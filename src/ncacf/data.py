@@ -106,8 +106,15 @@ class CompressedAxis:
 
     @classmethod
     def build(cls, keys, values, counts, n: int) -> "CompressedAxis":
-        """Group (key, value, count) entries into the n segments of their keys."""
-        order = np.lexsort((values, keys))
+        """Group (key, value, count) entries into the n segments of their keys.
+
+        The (key, value) pairs must be unique, as InteractionTriplets keeps
+        them: then one argsort of key * m + value (m above every value)
+        orders the entries by key, then value, exactly as a two-key lexsort
+        would.
+        """
+        m = int(values.max()) + 1 if values.size else 1
+        order = np.argsort(keys * m + values)
         indptr = np.searchsorted(keys[order], np.arange(n + 1))
         return cls(indptr, values[order], counts[order])
 

@@ -181,11 +181,15 @@ def mlp_backward(params: MLPParams, cache, grad_output: np.ndarray):
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky.
+    """Solve A x = b for symmetric positive definite A by one Cholesky
+    factorization A = L L^T per system, then a forward and a back
+    substitution.
 
     Takes one system, A (K, K) with b (K,), or a stack, A (n, K, K) with
-    b (n, K). Each system of a stack is checked, factored and solved on its
-    own, so its solution does not depend on the rest of the stack.
+    b (n, K). One stacked np.linalg.cholesky factors every system and is
+    also the positive-definiteness check. The substitutions run over the
+    whole stack one column of L at a time with elementwise operations only,
+    so each system's solution does not depend on the rest of the stack.
 
     Raises ValueError for an asymmetric system and LinAlgError when a
     factorization hits a non-positive pivot, which in this codebase signals
@@ -199,17 +203,29 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"b has shape {b.shape}, expected {A.shape[:-1]}")
     if A.size:
         axes = (-2, -1)
-        asym = np.abs(A - A.swapaxes(-1, -2)).max(axis=axes)
-        scale = np.maximum(1.0, np.maximum(A.max(axis=axes), -A.min(axis=axes)))
+        # One scratch buffer holds |A - A^T|, then |A|.
+        d = A - A.swapaxes(-1, -2)
+        asym = np.abs(d, out=d).max(axis=axes)
+        scale = np.maximum(1.0, np.abs(A, out=d).max(axis=axes))
         if np.any(asym > 1e-10 * scale):
             raise ValueError(f"matrix not symmetric (max asymmetry {np.max(asym):.3e})")
     try:
-        np.linalg.cholesky(A)
+        L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SPD factorization failed ({exc}); check the ridge regularization"
         ) from exc
-    return np.linalg.solve(A, b[..., None])[..., 0]
+    # K-major copies: L[i, j] and x[j] are contiguous rows over the stack.
+    L = np.moveaxis(L, (-2, -1), (0, 1)).copy()
+    x = np.moveaxis(b, -1, 0).copy()
+    k = x.shape[0]
+    for j in range(k):  # L y = b
+        x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
+    for j in range(k - 1, -1, -1):  # L^T x = y; column j of L^T is row j of L
+        x[j] /= L[j, j]
+        x[:j] -= L[j, :j] * x[j]
+    return np.moveaxis(x, 0, -1)
 
 
 @dataclass

@@ -220,7 +220,11 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     F F^T + lam I plus G^T diag(c1) G over the row's stored columns G. Rows
     are taken shortest first, in blocks padded to the block's longest row
     (padding weighs 0); one stacked product builds a block's systems and one
-    stacked solve_spd solves them. Returns (K, n).
+    stacked solve_spd factors each of them once and solves it. Returns
+    (K, n).
+
+    Raises _RowNotPD naming the lowest-numbered row whose system is not
+    positive definite, after the remaining blocks were tried.
     """
     k, n = F.shape[0], lengths.size
     Ft = np.ascontiguousarray(F.T)
@@ -228,7 +232,7 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     order = np.argsort(lengths, kind="stable")
     row_floats = k * np.maximum(lengths[order], k)  # ascending
     out = np.empty((k, n))
-    start = 0
+    start, bad = 0, n  # bad: the lowest row whose system failed to factor
     while start < n:
         # Block [start, stop) costs its size times its last (longest) row.
         block_floats = np.arange(1, n - start + 1) * row_floats[start:]
@@ -245,9 +249,41 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         b = (Gt @ np.where(stored, cr[entry], 0.0)[:, :, None])[..., 0]
         if prior is not None:
             b += lam * prior[:, rows].T
-        out[:, rows] = solve_spd(A, b).T
+        try:
+            out[:, rows] = solve_spd(A, b).T
+        except np.linalg.LinAlgError:
+            bad = min(bad, _first_not_pd(rows, A))
         start = stop
+    if bad < n:
+        raise _RowNotPD(bad)
     return out
+
+
+class _RowNotPD(np.linalg.LinAlgError):
+    """An ALS row whose system is not positive definite."""
+
+    def __init__(self, row: int):
+        super().__init__(f"the ALS system of row {row} is not positive definite")
+        self.row = row
+
+
+def _first_not_pd(rows: np.ndarray, A: np.ndarray) -> int:
+    """The lowest of `rows` whose system in the stack A fails to factor on
+    its own (the lowest of them all, should none fail alone)."""
+    for i in np.argsort(rows):
+        try:
+            np.linalg.cholesky(A[i])
+        except np.linalg.LinAlgError:
+            return int(rows[i])
+    return int(rows.min())
+
+
+def _not_pd_error(side: str, unit: int, lam_name: str, lam: float) -> ConfigError:
+    msg = (f"ALS {side} sweep: the system of {side} {unit} is not positive "
+           f"definite with {lam_name} = {lam:g}")
+    if lam == 0:
+        msg += f"; a zero {lam_name} leaves rank-deficient systems singular, set {lam_name} > 0"
+    return ConfigError(msg)
 
 
 def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
@@ -264,8 +300,11 @@ def als_sweep_users(H_pool: np.ndarray, data: SparsePlaycounts, scheme: Confiden
         item = int(data.by_user.indices[np.argmax(cols < 0)])
         raise DataError(f"item {item} has interactions but is outside the item pool")
     indptr = data.by_user.indptr
-    return _ridge_rows(H_pool, indptr[:-1], np.diff(indptr), cols,
-                       *scheme.als_terms(data.by_user.counts), lam_w)
+    try:
+        return _ridge_rows(H_pool, indptr[:-1], np.diff(indptr), cols,
+                           *scheme.als_terms(data.by_user.counts), lam_w)
+    except _RowNotPD as exc:
+        raise _not_pd_error("user", exc.row, "lambda_w", lam_w) from exc
 
 
 def als_sweep_items(W: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceScheme,
@@ -274,8 +313,12 @@ def als_sweep_items(W: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceSch
     """Solve the pooled items' systems; prior columns align with pool_index."""
     indptr = data.by_item.indptr
     starts = indptr[pool_index]
-    return _ridge_rows(W, starts, indptr[pool_index + 1] - starts, data.by_item.indices,
-                       *scheme.als_terms(data.by_item.counts), lam_h, prior)
+    try:
+        return _ridge_rows(W, starts, indptr[pool_index + 1] - starts,
+                           data.by_item.indices, *scheme.als_terms(data.by_item.counts),
+                           lam_h, prior)
+    except _RowNotPD as exc:
+        raise _not_pd_error("item", int(pool_index[exc.row]), "lambda_h", lam_h) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ Python sets; the library ranks blocks of users with a partial sort. The
 reference kernels (`sigmoid_reference`, `mlp_forward_reference`,
 `mlp_backward_reference` and the tower-grid pair) are the library's MLP
 passes before they moved to in-place activations and faster exact
-reductions, which must reproduce them bit for bit.
+reductions, which must reproduce them bit for bit. `solve_spd_lu` and
+`compressed_axis_lexsort` are the library's stacked SPD solve and sparse
+layout build before the solve moved onto the Cholesky factor and the build
+onto one single-key sort.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SplitPlan, _partition_units)
 from ncacf.errors import DataError, ParseError
 from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
@@ -64,6 +67,19 @@ def gauss_solve(A, b):
         s = b[r] - sum(A[r][c] * x[c] for c in range(r + 1, n))
         x[r] = s / A[r][r]
     return np.array(x)
+
+
+def solve_spd_lu(A, b):
+    """A x = b for one system or a stack by np.linalg.solve's LU, which
+    solve_spd ran after a Cholesky factorization that only checked A."""
+    return np.linalg.solve(A, np.asarray(b)[..., None])[..., 0]
+
+
+def compressed_axis_lexsort(keys, values, counts, n: int) -> CompressedAxis:
+    """CompressedAxis.build ordering its entries by a two-key lexsort."""
+    order = np.lexsort((values, keys))
+    indptr = np.searchsorted(keys[order], np.arange(n + 1))
+    return CompressedAxis(indptr, values[order], counts[order])
 
 
 def weighted_ridge_solve(columns, r, c, lam, prior=None):

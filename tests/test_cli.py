@@ -479,6 +479,75 @@ class TestTrainEvaluate:
             assert (b / name).read_bytes() == (a / name).read_bytes(), name
 
 
+    def test_resumed_report_holds_only_its_own_run(self, workspace, monkeypatch):
+        """A finished seed-7 run, then a seed-9 run into the same directory
+        stopped after epoch 1, then its --resume: the report holds the
+        resumed epochs 2 and 3 of the seed-9 run, once each, and no row of
+        the seed-7 run. (The seed-9 rows of epochs 0 and 1 are lost with the
+        crash: the report is written once, when a run ends.)"""
+        import ncacf.cli as cli
+        from ncacf.training import read_report
+
+        extra = "\n[hyperparams]\nn_iters = 4\neval_every = 1\n"
+        cfg = write_cfg(workspace, name="wmf.ini", extra=extra)
+        full = write_cfg(workspace, name="full.ini", output="run_full", extra=extra)
+        run = workspace / "run"
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["train", "--config", full, "--seed", "9"]) == 0
+        seed7 = [r[:4] for r in read_report(run / "report.tsv").rows]
+        seed9 = [r[:4] for r in read_report(workspace / "run_full" / "report.tsv").rows]
+        assert len(seed7) == len(seed9) == 4
+
+        class Stop(Exception):
+            pass
+
+        real_train = cli.T.train
+
+        def stopping_train(*args):
+            on_epoch = args[-1]
+
+            def stop(state):
+                on_epoch(state)
+                if state.global_epoch == 2:
+                    raise Stop
+
+            return real_train(*args[:-1], stop)
+
+        monkeypatch.setattr(cli.T, "train", stopping_train)
+        with pytest.raises(Stop):
+            main(["train", "--config", cfg, "--seed", "9"])
+        monkeypatch.undo()
+        assert not (run / "report.tsv").exists()
+        assert main(["train", "--config", cfg, "--seed", "9",
+                     "--resume", str(run / "last.ckpt")]) == 0
+        report = read_report(run / "report.tsv")
+        assert [r[:4] for r in report.rows] == seed9[2:]
+        assert not set(seed7) & {r[:4] for r in report.rows}
+
+    def test_resume_keeps_report_rows_before_its_checkpoint(self, workspace):
+        """Rows at or past the checkpoint's epoch are the ones the resumed
+        run writes again; earlier rows are kept once."""
+        from ncacf.training import read_report, write_report
+
+        extra = "\n[hyperparams]\nn_iters = 4\neval_every = 1\n"
+        short = write_cfg(workspace, name="short.ini",
+                          extra="\n[hyperparams]\nn_iters = 2\neval_every = 1\n")
+        cfg = write_cfg(workspace, name="wmf.ini", extra=extra)
+        full = write_cfg(workspace, name="full.ini", output="run_full", extra=extra)
+        assert main(["train", "--config", full]) == 0
+        assert main(["train", "--config", short]) == 0
+        # A report that ran ahead of the checkpoint, as a crash between the
+        # two writes would leave it.
+        path = workspace / "run" / "report.tsv"
+        report = read_report(path)
+        report.rows = report.rows + [(2, "als", 123.0, None, 0.0)]
+        write_report(path, report)
+        assert main(["train", "--config", cfg, "--resume",
+                     str(workspace / "run" / "last.ckpt")]) == 0
+        uninterrupted = read_report(workspace / "run_full" / "report.tsv").rows
+        assert ([r[:4] for r in read_report(path).rows]
+                == [r[:4] for r in uninterrupted])
+
     def test_strict_from_relaxed_pretrained_has_no_item_matrix(self, workspace):
         uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
                         coupling="relaxed", output="run_uni")
@@ -705,6 +774,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(run_a / "last.ckpt") in err and str(run_b) in err
         assert {f: (run_b / f).read_bytes() for f in sorted(os.listdir(run_b))} == before
+
+    def test_singular_als_system_at_zero_ridge_is_config_error(self, tmp_path, capsys):
+        """wmf at embed_dim 32 over 25 items leaves every user's Gramian
+        rank-deficient; with lambda_w = lambda_h = 0 the first user sweep
+        cannot factor it, which is a configuration error, not a crash."""
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        rng = np.random.default_rng(5)
+        with open(raw / "triplets.tsv", "w") as fh:
+            for u in range(40):
+                for i in np.sort(rng.choice(25, 12, replace=False)):
+                    fh.write(f"u{u}\ti{i}\t{rng.integers(1, 20)}\n")
+        cfg = write_cfg(tmp_path, extra="\n[data]\nfeatures = none\n"
+                        "\n[hyperparams]\nembed_dim = 32\nlambda_w = 0\nlambda_h = 0\n")
+        assert main(["prepare", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "ALS user sweep" in err and "user 0 " in err and "lambda_w = 0" in err
 
     def test_checkpoint_without_run_position_asks_for_a_rerun(self, workspace,
                                                                capsys):

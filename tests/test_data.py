@@ -9,10 +9,12 @@ import pytest
 
 import ncacf.data
 from conftest import random_triplets
-from oracles import (load_triplets_per_line, scan_warm_orphans_sets,
+from oracles import (compressed_axis_lexsort, load_triplets_per_line,
+                     scan_warm_orphans_sets,
                      split_warm_per_item, two_pass_stats, write_features_per_line,
                      write_split_plan_per_unit, write_triplets_per_line)
-from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets, SplitPlan,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable,
+                        InteractionTriplets, SplitPlan,
                         SparsePlaycounts, _partition_units, binarize, confidence,
                         filter_activity, generate_synthetic, load_features,
                         load_triplets, materialize_fold, read_split_plan,
@@ -297,6 +299,55 @@ class TestSparsePlaycounts:
         for axis in (sp.by_user, sp.by_item):
             for k in range(axis.indptr.size - 1):
                 assert np.all(np.diff(axis.indices[axis.indptr[k]:axis.indptr[k + 1]]) > 0)
+
+
+class TestCompressedAxisBuild:
+    """build sorts once by key * m + value; the two-key lexsort it replaced
+    is the reference, array for array."""
+
+    @staticmethod
+    def _assert_same(keys, values, n):
+        counts = np.arange(1.0, keys.size + 1)
+        got = CompressedAxis.build(keys, values, counts, n)
+        want = compressed_axis_lexsort(keys, values, counts, n)
+        for name in ("indptr", "indices", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unsorted_input(self, seed):
+        t = random_triplets(30, 17, 0.3, seed=seed)
+        order = np.random.default_rng(seed).permutation(t.num_entries)
+        users, items = t.users[order], t.items[order]
+        self._assert_same(users, items, 30)
+        self._assert_same(items, users, 17)
+
+    def test_from_triplets_matches_reference(self):
+        t = random_triplets(25, 40, 0.2, seed=9)
+        t = t.subset(np.random.default_rng(9).permutation(t.num_entries))
+        sp = SparsePlaycounts.from_triplets(t)
+        for got, want in ((sp.by_user, compressed_axis_lexsort(t.users, t.items, t.counts,
+                                                               t.num_users)),
+                          (sp.by_item, compressed_axis_lexsort(t.items, t.users, t.counts,
+                                                               t.num_items))):
+            for name in ("indptr", "indices", "counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_empty_input(self):
+        empty = np.array([], dtype=np.int64)
+        self._assert_same(empty, empty, 0)
+        self._assert_same(empty, empty, 4)
+
+    def test_empty_segments(self):
+        # Segments 0, 2, 3 and 6 hold nothing; values reach far past n.
+        keys = np.array([5, 1, 4, 1, 5, 4, 1])
+        values = np.array([900, 3, 2, 0, 1, 7, 2])
+        self._assert_same(keys, values, 7)
+
+    def test_single_segment(self):
+        values = np.array([4, 0, 9, 2, 7])
+        self._assert_same(np.zeros(5, dtype=np.int64), values, 1)
+        self._assert_same(np.full(5, 2), values, 3)
 
 
 class TestFilterActivity:

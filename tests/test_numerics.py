@@ -4,7 +4,7 @@ import pytest
 
 from oracles import (adam_reference, finite_diff_grad, gauss_solve,
                      mlp_backward_reference, mlp_forward_reference,
-                     mlp_scalar_forward, sigmoid_reference)
+                     mlp_scalar_forward, sigmoid_reference, solve_spd_lu)
 from ncacf.errors import TrainingDivergedError
 from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step, mlp_backward,
                             mlp_forward, relu, sigmoid, solve_spd)
@@ -65,6 +65,77 @@ class TestSolveSpd:
         for i in range(7):
             assert np.array_equal(x[i], solve_spd(A[i], b[i]))
             npt.assert_allclose(x[i], gauss_solve(A[i], b[i]), atol=1e-10)
+
+    def test_stack_solves_each_system_alone_at_k128(self):
+        A, b = self._spd_stack(np.random.default_rng(2), 7, 128)
+        x = solve_spd(A, b)
+        assert x.shape == (7, 128)
+        for i in range(7):
+            assert np.array_equal(x[i], solve_spd(A[i], b[i]))
+        npt.assert_allclose(x, solve_spd_lu(A, b), rtol=0,
+                            atol=1e-12 * np.abs(x).max())
+
+    @staticmethod
+    def _ridge_stack(rng, n, k, lam, rank):
+        """n systems G G^T / rank + lam I with G (k, rank)."""
+        G = rng.normal(0, 1, (n, k, rank))
+        A = G @ G.swapaxes(1, 2) / rank + lam * np.eye(k)
+        return (A + A.swapaxes(1, 2)) / 2, rng.normal(0, 1, (n, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 16, 128])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_matches_lu_reference(self, k, n):
+        """Well-conditioned ridge systems (eigenvalues in [1, ~5]): within
+        1e-12 of the LU solve relative to each system's largest entry."""
+        rng = np.random.default_rng(100 + k + n)
+        A, b = self._ridge_stack(rng, n, k, 1.0, k)
+        x = solve_spd(A, b)
+        want = solve_spd_lu(A, b)
+        assert x.shape == want.shape == (n, k)
+        assert np.all(np.abs(x - want).max(axis=-1, initial=0)
+                      <= 1e-12 * np.abs(want).max(axis=-1, initial=0))
+
+    @pytest.mark.parametrize("k", [2, 16, 128])
+    def test_residual_bound_at_tiny_ridge(self, k):
+        """lam = 1e-6 on rank-k/2 Gramians: condition numbers near 1e6, and
+        the normwise backward error stays at rounding level, as the LU's."""
+        rng = np.random.default_rng(200 + k)
+        A, b = self._ridge_stack(rng, 40, k, 1e-6, k // 2)
+        for x in (solve_spd(A, b), solve_spd_lu(A, b)):
+            residual = np.linalg.norm((A @ x[..., None])[..., 0] - b, axis=-1)
+            scale = (np.linalg.norm(A, 2, axis=(-2, -1)) * np.linalg.norm(x, axis=-1)
+                     + np.linalg.norm(b, axis=-1))
+            assert np.all(residual <= 1e-13 * scale)
+
+    def test_factors_each_system_once(self, monkeypatch):
+        """One stacked Cholesky factors every system; no LU runs after it."""
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        def no_lu(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "solve", no_lu)
+        A, b = self._spd_stack(np.random.default_rng(6), 9, 4)
+        x = solve_spd(A, b)
+        assert calls == [(9, 4, 4)]
+        y = solve_spd(A[3], b[3])
+        assert calls == [(9, 4, 4), (4, 4)]
+        monkeypatch.undo()
+        npt.assert_allclose(x, solve_spd_lu(A, b), rtol=1e-12)
+        assert np.array_equal(y, x[3])
+
+    def test_leaves_its_arguments_unchanged(self):
+        A, b = self._spd_stack(np.random.default_rng(7), 3, 4)
+        A0, b0 = A.copy(), b.copy()
+        solve_spd(A, b)
+        solve_spd(A[0], b[0])
+        assert np.array_equal(A, A0) and np.array_equal(b, b0)
 
     def test_stack_with_non_pd_system_raises(self):
         A, b = self._spd_stack(np.random.default_rng(3), 4, 3)

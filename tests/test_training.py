@@ -12,7 +12,7 @@ from oracles import (als_update_h, als_update_w, combine, dense_batch_objective,
 from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
-from ncacf.errors import DataError, TrainingDivergedError
+from ncacf.errors import ConfigError, DataError, TrainingDivergedError
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           mlp_forward)
 from ncacf.numerics import AdamState
@@ -262,6 +262,31 @@ class TestSweepOracle:
             npt.assert_allclose(
                 als_sweep_items(W, data, scheme, 0.3, self.POOL), items,
                 rtol=1e-12, atol=1e-14)
+
+    # One block, then one row per block: item 4 (pool position 2, no
+    # interactions) is then the first block to fail, yet item 7 is named.
+    @pytest.mark.parametrize("floats", [1 << 18, 9])
+    def test_singular_systems_at_zero_ridge_are_config_errors(self, monkeypatch,
+                                                              floats):
+        """With lambda = 0 and a rank-deficient F every system is singular;
+        the sweep names its side, its first row that cannot be solved (an
+        item by its id, not its pool position) and the zero lambda."""
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
+        rng = np.random.default_rng(14)
+        scheme = ConfidenceScheme()
+        data = self._data(rng, pool_only=True)
+        H_pool = rng.normal(0, 1, (3, self.POOL.size))
+        H_pool[2] = 0.0
+        with pytest.raises(ConfigError, match=r"ALS user sweep: the system of user 0 "
+                           r"is not positive definite with lambda_w = 0;.*lambda_w > 0"):
+            als_sweep_users(H_pool, data, scheme, 0.0, self.POOL)
+        W = rng.normal(0, 1, (3, 13))
+        W[1] = 0.0
+        with pytest.raises(ConfigError, match=r"ALS item sweep: the system of item 7 "
+                           r"is not positive definite with lambda_h = 0;.*lambda_h > 0"):
+            als_sweep_items(W, data, scheme, 0.0, self.POOL)
+        # A positive ridge makes the same systems solvable.
+        assert np.all(np.isfinite(als_sweep_users(H_pool, data, scheme, 1e-3, self.POOL)))
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_block_temporaries_bounded(self, monkeypatch, k):
