@@ -290,6 +290,15 @@ def cmd_train(args) -> int:
                         != os.path.realpath(cfg.output)):
         raise ConfigError(f"--resume {args.resume} is not in the run's output "
                           f"directory {cfg.output}; resume a run in its own directory")
+    # A resumed run keeps the rows of the epochs before its checkpoint; a
+    # fresh run drops the report of whatever run used the directory before.
+    report_path = os.path.join(cfg.output, "report.tsv")
+    if os.path.exists(report_path):
+        if args.resume:
+            state.rows = [row for row in T.read_report(report_path)
+                          if row[0] < state.global_epoch]
+        else:
+            os.remove(report_path)
 
     os.makedirs(cfg.output, exist_ok=True)
     write_config(os.path.join(cfg.output, "config.ini"), cfg)
@@ -306,22 +315,14 @@ def cmd_train(args) -> int:
         "hyper": _hyper_dict(cfg),
     }
 
-    # A resumed run keeps the rows of the epochs before its checkpoint; a
-    # fresh run drops the report of whatever run used the directory before.
-    report_path = os.path.join(cfg.output, "report.tsv")
-    prev_rows = []
-    if os.path.exists(report_path):
-        if args.resume:
-            prev_rows = [row for row in T.read_report(report_path).rows
-                         if row[0] < state.global_epoch]
-        else:
-            os.remove(report_path)
-
     # The checkpoints this run has written; a resumed run's best.ckpt already
     # holds the best model it resumed with.
     saved = {"last": False, "best": state is not None and state.best_model is not None}
 
     def save_last(snapshot):
+        # The report first: a crash between the two writes leaves a row past
+        # last.ckpt's epoch, which --resume drops.
+        T.write_report(report_path, snapshot, run_header["hyper"])
         M.save_model(last_path, snapshot.model,
                      extra_header={**run_header, **T.checkpoint_header(snapshot)},
                      arrays=extra_arrays, adams=snapshot.adams)
@@ -337,17 +338,14 @@ def cmd_train(args) -> int:
         if snapshot.best_epoch == snapshot.global_epoch - 1:
             save_best(snapshot.best_model)
 
-    model, best_model, report = T.train(variant, prep.train_data, features_std,
-                                        cfg.hyper, cfg.seed, prep.item_pool,
-                                        validator, state, on_epoch)
-    report.rows = prev_rows + report.rows
-    report.settings = _hyper_dict(cfg)
-    T.write_report(report_path, report)
-    if not saved["last"]:  # no epoch ran
-        save_last(state or T.TrainState(model))
+    _, best_model, final = T.train(variant, prep.train_data, features_std,
+                                   cfg.hyper, cfg.seed, prep.item_pool,
+                                   validator, state, on_epoch)
+    if not saved["last"]:  # no observed epoch ran
+        save_last(final)
     if not saved["best"]:
         save_best(best_model)
-    outcome = (f"final objective {report.rows[-1][2]:.6g}" if report.rows
+    outcome = (f"final objective {final.rows[-1][2]:.6g}" if final.rows
                else "no training epochs run")
     print(f"trained {variant.family}/{variant.coupling}; {outcome}; run dir {cfg.output}")
     return 0
@@ -429,10 +427,10 @@ def cmd_sweep(args) -> int:
 
     def evaluate_pair(lw, lh):
         hyper = replace(cfg.hyper, lambda_w=lw, lambda_h=lh)
-        _, best_model, report = T.train(variant, prep.train_data, features_std, hyper,
-                                        cfg.seed, prep.item_pool, validator)
+        _, best_model, final = T.train(variant, prep.train_data, features_std, hyper,
+                                       cfg.seed, prep.item_pool, validator)
         # best_val is best_model's validation score, taken during training.
-        return report.best_val if report.best_val is not None else validator(best_model)
+        return final.best_val if final.best_val is not None else validator(best_model)
 
     (best_lw, best_lh), table = E.grid_search(cfg.grid_lambda_w, cfg.grid_lambda_h,
                                               evaluate_pair)
@@ -454,10 +452,18 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    out_dir = args.output or args.run_dirs[0]
-    os.makedirs(out_dir, exist_ok=True)
+    # Every file is written after all runs are read. A run's convergence file
+    # is named after its directory, so two runs may not share that name.
+    names: dict[str, str] = {}
     groups: dict[str, dict] = {}
+    series: dict[str, list] = {}
     for run_dir in args.run_dirs:
+        name = os.path.basename(os.path.normpath(run_dir))
+        if name in names:
+            raise ConfigError(f"run directories {names[name]} and {run_dir} share "
+                              f"the name {name!r}, so both would write "
+                              f"convergence_{name}.tsv; give the runs distinct names")
+        names[name] = run_dir
         cfg_path = os.path.join(run_dir, "config.ini")
         if not os.path.exists(cfg_path):
             raise DataError(f"{run_dir} has no config.ini; not a run directory")
@@ -471,14 +477,17 @@ def cmd_report(args) -> int:
                 entry[setting].append(mean)
         report_path = os.path.join(run_dir, "report.tsv")
         if os.path.exists(report_path):
-            series = T.read_report(report_path)
-            name = os.path.basename(os.path.normpath(run_dir))
-            with open(os.path.join(out_dir, f"convergence_{name}.tsv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write("epoch\tphase\tobjective\tval_ndcg\n")
-                for epoch, phase, obj, val, _secs in series.rows:
-                    val_s = "-" if val is None else repr(val)
-                    fh.write(f"{epoch}\t{phase}\t{obj!r}\t{val_s}\n")
+            series[name] = T.read_report(report_path)
+
+    out_dir = args.output or args.run_dirs[0]
+    os.makedirs(out_dir, exist_ok=True)
+    for name, report_rows in series.items():
+        with open(os.path.join(out_dir, f"convergence_{name}.tsv"), "w",
+                  encoding="utf-8") as fh:
+            fh.write("epoch\tphase\tobjective\tval_ndcg\n")
+            for epoch, phase, obj, val, _secs in report_rows:
+                val_s = "-" if val is None else repr(val)
+                fh.write(f"{epoch}\t{phase}\t{obj!r}\t{val_s}\n")
 
     rows = []
     for label, entry in groups.items():

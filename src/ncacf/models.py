@@ -134,10 +134,6 @@ class Embeddings:
     W: np.ndarray
     H: np.ndarray | None
 
-    @property
-    def dim(self) -> int:
-        return self.W.shape[0]
-
 
 def combined_dim(embed_dim: int, combination: str) -> int:
     return embed_dim if combination == "multiplication" else 2 * embed_dim

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts
+from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts, replacing
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
                      attach_tower, block_units, extract_item_embeddings,
@@ -399,50 +399,6 @@ def owned_groups(variant: ModelVariant, with_interaction: bool) -> frozenset[str
 
 
 # ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TrainReport:
-    """Per-epoch objective/validation trace plus the run's final settings."""
-
-    rows: list = field(default_factory=list)
-    best_epoch: int | None = None
-    best_val: float | None = None
-    settings: dict = field(default_factory=dict)
-
-    def log(self, epoch: int, phase: str, objective: float,
-            val_ndcg: float | None, seconds: float) -> None:
-        self.rows.append((epoch, phase, objective, val_ndcg, seconds))
-
-
-def write_report(path, report: TrainReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(report.settings):
-            fh.write(f"# {key} = {report.settings[key]}\n")
-        if report.best_epoch is not None:
-            fh.write(f"# best_epoch = {report.best_epoch}\n")
-            fh.write(f"# best_val = {report.best_val!r}\n")
-        fh.write("epoch\tphase\tobjective\tval_ndcg\tseconds\n")
-        for epoch, phase, obj, val, secs in report.rows:
-            val_s = "-" if val is None else repr(val)
-            fh.write(f"{epoch}\t{phase}\t{obj!r}\t{val_s}\t{secs:.3f}\n")
-
-
-def read_report(path) -> TrainReport:
-    report = TrainReport()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("epoch\t"):
-                continue
-            epoch, phase, obj, val, secs = line.split("\t")
-            report.rows.append((int(epoch), phase, float(obj),
-                                None if val == "-" else float(val), float(secs)))
-    return report
-
-
-# ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
@@ -451,12 +407,14 @@ _ALS_FAMILIES = ("wmf", "mf_hybrid")
 
 @dataclass
 class TrainState:
-    """Resumable snapshot of a run: the model and its Adam moments, the
-    position reached, and the best validation score so far with its model.
+    """The run's record: the model and its Adam moments, the position
+    reached, the best validation score so far with its model, and one report
+    row (epoch, phase, objective, val_ndcg or None, seconds) per epoch done.
 
     The position is the phase, the epochs done in it, and the epochs done in
     all phases; an ALS iteration is one epoch. model is None until the first
-    phase of a fresh run builds it.
+    phase of a fresh run builds it. A resumed run's rows start with the
+    earlier rows that its caller kept (checkpoints do not hold them).
     """
 
     model: Model | None = None
@@ -467,6 +425,7 @@ class TrainState:
     best_epoch: int | None = None
     best_val: float | None = None
     best_model: Model | None = None
+    rows: list = field(default_factory=list)
 
     def observe(self, epoch: int, val: float | None) -> None:
         """Keep a copy of the model when `val` is a new best score (a copy,
@@ -494,9 +453,10 @@ class Phase:
 def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
           hyper: Hyperparams, seed: int, item_pool=None, validator=None,
           state: TrainState | None = None,
-          on_epoch=None) -> tuple[Model, Model, TrainReport]:
-    """Train one variant; returns (final model, best-validation model, report).
-    The best model is the final one when nothing was validated.
+          on_epoch=None) -> tuple[Model, Model, TrainState]:
+    """Train one variant; returns (final model, best-validation model, final
+    state). The best model is the final one when nothing was validated; the
+    state's rows hold one report row per epoch, unobserved ones included.
 
     One loop runs the family's phases (`_phases`):
     - wmf and mf_hybrid: "als" / "als+gd", n_iters iterations of ALS sweeps
@@ -511,8 +471,8 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     variant's fine-tuning (pretrained_state). validator(model) -> float
     runs after every epoch whose number + 1 is a multiple of eval_every
     (eval_every = 0: none) and after the last epoch of the last phase;
-    on_epoch(state) runs after every epoch. Neither runs in an unobserved
-    phase.
+    on_epoch(state) runs after every epoch, once its row is in state.rows.
+    Neither runs in an unobserved phase.
     """
     if state is None:
         state = TrainState()
@@ -522,7 +482,6 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
                                "the starting checkpoint", "the training data")
     phases = _phases(variant, data, features, hyper, seed,
                      _pool_dims(data.num_items, item_pool))
-    report = TrainReport()
     while state.phase_idx < len(phases):
         phase = phases[state.phase_idx]
         if state.epoch_in_phase == 0:
@@ -538,16 +497,15 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
                     last or hyper.eval_every and (epoch + 1) % hyper.eval_every == 0):
                 val = validator(state.model)
             state.observe(epoch, val)
-            report.log(epoch, phase.name, objective, val, time.perf_counter() - t0)
+            state.rows.append((epoch, phase.name, objective, val, time.perf_counter() - t0))
             state.epoch_in_phase += 1
             state.global_epoch += 1
             if on_epoch is not None and phase.observed:
                 on_epoch(state)
         state.phase_idx += 1
         state.epoch_in_phase = 0
-    report.best_epoch, report.best_val = state.best_epoch, state.best_val
     best = state.best_model if state.best_model is not None else state.model
-    return state.model, best, report
+    return state.model, best, state
 
 
 def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
@@ -668,6 +626,40 @@ def checkpoint_header(state: TrainState) -> dict:
     same three keys for every family) and its best validation so far."""
     return {"progress": {key: getattr(state, key) for key in _POSITION},
             "best": {"best_epoch": state.best_epoch, "best_val": state.best_val}}
+
+
+def write_report(path, state: TrainState, settings: dict) -> None:
+    """Write report.tsv through replacing(), so that a failed write leaves the
+    previous file: the sorted `# key = value` settings, the best epoch and
+    score once one is known, a column header, and state's rows."""
+    lines = [f"# {key} = {settings[key]}\n" for key in sorted(settings)]
+    if state.best_epoch is not None:
+        lines += [f"# best_epoch = {state.best_epoch}\n", f"# best_val = {state.best_val!r}\n"]
+    lines.append("epoch\tphase\tobjective\tval_ndcg\tseconds\n")
+    lines += [f"{epoch}\t{phase}\t{obj!r}\t{'-' if val is None else repr(val)}\t{secs:.3f}\n"
+              for epoch, phase, obj, val, secs in state.rows]
+    with replacing(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))
+
+
+def read_report(path) -> list:
+    """The rows of the report.tsv at path, as write_report wrote them. A row
+    that does not parse, or that lacks its line end (a cut file), is a
+    DataError naming path:line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if line == "\n" or line.startswith(("#", "epoch\t")):
+                continue
+            try:
+                if not line.endswith("\n"):
+                    raise ValueError("the row has no line end")
+                epoch, phase, obj, val, secs = line[:-1].split("\t")
+                rows.append((int(epoch), phase, float(obj),
+                             None if val == "-" else float(val), float(secs)))
+            except ValueError as exc:
+                raise DataError(f"{path}:{n}: damaged report row ({exc})") from exc
+    return rows
 
 
 def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:

@@ -349,7 +349,7 @@ def test_criterion_8_threaded_determinism(tmp_path):
     runs = []
     for _ in range(2):
         assert main(["train", "--config", cfg]) == 0
-        rows = [row[:4] for row in read_report(tmp_path / "run" / "report.tsv").rows]
+        rows = [row[:4] for row in read_report(tmp_path / "run" / "report.tsv")]
         runs.append(((tmp_path / "run" / "last.ckpt").read_bytes(),
                      (tmp_path / "run" / "best.ckpt").read_bytes(), rows))
     rerun_identical = runs[0] == runs[1]

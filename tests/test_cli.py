@@ -98,6 +98,22 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def cut_last_report_row(path) -> int:
+    """Cut the last row of the report at path in its last field, as a crash
+    mid-write would; returns that row's line number."""
+    lines = pathlib.Path(path).read_text().splitlines(keepends=True)
+    last = lines[-1]
+    pathlib.Path(path).write_text("".join(lines[:-1]) + last[:last.rindex("\t")])
+    return len(lines)
+
+
+def tree_bytes(root) -> dict:
+    """Every file under root, by relative path, with its bytes."""
+    root = pathlib.Path(root)
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestSynth:
     def test_writes_dataset_and_sidecar(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -344,7 +360,7 @@ class TestTrainEvaluate:
         assert model.interaction is not None
         from ncacf.training import read_report
         phases = {row[1] for row in
-                  read_report(tmp_path / "run_deep" / "report.tsv").rows}
+                  read_report(tmp_path / "run_deep" / "report.tsv")}
         assert phases == {"finetune"}
 
 
@@ -383,8 +399,8 @@ class TestTrainEvaluate:
         a, b = workspace / "run_full", workspace / "run_resumed"
         assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
         from ncacf.training import read_report
-        rows_a = [r[:4] for r in read_report(a / "report.tsv").rows]
-        rows_b = [r[:4] for r in read_report(b / "report.tsv").rows]
+        rows_a = [r[:4] for r in read_report(a / "report.tsv")]
+        rows_b = [r[:4] for r in read_report(b / "report.tsv")]
         assert rows_a == rows_b
         assert [r[1] for r in rows_a] == ["pretrain"] * 2 + ["finetune"] * 3
 
@@ -393,7 +409,7 @@ class TestTrainEvaluate:
                         extra="\n[hyperparams]\neval_every = 0\n")
         assert main(["train", "--config", cfg]) == 0
         from ncacf.training import read_report
-        rows = read_report(workspace / "run" / "report.tsv").rows
+        rows = read_report(workspace / "run" / "report.tsv")
         assert len(rows) == 4
         assert [r[0] for r in rows if r[3] is not None] == [3]
 
@@ -412,8 +428,8 @@ class TestTrainEvaluate:
         a, b = workspace / "run_full", workspace / "run_resumed"
         assert (a / "last.ckpt").read_bytes() == (b / "last.ckpt").read_bytes()
         from ncacf.training import read_report
-        rows_a = [r[:4] for r in read_report(a / "report.tsv").rows]
-        rows_b = [r[:4] for r in read_report(b / "report.tsv").rows]
+        rows_a = [r[:4] for r in read_report(a / "report.tsv")]
+        rows_b = [r[:4] for r in read_report(b / "report.tsv")]
         assert rows_a == rows_b and len(rows_a) == 3
 
     @pytest.mark.parametrize("family, coupling, mode", [
@@ -429,17 +445,19 @@ class TestTrainEvaluate:
         assert set(progress) == {"phase_idx", "epoch_in_phase", "global_epoch"}
         from ncacf.training import read_report
         assert progress["global_epoch"] == len(
-            read_report(workspace / "run" / "report.tsv").rows)
+            read_report(workspace / "run" / "report.tsv"))
 
     @pytest.mark.parametrize("family, coupling, mode, stop_after", [
         ("dcb", "relaxed", "cold", 5), ("dcb", "strict", "cold", 7),
-        ("mf_hybrid", "relaxed", "warm", 2)])
+        ("mf_hybrid", "relaxed", "warm", 2), ("mf_uni", "relaxed", "warm", 2),
+        ("ncacf", "relaxed", "warm", 3)])
     def test_interrupted_run_resumes_to_uninterrupted_checkpoints(
             self, workspace, monkeypatch, family, coupling, mode, stop_after):
-        """A run stopped by an exception after `stop_after` epochs, then
-        resumed from its last.ckpt, ends with the checkpoints of a run that
-        was never stopped."""
+        """A run stopped by an exception after `stop_after` epochs holds the
+        report rows of those epochs; resumed from its last.ckpt, it ends with
+        the checkpoints and report rows of a run that was never stopped."""
         import ncacf.cli as cli
+        from ncacf.training import read_report
 
         extra = "\n[hyperparams]\nn_gd = 2\neval_every = 1\n"
         full = write_cfg(workspace, name="full.ini", family=family, coupling=coupling,
@@ -468,23 +486,25 @@ class TestTrainEvaluate:
             main(["train", "--config", cut])
         monkeypatch.undo()
         a, b = workspace / "run_full", workspace / "run_cut"
-        assert not (b / "report.tsv").exists()
+        uninterrupted = [r[:4] for r in read_report(a / "report.tsv")]
+        assert [r[:4] for r in read_report(b / "report.tsv")] == uninterrupted[:stop_after]
         progress = load_model(b / "last.ckpt")[1]["progress"]
         assert progress["global_epoch"] == stop_after
-        assert progress["phase_idx"] == (1 if family == "dcb" else 0)
+        assert progress["phase_idx"] == (1 if family in ("dcb", "ncacf") else 0)
         assert 0 < progress["epoch_in_phase"]
         assert (b / "last.ckpt").read_bytes() != (a / "last.ckpt").read_bytes()
         assert main(["train", "--config", cut, "--resume", str(b / "last.ckpt")]) == 0
         for name in ("last.ckpt", "best.ckpt"):
             assert (b / name).read_bytes() == (a / name).read_bytes(), name
+        assert [r[:4] for r in read_report(b / "report.tsv")] == uninterrupted
 
 
     def test_resumed_report_holds_only_its_own_run(self, workspace, monkeypatch):
         """A finished seed-7 run, then a seed-9 run into the same directory
-        stopped after epoch 1, then its --resume: the report holds the
-        resumed epochs 2 and 3 of the seed-9 run, once each, and no row of
-        the seed-7 run. (The seed-9 rows of epochs 0 and 1 are lost with the
-        crash: the report is written once, when a run ends.)"""
+        stopped after epoch 1, then its --resume: the stopped run's report
+        holds its epochs 0 and 1 (it is rewritten at every checkpointed
+        epoch), and the resumed report holds the seed-9 run's epochs 0 to 3,
+        once each, and no row of the seed-7 run."""
         import ncacf.cli as cli
         from ncacf.training import read_report
 
@@ -494,8 +514,8 @@ class TestTrainEvaluate:
         run = workspace / "run"
         assert main(["train", "--config", cfg]) == 0
         assert main(["train", "--config", full, "--seed", "9"]) == 0
-        seed7 = [r[:4] for r in read_report(run / "report.tsv").rows]
-        seed9 = [r[:4] for r in read_report(workspace / "run_full" / "report.tsv").rows]
+        seed7 = [r[:4] for r in read_report(run / "report.tsv")]
+        seed9 = [r[:4] for r in read_report(workspace / "run_full" / "report.tsv")]
         assert len(seed7) == len(seed9) == 4
 
         class Stop(Exception):
@@ -517,17 +537,17 @@ class TestTrainEvaluate:
         with pytest.raises(Stop):
             main(["train", "--config", cfg, "--seed", "9"])
         monkeypatch.undo()
-        assert not (run / "report.tsv").exists()
+        assert [r[:4] for r in read_report(run / "report.tsv")] == seed9[:2]
         assert main(["train", "--config", cfg, "--seed", "9",
                      "--resume", str(run / "last.ckpt")]) == 0
-        report = read_report(run / "report.tsv")
-        assert [r[:4] for r in report.rows] == seed9[2:]
-        assert not set(seed7) & {r[:4] for r in report.rows}
+        rows = [r[:4] for r in read_report(run / "report.tsv")]
+        assert rows == seed9
+        assert not set(seed7) & set(rows)
 
     def test_resume_keeps_report_rows_before_its_checkpoint(self, workspace):
         """Rows at or past the checkpoint's epoch are the ones the resumed
         run writes again; earlier rows are kept once."""
-        from ncacf.training import read_report, write_report
+        from ncacf.training import read_report
 
         extra = "\n[hyperparams]\nn_iters = 4\neval_every = 1\n"
         short = write_cfg(workspace, name="short.ini",
@@ -539,14 +559,26 @@ class TestTrainEvaluate:
         # A report that ran ahead of the checkpoint, as a crash between the
         # two writes would leave it.
         path = workspace / "run" / "report.tsv"
-        report = read_report(path)
-        report.rows = report.rows + [(2, "als", 123.0, None, 0.0)]
-        write_report(path, report)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("2\tals\t123.0\t-\t0.000\n")
         assert main(["train", "--config", cfg, "--resume",
                      str(workspace / "run" / "last.ckpt")]) == 0
-        uninterrupted = read_report(workspace / "run_full" / "report.tsv").rows
-        assert ([r[:4] for r in read_report(path).rows]
+        uninterrupted = read_report(workspace / "run_full" / "report.tsv")
+        assert ([r[:4] for r in read_report(path)]
                 == [r[:4] for r in uninterrupted])
+
+    def test_damaged_report_fails_resume_before_any_write(self, workspace, capsys):
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        report = workspace / "run" / "report.tsv"
+        line = cut_last_report_row(report)
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume",
+                     str(workspace / "run" / "last.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert f"{report}:{line}" in err and "Traceback" not in err
+        assert tree_bytes(workspace) == before
 
     def test_strict_from_relaxed_pretrained_has_no_item_matrix(self, workspace):
         uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
@@ -1031,6 +1063,31 @@ class TestReport:
         first = (workspace / "summary" / "report_table.tsv").read_bytes()
         assert main(["report", str(workspace / "run"), "--output", out]) == 0
         assert (workspace / "summary" / "report_table.tsv").read_bytes() == first
+
+    def test_damaged_report_is_data_error(self, workspace, capsys):
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 0
+        report = workspace / "run" / "report.tsv"
+        line = cut_last_report_row(report)
+        capsys.readouterr()
+        out = workspace / "summary"
+        assert main(["report", str(workspace / "run"), "--output", str(out)]) == 3
+        assert f"{report}:{line}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runs_sharing_a_name_are_config_error(self, workspace, capsys):
+        """Both runs would write convergence_run.tsv, the second over the first."""
+        import shutil
+
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 0
+        a, b = workspace / "a" / "run", workspace / "b" / "run"
+        shutil.copytree(workspace / "run", a)
+        shutil.copytree(workspace / "run", b)
+        capsys.readouterr()
+        out = workspace / "summary"
+        assert main(["report", str(a), str(b), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(a) in err and str(b) in err
+        assert not out.exists()
 
 
 class TestReportSorting:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -1089,6 +1090,61 @@ class TestTrainUnified:
         assert model.extractor is None
         assert model.interaction is not None
         assert len(report.rows) == 3
+
+
+class TestReportFile:
+    SETTINGS = {"family": "wmf", "seed": 7}
+
+    def test_round_trip(self, tmp_path):
+        rows = [(0, "als", 12.5, None, 0.25), (1, "als", 11.0, 0.3125, 0.5)]
+        state = TrainState(best_epoch=1, best_val=0.3125, rows=rows)
+        path = tmp_path / "report.tsv"
+        training.write_report(path, state, self.SETTINGS)
+        assert training.read_report(path) == rows
+        assert path.read_text() == (
+            "# family = wmf\n# seed = 7\n# best_epoch = 1\n# best_val = 0.3125\n"
+            "epoch\tphase\tobjective\tval_ndcg\tseconds\n"
+            "0\tals\t12.5\t-\t0.250\n1\tals\t11.0\t0.3125\t0.500\n")
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        import contextlib
+
+        path = tmp_path / "report.tsv"
+        state = TrainState(rows=[(0, "train", 3.0, None, 0.1)])
+        training.write_report(path, state, self.SETTINGS)
+        before = path.read_bytes()
+        real = training.replacing
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("no space left on device")
+
+        @contextlib.contextmanager
+        def failing(p):
+            with real(p) as fh:
+                yield HalfWrite(fh)
+
+        monkeypatch.setattr(training, "replacing", failing)
+        state.rows.append((1, "train", 2.0, 0.5, 0.1))
+        with pytest.raises(OSError):
+            training.write_report(path, state, self.SETTINGS)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.tsv"]
+
+    @pytest.mark.parametrize("tail, reason", [
+        ("2\tals\t1.5\t-", "no line end"), ("2\tals\t1.5\n", "expected 5"),
+        ("x\tals\t1.5\t-\t0.1\n", "invalid literal")])
+    def test_damaged_row_is_data_error_naming_its_line(self, tmp_path, tail, reason):
+        path = tmp_path / "report.tsv"
+        training.write_report(path, TrainState(rows=[(0, "als", 1.0, None, 0.1)]), {})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: ") + f".*{reason}"):
+            training.read_report(path)
 
 
 class TestKeptModelsOwnTheirArrays:
