@@ -275,7 +275,7 @@ def cmd_train(args) -> int:
     if args.resume and args.pretrained:
         raise ConfigError("--resume and --pretrained cannot be combined")
     if args.resume:
-        state = T.resume_state(variant, args.resume, best_path)
+        state = T.resume_state(variant, args.resume)
     elif args.pretrained:
         state = T.pretrained_state(variant, cfg.hyper, args.pretrained)
     prep = PreparedData(cfg)
@@ -315,9 +315,8 @@ def cmd_train(args) -> int:
         "hyper": _hyper_dict(cfg),
     }
 
-    # The checkpoints this run has written; a resumed run's best.ckpt already
-    # holds the best model it resumed with.
-    saved = {"last": False, "best": state is not None and state.best_model is not None}
+    # Whether last.ckpt holds this run's position; a resumed run's does.
+    saved = {"last": bool(args.resume)}
 
     def save_last(snapshot):
         # The report first: a crash between the two writes leaves a row past
@@ -331,20 +330,20 @@ def cmd_train(args) -> int:
     def save_best(model):
         M.save_model(best_path, model, extra_header=dict(run_header),
                      arrays=extra_arrays)
-        saved["best"] = True
 
     def on_epoch(snapshot):
-        save_last(snapshot)
+        # best.ckpt first: a crash before last.ckpt is written resumes from
+        # the epoch before, which sets the same best again and rewrites it.
         if snapshot.best_epoch == snapshot.global_epoch - 1:
-            save_best(snapshot.best_model)
+            save_best(snapshot.model)
+        save_last(snapshot)
 
-    _, best_model, final = T.train(variant, prep.train_data, features_std,
-                                   cfg.hyper, cfg.seed, prep.item_pool,
-                                   validator, state, on_epoch)
-    if not saved["last"]:  # no observed epoch ran
+    final = T.train(variant, prep.train_data, features_std, cfg.hyper, cfg.seed,
+                    prep.item_pool, validator, state, on_epoch)
+    if not saved["last"]:  # a fresh run in which no observed epoch ran
         save_last(final)
-    if not saved["best"]:
-        save_best(best_model)
+    if final.best_val is None:  # nothing validated: the final model is the best
+        save_best(final.model)
     outcome = (f"final objective {final.rows[-1][2]:.6g}" if final.rows
                else "no training epochs run")
     print(f"trained {variant.family}/{variant.coupling}; {outcome}; run dir {cfg.output}")
@@ -427,10 +426,10 @@ def cmd_sweep(args) -> int:
 
     def evaluate_pair(lw, lh):
         hyper = replace(cfg.hyper, lambda_w=lw, lambda_h=lh)
-        _, best_model, final = T.train(variant, prep.train_data, features_std, hyper,
-                                       cfg.seed, prep.item_pool, validator)
-        # best_val is best_model's validation score, taken during training.
-        return final.best_val if final.best_val is not None else validator(best_model)
+        final = T.train(variant, prep.train_data, features_std, hyper, cfg.seed,
+                        prep.item_pool, validator)
+        # best_val is the best model's validation score, taken during training.
+        return final.best_val if final.best_val is not None else validator(final.model)
 
     (best_lw, best_lh), table = E.grid_search(cfg.grid_lambda_w, cfg.grid_lambda_h,
                                               evaluate_pair)

@@ -200,20 +200,6 @@ class Model:
     interaction: MLPParams | None
     init_seed: int = 0
 
-    def copy(self) -> "Model":
-        return Model(
-            variant=self.variant,
-            num_users=self.num_users,
-            num_items=self.num_items,
-            embed_dim=self.embed_dim,
-            feature_dim=self.feature_dim,
-            embeddings=Embeddings(self.embeddings.W.copy(),
-                                  None if self.embeddings.H is None else self.embeddings.H.copy()),
-            extractor=None if self.extractor is None else self.extractor.copy(),
-            interaction=None if self.interaction is None else self.interaction.copy(),
-            init_seed=self.init_seed,
-        )
-
     def check_fits(self, num_users: int, num_items: int, feature_dim: int,
                    source: str, target: str) -> None:
         """ConfigError unless the model was built for this many users and

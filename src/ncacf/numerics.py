@@ -117,10 +117,6 @@ class MLPParams:
         """The later layers, built once: `layers` is never replaced."""
         return MLPParams(self.layers[1:])
 
-    def copy(self) -> "MLPParams":
-        return MLPParams([Layer(l.weights.copy(), None if l.bias is None else l.bias.copy(),
-                                l.activation) for l in self.layers])
-
     def param_dict(self) -> dict[str, np.ndarray]:
         """Name -> array view of every parameter, in a fixed order."""
         out: dict[str, np.ndarray] = {}

@@ -21,7 +21,6 @@ never touch held-out items.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -408,13 +407,15 @@ _ALS_FAMILIES = ("wmf", "mf_hybrid")
 @dataclass
 class TrainState:
     """The run's record: the model and its Adam moments, the position
-    reached, the best validation score so far with its model, and one report
+    reached, the best validation score so far and its epoch, and one report
     row (epoch, phase, objective, val_ndcg or None, seconds) per epoch done.
 
     The position is the phase, the epochs done in it, and the epochs done in
     all phases; an ALS iteration is one epoch. model is None until the first
-    phase of a fresh run builds it. A resumed run's rows start with the
-    earlier rows that its caller kept (checkpoints do not hold them).
+    phase of a fresh run builds it. The state holds one model, the current
+    one: a caller that keeps the best model saves it in the epoch that sets
+    best_epoch. A resumed run's rows start with the earlier rows that its
+    caller kept (checkpoints do not hold them).
     """
 
     model: Model | None = None
@@ -424,15 +425,7 @@ class TrainState:
     global_epoch: int = 0
     best_epoch: int | None = None
     best_val: float | None = None
-    best_model: Model | None = None
     rows: list = field(default_factory=list)
-
-    def observe(self, epoch: int, val: float | None) -> None:
-        """Keep a copy of the model when `val` is a new best score (a copy,
-        because later Adam steps update the model's arrays in place)."""
-        if val is not None and (self.best_val is None or val > self.best_val):
-            self.best_epoch, self.best_val = epoch, val
-            self.best_model = self.model.copy()
 
 
 @dataclass(frozen=True)
@@ -453,10 +446,11 @@ class Phase:
 def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
           hyper: Hyperparams, seed: int, item_pool=None, validator=None,
           state: TrainState | None = None,
-          on_epoch=None) -> tuple[Model, Model, TrainState]:
-    """Train one variant; returns (final model, best-validation model, final
-    state). The best model is the final one when nothing was validated; the
-    state's rows hold one report row per epoch, unobserved ones included.
+          on_epoch=None) -> TrainState:
+    """Train one variant; returns the final state: its model is the final
+    model, best_epoch and best_val the best validation (None when nothing
+    was validated), and its rows one report row per epoch, unobserved ones
+    included.
 
     One loop runs the family's phases (`_phases`):
     - wmf and mf_hybrid: "als" / "als+gd", n_iters iterations of ALS sweeps
@@ -471,8 +465,10 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     variant's fine-tuning (pretrained_state). validator(model) -> float
     runs after every epoch whose number + 1 is a multiple of eval_every
     (eval_every = 0: none) and after the last epoch of the last phase;
-    on_epoch(state) runs after every epoch, once its row is in state.rows.
-    Neither runs in an unobserved phase.
+    on_epoch(state) runs after every epoch, once its row is in state.rows;
+    state.model is then the epoch's model, the best one when best_epoch is
+    that epoch, and the next epoch updates it in place. Neither runs in an
+    unobserved phase.
     """
     if state is None:
         state = TrainState()
@@ -496,7 +492,8 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
             if validator is not None and phase.observed and (
                     last or hyper.eval_every and (epoch + 1) % hyper.eval_every == 0):
                 val = validator(state.model)
-            state.observe(epoch, val)
+                if state.best_val is None or val > state.best_val:
+                    state.best_epoch, state.best_val = epoch, val
             state.rows.append((epoch, phase.name, objective, val, time.perf_counter() - t0))
             state.epoch_in_phase += 1
             state.global_epoch += 1
@@ -504,8 +501,7 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
                 on_epoch(state)
         state.phase_idx += 1
         state.epoch_in_phase = 0
-    best = state.best_model if state.best_model is not None else state.model
-    return state.model, best, state
+    return state
 
 
 def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
@@ -567,9 +563,9 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
             W = als_sweep_users(model.embeddings.H[:, pool], data, scheme,
                                 hyper.lambda_w, pool)
             prior = extract_item_embeddings(model, features, pool) if content else None
-            H = model.embeddings.H.copy()
-            H[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h, pool, prior)
-            model.embeddings = Embeddings(W, H)
+            model.embeddings.W = W
+            model.embeddings.H[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h,
+                                                          pool, prior)
         for j in range(hyper.n_gd if content else 0):
             extractor_epoch(state, state.epoch_in_phase * hyper.n_gd + j)
         return objective(state)
@@ -662,10 +658,10 @@ def read_report(path) -> list:
     return rows
 
 
-def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:
-    """The state that the checkpoint at `path` recorded, for any family. Its
-    best model is loaded from best_path (the run's best.ckpt) when the
-    checkpoint records a best validation score and that file exists."""
+def resume_state(variant: ModelVariant, path) -> TrainState:
+    """The state that the checkpoint at `path` recorded, for any family: its
+    model, Adam moments, position and best validation score. It reads no
+    other file; the best model stays wherever its caller saved it."""
     model, header, _, adams = load_model(path)
     if model.variant != variant:
         raise ConfigError(f"{path}: checkpoint variant {model.variant} does not "
@@ -677,8 +673,6 @@ def resume_state(variant: ModelVariant, path, best_path=None) -> TrainState:
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint records no {exc} to resume from; "
                         f"rerun `ncacf train`") from exc
-    if state.best_val is not None and best_path is not None and os.path.exists(best_path):
-        state.best_model = load_model(best_path)[0]
     return state
 
 

@@ -24,14 +24,16 @@ passes before they moved to in-place activations and faster exact
 reductions, which must reproduce them bit for bit. `solve_spd_lu` and
 `compressed_axis_lexsort` are the library's stacked SPD solve and sparse
 layout build before the solve moved onto the Cholesky factor and the build
-onto one single-key sort.
+onto one single-key sort. `copy_model` and `copy_mlp` copy a model's
+arrays for the tests that compare it before and after an in-place step;
+training itself keeps no copy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,9 +41,9 @@ from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMemb
                         InteractionTriplets, SplitPlan, _partition_units)
 from ncacf.errors import DataError, ParseError
 from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
-from ncacf.models import (Model, item_vectors, score_matrix, tower_grid_backward,
-                          tower_grid_forward)
-from ncacf.numerics import MLPParams, mlp_backward, mlp_forward
+from ncacf.models import (Embeddings, Model, item_vectors, score_matrix,
+                          tower_grid_backward, tower_grid_forward)
+from ncacf.numerics import Layer, MLPParams, mlp_backward, mlp_forward
 from ncacf.rng import rng_for
 from ncacf.training import _batch_objective, _pool_dims, _ridge_rows
 
@@ -340,6 +342,24 @@ def full_loss_gradients(model, data, scheme, features, lam_w, lam_h, owned,
     pool = _pool_dims(model.num_items, item_pool)
     return _batch_objective(model, data, scheme, features, lam_w, lam_h,
                             pool, pool.size, want_grads=True, owned=frozenset(owned))
+
+
+def copy_mlp(params: MLPParams) -> MLPParams:
+    """An MLP with copies of every weight and bias."""
+    return MLPParams([Layer(l.weights.copy(), None if l.bias is None else l.bias.copy(),
+                            l.activation) for l in params.layers])
+
+
+def copy_model(model: Model) -> Model:
+    """A model with copies of every array, so that in-place training steps on
+    the original leave it as it was."""
+    H = model.embeddings.H
+    return replace(model,
+                   embeddings=Embeddings(model.embeddings.W.copy(),
+                                         None if H is None else H.copy()),
+                   extractor=None if model.extractor is None else copy_mlp(model.extractor),
+                   interaction=(None if model.interaction is None
+                                else copy_mlp(model.interaction)))
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,7 @@ def test_criterion_4_block_coordinate_monotonicity():
     hyper = Hyperparams(embed_dim=4, lambda_w=0.5, lambda_h=2.0, eta=1e-4,
                         n_iters=20, n_gd=1, hidden_width=16, extractor_layers=3,
                         batch_items=40)  # one batch: all 40 items
-    _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats, hyper,
-                         seed=1)
+    report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats, hyper, seed=1)
     obj = [row[2] for row in report.rows]
     worst = max((cur - prev) / abs(prev) for prev, cur in zip(obj, obj[1:]))
     elapsed = time.perf_counter() - t0
@@ -230,7 +229,7 @@ def cold_start_benchmark():
                             feats, 10).mean
 
         def final_model(variant, hyper):
-            return train(variant, data, feats, hyper, seed, item_pool=pool)[0]
+            return train(variant, data, feats, hyper, seed, item_pool=pool).model
 
         hyb = final_model(ModelVariant("mf_hybrid", "relaxed"), HYBRID_HYPER)
         hyb_s = final_model(ModelVariant("mf_hybrid", "strict"), HYBRID_HYPER)

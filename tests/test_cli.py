@@ -498,6 +498,70 @@ class TestTrainEvaluate:
             assert (b / name).read_bytes() == (a / name).read_bytes(), name
         assert [r[:4] for r in read_report(b / "report.tsv")] == uninterrupted
 
+    @pytest.mark.parametrize("write", ["best.ckpt", "report.tsv", "last.ckpt"])
+    def test_death_before_a_best_epoch_write_resumes_to_uninterrupted_run(
+            self, workspace, monkeypatch, write):
+        """wmf sets a new best at its last epoch, 5; a run that dies just
+        before one of that epoch's writes, resumed from its last.ckpt, ends
+        with the checkpoints and report rows of a run that never died."""
+        import ncacf.cli as cli
+        from ncacf.training import read_report
+
+        extra = "\n[hyperparams]\nn_iters = 6\neval_every = 1\n"
+        full = write_cfg(workspace, name="full.ini", output="run_full", extra=extra)
+        cut = write_cfg(workspace, name="cut.ini", output="run_cut", extra=extra)
+        assert main(["train", "--config", full]) == 0
+        a, b = workspace / "run_full", workspace / "run_cut"
+        assert "# best_epoch = 5\n" in (a / "report.tsv").read_text()
+
+        class Stop(Exception):
+            pass
+
+        real_train, epoch = cli.T.train, [None]
+
+        def epoch_train(*args):
+            on_epoch = args[-1]
+
+            def hook(state):
+                epoch[0] = state.global_epoch - 1
+                on_epoch(state)
+
+            return real_train(*args[:-1], hook)
+
+        def dying(real):
+            def write_file(path, *args, **kwargs):
+                if epoch[0] == 5 and os.path.basename(path) == write:
+                    raise Stop
+                return real(path, *args, **kwargs)
+            return write_file
+
+        monkeypatch.setattr(cli.T, "train", epoch_train)
+        monkeypatch.setattr(cli.T, "write_report", dying(cli.T.write_report))
+        monkeypatch.setattr(cli.M, "save_model", dying(cli.M.save_model))
+        with pytest.raises(Stop):
+            main(["train", "--config", cut])
+        monkeypatch.undo()
+        assert main(["train", "--config", cut, "--resume", str(b / "last.ckpt")]) == 0
+        for name in ("last.ckpt", "best.ckpt"):
+            assert (b / name).read_bytes() == (a / name).read_bytes(), name
+        assert ([r[:4] for r in read_report(b / "report.tsv")]
+                == [r[:4] for r in read_report(a / "report.tsv")])
+
+    @pytest.mark.parametrize("mode", ["warm", "cold"])
+    def test_resuming_a_finished_run_changes_nothing(self, workspace, mode):
+        """A warm run is validated, a cold wmf run is not (its best.ckpt is
+        the final model); resuming either once it is finished leaves its
+        checkpoints and report as they were."""
+        cfg = write_cfg(workspace, name="done.ini", mode=mode)
+        if mode == "cold":
+            assert main(["prepare", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        run = workspace / "run"
+        names = ("last.ckpt", "best.ckpt", "report.tsv")
+        before = {name: (run / name).read_bytes() for name in names}
+        assert (b"# best_epoch = " in before["report.tsv"]) == (mode == "warm")
+        assert main(["train", "--config", cfg, "--resume", str(run / "last.ckpt")]) == 0
+        assert {name: (run / name).read_bytes() for name in names} == before
 
     def test_resumed_report_holds_only_its_own_run(self, workspace, monkeypatch):
         """A finished seed-7 run, then a seed-9 run into the same directory

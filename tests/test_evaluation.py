@@ -413,8 +413,8 @@ class TestCrossValidate:
             data = SparsePlaycounts.from_triplets(train)
             hyper = Hyperparams(embed_dim=2, n_iters=3,
                                 lambda_w=lw or 0.1, lambda_h=lh or 1.0)
-            model, _, _ = training.train(ModelVariant("wmf", "content_free"), data,
-                                         None, hyper, seed=seed)
+            model = training.train(ModelVariant("wmf", "content_free"), data,
+                                   None, hyper, seed=seed).model
             return evaluate(model, membership, bucket, t, data_scheme, None, 5)
 
         return train_and_score

@@ -7,16 +7,16 @@ import numpy.testing as npt
 import pytest
 
 from conftest import gradcheck_full_loss, random_triplets
-from oracles import (als_update_h, als_update_w, combine, dense_batch_objective,
-                     dense_weighted_loss, finite_diff_grad, full_loss_gradients,
-                     weighted_ridge_solve)
+from oracles import (als_update_h, als_update_w, combine, copy_mlp, copy_model,
+                     dense_batch_objective, dense_weighted_loss, finite_diff_grad,
+                     full_loss_gradients, weighted_ridge_solve)
 from ncacf import models, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
 from ncacf.errors import ConfigError, DataError, TrainingDivergedError
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
                           mlp_forward)
-from ncacf.numerics import AdamState
+from ncacf.numerics import AdamState, MLPParams
 from ncacf.training import (als_sweep_items, als_sweep_users, content_mse, full_loss,
                             gd_content_mse, make_batches, owned_groups, train,
                             TrainState, _batch_objective)
@@ -72,8 +72,8 @@ def _frozen_reduction(monkeypatch, data, feats, hyper, seed):
     variant = ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0, "identity")
     monkeypatch.setattr(training, "owned_groups",
                         lambda v, tower: owned_groups(v, tower) - {"interaction"})
-    model, _, report = train(variant, data, feats, hyper, seed)
-    return model, report
+    report = train(variant, data, feats, hyper, seed)
+    return report.model, report
 
 
 class TestAlsUpdates:
@@ -558,7 +558,7 @@ class TestTowerSubBlocks:
         schedule = make_batches(self.POOL.size, 5, seed=3, epoch=0)
         runs = []
         for _ in range(2):
-            start = model.copy()
+            start = copy_model(model)
             end, _ = gd_wpe(start, data, scheme, feats, 0.3, 0.7, owned,
                             finetune_adams(start), schedule, self.POOL)
             runs.append([end.embeddings.W, end.embeddings.H,
@@ -618,7 +618,7 @@ class TestLosses:
         relaxed = init_model(ModelVariant("mf_uni", "relaxed"), 4, 3, 2, 5,
                              seed=2, hidden_width=4, extractor_layers=2)
         relaxed.embeddings = Embeddings(strict.embeddings.W.copy(), phi.T.copy())
-        relaxed.extractor = strict.extractor.copy()
+        relaxed.extractor = copy_mlp(strict.extractor)
         want = full_loss(relaxed, data, scheme, feats, 0.3, 123.0)
         npt.assert_allclose(got, want, rtol=1e-12)  # lam_h term vanishes
 
@@ -776,7 +776,7 @@ class TestGdContentMse:
         rows = rng.normal(0, 1, (5, 4))
         target, _ = mlp_forward(model.extractor, rows)
         adam = AdamState.init(model.extractor.param_dict(), lr=1e-2)
-        before = model.extractor.copy()
+        before = copy_mlp(model.extractor)
         schedule = make_batches(5, 5, seed=0, epoch=0)
         after, _ = gd_content_mse(model.extractor, target.T, rows, adam, schedule)
         for la, lb in zip(before.layers, after.layers):
@@ -829,7 +829,7 @@ class TestGdWpe:
         feats = FeatureTable(rng.normal(0, 1, (4, 3)))
         model = init_model(ModelVariant("mf_uni", "relaxed"), 5, 4, 2, 3,
                            seed=17, hidden_width=4, extractor_layers=2)
-        before = model.copy()
+        before = copy_model(model)
         adams = {"W": AdamState.init({"W": model.embeddings.W}, lr=1e-2)}
         schedule = make_batches(4, 2, seed=0, epoch=0)
         model, _ = gd_wpe(model, data, scheme, feats, 0.1, 0.5,
@@ -879,14 +879,14 @@ class TestTrainWmf:
     def test_rank_one_recovery(self):
         data, R = self._rank_one_data()
         hyper = Hyperparams(embed_dim=1, lambda_w=1e-4, lambda_h=1e-4, n_iters=20)
-        model, _, _ = train(WMF, data, None, hyper, seed=0)
+        model = train(WMF, data, None, hyper, seed=0).model
         approx = model.embeddings.W.T @ model.embeddings.H
         assert np.max(np.abs(approx - R)) < 1e-3
 
     def test_objective_non_increasing_per_sweep(self):
         t, data, scheme = make_weighted(12, 9, 0.3, seed=27)
         hyper = Hyperparams(embed_dim=3, lambda_w=0.2, lambda_h=0.2, n_iters=10)
-        _, _, report = train(WMF, data, None, hyper, seed=1)
+        report = train(WMF, data, None, hyper, seed=1)
         obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
@@ -894,7 +894,8 @@ class TestTrainWmf:
     def test_zero_iterations_returns_initial_embeddings(self):
         t, data, scheme = make_weighted(5, 4, 0.5, seed=28)
         hyper = Hyperparams(embed_dim=2, n_iters=0)
-        model, _, report = train(WMF, data, None, hyper, seed=2)
+        report = train(WMF, data, None, hyper, seed=2)
+        model = report.model
         fresh = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=2)
         assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
         assert np.array_equal(model.embeddings.H, fresh.embeddings.H)
@@ -902,6 +903,23 @@ class TestTrainWmf:
 
 
 class TestTrainHybrid:
+    def test_relaxed_als_iteration_updates_pooled_items_in_place(self):
+        pool = np.array([0, 2, 3])  # items 1 and 4 are held out, as on a cold split
+        t = random_triplets(6, pool.size, 0.6, seed=85)
+        data = SparsePlaycounts.from_triplets(
+            InteractionTriplets.create(t.users, pool[t.items], t.counts, 6, 5))
+        feats = FeatureTable(np.random.default_rng(86).normal(0, 1, (5, 3)))
+        variant = ModelVariant("mf_hybrid", "relaxed")
+        model = init_model(variant, 6, 5, 2, 3, seed=8, hidden_width=4, extractor_layers=2)
+        H = model.embeddings.H
+        before = H.copy()
+        hyper = Hyperparams(embed_dim=2, n_iters=1, n_gd=1, hidden_width=4,
+                            extractor_layers=2)
+        train(variant, data, feats, hyper, seed=8, item_pool=pool, state=TrainState(model))
+        assert model.embeddings.H is H
+        assert not np.array_equal(H[:, pool], before[:, pool])
+        assert np.array_equal(H[:, [1, 4]], before[:, [1, 4]])
+
     def test_zeroed_frozen_extractor_matches_wmf_trajectory(self):
         t, data, scheme = make_weighted(10, 8, 0.3, seed=29)
         rng = np.random.default_rng(30)
@@ -914,9 +932,10 @@ class TestTrainHybrid:
         for layer in model.extractor.layers:
             layer.weights[...] = 0.0
             layer.bias[...] = 0.0
-        hybrid_model, _, hybrid_report = train(variant, data, feats, hyper, seed=3,
-                                               state=TrainState(model))
-        wmf_model, _, wmf_report = train(WMF, data, None, hyper, seed=3)
+        hybrid_report = train(variant, data, feats, hyper, seed=3, state=TrainState(model))
+        hybrid_model = hybrid_report.model
+        wmf_report = train(WMF, data, None, hyper, seed=3)
+        wmf_model = wmf_report.model
         assert np.array_equal(hybrid_model.embeddings.W, wmf_model.embeddings.W)
         assert np.array_equal(hybrid_model.embeddings.H, wmf_model.embeddings.H)
         npt.assert_allclose([row[2] for row in hybrid_report.rows],
@@ -929,8 +948,7 @@ class TestTrainHybrid:
         hyper = Hyperparams(embed_dim=2, lambda_w=0.2, lambda_h=0.5, n_iters=8,
                             n_gd=1, eta=1e-4, hidden_width=4, extractor_layers=2,
                             batch_items=4)  # one batch: the whole pool
-        _, _, report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats,
-                             hyper, seed=4)
+        report = train(ModelVariant("mf_hybrid", "relaxed"), data, feats, hyper, seed=4)
         obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-8 * abs(prev)
@@ -941,8 +959,7 @@ class TestTrainHybrid:
         feats = FeatureTable(rng.normal(0, 1, (4, 3)))
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train(ModelVariant("mf_hybrid", "strict"), data, feats, hyper,
-                            seed=5)
+        model = train(ModelVariant("mf_hybrid", "strict"), data, feats, hyper, seed=5).model
         assert model.embeddings.H is None
 
 
@@ -957,8 +974,9 @@ class TestTrainDcb:
         data, feats = self._setup()
         hyper = Hyperparams(embed_dim=2, n_iters=4, n_gd=2, hidden_width=4,
                             extractor_layers=2)
-        model, _, report = train(DCB_RELAXED, data, feats, hyper, seed=6)
-        wmf_model, _, _ = train(WMF, data, None, hyper, seed=6)
+        report = train(DCB_RELAXED, data, feats, hyper, seed=6)
+        model = report.model
+        wmf_model = train(WMF, data, None, hyper, seed=6).model
         assert np.array_equal(model.embeddings.W, wmf_model.embeddings.W)
         assert np.array_equal(model.embeddings.H, wmf_model.embeddings.H)
 
@@ -966,7 +984,7 @@ class TestTrainDcb:
         data, feats = self._setup(37)
         hyper = Hyperparams(embed_dim=2, n_iters=3, n_gd=2, hidden_width=4,
                             extractor_layers=2)
-        _, _, report = train(DCB_RELAXED, data, feats, hyper, seed=7)
+        report = train(DCB_RELAXED, data, feats, hyper, seed=7)
         phases = [row[1] for row in report.rows]
         assert phases[:3] == ["als"] * 3
         assert phases[3:] == ["stage2"] * 6  # n_iters * n_gd epochs
@@ -976,7 +994,7 @@ class TestTrainDcb:
         hyper = Hyperparams(embed_dim=2, n_iters=10, n_gd=40, eta=1e-2,
                             hidden_width=16, extractor_layers=2,
                             lambda_w=0.05, lambda_h=0.05)
-        model, _, _ = train(DCB_RELAXED, data, feats, hyper, seed=8)
+        model = train(DCB_RELAXED, data, feats, hyper, seed=8).model
         mse = content_mse(model.extractor, model.embeddings.H, feats.values)
         assert mse < 1e-3
         phi, _ = mlp_forward(model.extractor, feats.values)
@@ -988,7 +1006,7 @@ class TestTrainDcb:
         data, feats = self._setup(41)
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train(ModelVariant("dcb", "strict"), data, feats, hyper, seed=9)
+        model = train(ModelVariant("dcb", "strict"), data, feats, hyper, seed=9).model
         assert model.embeddings.H is None
 
 
@@ -1005,8 +1023,7 @@ def test_validation_cadence_counts_reported_epochs(variant):
     hyper = Hyperparams(embed_dim=2, n_iters=4, n_gd=2, max_epochs=5,
                         pretrain_epochs=2, finetune_epochs=4, eval_every=3,
                         hidden_width=4, extractor_layers=2)
-    _, _, report = train(variant, data, feats, hyper, seed=17,
-                         validator=lambda model: 0.5)
+    report = train(variant, data, feats, hyper, seed=17, validator=lambda model: 0.5)
     assert len(report.rows) == {"wmf": 4, "mf_hybrid": 4, "dcb": 4 + 8, "mf_uni": 5,
                                 "ncacf": 6, "ncf": 6}[variant.family]
     last = report.rows[-1][0]
@@ -1026,7 +1043,7 @@ class TestTrainUnified:
         data, feats = self._setup()
         hyper = Hyperparams(embed_dim=2, eta=0.0, max_epochs=3, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train(UNI_RELAXED, data, feats, hyper, seed=10)
+        model = train(UNI_RELAXED, data, feats, hyper, seed=10).model
         fresh = init_model(ModelVariant("mf_uni", "relaxed"), 6, 5, 2, 3,
                            seed=10, hidden_width=4, extractor_layers=2)
         assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
@@ -1036,8 +1053,7 @@ class TestTrainUnified:
         data, feats = self._setup(45)
         hyper = Hyperparams(embed_dim=2, max_epochs=3, hidden_width=4,
                             extractor_layers=2)
-        model, _, _ = train(ModelVariant("mf_uni", "strict"), data, feats, hyper,
-                            seed=11)
+        model = train(ModelVariant("mf_uni", "strict"), data, feats, hyper, seed=11).model
         assert model.embeddings.H is None
 
     def test_full_batch_loss_decreases_small_lr(self):
@@ -1045,7 +1061,7 @@ class TestTrainUnified:
         hyper = Hyperparams(embed_dim=2, eta=1e-4, max_epochs=12, hidden_width=4,
                             extractor_layers=2, lambda_w=0.1, lambda_h=0.3,
                             batch_items=4)  # one batch: the whole pool
-        _, _, report = train(UNI_RELAXED, data, feats, hyper, seed=12)
+        report = train(UNI_RELAXED, data, feats, hyper, seed=12)
         obj = [row[2] for row in report.rows]
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-6 * abs(prev)
@@ -1062,7 +1078,8 @@ class TestTrainUnified:
         hyper = Hyperparams(embed_dim=2, eta=1e-3, max_epochs=4, pretrain_epochs=0,
                             finetune_epochs=4, batch_items=2, hidden_width=4,
                             extractor_layers=2)
-        uni_model, _, uni_report = train(UNI_RELAXED, data, feats, hyper, seed=14)
+        uni_report = train(UNI_RELAXED, data, feats, hyper, seed=14)
+        uni_model = uni_report.model
         red_model, red_report = _frozen_reduction(monkeypatch, data, feats, hyper,
                                                   seed=14)
         npt.assert_allclose(red_model.embeddings.W, uni_model.embeddings.W,
@@ -1076,8 +1093,8 @@ class TestTrainUnified:
         data, feats = self._setup(53)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             hidden_width=4, extractor_layers=2)
-        _, _, report = train(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
-                             data, feats, hyper, seed=15)
+        report = train(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+                       data, feats, hyper, seed=15)
         phases = [row[1] for row in report.rows]
         assert phases == ["pretrain"] * 2 + ["finetune"] * 3
 
@@ -1085,8 +1102,9 @@ class TestTrainUnified:
         data, _ = self._setup(55)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=1, finetune_epochs=2,
                             hidden_width=4)
-        model, _, report = train(ModelVariant("ncf", "content_free", "deep", q_hidden=1),
-                                 data, None, hyper, seed=16)
+        report = train(ModelVariant("ncf", "content_free", "deep", q_hidden=1),
+                       data, None, hyper, seed=16)
+        model = report.model
         assert model.extractor is None
         assert model.interaction is not None
         assert len(report.rows) == 3
@@ -1148,9 +1166,10 @@ class TestReportFile:
 
 
 class TestKeptModelsOwnTheirArrays:
-    """Adam updates the model's arrays in place, so every model a run keeps
-    past a step (the best model, a checkpoint, a resumed run's best) must
-    hold arrays of its own."""
+    """Adam updates the model's arrays in place and training keeps no copy
+    of the model, so every checkpoint a run writes (each last.ckpt, and
+    best.ckpt in the epoch that sets the best) must hold that epoch's
+    arrays."""
 
     @staticmethod
     def _arrays(model):
@@ -1162,16 +1181,16 @@ class TestKeptModelsOwnTheirArrays:
     def _equal(xs, ys):
         return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
 
-    def _run(self, tmp_path, state=None, first_score=100.0):
+    def _run(self, tmp_path):
         """ncacf validated after every epoch by falling scores, so that the
-        first validated model stays best; returns (final, best, kept), kept
+        first validated model stays best; returns (final state, kept), kept
         holding each epoch's last.ckpt path and a copy of the model's arrays."""
         t, data, scheme = make_weighted(6, 5, 0.5, seed=81)
         feats = FeatureTable(np.random.default_rng(82).normal(0, 1, (5, 3)))
         variant = ModelVariant("ncacf", "relaxed", "deep", "concatenation", 1)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             eval_every=1, hidden_width=4, extractor_layers=2)
-        scores = iter(np.arange(first_score, 0.0, -1.0))
+        scores = iter(np.arange(100.0, 0.0, -1.0))
         kept = []
 
         def on_epoch(snapshot):
@@ -1180,32 +1199,38 @@ class TestKeptModelsOwnTheirArrays:
                               adams=snapshot.adams)
             kept.append((path, self._arrays(snapshot.model)))
             if snapshot.best_epoch == snapshot.global_epoch - 1:
-                models.save_model(tmp_path / "best.ckpt", snapshot.best_model)
+                models.save_model(tmp_path / "best.ckpt", snapshot.model)
 
-        final, best, _ = train(variant, data, feats, hyper, seed=7,
-                               validator=lambda model: float(next(scores)),
-                               state=state, on_epoch=on_epoch)
-        return variant, final, best, kept
+        final = train(variant, data, feats, hyper, seed=7,
+                      validator=lambda model: float(next(scores)), on_epoch=on_epoch)
+        return final, kept
 
     def test_best_model_and_checkpoints_unchanged_by_later_steps(self, tmp_path):
-        _, final, best, kept = self._run(tmp_path)
-        assert len(kept) == 5
+        final, kept = self._run(tmp_path)
+        assert len(kept) == 5 and final.best_epoch == 0
         first = kept[0][1]
-        assert not self._equal(self._arrays(final), first)  # training moved on
-        assert self._equal(self._arrays(best), first)
+        assert not self._equal(self._arrays(final.model), first)  # training moved on
         assert self._equal(self._arrays(models.load_model(tmp_path / "best.ckpt")[0]),
                            first)
         for path, arrays in kept:
             assert self._equal(self._arrays(models.load_model(path)[0]), arrays), path
 
-    def test_resumed_best_model_unchanged_by_later_steps(self, tmp_path):
-        variant, _, _, kept = self._run(tmp_path)
-        state = training.resume_state(variant, kept[2][0], tmp_path / "best.ckpt")
-        resumed_best = state.best_model
-        before = self._arrays(resumed_best)
-        assert self._equal(before, kept[0][1])
-        (tmp_path / "resumed").mkdir()
-        _, final, best, _ = self._run(tmp_path / "resumed", state, first_score=50.0)
-        assert best is resumed_best
-        assert self._equal(self._arrays(resumed_best), before)
-        assert not self._equal(self._arrays(final), before)
+    @pytest.mark.parametrize("variant", [
+        WMF, ModelVariant("mf_hybrid", "relaxed"), UNI_RELAXED, DCB_RELAXED,
+        ModelVariant("ncacf", "relaxed", "deep", q_hidden=1)],
+        ids=lambda v: v.family)
+    def test_new_best_every_epoch_copies_no_model(self, monkeypatch, variant):
+        def no_copy(self):
+            raise AssertionError(f"training copied a {type(self).__name__}")
+
+        monkeypatch.setattr(models.Model, "copy", no_copy, raising=False)
+        monkeypatch.setattr(MLPParams, "copy", no_copy, raising=False)
+        t, data, scheme = make_weighted(6, 5, 0.5, seed=83)
+        feats = FeatureTable(np.random.default_rng(84).normal(0, 1, (5, 3)))
+        hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, max_epochs=2,
+                            pretrain_epochs=1, finetune_epochs=2, eval_every=1,
+                            hidden_width=4, extractor_layers=2)
+        scores = iter(np.arange(1.0, 100.0))
+        final = train(variant, data, feats, hyper, seed=7,
+                      validator=lambda model: float(next(scores)))
+        assert final.best_epoch == final.rows[-1][0]
