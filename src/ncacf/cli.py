@@ -405,7 +405,8 @@ def cmd_evaluate(args) -> int:
         out = os.path.join(cfg.output, f"eval_{setting}_{result.bucket}.tsv")
         E.write_eval_result(out, result)
         print(f"{setting}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
-              f"over {result.num_users} users ({result.num_excluded} excluded)")
+              f"over {result.num_users} users ({result.num_excluded} excluded, "
+              f"{result.num_all_tied} ranked by item index alone)")
     return 0
 
 
@@ -481,12 +482,10 @@ def cmd_report(args) -> int:
     out_dir = args.output or args.run_dirs[0]
     os.makedirs(out_dir, exist_ok=True)
     for name, report_rows in series.items():
-        with open(os.path.join(out_dir, f"convergence_{name}.tsv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("epoch\tphase\tobjective\tval_ndcg\n")
-            for epoch, phase, obj, val, _secs in report_rows:
-                val_s = "-" if val is None else repr(val)
-                fh.write(f"{epoch}\t{phase}\t{obj!r}\t{val_s}\n")
+        _write_lines(os.path.join(out_dir, f"convergence_{name}.tsv"),
+                     ["epoch\tphase\tobjective\tval_ndcg\n"]
+                     + [f"{epoch}\t{phase}\t{obj!r}\t{'-' if val is None else repr(val)}\n"
+                        for epoch, phase, obj, val, _secs in report_rows])
 
     rows = []
     for label, entry in groups.items():
@@ -497,12 +496,10 @@ def cmd_report(args) -> int:
     rows.sort(key=lambda r: (-(r[3] if r[3] is not None else float("-inf")), r[0]))
 
     table_path = os.path.join(out_dir, "report_table.tsv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("variant\twarm_mean\twarm_std\tcold_mean\tcold_std"
-                 "\twarm_folds\tcold_folds\n")
-        for label, wm, ws, cm, cs, nw, nc in rows:
-            fh.write(f"{label}\t{_fmt(wm)}\t{_fmt(ws)}\t{_fmt(cm)}\t{_fmt(cs)}"
-                     f"\t{nw}\t{nc}\n")
+    _write_lines(table_path,
+                 ["variant\twarm_mean\twarm_std\tcold_mean\tcold_std\twarm_folds\tcold_folds\n"]
+                 + [f"{label}\t{_fmt(wm)}\t{_fmt(ws)}\t{_fmt(cm)}\t{_fmt(cs)}\t{nw}\t{nc}\n"
+                    for label, wm, ws, cm, cs, nw, nc in rows])
     print(f"wrote {table_path} ({len(rows)} variants)")
     return 0
 
@@ -511,14 +508,28 @@ def _fmt(x) -> str:
     return "-" if x is None else repr(float(x))
 
 
+def _write_lines(path, lines) -> None:
+    with D.replacing(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))
+
+
 def _read_eval_mean(path):
+    """The mean_ndcg of the eval file at path, or None when there is no such
+    file. A file without a whole, parseable mean_ndcg line (one cut short by
+    a killed write, say) is a DataError naming path:line."""
     if not os.path.exists(path):
         return None
+    n = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, start=1):
             if line.startswith("mean_ndcg\t"):
-                return float(line.split("\t")[1])
-    return None
+                try:
+                    if not line.endswith("\n"):
+                        raise ValueError("the line has no line end")
+                    return float(line[len("mean_ndcg\t"):-1])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{n}: damaged mean_ndcg ({exc})") from exc
+    raise DataError(f"{path}:{n + 1}: the eval file ends before its mean_ndcg line")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ Warm evaluation ranks every item the user did not consume in training
 bucket. Cold evaluation ranks exactly the bucket's items, which the model
 never saw. Every candidate is ranked, none is sampled, and ties break
 toward the smaller item index. Users with no relevant item in the bucket are
-excluded from the mean; the exclusion count is reported. Users are scored
-and ranked a block at a time; a non-finite score raises
-TrainingDivergedError.
+excluded from the mean; the exclusion count is reported, and so is the count
+of users whose candidates all tied, whom the tie-break alone ranked. Users
+are scored and ranked a block at a time: each user's top k is sorted within
+its row, and only the users tied at their k-th score share one lexsort. A
+non-finite score raises TrainingDivergedError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (CompressedAxis, ConfidenceScheme, FoldMembership,
-                   InteractionTriplets)
+                   InteractionTriplets, replacing)
 from .errors import DataError, TrainingDivergedError
 from .models import Model, block_units, grid_width, item_vectors, score_matrix
 
@@ -32,6 +34,9 @@ class EvalResult:
     ndcg: dict[int, float]
     num_excluded: int
     pool_size_total: int
+    # Users whose candidates all scored the same, so that the item-index
+    # tie-break alone ranked them.
+    num_all_tied: int = 0
 
     @property
     def mean(self) -> float:
@@ -47,7 +52,8 @@ class EvalResult:
 # Temporaries per (user, candidate) pair of one evaluation block besides a
 # tower's grid, each counted as a float: the scores (negated in place), their
 # partitioned copy, and the finiteness and boundary masks. The boundary
-# entries selected for sorting, about top_k per user, are not counted.
+# entries, top_k per user plus every entry of a row tied at its k-th score,
+# and their sort orders are not counted.
 _RANK_FLOATS = 4
 
 
@@ -94,49 +100,74 @@ def evaluate(model: Model, membership: FoldMembership, bucket: str,
     tower = 0 if model.interaction is None else grid_width(model)
     step = block_units(n * (_RANK_FLOATS + tower))
     dcg = np.empty(users.size)
+    all_tied = np.empty(users.size, dtype=bool)
     for lo in range(0, users.size, step):
         block = slice(lo, lo + step)
-        dcg[block] = _block_dcg(model, iv, users[block], valid[block], consumed,
-                                candidates, truth, top_k)
+        dcg[block], all_tied[block] = _block_dcg(
+            score_matrix(model, iv, users[block]), users[block], valid[block],
+            consumed, candidates, truth, top_k)
     # The ideal list places min(|truth|, top_k) relevant items at the head.
     ideal_len, at = np.unique(np.minimum(truth_sizes, top_k), return_inverse=True)
     ideal = np.array([_dcg(np.ones((1, m)))[0] for m in ideal_len])
     ndcg = dcg / ideal[at]
     return EvalResult(setting, bucket, membership.fold,
                       dict(zip(users.tolist(), ndcg.tolist())),
-                      model.num_users - users.size, int(valid.sum()))
+                      model.num_users - users.size, int(valid.sum()),
+                      int(all_tied.sum()))
 
 
-def _block_dcg(model: Model, item_vecs: np.ndarray, users: np.ndarray,
-               valid: np.ndarray, consumed: CompressedAxis | None,
-               candidates: np.ndarray, truth: np.ndarray, top_k: int) -> np.ndarray:
-    """DCG of each user's top-k list over the candidate columns.
+def _block_dcg(scores: np.ndarray, users: np.ndarray, valid: np.ndarray,
+               consumed: CompressedAxis | None, candidates: np.ndarray,
+               truth: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """DCG of each user's top-k list over the candidate columns, and whether
+    the user's candidates all tied.
 
-    Candidates rank by score, highest first, ties toward the smaller item
-    index. A warm user's training items (the `consumed` rows) rank after
-    every candidate and are cut, so user r's list holds min(top_k, valid[r])
-    items. A non-finite score raises TrainingDivergedError: sorting would
-    place NaN arbitrarily.
+    `scores` (users x candidates) is overwritten. Candidates rank by score,
+    highest first, ties toward the smaller item index. A warm user's training
+    items (the `consumed` rows) rank after every candidate and are cut, so
+    user r's list holds min(top_k, valid[r]) items. A non-finite score raises
+    TrainingDivergedError: sorting would place NaN arbitrarily.
+
+    Only the entries tied with or above a row's k-th score can enter its list.
+    A row with exactly k of them sorts them on its own; a row with more (a tie
+    at the k-th score, or a warm row whose list is shorter than k) goes
+    through one lexsort by (row, score, item) with the other such rows.
     """
     n = candidates.size
     k = min(top_k, n)
-    neg = score_matrix(model, item_vecs, users)
-    if not np.isfinite(neg).all():
+    if not np.isfinite(scores).all():
         raise TrainingDivergedError("a model score is not finite")
-    np.negative(neg, out=neg)
+    neg = np.negative(scores, out=scores)
     if consumed is not None:
         cols, rows, _ = consumed.take(users)
         neg[rows, cols] = np.inf
     kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
-    # Sort only the entries that can enter a top k: those tied with or
-    # above the row's k-th score, by (row, -score, item).
-    rows, cols = np.nonzero(neg <= kth)
-    order = np.lexsort((candidates[cols], neg[rows, cols], rows))
+    rows, cols = np.divmod(np.flatnonzero(neg <= kth), n)
     per_row = np.bincount(rows, minlength=users.size)
-    top = cols[order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]]
+    top = np.empty((users.size, k), dtype=np.int64)
+    exact = per_row == k
+    # Entries come in row-major order, so an exact row's k entries are
+    # adjacent. Order them by item, then stably by score.
+    head = cols[exact[rows]].reshape(-1, k)
+    head = np.take_along_axis(head, np.argsort(candidates[head], axis=1), 1)
+    by_score = np.argsort(neg[np.flatnonzero(exact)[:, None], head], axis=1, kind="stable")
+    top[exact] = np.take_along_axis(head, by_score, 1)
+    tied = ~exact
+    if tied.any():
+        sel = tied[rows]
+        rows, cols = rows[sel], cols[sel]
+        order = np.lexsort((candidates[cols], neg[rows, cols], rows))
+        first = np.cumsum(per_row[tied]) - per_row[tied]
+        top[tied] = cols[order[first[:, None] + np.arange(k)]]
+    r = np.arange(users.size)
+    listed = np.minimum(valid, k)
+    # The list's first and last scores are equal, and no candidate outside a
+    # full list scored below its last: every candidate tied.
+    all_tied = ((valid > 1) & (per_row >= valid)
+                & (neg[r, top[:, 0]] == neg[r, top[r, listed - 1]]))
     keys = users[:, None] * n + top
     found = truth[np.minimum(np.searchsorted(truth, keys), truth.size - 1)]
-    return _dcg_by_length((found == keys).astype(np.float64), np.minimum(valid, k))
+    return _dcg_by_length((found == keys).astype(np.float64), listed), all_tied
 
 
 def _dcg(rel: np.ndarray) -> np.ndarray:
@@ -188,16 +219,17 @@ def grid_search(grid_w, grid_h, evaluate_pair) -> tuple[tuple[float, float], lis
 
 
 def write_eval_result(path, result: EvalResult) -> None:
-    """Structured text export: summary record plus per-user values."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# field\tvalue\n")
-        fh.write(f"setting\t{result.setting}\n")
-        fh.write(f"bucket\t{result.bucket}\n")
-        fh.write(f"fold\t{'-' if result.fold is None else result.fold}\n")
-        fh.write(f"num_users\t{result.num_users}\n")
-        fh.write(f"num_excluded\t{result.num_excluded}\n")
-        fh.write(f"pool_size_total\t{result.pool_size_total}\n")
-        fh.write(f"mean_ndcg\t{result.mean!r}\n")
-        fh.write("# user\tndcg\n")
-        for u in sorted(result.ndcg):
-            fh.write(f"{u}\t{result.ndcg[u]!r}\n")
+    """Structured text export through data.replacing: summary record plus
+    per-user values."""
+    lines = ["# field\tvalue\n",
+             f"setting\t{result.setting}\n",
+             f"bucket\t{result.bucket}\n",
+             f"fold\t{'-' if result.fold is None else result.fold}\n",
+             f"num_users\t{result.num_users}\n",
+             f"num_excluded\t{result.num_excluded}\n",
+             f"pool_size_total\t{result.pool_size_total}\n",
+             f"mean_ndcg\t{result.mean!r}\n",
+             "# user\tndcg\n"]
+    lines += [f"{u}\t{result.ndcg[u]!r}\n" for u in sorted(result.ndcg)]
+    with replacing(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))

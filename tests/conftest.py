@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,23 @@ def gradcheck_full_loss(model, data, scheme, features, lam_w, lam_h, owned,
             err_msg=f"gradient mismatch for {group}/{name}")
         checked += analytic.size
     return checked
+
+
+def half_writing(replacing, name=None):
+    """A stand-in for data.replacing whose file, or only the file called
+    `name`, takes half of its first write and then fails, as a full disk
+    would."""
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    @contextlib.contextmanager
+    def failing(path):
+        with replacing(path) as fh:
+            yield HalfWrite(fh) if name in (None, os.path.basename(path)) else fh
+
+    return failing

@@ -17,7 +17,10 @@ writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
 The per-user ranking (`rank_items`, `ndcg_user`, `evaluate_per_user`)
 sorts each user's whole candidate list with one lexsort and scores it with
-Python sets; the library ranks blocks of users with a partial sort. The
+Python sets; the library ranks blocks of users with a partial sort.
+`block_dcg_lexsort` is the library's block ranking before it sorted each
+row's top k on its own: one lexsort over every entry tied with or above
+its row's k-th score. The
 reference kernels (`sigmoid_reference`, `mlp_forward_reference`,
 `mlp_backward_reference` and the tower-grid pair) are the library's MLP
 passes before they moved to in-place activations and faster exact
@@ -39,8 +42,8 @@ import numpy as np
 
 from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SplitPlan, _partition_units)
-from ncacf.errors import DataError, ParseError
-from ncacf.evaluation import EvalResult, fold_mean_std, grid_search
+from ncacf.errors import DataError, ParseError, TrainingDivergedError
+from ncacf.evaluation import EvalResult, _dcg_by_length, fold_mean_std, grid_search
 from ncacf.models import (Embeddings, Model, item_vectors, score_matrix,
                           tower_grid_backward, tower_grid_forward)
 from ncacf.numerics import Layer, MLPParams, mlp_backward, mlp_forward
@@ -669,6 +672,38 @@ def rank_items(scores: np.ndarray, top_k: int, mask=None,
     return RankedList(user, candidates[order], scores[order])
 
 
+def block_dcg_lexsort(scores: np.ndarray, users: np.ndarray, valid: np.ndarray,
+                      consumed: CompressedAxis | None, candidates: np.ndarray,
+                      truth: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """evaluation._block_dcg with one (row, score, item) lexsort over every
+    entry tied with or above its row's k-th score. The second result marks the
+    rows of more than one candidate whose candidates all scored the same."""
+    n = candidates.size
+    k = min(top_k, n)
+    if not np.isfinite(scores).all():
+        raise TrainingDivergedError("a model score is not finite")
+    neg = -scores
+    if consumed is not None:
+        cols, rows, _ = consumed.take(users)
+        neg[rows, cols] = np.inf
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(neg <= kth)
+    order = np.lexsort((candidates[cols], neg[rows, cols], rows))
+    per_row = np.bincount(rows, minlength=users.size)
+    top = cols[order[(np.cumsum(per_row) - per_row)[:, None] + np.arange(k)]]
+    keys = users[:, None] * n + top
+    found = truth[np.minimum(np.searchsorted(truth, keys), truth.size - 1)]
+    dcg_values = _dcg_by_length((found == keys).astype(np.float64), np.minimum(valid, k))
+    open_rows = [row[np.isfinite(row)] for row in neg]
+    all_tied = np.array([row.size > 1 and _tied(row) for row in open_rows])
+    return dcg_values, all_tied
+
+
+def _tied(scores: np.ndarray) -> bool:
+    """Whether every score equals the first."""
+    return all(s == scores[0] for s in scores)
+
+
 def dcg(relevance) -> float:
     """Sum of rel_j / log2(j + 1) over 1-based positions."""
     rel = np.asarray(relevance, dtype=np.float64)
@@ -722,13 +757,15 @@ def evaluate_per_user(model: Model, membership: FoldMembership, bucket: str,
         iv = item_vectors(model, bucket_items, features, "cold")
         scores_all = score_matrix(model, iv)
         per_user: dict[int, float] = {}
-        pool_total = 0
+        pool_total = all_tied = 0
         for u in sorted(truth):
             ranked = rank_items(scores_all[u], top_k, candidates=bucket_items, user=u)
             per_user[u] = ndcg_user(ranked, truth[u], top_k)
             pool_total += bucket_items.size
+            all_tied += bucket_items.size > 1 and _tied(scores_all[u])
         excluded = model.num_users - len(per_user)
-        return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
+        return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total,
+                          all_tied)
 
     # Warm: candidates are all items minus the user's training items.
     bucket_idx = membership.bucket_units(bucket)
@@ -743,14 +780,17 @@ def evaluate_per_user(model: Model, membership: FoldMembership, bucket: str,
     iv = item_vectors(model, all_items, features, "warm")
     scores_all = score_matrix(model, iv)
     per_user = {}
-    pool_total = 0
+    pool_total = all_tied = 0
     for u in sorted(truth):
         mask = consumed.get(u, set())
         ranked = rank_items(scores_all[u], top_k, mask=mask, candidates=all_items, user=u)
         per_user[u] = ndcg_user(ranked, truth[u], top_k)
         pool_total += triplets.num_items - len(mask)
+        open_scores = [scores_all[u][i] for i in all_items if i not in mask]
+        all_tied += len(open_scores) > 1 and _tied(open_scores)
     excluded = model.num_users - len(per_user)
-    return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total)
+    return EvalResult(setting, bucket, membership.fold, per_user, excluded, pool_total,
+                      all_tied)
 
 
 def random_ndcg_baseline(pool_sizes, truth_sizes, top_k: int) -> float:

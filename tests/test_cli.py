@@ -1,9 +1,11 @@
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from conftest import half_writing
 from ncacf.cli import PreparedData, main
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import align_features, load_features, load_triplets, read_snapshot
@@ -292,6 +294,29 @@ class TestTrainEvaluate:
         for name in names:
             assert got[name] == (tmp_path / "oracle" / name).read_bytes(), name
         assert b"pool_size_total" in got[names[1]]
+
+    def test_summary_counts_users_ranked_by_item_index(self, tmp_path, monkeypatch,
+                                                       capsys):
+        """Users whose W column is zero score every cold candidate the same;
+        evaluate's summary line counts them as the per-user oracle does."""
+        import ncacf.cli as cli
+        from oracles import evaluate_per_user
+        cfg = write_cfg(tmp_path, family="mf_uni", coupling="relaxed", mode="cold")
+        for verb in ("synth", "prepare", "train"):
+            assert main([verb, "--config", cfg]) == 0
+        model, header, arrays, adams = load_model(tmp_path / "run" / "best.ckpt")
+        model.embeddings.W[:, :4] = 0.0
+        ckpt = str(tmp_path / "tied.ckpt")
+        save_model(ckpt, model, header, arrays, adams)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
+        got = capsys.readouterr().out
+        monkeypatch.setattr(cli.E, "evaluate", evaluate_per_user)
+        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt,
+                     "--output", str(tmp_path / "oracle")]) == 0
+        assert got == capsys.readouterr().out
+        counts = [int(n) for n in re.findall(r"(\d+) ranked by item index alone", got)]
+        assert len(counts) == 2 and max(counts) > 0
 
     def test_non_finite_checkpoint_scores_exit_4(self, workspace, capsys):
         """One NaN in W, in the column of a user whom only the test bucket
@@ -1154,33 +1179,73 @@ class TestReport:
         assert not out.exists()
 
 
-class TestReportSorting:
-    def _fake_run(self, tmp_path, name, family, coupling, cold=None, warm=None):
-        run = tmp_path / name
-        run.mkdir()
-        cfg = ExperimentConfig()
-        cfg.family = family
-        cfg.coupling = coupling
-        write_config(run / "config.ini", cfg)
-        for setting, mean in (("cold", cold), ("warm", warm)):
-            if mean is None:
-                continue
-            (run / f"eval_{setting}_test.tsv").write_text(
-                f"setting\t{setting}\nbucket\ttest\nfold\t0\nnum_users\t5\n"
-                f"num_excluded\t0\npool_size_total\t50\nmean_ndcg\t{mean!r}\n")
-        return str(run)
+def fake_run(tmp_path, name, family, coupling, cold=None, warm=None):
+    """A run directory holding a config and the test eval files of the given
+    mean NDCGs."""
+    run = tmp_path / name
+    run.mkdir()
+    cfg = ExperimentConfig()
+    cfg.family = family
+    cfg.coupling = coupling
+    write_config(run / "config.ini", cfg)
+    for setting, mean in (("cold", cold), ("warm", warm)):
+        if mean is None:
+            continue
+        (run / f"eval_{setting}_test.tsv").write_text(
+            f"setting\t{setting}\nbucket\ttest\nfold\t0\nnum_users\t5\n"
+            f"num_excluded\t0\npool_size_total\t50\nmean_ndcg\t{mean!r}\n")
+    return str(run)
 
+
+class TestReportSorting:
     def test_sorted_by_cold_ndcg_descending(self, tmp_path):
         runs = [
-            self._fake_run(tmp_path, "a", "wmf", "content_free", warm=0.5),
-            self._fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=0.3),
-            self._fake_run(tmp_path, "c", "ncacf", "relaxed", cold=0.4),
+            fake_run(tmp_path, "a", "wmf", "content_free", warm=0.5),
+            fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=0.3),
+            fake_run(tmp_path, "c", "ncacf", "relaxed", cold=0.4),
         ]
         out = str(tmp_path / "summary")
         assert main(["report", *runs, "--output", out]) == 0
         lines = (tmp_path / "summary" / "report_table.tsv").read_text().splitlines()
         variants = [l.split("\t")[0] for l in lines[1:]]
         assert variants == ["ncacf-relaxed", "mf_hybrid-relaxed", "wmf"]
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize("damage, line, reason", [
+        (lambda text: text[:-1], 7, "no line end"),
+        (lambda text: text.replace("0.5\n", "0.5x\n"), 7, "could not convert"),
+        (lambda text: "".join(text.splitlines(keepends=True)[:3]), 4, "ends before")])
+    def test_damaged_eval_file_is_data_error(self, tmp_path, capsys, damage, line,
+                                             reason):
+        """A run killed while writing its eval file leaves it cut; report
+        names the line instead of dropping the run or failing on a parse."""
+        run = fake_run(tmp_path, "a", "mf_hybrid", "relaxed", cold=0.5)
+        path = tmp_path / "a" / "eval_cold_test.tsv"
+        path.write_text(damage(path.read_text()))
+        out = tmp_path / "summary"
+        assert main(["report", run, "--output", str(out)]) == 3
+        assert re.search(re.escape(f"{path}:{line}: ") + f".*{reason}",
+                         capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["convergence_a.tsv", "report_table.tsv"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        from ncacf import data
+        from ncacf.training import TrainState, write_report
+
+        runs = [fake_run(tmp_path, "a", "wmf", "content_free", warm=0.5),
+                fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=0.3)]
+        write_report(tmp_path / "a" / "report.tsv",
+                     TrainState(rows=[(0, "als", 2.0, 0.5, 0.1)]), {})
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 0
+        before = tree_bytes(out)
+        monkeypatch.setattr(data, "replacing", half_writing(data.replacing, name))
+        fake_run(tmp_path, "c", "ncacf", "relaxed", cold=0.4)
+        with pytest.raises(OSError):
+            main(["report", *runs, str(tmp_path / "c"), "--output", str(out)])
+        assert tree_bytes(out) == before
 
 
 class TestConfigRoundtrip:

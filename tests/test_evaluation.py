@@ -5,12 +5,12 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from conftest import random_triplets
+from conftest import half_writing, random_triplets
 from oracles import (RankedList, cross_validate, dcg, dcg_positions,
                      evaluate_per_user, ndcg_by_permutations, ndcg_user,
                      random_ndcg_baseline, rank_items)
 from ncacf import evaluation, models
-from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, materialize_fold,
                         split_cold, split_warm)
 from ncacf.errors import ColdStartUnsupportedError, DataError, TrainingDivergedError
@@ -379,6 +379,82 @@ class TestBlockedRanking:
             evaluate(model, membership, "test", t, ConfidenceScheme(), feats, 5)
 
 
+class TestRowSortedRanking:
+    """_block_dcg sorts each row's top k within the row and lexsorts only the
+    rows tied at their k-th score; oracles.block_dcg_lexsort lexsorts every
+    entry at or above its row's k-th score. Both must agree bit for bit."""
+
+    @staticmethod
+    def _block(case, seed):
+        """Scores, block users, valid counts, consumed items, candidates and
+        truth keys of one random block of 12 users x 15 candidates."""
+        rng = np.random.default_rng(seed)
+        b, n = 12, 15
+        # Four score levels tie heavily; a thousand tie seldom.
+        levels = 4 if case in ("straddle", "shuffled") else 1000
+        scores = rng.integers(0, levels, (b, n)) / levels
+        if case in ("all_tie", "shuffled", "k_ge_n"):
+            scores[[0, 5, 9]] = 0.0  # W = 0 users
+        users = np.sort(rng.choice(50, b, replace=False))
+        candidates = np.arange(n) * 3 + 1
+        if case == "shuffled":
+            candidates = rng.permutation(candidates)
+        consumed, valid = None, np.full(b, n)
+        if case == "warm_short":
+            candidates = np.arange(n)
+            sizes = rng.integers(0, n - 1, b)
+            cols = [rng.choice(n, size, replace=False) for size in sizes]
+            consumed = CompressedAxis.build(np.repeat(users, sizes), np.concatenate(cols),
+                                            np.ones(sizes.sum()), 50)
+            valid = n - sizes
+        truth = np.unique(np.repeat(users, 4) * n + rng.integers(0, n, 4 * b))
+        return scores, users, valid, consumed, candidates, truth
+
+    @pytest.mark.parametrize("case, top_k", [("all_tie", 5), ("straddle", 4),
+                                             ("warm_short", 8), ("k_ge_n", 20),
+                                             ("shuffled", 5)])
+    def test_matches_lexsort_oracle(self, case, top_k):
+        for seed in range(20):
+            scores, *rest = self._block(case, seed)
+            got = evaluation._block_dcg(scores.copy(), *rest, top_k)
+            want = oracles.block_dcg_lexsort(scores.copy(), *rest, top_k)
+            assert got[0].tobytes() == want[0].tobytes(), (case, seed)
+            npt.assert_array_equal(got[1], want[1])
+            if case in ("all_tie", "shuffled", "k_ge_n"):
+                assert got[1][[0, 5, 9]].all()
+            if case == "straddle":  # some row has more than k entries at the cut
+                kth = np.sort(-scores, axis=1)[:, top_k - 1:top_k]
+                assert ((-scores <= kth).sum(axis=1) > top_k).any()
+            if case == "warm_short":
+                assert (rest[1] < top_k).any() and (rest[1] >= top_k).any()
+
+    def test_lexsort_sorts_only_tied_rows(self, monkeypatch):
+        """A count, not a timing: a block without a row tied at its k-th
+        score calls np.lexsort not at all, and a block with m users whose
+        candidates all tie passes it exactly m x n entries."""
+        t = random_triplets(40, 30, 0.4, seed=5)
+        m = materialize_fold(split_cold(30, 3, 0.2, seed=5), 1)
+        model = init_model(ModelVariant("mf_uni", "relaxed"), 40, 30, 4, 5, seed=5)
+        feats = FeatureTable(np.random.default_rng(6).normal(0, 1, (30, 5)))
+        lengths = []
+        real = np.lexsort
+
+        def recording(keys, *args, **kwargs):
+            lengths.append([len(key) for key in keys])
+            return real(keys, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation.np, "lexsort", recording)
+        result = evaluate(model, m, "test", t, ConfidenceScheme(), feats, 5)
+        assert lengths == [] and result.num_all_tied == 0
+        tied = sorted(result.ndcg)[::7]
+        model.embeddings.W[:, tied] = 0.0
+        result = evaluate(model, m, "test", t, ConfidenceScheme(), feats, 5)
+        n = m.test.size
+        assert lengths == [[len(tied) * n] * 3]
+        assert result.num_all_tied == len(tied) > 1
+        assert result == evaluate_per_user(model, m, "test", t, ConfidenceScheme(), feats, 5)
+
+
 class TestGridSearch:
     def test_singleton(self):
         best, table = grid_search([0.5], [2.0], lambda lw, lh: 0.7)
@@ -459,3 +535,13 @@ class TestEvalExport:
         assert f"mean_ndcg\t{res.mean!r}" in text
         assert "num_excluded\t2" in text
         assert "1\t0.5" in text
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "eval.tsv"
+        write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.5}, 2, 40))
+        before = path.read_bytes()
+        monkeypatch.setattr(evaluation, "replacing", half_writing(evaluation.replacing))
+        with pytest.raises(OSError):
+            write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.25, 3: 0.5}, 2, 40))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.tsv"]

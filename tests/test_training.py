@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import gradcheck_full_loss, random_triplets
+from conftest import gradcheck_full_loss, half_writing, random_triplets
 from oracles import (als_update_h, als_update_w, combine, copy_mlp, copy_model,
                      dense_batch_objective, dense_weighted_loss, finite_diff_grad,
                      full_loss_gradients, weighted_ridge_solve)
@@ -1125,28 +1125,11 @@ class TestReportFile:
             "0\tals\t12.5\t-\t0.250\n1\tals\t11.0\t0.3125\t0.500\n")
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
-        import contextlib
-
         path = tmp_path / "report.tsv"
         state = TrainState(rows=[(0, "train", 3.0, None, 0.1)])
         training.write_report(path, state, self.SETTINGS)
         before = path.read_bytes()
-        real = training.replacing
-
-        class HalfWrite:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError("no space left on device")
-
-        @contextlib.contextmanager
-        def failing(p):
-            with real(p) as fh:
-                yield HalfWrite(fh)
-
-        monkeypatch.setattr(training, "replacing", failing)
+        monkeypatch.setattr(training, "replacing", half_writing(training.replacing))
         state.rows.append((1, "train", 2.0, 0.5, 0.1))
         with pytest.raises(OSError):
             training.write_report(path, state, self.SETTINGS)
