@@ -155,33 +155,32 @@ def _bucket_interactions(triplets: D.InteractionTriplets, plan: D.SplitPlan,
 
 def _write_manifest(path, cfg: ExperimentConfig, triplets: D.InteractionTriplets,
                     cold: D.SplitPlan, warm: D.SplitPlan, orphans: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# dataset manifest\n")
-        fh.write(f"users = {triplets.num_users}\n")
-        fh.write(f"songs = {triplets.num_items}\n")
-        fh.write(f"interactions = {triplets.num_entries}\n")
-        fh.write(f"min_user_songs = {cfg.min_user_songs}\n")
-        fh.write(f"min_item_users = {cfg.min_item_users}\n")
-        fh.write("filter_order = activity_filter_on_raw_playcounts_then_binarize\n")
-        fh.write(f"binarize_tau = {cfg.hyper.tau!r}\n")
-        fh.write(f"seed = {cfg.seed}\n")
-        fh.write(f"num_folds = {cfg.num_folds}\n")
-        fh.write(f"val_fraction = {cfg.val_fraction!r}\n")
-        fh.write(f"manifest_fold = {cfg.fold}\n")
-        fh.write(f"warm_orphan_violations = {orphans}\n")
-        fh.write(f"cold_validation_songs = {cold.validation.size}\n")
-        fh.write("cold_fold_sizes = " + " ".join(str(f.size) for f in cold.folds) + "\n")
-        fh.write(f"warm_validation_interactions = {warm.validation.size}\n")
-        fh.write("warm_fold_sizes = " + " ".join(str(f.size) for f in warm.folds) + "\n")
-        fh.write(f"warm_train_always = {warm.train_always.size}\n")
-        fh.write("# setting\tbucket\tusers\tsongs\tinteractions\n")
-        fh.write(f"total\t-\t{triplets.num_users}\t{triplets.num_items}"
-                 f"\t{triplets.num_entries}\n")
-        for setting, plan in (("warm", warm), ("cold", cold)):
-            rows = _bucket_interactions(triplets, plan, cfg.fold)
-            for bucket in ("train", "validation", "test"):
-                songs, inter = rows[bucket]
-                fh.write(f"{setting}\t{bucket}\t{triplets.num_users}\t{songs}\t{inter}\n")
+    lines = ["# dataset manifest\n",
+             f"users = {triplets.num_users}\n",
+             f"songs = {triplets.num_items}\n",
+             f"interactions = {triplets.num_entries}\n",
+             f"min_user_songs = {cfg.min_user_songs}\n",
+             f"min_item_users = {cfg.min_item_users}\n",
+             "filter_order = activity_filter_on_raw_playcounts_then_binarize\n",
+             f"binarize_tau = {cfg.hyper.tau!r}\n",
+             f"seed = {cfg.seed}\n",
+             f"num_folds = {cfg.num_folds}\n",
+             f"val_fraction = {cfg.val_fraction!r}\n",
+             f"manifest_fold = {cfg.fold}\n",
+             f"warm_orphan_violations = {orphans}\n",
+             f"cold_validation_songs = {cold.validation.size}\n",
+             "cold_fold_sizes = " + " ".join(str(f.size) for f in cold.folds) + "\n",
+             f"warm_validation_interactions = {warm.validation.size}\n",
+             "warm_fold_sizes = " + " ".join(str(f.size) for f in warm.folds) + "\n",
+             f"warm_train_always = {warm.train_always.size}\n",
+             "# setting\tbucket\tusers\tsongs\tinteractions\n",
+             f"total\t-\t{triplets.num_users}\t{triplets.num_items}\t{triplets.num_entries}\n"]
+    for setting, plan in (("warm", warm), ("cold", cold)):
+        rows = _bucket_interactions(triplets, plan, cfg.fold)
+        for bucket in ("train", "validation", "test"):
+            songs, inter = rows[bucket]
+            lines.append(f"{setting}\t{bucket}\t{triplets.num_users}\t{songs}\t{inter}\n")
+    D.write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +199,10 @@ def cmd_synth(args) -> int:
     D.write_triplets(cfg.triplets, synth.triplets)
     D.write_features(cfg.features, synth.triplets.item_labels, synth.features.values)
     sidecar = cfg.triplets + ".planted.npz"
-    np.savez(sidecar, W=synth.planted.W, H=synth.planted.H,
-             feature_map=synth.planted.feature_map,
-             affinity_median=synth.planted.affinity_median)
+    with D.replacing(sidecar) as fh:
+        np.savez(fh, W=synth.planted.W, H=synth.planted.H,
+                 feature_map=synth.planted.feature_map,
+                 affinity_median=synth.planted.affinity_median)
     print(f"wrote {synth.triplets.num_entries} interactions "
           f"({cfg.synth_users} users x {cfg.synth_items} items) and planted sidecar")
     return 0
@@ -435,10 +435,8 @@ def cmd_sweep(args) -> int:
     (best_lw, best_lh), table = E.grid_search(cfg.grid_lambda_w, cfg.grid_lambda_h,
                                               evaluate_pair)
     sweep_path = os.path.join(cfg.output, "sweep.tsv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write("lambda_w\tlambda_h\tval_ndcg\n")
-        for lw, lh, score in table:
-            fh.write(f"{lw!r}\t{lh!r}\t{score!r}\n")
+    D.write_text(sweep_path, "lambda_w\tlambda_h\tval_ndcg\n"
+                 + "".join(f"{lw!r}\t{lh!r}\t{score!r}\n" for lw, lh, score in table))
     best_cfg = ExperimentConfig(**{**cfg.__dict__})
     best_cfg.hyper = replace(cfg.hyper, lambda_w=best_lw, lambda_h=best_lh)
     write_config(os.path.join(cfg.output, "best_config.ini"), best_cfg)
@@ -472,7 +470,7 @@ def cmd_report(args) -> int:
             else f"{cfg.family}-{cfg.coupling}"
         entry = groups.setdefault(label, {"warm": [], "cold": []})
         for setting in ("warm", "cold"):
-            mean = _read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"))
+            mean = E.read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"))
             if mean is not None:
                 entry[setting].append(mean)
         report_path = os.path.join(run_dir, "report.tsv")
@@ -482,10 +480,8 @@ def cmd_report(args) -> int:
     out_dir = args.output or args.run_dirs[0]
     os.makedirs(out_dir, exist_ok=True)
     for name, report_rows in series.items():
-        _write_lines(os.path.join(out_dir, f"convergence_{name}.tsv"),
-                     ["epoch\tphase\tobjective\tval_ndcg\n"]
-                     + [f"{epoch}\t{phase}\t{obj!r}\t{'-' if val is None else repr(val)}\n"
-                        for epoch, phase, obj, val, _secs in report_rows])
+        D.write_text(os.path.join(out_dir, f"convergence_{name}.tsv"),
+                     T.format_report_rows(report_rows, seconds=False))
 
     rows = []
     for label, entry in groups.items():
@@ -496,40 +492,16 @@ def cmd_report(args) -> int:
     rows.sort(key=lambda r: (-(r[3] if r[3] is not None else float("-inf")), r[0]))
 
     table_path = os.path.join(out_dir, "report_table.tsv")
-    _write_lines(table_path,
-                 ["variant\twarm_mean\twarm_std\tcold_mean\tcold_std\twarm_folds\tcold_folds\n"]
-                 + [f"{label}\t{_fmt(wm)}\t{_fmt(ws)}\t{_fmt(cm)}\t{_fmt(cs)}\t{nw}\t{nc}\n"
-                    for label, wm, ws, cm, cs, nw, nc in rows])
+    D.write_text(table_path,
+                 "variant\twarm_mean\twarm_std\tcold_mean\tcold_std\twarm_folds\tcold_folds\n"
+                 + "".join(f"{label}\t{_fmt(wm)}\t{_fmt(ws)}\t{_fmt(cm)}\t{_fmt(cs)}\t{nw}\t{nc}\n"
+                           for label, wm, ws, cm, cs, nw, nc in rows))
     print(f"wrote {table_path} ({len(rows)} variants)")
     return 0
 
 
 def _fmt(x) -> str:
     return "-" if x is None else repr(float(x))
-
-
-def _write_lines(path, lines) -> None:
-    with D.replacing(path) as fh:
-        fh.write("".join(lines).encode("utf-8"))
-
-
-def _read_eval_mean(path):
-    """The mean_ndcg of the eval file at path, or None when there is no such
-    file. A file without a whole, parseable mean_ndcg line (one cut short by
-    a killed write, say) is a DataError naming path:line."""
-    if not os.path.exists(path):
-        return None
-    n = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.startswith("mean_ndcg\t"):
-                try:
-                    if not line.endswith("\n"):
-                        raise ValueError("the line has no line end")
-                    return float(line[len("mean_ndcg\t"):-1])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{n}: damaged mean_ndcg ({exc})") from exc
-    raise DataError(f"{path}:{n + 1}: the eval file ends before its mean_ndcg line")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .data import write_text
 from .errors import ConfigError
 from .models import COMBINATIONS, Hyperparams, ModelVariant
 
@@ -244,5 +245,4 @@ def write_config(path, cfg: ExperimentConfig) -> None:
             else:
                 lines.append(f"{key} = {value}")
         lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_text(path, "\n".join(lines))

@@ -11,7 +11,7 @@ A prepared dataset also gets a binary snapshot of its parsed triplets and
 aligned features (see write_snapshot): the one copy of the prepared data
 that the verbs read, checked against the text files. The snapshot and
 checkpoints share one checked binary container, the record file (see
-write_records).
+write_records). Every file a verb writes goes through replacing().
 """
 
 from __future__ import annotations
@@ -321,8 +321,7 @@ def write_triplets(path, triplets: InteractionTriplets) -> None:
     pieces[2::6] = _gather(triplets.item_labels, triplets.items)
     pieces[4::6] = _gather([str(int(v)) for v in values.tolist()], inverse)
     pieces[5::6] = ["\n"] * n
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# user\titem\tcount\n" + "".join(pieces))
+    write_text(path, "# user\titem\tcount\n" + "".join(pieces))
 
 
 def _gather(strings, idx: np.ndarray) -> list[str]:
@@ -360,10 +359,9 @@ def load_features(path):
 
 
 def write_features(path, labels, values: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# item\tfeatures...\n")
-        for label, row in zip(labels, values):
-            fh.write(label + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+    write_text(path, "# item\tfeatures...\n" + "".join(
+        label + "\t" + "\t".join(map(repr, row.tolist())) + "\n"
+        for label, row in zip(labels, values)))
 
 
 @dataclass(frozen=True)
@@ -423,18 +421,31 @@ _RECORD_HEAD = struct.Struct("<4sIIQQI")
 
 @contextlib.contextmanager
 def replacing(path):
-    """Write to `<path>.tmp` in the same directory, then rename it onto path.
-    If the write fails or the process dies midway, path keeps its previous
-    contents; a write that raises also removes the temporary."""
+    """Write to `<path>.tmp` in the same directory, fsync it, rename it onto
+    path and fsync the directory. If the write fails or the process dies
+    midway, path keeps its previous contents; a raising write removes the tmp."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    parent = os.open(os.path.dirname(tmp) or ".", os.O_RDONLY)
+    try:
+        os.fsync(parent)
+    finally:
+        os.close(parent)
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 through replacing()."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_records(path, magic: bytes, version: int, header: dict, records) -> None:
@@ -795,20 +806,17 @@ def materialize_fold(plan: SplitPlan, fold: int | None) -> FoldMembership:
 def write_split_plan(path, plan: SplitPlan) -> None:
     """Text manifest; warm-mode units are row indices into the triplet file
     this plan was built from."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# split plan; units are item ids (cold) or triplet row indices (warm)\n")
-        fh.write(f"mode = {plan.mode}\n")
-        fh.write(f"seed = {plan.seed}\n")
-        fh.write(f"num_folds = {plan.num_folds}\n")
-        fh.write(f"val_fraction = {plan.val_fraction!r}\n")
-        fh.write(f"num_units = {plan.num_units}\n")
-        fh.write("[validation]\n")
-        fh.write(_units_line(plan.validation))
-        for k, fold in enumerate(plan.folds):
-            fh.write(f"[fold {k}]\n")
-            fh.write(_units_line(fold))
-        fh.write("[train_always]\n")
-        fh.write(_units_line(plan.train_always))
+    lines = ["# split plan; units are item ids (cold) or triplet row indices (warm)\n",
+             f"mode = {plan.mode}\n",
+             f"seed = {plan.seed}\n",
+             f"num_folds = {plan.num_folds}\n",
+             f"val_fraction = {plan.val_fraction!r}\n",
+             f"num_units = {plan.num_units}\n",
+             "[validation]\n", _units_line(plan.validation)]
+    for k, fold in enumerate(plan.folds):
+        lines += [f"[fold {k}]\n", _units_line(fold)]
+    lines += ["[train_always]\n", _units_line(plan.train_always)]
+    write_text(path, "".join(lines))
 
 
 def _units_line(units: np.ndarray) -> str:

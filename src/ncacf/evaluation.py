@@ -14,12 +14,13 @@ non-finite score raises TrainingDivergedError.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (CompressedAxis, ConfidenceScheme, FoldMembership,
-                   InteractionTriplets, replacing)
+                   InteractionTriplets, write_text)
 from .errors import DataError, TrainingDivergedError
 from .models import Model, block_units, grid_width, item_vectors, score_matrix
 
@@ -219,7 +220,7 @@ def grid_search(grid_w, grid_h, evaluate_pair) -> tuple[tuple[float, float], lis
 
 
 def write_eval_result(path, result: EvalResult) -> None:
-    """Structured text export through data.replacing: summary record plus
+    """Structured text export through data.write_text: summary record plus
     per-user values."""
     lines = ["# field\tvalue\n",
              f"setting\t{result.setting}\n",
@@ -231,5 +232,23 @@ def write_eval_result(path, result: EvalResult) -> None:
              f"mean_ndcg\t{result.mean!r}\n",
              "# user\tndcg\n"]
     lines += [f"{u}\t{result.ndcg[u]!r}\n" for u in sorted(result.ndcg)]
-    with replacing(path) as fh:
-        fh.write("".join(lines).encode("utf-8"))
+    write_text(path, "".join(lines))
+
+
+def read_eval_mean(path):
+    """The mean_ndcg of the eval file at path, or None when there is no such
+    file. A file without a whole, parseable mean_ndcg line (one cut short by
+    a killed write, say) is a DataError naming path:line."""
+    if not os.path.exists(path):
+        return None
+    n = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.startswith("mean_ndcg\t"):
+                try:
+                    if not line.endswith("\n"):
+                        raise ValueError("the line has no line end")
+                    return float(line[len("mean_ndcg\t"):-1])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{n}: damaged mean_ndcg ({exc})") from exc
+    raise DataError(f"{path}:{n + 1}: the eval file ends before its mean_ndcg line")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts, replacing
+from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts, write_text
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .models import (Embeddings, Hyperparams, Model, ModelVariant,
                      attach_tower, block_units, extract_item_embeddings,
@@ -625,17 +625,23 @@ def checkpoint_header(state: TrainState) -> dict:
 
 
 def write_report(path, state: TrainState, settings: dict) -> None:
-    """Write report.tsv through replacing(), so that a failed write leaves the
-    previous file: the sorted `# key = value` settings, the best epoch and
-    score once one is known, a column header, and state's rows."""
+    """Write report.tsv through data.write_text, so that a failed write
+    leaves the previous file: the sorted `# key = value` settings, the best
+    epoch and score once one is known, and format_report_rows(state.rows)."""
     lines = [f"# {key} = {settings[key]}\n" for key in sorted(settings)]
     if state.best_epoch is not None:
         lines += [f"# best_epoch = {state.best_epoch}\n", f"# best_val = {state.best_val!r}\n"]
-    lines.append("epoch\tphase\tobjective\tval_ndcg\tseconds\n")
-    lines += [f"{epoch}\t{phase}\t{obj!r}\t{'-' if val is None else repr(val)}\t{secs:.3f}\n"
-              for epoch, phase, obj, val, secs in state.rows]
-    with replacing(path) as fh:
-        fh.write("".join(lines).encode("utf-8"))
+    write_text(path, "".join(lines) + format_report_rows(state.rows))
+
+
+def format_report_rows(rows, seconds: bool = True) -> str:
+    """The column header and one line per row of report.tsv; without the
+    seconds column, the convergence table that `ncacf report` writes."""
+    lines = ["epoch\tphase\tobjective\tval_ndcg" + ("\tseconds\n" if seconds else "\n")]
+    lines += [f"{epoch}\t{phase}\t{obj!r}\t{'-' if val is None else repr(val)}"
+              + (f"\t{secs:.3f}\n" if seconds else "\n")
+              for epoch, phase, obj, val, secs in rows]
+    return "".join(lines)
 
 
 def read_report(path) -> list:

@@ -69,10 +69,13 @@ def gradcheck_full_loss(model, data, scheme, features, lam_w, lam_h, owned,
 def half_writing(replacing, name=None):
     """A stand-in for data.replacing whose file, or only the file called
     `name`, takes half of its first write and then fails, as a full disk
-    would."""
+    would. Every other file method is the real file's."""
     class HalfWrite:
         def __init__(self, fh):
             self.fh = fh
+
+        def __getattr__(self, attr):
+            return getattr(self.fh, attr)
 
         def write(self, data):
             self.fh.write(data[:len(data) // 2])

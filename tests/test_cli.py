@@ -1248,6 +1248,44 @@ class TestReportFiles:
         assert tree_bytes(out) == before
 
 
+class TestAtomicWrites:
+    """Every file a verb writes goes through data.replacing."""
+
+    @pytest.mark.parametrize("verb, directory, name", [
+        ("synth", "raw", "triplets.tsv"), ("synth", "raw", "features.tsv"),
+        ("synth", "raw", "triplets.tsv.planted.npz"),
+        ("prepare", "prepared", "triplets.tsv"), ("prepare", "prepared", "features.tsv"),
+        ("prepare", "prepared", "split_cold.txt"), ("prepare", "prepared", "split_warm.txt"),
+        ("prepare", "prepared", "manifest.txt"),
+        ("train", "run", "config.ini"),
+        ("sweep", "run", "sweep.tsv"), ("sweep", "run", "best_config.ini")])
+    def test_failed_write_keeps_previous_file(self, workspace, monkeypatch, verb,
+                                              directory, name):
+        """A rerun whose write of one file fails halfway, as on a full disk,
+        keeps that file's previous bytes and leaves no temporary."""
+        from ncacf import data
+
+        cfg = str(workspace / "cfg.ini")
+        assert main([verb, "--config", cfg]) == 0
+        path = workspace / directory / name
+        before = path.read_bytes()
+        monkeypatch.setattr(data, "replacing", half_writing(data.replacing, name))
+        with pytest.raises(OSError):
+            main([verb, "--config", cfg])
+        assert path.read_bytes() == before
+        assert not list(workspace.rglob("*.tmp"))
+
+    def test_no_temporary_left_after_any_verb(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        run = tmp_path / "run"
+        for argv in (["synth", "--config", cfg], ["prepare", "--config", cfg],
+                     ["train", "--config", cfg], ["sweep", "--config", cfg],
+                     ["evaluate", "--config", cfg, "--checkpoint", str(run / "best.ckpt")],
+                     ["report", str(run)]):
+            assert main(argv) == 0
+            assert not list(tmp_path.rglob("*.tmp")), argv[0]
+
+
 class TestConfigRoundtrip:
     def test_emitted_config_reparses_equal(self, tmp_path):
         cfg_path = write_cfg(tmp_path, family="ncacf", coupling="strict")

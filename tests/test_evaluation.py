@@ -537,10 +537,12 @@ class TestEvalExport:
         assert "1\t0.5" in text
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        from ncacf import data
+
         path = tmp_path / "eval.tsv"
         write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.5}, 2, 40))
         before = path.read_bytes()
-        monkeypatch.setattr(evaluation, "replacing", half_writing(evaluation.replacing))
+        monkeypatch.setattr(data, "replacing", half_writing(data.replacing))
         with pytest.raises(OSError):
             write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.25, 3: 0.5}, 2, 40))
         assert path.read_bytes() == before

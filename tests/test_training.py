@@ -1125,11 +1125,13 @@ class TestReportFile:
             "0\tals\t12.5\t-\t0.250\n1\tals\t11.0\t0.3125\t0.500\n")
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        from ncacf import data
+
         path = tmp_path / "report.tsv"
         state = TrainState(rows=[(0, "train", 3.0, None, 0.1)])
         training.write_report(path, state, self.SETTINGS)
         before = path.read_bytes()
-        monkeypatch.setattr(training, "replacing", half_writing(training.replacing))
+        monkeypatch.setattr(data, "replacing", half_writing(data.replacing))
         state.rows.append((1, "train", 2.0, 0.5, 0.1))
         with pytest.raises(OSError):
             training.write_report(path, state, self.SETTINGS)
