@@ -262,6 +262,15 @@ def _make_validator(cfg: ExperimentConfig, prep: PreparedData, variant,
     return validator
 
 
+def _check_split(header: dict, cfg: ExperimentConfig, path) -> None:
+    """ConfigError unless the checkpoint at path was trained on the config's
+    split mode and fold: another fold's test items were its training items."""
+    have = (header.get("split_mode"), header.get("fold"))
+    if have != (cfg.split_mode, cfg.fold):
+        raise ConfigError(f"checkpoint {path} was trained on (split mode, fold) = "
+                          f"{have}, the config asks for {(cfg.split_mode, cfg.fold)}")
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -275,13 +284,14 @@ def cmd_train(args) -> int:
     if args.resume and args.pretrained:
         raise ConfigError("--resume and --pretrained cannot be combined")
     if args.resume:
-        state = T.resume_state(variant, args.resume)
+        state, header = T.resume_state(variant, args.resume)
     elif args.pretrained:
-        state = T.pretrained_state(variant, cfg.hyper, args.pretrained)
+        state, header = T.pretrained_state(variant, cfg.hyper, args.pretrained)
     prep = PreparedData(cfg)
     features_std = prep.standardized_features(variant)
     validator = _make_validator(cfg, prep, variant, features_std)
     if state is not None:
+        _check_split(header, cfg, args.resume or args.pretrained)
         state.model.check_fits(prep.train_data.num_users, prep.train_data.num_items,
                                features_std.dim if features_std is not None else 0,
                                "the starting checkpoint", "the training data")
@@ -368,14 +378,8 @@ def cmd_evaluate(args) -> int:
     if model.variant != want:
         raise ConfigError(
             f"checkpoint variant {model.variant} does not match config {want}")
-    if header.get("split_mode") != cfg.split_mode or header.get("fold") != cfg.fold:
-        raise ConfigError("checkpoint was trained on a different split/fold")
-    setting = cfg.split_mode if cfg.setting == "both" else cfg.setting
-    if setting != cfg.split_mode:
-        raise ConfigError(
-            f"cannot run a {setting} evaluation on a model trained with a "
-            f"{cfg.split_mode} split")
-    if setting == "cold" and not model.variant.has_content:
+    _check_split(header, cfg, args.checkpoint)
+    if cfg.split_mode == "cold" and not model.variant.has_content:
         raise ColdStartUnsupportedError(
             f"{model.variant.family} cannot score unseen items: it has no "
             f"content branch (cold-start evaluation unsupported)")
@@ -402,9 +406,9 @@ def cmd_evaluate(args) -> int:
                           scheme, features_std, cfg.top_k)
                for bucket in ("validation", "test")]
     for result in results:
-        out = os.path.join(cfg.output, f"eval_{setting}_{result.bucket}.tsv")
+        out = os.path.join(cfg.output, f"eval_{cfg.split_mode}_{result.bucket}.tsv")
         E.write_eval_result(out, result)
-        print(f"{setting}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
+        print(f"{cfg.split_mode}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
               f"over {result.num_users} users ({result.num_excluded} excluded, "
               f"{result.num_all_tied} ranked by item index alone)")
     return 0

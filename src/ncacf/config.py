@@ -47,10 +47,8 @@ class ExperimentConfig:
     # [variant]
     family: str = "wmf"
     coupling: str = "content_free"
-    interaction: str | None = None  # defaulted from the family
     combination: str = "multiplication"
     q_hidden: int = 2
-    output_activation: str = "sigmoid"
     # [hyperparams]
     hyper: Hyperparams = field(default_factory=Hyperparams)
     # [split]
@@ -59,7 +57,6 @@ class ExperimentConfig:
     val_fraction: float = 0.2
     fold: int = 0
     # [eval]
-    setting: str = "cold"
     top_k: int = 10
     # [sweep]
     grid_lambda_w: tuple[float, ...] = (0.1,)
@@ -77,23 +74,18 @@ class ExperimentConfig:
     output: str = "run"
 
     def variant(self) -> ModelVariant:
-        kind = self.interaction
-        if kind is None:
-            kind = "deep" if self.family in ("ncacf", "ncf") else "dot_product"
-        if kind == "dot_product":
+        variant = ModelVariant(self.family, self.coupling)
+        if not variant.deep:
             # Tower settings are meaningless without a tower; normalize them
             # so configs and checkpoints compare cleanly.
-            return ModelVariant(self.family, self.coupling, kind)
-        return ModelVariant(self.family, self.coupling, kind, self.combination,
-                            self.q_hidden, self.output_activation)
+            return variant
+        return replace(variant, combination=self.combination, q_hidden=self.q_hidden)
 
     def validate(self) -> "ExperimentConfig":
         if self.combination not in COMBINATIONS:
             raise ConfigError(f"unknown combination {self.combination!r}")
         if self.split_mode not in ("cold", "warm"):
             raise ConfigError(f"split mode must be cold or warm, got {self.split_mode!r}")
-        if self.setting not in ("cold", "warm", "both"):
-            raise ConfigError(f"eval setting must be cold, warm or both")
         if self.min_user_songs < 1 or self.min_item_users < 1:
             raise ConfigError("min_user_songs and min_item_users must be >= 1")
         if not (0.0 < self.val_fraction < 1.0):
@@ -112,16 +104,20 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "data": ("triplets", "features", "prepared", "min_user_songs", "min_item_users"),
-    "variant": ("family", "coupling", "interaction", "combination", "q_hidden",
-                "output_activation"),
+    "variant": ("family", "coupling", "combination", "q_hidden"),
     "hyperparams": tuple(f.name for f in fields(Hyperparams)),
     "split": ("split_mode", "num_folds", "val_fraction", "fold"),
-    "eval": ("setting", "top_k"),
+    "eval": ("top_k",),
     "sweep": ("grid_lambda_w", "grid_lambda_h"),
     "synth": ("synth_users", "synth_items", "synth_k_true", "synth_features",
               "synth_noise", "synth_density"),
     "run": ("seed", "profile", "output"),
 }
+
+# Keys that older configs and run directories carry. They still load, but
+# only with a value that the code honours (see _check_retired).
+_RETIRED = {("run", "threads"), ("variant", "interaction"),
+            ("variant", "output_activation"), ("eval", "setting")}
 
 _INI_NAME = {
     "split_mode": "mode",
@@ -141,7 +137,7 @@ def _parse_value(name: str, raw: str, current):
             return tuple(float(v) for v in raw.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"{name}: expected comma-separated floats, got {raw!r}")
-    if name in ("features", "interaction") and raw.lower() in ("", "none"):
+    if name == "features" and raw.lower() in ("", "none"):
         return None
     kind = type(current) if current is not None else str
     try:
@@ -167,14 +163,16 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
         raise ConfigError(f"config file {path!r} not found")
 
     raw: dict[str, str] = {}
+    retired: dict[str, str] = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         known = _SECTIONS[section]
         ini_to_field = {_INI_NAME.get(name, name): name for name in known}
         for key, value in parser.items(section):
-            if (section, key) == ("run", "threads"):
-                continue  # retired, but in the config.ini of earlier runs
+            if (section, key) in _RETIRED:
+                retired[key] = value
+                continue
             if key not in ini_to_field:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[ini_to_field[key]] = value
@@ -220,7 +218,26 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
     cfg.prepared = _resolve(cfg.prepared, base)
     out_root = os.environ.get(OUTPUT_ROOT_ENV, base)
     cfg.output = _resolve(cfg.output, out_root)
-    return cfg.validate()
+    cfg.validate()
+    _check_retired(cfg, retired)
+    return cfg
+
+
+def _check_retired(cfg: ExperimentConfig, retired: dict[str, str]) -> None:
+    """ConfigError, naming the replacement, for a retired key whose value the
+    code no longer honours; threads, and the values that the family and the
+    split mode imply, are ignored."""
+    deep = cfg.variant().deep
+    if retired.get("interaction", "none").lower() not in (
+            "", "none", "deep" if deep else "dot_product"):
+        raise ConfigError("[variant] interaction is retired, as the family fixes it: ncacf "
+                          "and ncf have a tower, the others a dot product, and ncacf's "
+                          "dot-product case is family = mf_uni")
+    if deep and retired.get("output_activation", "sigmoid") != "sigmoid":
+        raise ConfigError("[variant] output_activation is retired: the tower ends in a "
+                          "sigmoid, and a plain dot product is family = mf_uni")
+    if retired.get("setting", "both") not in ("both", cfg.split_mode):
+        raise ConfigError("[eval] setting is retired: evaluate scores the [split] mode")
 
 
 def _resolve(path: str, base: str) -> str:

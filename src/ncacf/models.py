@@ -10,7 +10,7 @@ plain dot product or a tower MLP applied to the combined embeddings.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ log = logging.getLogger(__name__)
 FAMILIES = ("wmf", "dcb", "mf_hybrid", "mf_uni", "ncacf", "ncf")
 COUPLINGS = ("relaxed", "strict", "content_free")
 COMBINATIONS = ("multiplication", "concatenation")
-INTERACTION_KINDS = ("dot_product", "deep")
 
 
 @dataclass(frozen=True)
@@ -34,36 +33,29 @@ class ModelVariant:
 
     family: str
     coupling: str
-    interaction_kind: str = "dot_product"
     combination: str = "multiplication"
     q_hidden: int = 0
-    # identity exists only so the dot-product reduction can be checked.
-    output_activation: str = "sigmoid"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}")
         if self.coupling not in COUPLINGS:
             raise ConfigError(f"unknown coupling {self.coupling!r}")
-        if self.interaction_kind not in INTERACTION_KINDS:
-            raise ConfigError(f"unknown interaction {self.interaction_kind!r}")
         if self.combination not in COMBINATIONS:
             raise ConfigError(f"unknown combination {self.combination!r}")
         if self.family in ("wmf", "ncf") and self.coupling != "content_free":
             raise ConfigError(f"{self.family} requires coupling=content_free")
-        if self.family in ("dcb", "mf_hybrid", "mf_uni"):
-            if self.coupling == "content_free":
-                raise ConfigError(f"{self.family} requires relaxed or strict coupling")
-            if self.interaction_kind != "dot_product":
-                raise ConfigError(f"{self.family} uses a dot-product interaction")
-        if self.family == "wmf" and self.interaction_kind != "dot_product":
-            raise ConfigError("wmf uses a dot-product interaction")
-        if self.family == "ncf" and self.interaction_kind != "deep":
-            raise ConfigError("ncf uses a deep interaction")
+        if self.family in ("dcb", "mf_hybrid", "mf_uni") and self.coupling == "content_free":
+            raise ConfigError(f"{self.family} requires relaxed or strict coupling")
         if self.q_hidden < 0:
             raise ConfigError("q_hidden must be >= 0")
-        if self.output_activation not in ("sigmoid", "identity"):
-            raise ConfigError(f"unknown output activation {self.output_activation!r}")
+
+    @property
+    def deep(self) -> bool:
+        """The family fixes the interaction: ncacf and ncf score through a
+        tower, the others through the dot product (mf_uni is ncacf's
+        dot-product case)."""
+        return self.family in ("ncacf", "ncf")
 
     @property
     def has_content(self) -> bool:
@@ -173,19 +165,6 @@ def build_extractor(feature_dim: int, embed_dim: int, hidden_width: int,
     return MLPParams(layers)
 
 
-def build_tower(combined: int, q_hidden: int, rng: np.random.Generator,
-                output_activation: str = "sigmoid") -> MLPParams:
-    """Interaction tower: halving relu hidden layers, then a single-neuron
-    bias-free output layer whose weights start at one."""
-    layers = []
-    in_dim = combined
-    for width in tower_widths(combined, q_hidden):
-        layers.append(_lecun_layer(rng, width, in_dim, "relu"))
-        in_dim = width
-    layers.append(Layer(np.ones((1, in_dim)), None, output_activation))
-    return MLPParams(layers)
-
-
 @dataclass
 class Model:
     """A trainable/evaluable model instance."""
@@ -235,16 +214,23 @@ def init_model(variant: ModelVariant, num_users: int, num_items: int,
         extractor = build_extractor(feature_dim, embed_dim, hidden_width,
                                     extractor_layers, rng_for(seed, "init.extractor"))
     interaction = None
-    if variant.interaction_kind == "deep" and with_interaction:
+    if variant.deep and with_interaction:
         interaction = attach_tower(variant, embed_dim, seed)
     return Model(variant, num_users, num_items, embed_dim, feature_dim,
                  Embeddings(W, H), extractor, interaction, init_seed=seed)
 
 
 def attach_tower(variant: ModelVariant, embed_dim: int, seed: int) -> MLPParams:
-    return build_tower(combined_dim(embed_dim, variant.combination),
-                       variant.q_hidden, rng_for(seed, "init.interaction"),
-                       variant.output_activation)
+    """Interaction tower: halving relu hidden layers, then a single-neuron
+    bias-free sigmoid output layer whose weights start at one."""
+    rng = rng_for(seed, "init.interaction")
+    layers = []
+    in_dim = combined_dim(embed_dim, variant.combination)
+    for width in tower_widths(in_dim, variant.q_hidden):
+        layers.append(_lecun_layer(rng, width, in_dim, "relu"))
+        in_dim = width
+    layers.append(Layer(np.ones((1, in_dim)), None, "sigmoid"))
+    return MLPParams(layers)
 
 
 def extract_item_embeddings(model: Model, features: FeatureTable,
@@ -411,7 +397,7 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"NCKP"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 _MLPS = ("extractor", "interaction")
 
 
@@ -436,14 +422,7 @@ def save_model(path, model: Model, extra_header: dict | None = None,
             named.update((f"{group}.{moment}.{key}", table[key]) for key in sorted(table))
     header = {
         **(extra_header or {}),
-        "variant": {
-            "family": model.variant.family,
-            "coupling": model.variant.coupling,
-            "interaction_kind": model.variant.interaction_kind,
-            "combination": model.variant.combination,
-            "q_hidden": model.variant.q_hidden,
-            "output_activation": model.variant.output_activation,
-        },
+        "variant": asdict(model.variant),
         "dims": {
             "num_users": model.num_users,
             "num_items": model.num_items,

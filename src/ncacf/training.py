@@ -392,7 +392,7 @@ def owned_groups(variant: ModelVariant, with_interaction: bool) -> frozenset[str
         groups.add("H")
     if variant.has_content:
         groups.add("extractor")
-    if variant.interaction_kind == "deep" and with_interaction:
+    if variant.deep and with_interaction:
         groups.add("interaction")
     return frozenset(groups)
 
@@ -472,10 +472,6 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     """
     if state is None:
         state = TrainState()
-    else:
-        state.model.check_fits(data.num_users, data.num_items,
-                               features.dim if features is not None else 0,
-                               "the starting checkpoint", "the training data")
     phases = _phases(variant, data, features, hyper, seed,
                      _pool_dims(data.num_items, item_pool))
     while state.phase_idx < len(phases):
@@ -600,7 +596,7 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
         gradient_epoch(state, state.global_epoch)
         return objective(state)
 
-    if variant.interaction_kind == "deep":
+    if variant.deep:
         return [Phase("pretrain", hyper.pretrain_epochs,
                       entry(owned_groups(variant, False)), wpe_epoch),
                 Phase("finetune", hyper.finetune_epochs,
@@ -664,10 +660,10 @@ def read_report(path) -> list:
     return rows
 
 
-def resume_state(variant: ModelVariant, path) -> TrainState:
-    """The state that the checkpoint at `path` recorded, for any family: its
-    model, Adam moments, position and best validation score. It reads no
-    other file; the best model stays wherever its caller saved it."""
+def resume_state(variant: ModelVariant, path) -> tuple[TrainState, dict]:
+    """The state that the checkpoint at `path` recorded, for any family (its
+    model, Adam moments, position and best validation score), and its
+    header. It reads no other file; the best model stays where it was saved."""
     model, header, _, adams = load_model(path)
     if model.variant != variant:
         raise ConfigError(f"{path}: checkpoint variant {model.variant} does not "
@@ -679,14 +675,16 @@ def resume_state(variant: ModelVariant, path) -> TrainState:
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint records no {exc} to resume from; "
                         f"rerun `ncacf train`") from exc
-    return state
+    return state, header
 
 
-def pretrained_state(variant: ModelVariant, hyper: Hyperparams, path) -> TrainState:
+def pretrained_state(variant: ModelVariant, hyper: Hyperparams,
+                     path) -> tuple[TrainState, dict]:
     """A deep variant's fine-tuning start from the dot-product model in the
     checkpoint at `path` (for example a finished mf_uni run): its embeddings,
-    and its extractor when the variant has content, with pretraining done."""
-    if variant.interaction_kind != "deep":
+    and its extractor when the variant has content, with pretraining done;
+    and the checkpoint's header."""
+    if not variant.deep:
         raise ConfigError(f"{variant.family} has no pretraining phase; only a "
                           f"deep-interaction variant starts from a pretrained "
                           f"checkpoint")
@@ -703,5 +701,5 @@ def pretrained_state(variant: ModelVariant, hyper: Hyperparams, path) -> TrainSt
     if not variant.has_free_items:
         model.embeddings = Embeddings(model.embeddings.W, None)
     progress = header.get("progress") or {}
-    return TrainState(model, phase_idx=1,
-                      global_epoch=progress.get("global_epoch", hyper.pretrain_epochs))
+    return TrainState(model, phase_idx=1, global_epoch=progress.get(
+        "global_epoch", hyper.pretrain_epochs)), header

@@ -82,8 +82,7 @@ def test_criterion_2_gradient_correctness():
     for coupling in ("relaxed", "strict"):
         for combination in ("multiplication", "concatenation"):
             for q in (0, 1, 2):
-                configs.append(ModelVariant("ncacf", coupling, "deep",
-                                            combination, q))
+                configs.append(ModelVariant("ncacf", coupling, combination, q))
     checked_params = 0
     for idx, variant in enumerate(configs):
         model = init_model(variant, 3, 4, 3, 5, seed=300 + idx,
@@ -102,10 +101,10 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_reduction_identity():
     """GMF configuration (mult, Q=0, identity output, unit weights) == dot."""
     rng = np.random.default_rng(301)
-    variant = ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0,
-                           output_activation="identity")
+    variant = ModelVariant("ncacf", "relaxed", "multiplication", 0)
     model = init_model(variant, 40, 25, 6, 3, seed=7, hidden_width=4,
                        extractor_layers=2)
+    model.interaction.layers[-1].activation = "identity"
     W = rng.normal(0, 1, (6, 40))
     H = rng.normal(0, 1, (6, 25))
     model.embeddings = Embeddings(W, H)
@@ -234,7 +233,7 @@ def cold_start_benchmark():
         hyb = final_model(ModelVariant("mf_hybrid", "relaxed"), HYBRID_HYPER)
         hyb_s = final_model(ModelVariant("mf_hybrid", "strict"), HYBRID_HYPER)
         dcb = final_model(ModelVariant("dcb", "relaxed"), HYBRID_HYPER)
-        nca = final_model(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+        nca = final_model(ModelVariant("ncacf", "relaxed", q_hidden=1),
                           NCACF_HYPER)
         rows[seed] = {
             "random": base,
@@ -326,7 +325,6 @@ val_fraction = 0.2
 fold = 0
 
 [eval]
-setting = {mode}
 top_k = 10
 
 [run]

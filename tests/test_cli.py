@@ -7,6 +7,7 @@ import pytest
 
 from conftest import half_writing
 from ncacf.cli import PreparedData, main
+from ncacf import config
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import align_features, load_features, load_triplets, read_snapshot
 from ncacf.errors import DataError
@@ -49,7 +50,6 @@ val_fraction = 0.2
 fold = 0
 
 [eval]
-setting = {mode}
 top_k = 5
 
 [synth]
@@ -776,6 +776,27 @@ class TestExitCodes:
         assert main(["train", "--config", ncacf_cfg, "--pretrained", str(path)]) == 3
         assert message in capsys.readouterr().err
 
+    def test_version_2_checkpoint_asks_for_a_rerun(self, workspace, capsys):
+        """A checkpoint whose head says version 2, the format whose variant
+        still held interaction_kind and output_activation, is not read."""
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed")
+        assert main(["train", "--config", uni]) == 0
+        raw = bytearray((workspace / "run" / "last.ckpt").read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        path = workspace / "run" / "v2.ckpt"
+        path.write_bytes(bytes(raw))
+        ncacf = write_cfg(workspace, name="ncacf.ini", family="ncacf", coupling="relaxed",
+                          output="run_deep")
+        message = "checkpoint format version 2 is no longer read; rerun `ncacf train`"
+        for argv in (["evaluate", "--config", uni, "--checkpoint", str(path)],
+                     ["train", "--config", uni, "--resume", str(path)],
+                     ["train", "--config", ncacf, "--pretrained", str(path)]):
+            before = tree_bytes(workspace)
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert str(path) in err and message in err
+            assert tree_bytes(workspace) == before
+
     def test_malformed_split_plan_is_data_error(self, workspace, capsys):
         plan = workspace / "prepared" / "split_warm.txt"
         plan.write_text(plan.read_text().replace("[validation]\n", "[validation]\n0 x "))
@@ -970,6 +991,28 @@ class TestExitCodes:
                      str(workspace / "run_src" / "last.ckpt")]) == 2
         assert "training data" in capsys.readouterr().err
         assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize("verb, target", [("--resume", "mf_uni"),
+                                              ("--pretrained", "ncacf"),
+                                              ("evaluate", "mf_uni")])
+    def test_checkpoint_of_another_fold_is_config_error(self, workspace, capsys,
+                                                        verb, target):
+        """A fold-0 checkpoint cannot continue, start or be evaluated under
+        fold 1, whose test items were its training items."""
+        src = write_cfg(workspace, name="src.ini", family="mf_uni", coupling="relaxed")
+        assert main(["train", "--config", src]) == 0
+        ckpt = str(workspace / "run" / "last.ckpt")
+        output = "run" if verb == "--resume" else "run_fold1"
+        cfg = write_cfg(workspace, name="fold1.ini", family=target, coupling="relaxed",
+                        output=output, extra="\n[split]\nfold = 1\n")
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        argv = (["evaluate", "--checkpoint", ckpt] if verb == "evaluate"
+                else ["train", verb, ckpt])
+        assert main(argv + ["--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert ckpt in err and "('warm', 0)" in err and "('warm', 1)" in err
+        assert tree_bytes(workspace) == before
 
     @pytest.mark.parametrize("family, differs", [("wmf", "users"), ("mf_uni", "users"),
                                                  ("mf_uni", "features")])
@@ -1322,18 +1365,65 @@ class TestConfigRoundtrip:
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.output == str(root / "run")
 
-    def test_retired_threads_key_ignored(self, workspace, capsys):
-        cfg = write_cfg(workspace, name="threads.ini", extra="\n[run]\nthreads = 4\n")
+    # The workspace trains wmf on a warm split.
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "threads", "4"), ("variant", "interaction", "dot_product"),
+        ("variant", "output_activation", "sigmoid"), ("eval", "setting", "warm"),
+    ], ids=["threads", "interaction", "output_activation", "setting"])
+    def test_retired_key_ignored(self, workspace, capsys, section, key, value):
+        line = f"\n[{section}]\n{key} = {value}\n"
+        cfg = write_cfg(workspace, name="retired.ini", extra=line)
         loaded = load_config(cfg)
-        assert not hasattr(loaded, "threads")
+        assert not hasattr(loaded, key)
+        assert loaded == load_config(write_cfg(workspace))
         assert main(["train", "--config", cfg]) == 0
         run = workspace / "run"
         keys = [line.split(" = ")[0] for line in (run / "config.ini").read_text().splitlines()]
-        assert "threads" not in keys
+        assert key not in keys
         # Run directories written before the key was retired still report.
         with open(run / "config.ini", "a", encoding="utf-8") as fh:
-            fh.write("\n[run]\nthreads = 4\n")
+            fh.write(line)
         assert main(["report", str(run), "--output", str(workspace / "summary")]) == 0
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--config", cfg, "--threads", "2"])
+            main(["train", "--config", cfg, f"--{key}", value])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("family, coupling, key, value, names", [
+        ("ncacf", "relaxed", "[variant]\ninteraction", "dot_product", "family = mf_uni"),
+        ("ncf", "content_free", "[variant]\ninteraction", "dot_product", "family fixes"),
+        ("mf_uni", "strict", "[variant]\ninteraction", "deep", "family fixes"),
+        ("wmf", "content_free", "[variant]\ninteraction", "deep", "family fixes"),
+        ("ncacf", "relaxed", "[variant]\ninteraction", "tower", "family fixes"),
+        ("ncacf", "strict", "[variant]\noutput_activation", "identity", "family = mf_uni"),
+        ("wmf", "content_free", "[eval]\nsetting", "cold", "[split] mode"),
+    ], ids=["ncacf-dot_product", "ncf-dot_product", "mf_uni-deep", "wmf-deep",
+            "unknown-interaction", "identity-output", "other-setting"])
+    def test_retired_key_with_another_value_is_config_error(
+            self, workspace, capsys, family, coupling, key, value, names):
+        """An old config whose retired key asks for what the code no longer
+        does stops before any write, naming what replaces the key."""
+        cfg = write_cfg(workspace, name="old.ini", family=family, coupling=coupling,
+                        extra=f"\n{key} = {value}\n")
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert names in capsys.readouterr().err
+        assert tree_bytes(workspace) == before
+
+    def test_readme_lists_every_config_key(self):
+        """The README's Configuration block names each section's INI keys,
+        and no others."""
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+        block = text.split("```")[1]
+        listed, section = {}, None
+        for line in block.strip().splitlines():
+            match = re.match(r"\[(\w+)\]", line)
+            if match:
+                section = match.group(1)
+                line = line[match.end():]
+            keys = re.sub(r"\([^)]*\)", "", line).split(",")
+            listed.setdefault(section, []).extend(k.strip() for k in keys if k.strip())
+        want = {section: [config._INI_NAME.get(name, name) for name in names]
+                for section, names in config._SECTIONS.items()}
+        assert listed == want

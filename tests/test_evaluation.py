@@ -249,8 +249,8 @@ class TestBlockedRanking:
 
     VARIANTS = {
         "dot": ModelVariant("mf_uni", "relaxed"),
-        "concat": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
-        "mult": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 1),
+        "concat": ModelVariant("ncacf", "relaxed", "concatenation", 2),
+        "mult": ModelVariant("ncacf", "relaxed", "multiplication", 1),
     }
 
     def _setup(self, setting, kind, seed=41):

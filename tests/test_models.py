@@ -22,10 +22,13 @@ from ncacf.training import group_params
 def deep_model(seed=0, num_users=6, num_items=5, k=4, q=1,
                combination="multiplication", output_activation="sigmoid",
                coupling="relaxed", feature_dim=3):
-    variant = ModelVariant("ncacf", coupling, "deep", combination, q,
-                           output_activation)
-    return init_model(variant, num_users, num_items, k, feature_dim, seed,
-                      hidden_width=8, extractor_layers=2)
+    """An ncacf model; output_activation="identity" swaps the tower's sigmoid
+    output for the identity, as the dot-product reduction needs."""
+    model = init_model(ModelVariant("ncacf", coupling, combination, q), num_users,
+                       num_items, k, feature_dim, seed, hidden_width=8,
+                       extractor_layers=2)
+    model.interaction.layers[-1].activation = output_activation
+    return model
 
 
 def random_features(rng, num_items, dim):
@@ -38,18 +41,16 @@ class TestVariantRules:
             ModelVariant("wmf", "relaxed")
 
     def test_mf_families_force_dot_product(self):
-        for fam in ("dcb", "mf_hybrid", "mf_uni"):
-            with pytest.raises(ConfigError):
-                ModelVariant(fam, "relaxed", "deep")
+        for fam in ("wmf", "dcb", "mf_hybrid", "mf_uni"):
+            variant = ModelVariant(fam, "content_free" if fam == "wmf" else "relaxed")
+            assert not variant.deep
+            assert init_model(variant, 3, 4, 2, 2, seed=0).interaction is None
 
     def test_ncf_needs_deep(self):
-        with pytest.raises(ConfigError):
-            ModelVariant("ncf", "content_free", "dot_product")
-        ModelVariant("ncf", "content_free", "deep")  # fine
-
-    def test_ncacf_permits_any_interaction(self):
-        ModelVariant("ncacf", "strict", "dot_product")
-        ModelVariant("ncacf", "relaxed", "deep", "concatenation", 3)
+        variant = ModelVariant("ncf", "content_free")
+        assert variant.deep
+        tower = init_model(variant, 3, 4, 2, 0, seed=0).interaction
+        assert tower.layers[-1].activation == "sigmoid"
 
 
 class TestInit:

@@ -67,9 +67,17 @@ UNI_RELAXED = ModelVariant("mf_uni", "relaxed")
 
 
 def _frozen_reduction(monkeypatch, data, feats, hyper, seed):
-    """ncacf with a tower that reduces to the dot product and stays frozen
-    (no phase owns it); returns (final model, report)."""
-    variant = ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0, "identity")
+    """ncacf with a tower that reduces to the dot product (multiplication, no
+    hidden layer, identity output) and stays frozen (no phase owns it);
+    returns (final model, report)."""
+    variant = ModelVariant("ncacf", "relaxed", "multiplication", 0)
+
+    def identity_tower(*args):
+        tower = models.attach_tower(*args)
+        tower.layers[-1].activation = "identity"
+        return tower
+
+    monkeypatch.setattr(training, "attach_tower", identity_tower)
     monkeypatch.setattr(training, "owned_groups",
                         lambda v, tower: owned_groups(v, tower) - {"interaction"})
     report = train(variant, data, feats, hyper, seed)
@@ -326,10 +334,10 @@ class TestObjectiveBlocks:
     # Unsorted strict subset of the 23 items.
     POOL = np.array([21, 3, 9, 0, 14, 7, 18, 2, 11, 5, 20, 16, 8, 1, 13, 6, 22])
     VARIANTS = {
-        "mult-q0": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0),
-        "mult-q2": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 2),
-        "concat-q0": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 0),
-        "concat-q2": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
+        "mult-q0": ModelVariant("ncacf", "relaxed", "multiplication", 0),
+        "mult-q2": ModelVariant("ncacf", "relaxed", "multiplication", 2),
+        "concat-q0": ModelVariant("ncacf", "relaxed", "concatenation", 0),
+        "concat-q2": ModelVariant("ncacf", "relaxed", "concatenation", 2),
     }
 
     def _setup(self, name):
@@ -435,9 +443,9 @@ class TestNnzObjective:
                 ModelVariant("dcb", "relaxed"), ModelVariant("dcb", "strict"),
                 ModelVariant("mf_hybrid", "relaxed"), ModelVariant("mf_hybrid", "strict"),
                 ModelVariant("wmf", "content_free"),
-                ModelVariant("ncacf", "relaxed", "deep"),
-                ModelVariant("ncacf", "strict", "deep"),
-                ModelVariant("ncf", "content_free", "deep")]
+                ModelVariant("ncacf", "relaxed"),
+                ModelVariant("ncacf", "strict"),
+                ModelVariant("ncf", "content_free")]
     # Unsorted strict subset of the 40 items, and batches of it.
     POOL = np.random.default_rng(36).permutation(40)[:31]
     BATCHES = (POOL[:7], POOL[7:8], POOL[8:], POOL)
@@ -485,14 +493,14 @@ class TestTowerSubBlocks:
     whether a sub-block holds one user, an uneven share, or every user."""
 
     VARIANTS = {
-        "concat-q0": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 0),
-        "concat-q2": ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2),
-        "mult-q0": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 0),
-        "mult-q2": ModelVariant("ncacf", "relaxed", "deep", "multiplication", 2),
-        "strict-concat-q2": ModelVariant("ncacf", "strict", "deep", "concatenation", 2),
-        "strict-mult-q0": ModelVariant("ncacf", "strict", "deep", "multiplication", 0),
-        "ncf-concat-q2": ModelVariant("ncf", "content_free", "deep", "concatenation", 2),
-        "ncf-mult-q2": ModelVariant("ncf", "content_free", "deep", "multiplication", 2),
+        "concat-q0": ModelVariant("ncacf", "relaxed", "concatenation", 0),
+        "concat-q2": ModelVariant("ncacf", "relaxed", "concatenation", 2),
+        "mult-q0": ModelVariant("ncacf", "relaxed", "multiplication", 0),
+        "mult-q2": ModelVariant("ncacf", "relaxed", "multiplication", 2),
+        "strict-concat-q2": ModelVariant("ncacf", "strict", "concatenation", 2),
+        "strict-mult-q0": ModelVariant("ncacf", "strict", "multiplication", 0),
+        "ncf-concat-q2": ModelVariant("ncf", "content_free", "concatenation", 2),
+        "ncf-mult-q2": ModelVariant("ncf", "content_free", "multiplication", 2),
     }
     USERS = 11
     # Unsorted strict subset of the 30 items, and batches of it.
@@ -574,7 +582,7 @@ class TestTowerSubBlocks:
         users, items = 2000, 64
         t, data, scheme = make_weighted(users, items, 0.02, seed=74)
         feats = FeatureTable(np.random.default_rng(75).normal(0, 1, (items, 6)))
-        variant = ModelVariant("ncacf", "relaxed", "deep", "concatenation", 2)
+        variant = ModelVariant("ncacf", "relaxed", "concatenation", 2)
         model = init_model(variant, users, items, 16, 6, seed=15, hidden_width=8,
                            extractor_layers=2)
         assert models.grid_width(model) == 32
@@ -662,7 +670,7 @@ class TestLosses:
         rng = np.random.default_rng(15)
         feats = FeatureTable(rng.normal(0, 1, (3, 4)))
         model = init_model(
-            ModelVariant("ncacf", "relaxed", "deep", "concatenation", 1),
+            ModelVariant("ncacf", "relaxed", "concatenation", 1),
             3, 3, 2, 4, seed=3, hidden_width=4, extractor_layers=2)
         got = full_loss(model, data, scheme, feats, 0.2, 0.5)
         R, C = dense_rc(data, scheme)
@@ -694,7 +702,7 @@ class TestGradients:
         rng = np.random.default_rng(19)
         feats = FeatureTable(rng.normal(0, 1, (4, 5)))
         model = init_model(
-            ModelVariant("ncacf", "relaxed", "deep", "multiplication", 1),
+            ModelVariant("ncacf", "relaxed", "multiplication", 1),
             3, 4, 3, 5, seed=5, hidden_width=4, extractor_layers=2)
         owned = owned_groups(model.variant, with_interaction=True)
         gradcheck_full_loss(model, data, scheme, feats, 0.3, 0.7, owned)
@@ -719,7 +727,7 @@ class TestGradients:
         dot-product mf_uni and strict dcb."""
         t, data, scheme = make_weighted(4, 6, 0.5, seed=22)
         feats = FeatureTable(np.random.default_rng(62).normal(0, 1, (6, 3)))
-        ncf = ModelVariant("ncf", "content_free", "deep")
+        ncf = ModelVariant("ncf", "content_free")
         cases = [(ncf, True), (ncf, False), (ModelVariant("mf_uni", "relaxed"), False),
                  (ModelVariant("dcb", "strict"), False)]
         for variant, tower in cases:
@@ -1012,8 +1020,8 @@ class TestTrainDcb:
 
 @pytest.mark.parametrize("variant", [
     WMF, ModelVariant("mf_hybrid", "relaxed"), DCB_RELAXED, UNI_RELAXED,
-    ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
-    ModelVariant("ncf", "content_free", "deep", q_hidden=1),
+    ModelVariant("ncacf", "relaxed", q_hidden=1),
+    ModelVariant("ncf", "content_free", q_hidden=1),
 ], ids=lambda v: v.family)
 def test_validation_cadence_counts_reported_epochs(variant):
     """Every family validates the reported epochs e with (e + 1) % eval_every
@@ -1093,7 +1101,7 @@ class TestTrainUnified:
         data, feats = self._setup(53)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             hidden_width=4, extractor_layers=2)
-        report = train(ModelVariant("ncacf", "relaxed", "deep", q_hidden=1),
+        report = train(ModelVariant("ncacf", "relaxed", q_hidden=1),
                        data, feats, hyper, seed=15)
         phases = [row[1] for row in report.rows]
         assert phases == ["pretrain"] * 2 + ["finetune"] * 3
@@ -1102,7 +1110,7 @@ class TestTrainUnified:
         data, _ = self._setup(55)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=1, finetune_epochs=2,
                             hidden_width=4)
-        report = train(ModelVariant("ncf", "content_free", "deep", q_hidden=1),
+        report = train(ModelVariant("ncf", "content_free", q_hidden=1),
                        data, None, hyper, seed=16)
         model = report.model
         assert model.extractor is None
@@ -1172,7 +1180,7 @@ class TestKeptModelsOwnTheirArrays:
         holding each epoch's last.ckpt path and a copy of the model's arrays."""
         t, data, scheme = make_weighted(6, 5, 0.5, seed=81)
         feats = FeatureTable(np.random.default_rng(82).normal(0, 1, (5, 3)))
-        variant = ModelVariant("ncacf", "relaxed", "deep", "concatenation", 1)
+        variant = ModelVariant("ncacf", "relaxed", "concatenation", 1)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             eval_every=1, hidden_width=4, extractor_layers=2)
         scores = iter(np.arange(100.0, 0.0, -1.0))
@@ -1202,7 +1210,7 @@ class TestKeptModelsOwnTheirArrays:
 
     @pytest.mark.parametrize("variant", [
         WMF, ModelVariant("mf_hybrid", "relaxed"), UNI_RELAXED, DCB_RELAXED,
-        ModelVariant("ncacf", "relaxed", "deep", q_hidden=1)],
+        ModelVariant("ncacf", "relaxed", q_hidden=1)],
         ids=lambda v: v.family)
     def test_new_best_every_epoch_copies_no_model(self, monkeypatch, variant):
         def no_copy(self):
