@@ -17,7 +17,8 @@ import numpy as np
 from .data import ConfidenceScheme, FeatureTable, read_records, write_records
 from .errors import ColdStartUnsupportedError, ConfigError, DataError
 from .numerics import (AdamState, Layer, MLPParams, activation_backward,
-                       apply_activation, mlp_backward, mlp_forward, sum_rows)
+                       apply_activation, map_blocks, mlp_backward, mlp_forward,
+                       sum_rows)
 from .rng import rng_for
 
 log = logging.getLogger(__name__)
@@ -47,6 +48,8 @@ class ModelVariant:
             raise ConfigError(f"{self.family} requires coupling=content_free")
         if self.family in ("dcb", "mf_hybrid", "mf_uni") and self.coupling == "content_free":
             raise ConfigError(f"{self.family} requires relaxed or strict coupling")
+        if self.family == "ncacf" and self.coupling == "content_free":
+            raise ConfigError("ncacf without content is ncf: set family = ncf")
         if self.q_hidden < 0:
             raise ConfigError("q_hidden must be >= 0")
 
@@ -340,13 +343,15 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
 # Floats one block of a users x items computation may hold: the dense R, C
 # and scores of an objective block, or an evaluation block's scores and
 # ranking temporaries. Both blocks also count a tower's widest grid per pair,
-# though the tower itself runs on one user sub-block of them at a time.
+# though the tower itself runs on user sub-blocks of them, two at a time.
 BLOCK_FLOATS = 1 << 21
 
-# Floats in one grid of a tower user sub-block (512 KiB): a sub-block's few
-# live grids fit a core's L2 cache (2 MiB on the Xeon it was tuned on), where
-# 2^16-2^18 ran a concatenation tower's batches fastest and 2^14-2^15 slower.
-TOWER_BLOCK_FLOATS = 1 << 16
+# Floats in one grid of a tower user sub-block (1 MiB). Two sub-blocks run at
+# once, one per core (numerics.map_blocks), each near its core's 2 MiB L2 on
+# the 2-vCPU Xeon host it was tuned on. There, with two workers, 2^17 trained
+# the perfbench ncacf_cold workload fastest (in-process `train` medians 0.82-0.86
+# s, against 1.00 s at 2^16 and 0.98-0.99 s at 2^18).
+TOWER_BLOCK_FLOATS = 1 << 17
 
 
 def block_units(floats_per_unit: int, budget: int | None = None) -> int:
@@ -375,14 +380,19 @@ def tower_user_blocks(model: Model, num_users: int, num_items: int) -> list[slic
 
 def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.ndarray:
     """Scores of the given users (default: all) against the given item-vector
-    columns: (len(users), n). A tower scores one user sub-block at a time."""
+    columns: (len(users), n). A tower scores its user sub-blocks, each into
+    its own rows, on up to two workers (numerics.map_blocks)."""
     W = model.embeddings.W[:, users]
     if model.interaction is None:
         return W.T @ item_vecs
     scores = np.empty((W.shape[1], item_vecs.shape[1]))
-    for block in tower_user_blocks(model, W.shape[1], item_vecs.shape[1]):
+
+    def score(block):
         scores[block] = tower_grid_forward(model.interaction, W[:, block], item_vecs,
                                            model.variant.combination)[0]
+
+    for _ in map_blocks(score, tower_user_blocks(model, W.shape[1], item_vecs.shape[1])):
+        pass
     return scores
 
 
@@ -469,4 +479,6 @@ def load_model(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: checkpoint does not hold a valid model "
                         f"({type(exc).__name__}: {exc})") from exc
+    except ConfigError as exc:  # a variant no longer built, such as content-free ncacf
+        raise ConfigError(f"{path}: {exc}") from exc
     return model, header, named, adams

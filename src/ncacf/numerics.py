@@ -1,5 +1,5 @@
 """Dense numerical kernels: SPD solves, a small MLP with analytic gradients,
-and the Adam optimizer.
+the Adam optimizer, and a block-order map over two worker threads.
 
 Everything is double precision. adam_step updates the parameters and moments
 it is given in place; the MLP passes leave their arguments unchanged, but
@@ -8,6 +8,8 @@ relu overwrites its own pre-activation, which a cache then holds as output.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,6 +18,40 @@ import numpy as np
 from .errors import TrainingDivergedError
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
+
+_POOL: ThreadPoolExecutor | None = None  # built by the first map_blocks that uses it
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
+
+
+def map_blocks(fn, blocks):
+    """Yield fn(block) for each block, in block order.
+
+    With two or more blocks and two or more cores this process may run on,
+    the blocks run on a two-thread pool, built once (numpy leaves the GIL in
+    its kernels); otherwise this is plain map. A caller that reduces the
+    results in the order they are yielded gets the same bits either way. If
+    fn raises, the blocks not yet started are cancelled and the running ones
+    are waited for before the exception leaves, so no block runs after it.
+    fn must not call map_blocks itself.
+    """
+    global _POOL
+    blocks = list(blocks)
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux; elsewhere every core
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if len(blocks) < 2 or cores < 2:
+        yield from map(fn, blocks)
+        return
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(2, thread_name_prefix="ncacf-block")
+    futures = [_POOL.submit(fn, block) for block in blocks]
+    try:
+        for future in futures:
+            yield future.result()
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
 
 def relu(x, out=None):

@@ -12,11 +12,13 @@ and dcb an unvalidated, uncheckpointed WMF phase and then its stage 2.
 All data-term sums run over item batches crossed with every user; pairs
 without a stored playcount contribute with r=0 and confidence 1. A dot
 product sums them at nnz cost through K x K Gramians; only a tower expands
-the users x batch grid, and it runs its forward and backward passes on one
-cache-sized sub-block of users at a time, summing the sub-blocks' gradients
-into one optimizer step per batch. Training on a cold split passes the
-training items as `item_pool`: batches, ALS sweeps and regularizers then
-never touch held-out items.
+the users x batch grid, and it runs its forward and backward passes on
+cache-sized sub-blocks of users, two at a time on two cores
+(numerics.map_blocks), summing the sub-blocks' gradients in block order into
+one optimizer step per batch, so the worker count changes no bit. ALS runs
+serially. Training on a cold split passes the training items as
+`item_pool`: batches, ALS sweeps and regularizers then never touch held-out
+items.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .models import (Embeddings, Hyperparams, Model, ModelVariant,
                      attach_tower, block_units, extract_item_embeddings,
                      grid_width, init_model, load_model, tower_grid_backward,
                      tower_grid_forward, tower_user_blocks)
-from .numerics import AdamState, adam_step, mlp_backward, mlp_forward, solve_spd
+from .numerics import (AdamState, adam_step, map_blocks, mlp_backward, mlp_forward,
+                       solve_spd)
 from .rng import rng_for
 
 # ---------------------------------------------------------------------------
@@ -87,8 +90,8 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     pair scored as unobserved (r = 0, c = 1) is <W W^T, H_b H_b^T>, and the
     batch's stored pairs add c (s - r)^2 - s^2 each; the gradients split the
     same way. That costs O(nnz K + (U + B) K^2). A tower scores the dense
-    users x batch grid, one sub-block of users at a time
-    (models.tower_user_blocks), and sums the sub-blocks' gradients.
+    users x batch grid in sub-blocks of users (models.tower_user_blocks),
+    on up to two workers, and sums the sub-blocks' parts in block order.
 
     The user regularizer is scaled by batch/pool so the batch objectives of
     one epoch sum to the full objective; the item-side terms are summed over
@@ -107,19 +110,29 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
     deep = model.interaction is not None
     if deep:
-        # One user sub-block at a time: forward, its error, and at once its
-        # backward pass, so that no grid outlives its sub-block.
+        # Each user sub-block runs its forward pass, its error and at once its
+        # backward pass, so that no grid outlives its sub-block. The
+        # sub-blocks may run on two workers; their parts are summed here in
+        # block order.
         R, C = _batch_rc(data, scheme, batch)
-        data_loss, tower_grads = 0.0, {}
-        gW_data, gH_use = np.empty_like(W), np.zeros_like(H_use)
-        for users in tower_user_blocks(model, W.shape[1], batch.size):
+
+        def sub_block(users):
             S, cache = tower_grid_forward(model.interaction, W[:, users], H_use,
                                           variant.combination)
             diff = S - R[users]
-            data_loss += np.sum(C[users] * diff * diff)
+            part = np.sum(C[users] * diff * diff)
+            if not want_grads:
+                return part, None
+            return part, tower_grid_backward(model.interaction, cache,
+                                             2.0 * C[users] * diff)
+
+        data_loss, tower_grads = 0.0, {}
+        gW_data, gH_use = np.empty_like(W), np.zeros_like(H_use)
+        blocks = tower_user_blocks(model, W.shape[1], batch.size)
+        for users, (part, back) in zip(blocks, map_blocks(sub_block, blocks)):
+            data_loss += part
             if want_grads:
-                grads_b, gW_data[:, users], gH_b = tower_grid_backward(
-                    model.interaction, cache, 2.0 * C[users] * diff)
+                grads_b, gW_data[:, users], gH_b = back
                 gH_use += gH_b
                 for name, g in grads_b.items():
                     tower_grads[name] = tower_grads.get(name, 0.0) + g
@@ -181,7 +194,8 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     Strict coupling scores h_i = phi(x_i) and has no lambda_H term.
 
     A dot product takes one pass over the pool; a tower takes one block of
-    items at a time, and each block one user sub-block at a time.
+    items at a time, and each block in user sub-blocks as _batch_objective
+    does.
     """
     pool = _pool_dims(model.num_items, item_pool)
     block = max(1, pool.size)

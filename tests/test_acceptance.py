@@ -16,6 +16,7 @@ import pytest
 from conftest import gradcheck_full_loss
 from oracles import (RankedList, als_update_h, als_update_w, ndcg_by_permutations,
                      ndcg_user, predict, random_ndcg_baseline, weighted_ridge_solve)
+from ncacf import models
 from ncacf.cli import main
 from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, generate_synthetic,
@@ -336,24 +337,34 @@ output = {output}
     return str(path)
 
 
-def test_criterion_8_threaded_determinism(tmp_path):
+def test_criterion_8_threaded_determinism(tmp_path, monkeypatch):
     """Two training runs of one config give byte-identical checkpoints and
-    report rows (the library runs no threads of its own)."""
+    report rows, for mf_hybrid and for a tower family. The tower's user
+    sub-blocks run on two worker threads when the process may use two cores;
+    their results are reduced in block order."""
     t0 = time.perf_counter()
-    cfg = _write_bench_config(tmp_path, "cold", "mf_hybrid", "relaxed",
-                              str(tmp_path / "run"))
-    assert main(["prepare", "--config", cfg]) == 0
-    runs = []
-    for _ in range(2):
-        assert main(["train", "--config", cfg]) == 0
-        rows = [row[:4] for row in read_report(tmp_path / "run" / "report.tsv")]
-        runs.append(((tmp_path / "run" / "last.ckpt").read_bytes(),
-                     (tmp_path / "run" / "best.ckpt").read_bytes(), rows))
-    rerun_identical = runs[0] == runs[1]
+    # 16 users to a sub-block of the 32-item, width-8 tower grid, so that
+    # each batch of the ~120 users runs several.
+    monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 16 * 32 * 8)
+    identical = {}
+    for family, extra in (("mf_hybrid", ""),
+                          ("ncacf", "[variant]\ncombination = concatenation\n")):
+        run = tmp_path / family
+        cfg = _write_bench_config(tmp_path, "cold", family, "relaxed", str(run))
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        assert main(["prepare", "--config", cfg]) == 0
+        runs = []
+        for _ in range(2):
+            assert main(["train", "--config", cfg]) == 0
+            rows = [row[:4] for row in read_report(run / "report.tsv")]
+            runs.append(((run / "last.ckpt").read_bytes(),
+                         (run / "best.ckpt").read_bytes(), rows))
+        identical[family] = runs[0] == runs[1]
     elapsed = time.perf_counter() - t0
-    ok = rerun_identical and elapsed < 120.0
+    ok = all(identical.values()) and elapsed < 120.0
     assert report_line(8, ok, f"rerun bit-identical (last.ckpt, best.ckpt, "
-                              f"report rows): {rerun_identical} in {elapsed:.0f}s "
+                              f"report rows): {identical} in {elapsed:.0f}s "
                               f"(limit 120s)")
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from conftest import half_writing
 from ncacf.cli import PreparedData, main
-from ncacf import config
+from ncacf import config, models, numerics, training
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import align_features, load_features, load_triplets, read_snapshot
-from ncacf.errors import DataError
+from ncacf.errors import DataError, TrainingDivergedError
 from ncacf.models import load_model, save_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -680,6 +680,83 @@ class TestTrainEvaluate:
             assert load_model(workspace / "run" / name)[0].embeddings.H is None
 
 
+class TestTowerWorkers:
+    """The tower's user sub-blocks run on two workers when the process may
+    use two cores (numerics.map_blocks). Results are reduced in block order,
+    so one worker and two give the same bytes."""
+
+    # A few users to a sub-block, so that every batch, validation and
+    # evaluation has several of them.
+    TOWER_FLOATS = 4 * 16 * 8 + 1
+
+    @staticmethod
+    def _pin_cores(monkeypatch, cores):
+        """Pin the worker count through the process's CPU affinity, with no
+        pool built yet."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(numerics, "_POOL", None)
+
+    @staticmethod
+    def _stop_pool():
+        if numerics._POOL is not None:
+            numerics._POOL.shutdown()
+
+    @pytest.mark.parametrize("family, coupling, combination", [
+        ("ncacf", "relaxed", "concatenation"), ("ncacf", "relaxed", "multiplication"),
+        ("ncf", "content_free", "concatenation")])
+    def test_one_and_two_workers_byte_identical(self, workspace, monkeypatch, family,
+                                                coupling, combination):
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", self.TOWER_FLOATS)
+        runs = []
+        for cores in (1, 2):
+            self._pin_cores(monkeypatch, cores)
+            output = f"run{cores}"
+            cfg = write_cfg(workspace, f"{output}.ini", family, coupling, output=output,
+                            extra=f"\n[variant]\ncombination = {combination}\n"
+                                  f"q_hidden = 1\n")
+            try:
+                assert main(["train", "--config", cfg]) == 0
+                assert main(["evaluate", "--config", cfg, "--checkpoint",
+                             str(workspace / output / "best.ckpt")]) == 0
+                assert (numerics._POOL is not None) == (cores == 2)
+            finally:
+                self._stop_pool()
+            files = tree_bytes(workspace / output)
+            files.pop("config.ini")  # names the run directory
+            files["report.tsv"] = [row.split(b"\t")[:4]
+                                   for row in files["report.tsv"].splitlines()]
+            runs.append(files)
+        assert {"last.ckpt", "best.ckpt", "eval_warm_test.tsv",
+                "eval_warm_validation.tsv"} <= set(runs[0])
+        assert runs[0] == runs[1]
+
+    def test_error_in_a_worker_reaches_train(self, workspace, monkeypatch, capsys):
+        """A sub-block's exception leaves `ncacf train` as itself (exit 4 with
+        its message), and no queued sub-block runs after it."""
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 1)  # one user each
+        self._pin_cores(monkeypatch, 2)
+        backward = training.tower_grid_backward
+        calls = []
+
+        def failing_backward(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise TrainingDivergedError("sub-block three diverged")
+            return backward(*args)
+
+        monkeypatch.setattr(training, "tower_grid_backward", failing_backward)
+        cfg = write_cfg(workspace, "ncacf.ini", "ncacf", "relaxed")
+        try:
+            assert main(["train", "--config", cfg]) == 4
+            after_error = len(calls)
+        finally:
+            self._stop_pool()  # runs whatever sub-block is still queued
+        assert "training diverged: sub-block three diverged" in capsys.readouterr().err
+        users = load_triplets(workspace / "prepared" / "triplets.tsv").num_users
+        assert 3 <= after_error < users  # the first tower batch had one sub-block per user
+        assert len(calls) == after_error
+
+
 class TestExitCodes:
     def test_unknown_family_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, family="bogus")
@@ -701,6 +778,26 @@ class TestExitCodes:
     def test_missing_prepared_data_is_data_error(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["train", "--config", cfg]) == 3
+
+    def test_content_free_ncacf_is_config_error(self, workspace, capsys):
+        """ncacf without content is ncf: such a config stops before any write
+        and names family = ncf, and so does a checkpoint saved with that
+        variant."""
+        cfg = write_cfg(workspace, "ncacf.ini", "ncacf", "content_free")
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 2
+        assert "family = ncf" in capsys.readouterr().err
+        assert tree_bytes(workspace) == before
+        ncf = write_cfg(workspace, "ncf.ini", "ncf", "content_free")
+        assert main(["train", "--config", ncf]) == 0
+        model, header, arrays, adams = load_model(workspace / "run" / "best.ckpt")
+        object.__setattr__(model.variant, "family", "ncacf")  # as an older version saved it
+        old = workspace / "old.ckpt"
+        save_model(old, model, header, arrays, adams)
+        assert main(["evaluate", "--config", ncf, "--checkpoint", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert str(old) in err and "family = ncf" in err
 
     def test_cold_eval_of_content_free_model(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, mode="cold")

@@ -40,6 +40,10 @@ class TestVariantRules:
         with pytest.raises(ConfigError):
             ModelVariant("wmf", "relaxed")
 
+    def test_content_free_ncacf_names_ncf(self):
+        with pytest.raises(ConfigError, match="family = ncf"):
+            ModelVariant("ncacf", "content_free")
+
     def test_mf_families_force_dot_product(self):
         for fam in ("wmf", "dcb", "mf_hybrid", "mf_uni"):
             variant = ModelVariant(fam, "content_free" if fam == "wmf" else "relaxed")

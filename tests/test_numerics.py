@@ -1,3 +1,8 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +10,7 @@ import pytest
 from oracles import (adam_reference, finite_diff_grad, gauss_solve,
                      mlp_backward_reference, mlp_forward_reference,
                      mlp_scalar_forward, sigmoid_reference, solve_spd_lu)
+from ncacf import numerics
 from ncacf.errors import TrainingDivergedError
 from ncacf.numerics import (AdamState, Layer, MLPParams, adam_step, mlp_backward,
                             mlp_forward, relu, sigmoid, solve_spd)
@@ -367,3 +373,50 @@ class TestActivations:
     def test_relu_nonnegative(self):
         rng = np.random.default_rng(2)
         assert np.all(relu(rng.normal(0, 10, 100)) >= 0.0)
+
+
+class TestMapBlocks:
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(numerics, "_POOL", None)
+        yield
+        if numerics._POOL is not None:
+            numerics._POOL.shutdown()
+
+    def test_yields_in_block_order(self, two_cores):
+        def slow_first(block):
+            if block == 0:
+                time.sleep(0.05)  # finishes after the later blocks
+            return block
+
+        assert list(numerics.map_blocks(slow_first, range(6))) == list(range(6))
+        assert numerics._POOL is not None
+
+    def test_forked_child_builds_its_own_pool(self, two_cores):
+        """The pool's threads do not survive a fork; a child that inherited
+        the pool object would queue its blocks forever."""
+        barrier = threading.Barrier(2)  # both of the parent's workers start
+
+        def together(block):
+            barrier.wait(timeout=10)
+            return abs(block)
+
+        assert list(numerics.map_blocks(together, [-1, -2])) == [1, 2]
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, repr(list(numerics.map_blocks(abs, [-3, -4]))).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 10.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's map_blocks did not finish")
+            time.sleep(0.01)
+        with os.fdopen(read) as fh:
+            assert fh.read() == "[3, 4]"
