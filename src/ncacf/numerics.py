@@ -1,5 +1,7 @@
 """Dense numerical kernels: SPD solves, a small MLP with analytic gradients,
-the Adam optimizer, and a block-order map over two worker threads.
+the Adam optimizer, and a block-order map over two worker threads, on which
+the library runs all of its parallel work (a tower's user sub-blocks, an ALS
+sweep's row blocks).
 
 Everything is double precision. adam_step updates the parameters and moments
 it is given in place; the MLP passes leave their arguments unchanged, but
@@ -9,6 +11,7 @@ relu overwrites its own pre-activation, which a cache then holds as output.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +23,7 @@ from .errors import TrainingDivergedError
 ACTIVATIONS = ("relu", "identity", "sigmoid")
 
 _POOL: ThreadPoolExecutor | None = None  # built by the first map_blocks that uses it
+_IN_WORKER = threading.local()  # .flag is set on the pool's own threads
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
     os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
 
@@ -33,17 +37,20 @@ def map_blocks(fn, blocks):
     results in the order they are yielded gets the same bits either way. If
     fn raises, the blocks not yet started are cancelled and the running ones
     are waited for before the exception leaves, so no block runs after it.
-    fn must not call map_blocks itself.
+    A call from one of the pool's own workers (fn calling map_blocks) is
+    plain map too, with the same order and bits, so it cannot wait for the
+    workers that are running it.
     """
     global _POOL
     blocks = list(blocks)
     affinity = getattr(os, "sched_getaffinity", None)  # Linux; elsewhere every core
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if len(blocks) < 2 or cores < 2:
+    if len(blocks) < 2 or cores < 2 or getattr(_IN_WORKER, "flag", False):
         yield from map(fn, blocks)
         return
     if _POOL is None:
-        _POOL = ThreadPoolExecutor(2, thread_name_prefix="ncacf-block")
+        _POOL = ThreadPoolExecutor(2, thread_name_prefix="ncacf-block",
+                                   initializer=setattr, initargs=(_IN_WORKER, "flag", True))
     futures = [_POOL.submit(fn, block) for block in blocks]
     try:
         for future in futures:
@@ -239,6 +246,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = A - A.swapaxes(-1, -2)
         asym = np.abs(d, out=d).max(axis=axes)
         scale = np.maximum(1.0, np.abs(A, out=d).max(axis=axes))
+        del d  # not held through the factorization
         if np.any(asym > 1e-10 * scale):
             raise ValueError(f"matrix not symmetric (max asymmetry {np.max(asym):.3e})")
     try:

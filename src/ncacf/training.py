@@ -15,8 +15,9 @@ product sums them at nnz cost through K x K Gramians; only a tower expands
 the users x batch grid, and it runs its forward and backward passes on
 cache-sized sub-blocks of users, two at a time on two cores
 (numerics.map_blocks), summing the sub-blocks' gradients in block order into
-one optimizer step per batch, so the worker count changes no bit. ALS runs
-serially. Training on a cold split passes the training items as
+one optimizer step per batch. An ALS sweep solves its blocks of rows on the
+same two workers, each block into its own columns. Either way the worker
+count changes no bit. Training on a cold split passes the training items as
 `item_pool`: batches, ALS sweeps and regularizers then never touch held-out
 items.
 """
@@ -217,6 +218,8 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
 # Floats in each temporary of one block of an ALS sweep. A block holds the
 # rows whose gathered columns (rows x width x K, width being the block's
 # longest row) and systems (rows x K x K) both fit, for every K and row length.
+# Two blocks are in flight at once on two cores (numerics.map_blocks); 2^18
+# was the fastest budget for them on hybrid_cold (K = 16).
 _ALS_BLOCK_FLOATS = 1 << 18
 
 
@@ -233,11 +236,13 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     F F^T + lam I plus G^T diag(c1) G over the row's stored columns G. Rows
     are taken shortest first, in blocks padded to the block's longest row
     (padding weighs 0); one stacked product builds a block's systems and one
-    stacked solve_spd factors each of them once and solves it. Returns
-    (K, n).
+    stacked solve_spd factors each of them once and solves it. No row's
+    system depends on another's, so the blocks run on up to two workers
+    (numerics.map_blocks), each writing only its own columns of the result,
+    with the same bits on one worker and on two. Returns (K, n).
 
     Raises _RowNotPD naming the lowest-numbered row whose system is not
-    positive definite, after the remaining blocks were tried.
+    positive definite, after every block was tried.
     """
     k, n = F.shape[0], lengths.size
     Ft = np.ascontiguousarray(F.T)
@@ -245,13 +250,18 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     order = np.argsort(lengths, kind="stable")
     row_floats = k * np.maximum(lengths[order], k)  # ascending
     out = np.empty((k, n))
-    start, bad = 0, n  # bad: the lowest row whose system failed to factor
+    blocks, start = [], 0
     while start < n:
         # Block [start, stop) costs its size times its last (longest) row.
         block_floats = np.arange(1, n - start + 1) * row_floats[start:]
         stop = start + max(1, int(np.searchsorted(block_floats, _ALS_BLOCK_FLOATS,
                                                   side="right")))
-        rows = order[start:stop]
+        blocks.append(order[start:stop])
+        start = stop
+
+    def solve_block(rows):
+        """Solve the block's rows into out; n, or the lowest row whose
+        system failed to factor."""
         offset = np.arange(lengths[rows[-1]])
         stored = offset < lengths[rows, None]
         entry = np.where(stored, starts[rows, None] + offset, 0)
@@ -262,11 +272,14 @@ def _ridge_rows(F: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
         b = (Gt @ np.where(stored, cr[entry], 0.0)[:, :, None])[..., 0]
         if prior is not None:
             b += lam * prior[:, rows].T
+        del G, Gt  # two blocks are in flight at once: free the gather first
         try:
             out[:, rows] = solve_spd(A, b).T
         except np.linalg.LinAlgError:
-            bad = min(bad, _first_not_pd(rows, A))
-        start = stop
+            return _first_not_pd(rows, A)
+        return n
+
+    bad = min(map_blocks(solve_block, blocks), default=n)
     if bad < n:
         raise _RowNotPD(bad)
     return out

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ncacf import numerics, training
 from ncacf.data import (ConfidenceScheme, InteractionTriplets, SparsePlaycounts)
 from oracles import finite_diff_grad, full_loss_gradients
 from ncacf.training import full_loss
@@ -26,6 +27,32 @@ def tiny_data():
     counts = np.array([9.0, 3.0, 12.0, 7.0, 1.0, 8.0])
     t = InteractionTriplets.create(users, items, counts, 4, 3)
     return t, SparsePlaycounts.from_triplets(t), ConfidenceScheme()
+
+
+@contextlib.contextmanager
+def pinned_cores(monkeypatch, cores):
+    """Run the body as if the process may use `cores` cores (its CPU
+    affinity), which sets numerics.map_blocks' worker count, starting with no
+    pool built and shutting down the pool the body built."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(numerics, "_POOL", None)
+    try:
+        yield
+    finally:
+        if numerics._POOL is not None:
+            numerics._POOL.shutdown()  # runs whatever block is still queued
+
+
+def record_solves(monkeypatch):
+    """A list that receives the stack size of every training.solve_spd call."""
+    solve, stacks = training.solve_spd, []
+
+    def recording(A, b):
+        stacks.append(A.shape[0])
+        return solve(A, b)
+
+    monkeypatch.setattr(training, "solve_spd", recording)
+    return stacks
 
 
 def model_param_arrays(model, owned):

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import gradcheck_full_loss
+from conftest import gradcheck_full_loss, record_solves
 from oracles import (RankedList, als_update_h, als_update_w, ndcg_by_permutations,
                      ndcg_user, predict, random_ndcg_baseline, weighted_ridge_solve)
-from ncacf import models
+from ncacf import models, training
 from ncacf.cli import main
 from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, generate_synthetic,
@@ -339,13 +339,17 @@ output = {output}
 
 def test_criterion_8_threaded_determinism(tmp_path, monkeypatch):
     """Two training runs of one config give byte-identical checkpoints and
-    report rows, for mf_hybrid and for a tower family. The tower's user
-    sub-blocks run on two worker threads when the process may use two cores;
-    their results are reduced in block order."""
+    report rows, for mf_hybrid and for a tower family. The ALS sweeps' row
+    blocks and the tower's user sub-blocks run on two worker threads when the
+    process may use two cores; their results are reduced in block order."""
     t0 = time.perf_counter()
     # 16 users to a sub-block of the 32-item, width-8 tower grid, so that
     # each batch of the ~120 users runs several.
     monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 16 * 32 * 8)
+    # A dozen or so rows (K = 4) to an ALS block, so that each sweep runs
+    # several; at the default budget every sweep of the fixture is one block.
+    monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", 12 * 4 * 16)
+    stacks = record_solves(monkeypatch)
     identical = {}
     for family, extra in (("mf_hybrid", ""),
                           ("ncacf", "[variant]\ncombination = concatenation\n")):
@@ -362,10 +366,11 @@ def test_criterion_8_threaded_determinism(tmp_path, monkeypatch):
                          (run / "best.ckpt").read_bytes(), rows))
         identical[family] = runs[0] == runs[1]
     elapsed = time.perf_counter() - t0
-    ok = all(identical.values()) and elapsed < 120.0
+    # mf_hybrid ran 2 x 6 x 2 sweeps (runs x n_iters x sides); ncacf runs none.
+    ok = all(identical.values()) and len(stacks) >= 3 * 24 and elapsed < 120.0
     assert report_line(8, ok, f"rerun bit-identical (last.ckpt, best.ckpt, "
-                              f"report rows): {identical} in {elapsed:.0f}s "
-                              f"(limit 120s)")
+                              f"report rows): {identical}, {len(stacks)} ALS blocks "
+                              f"in {elapsed:.0f}s (limit 120s)")
 
 
 def test_criterion_9_protocol_fidelity(tmp_path):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import half_writing
+from conftest import half_writing, pinned_cores, record_solves
 from ncacf.cli import PreparedData, main
 from ncacf import config, models, numerics, training
 from ncacf.config import ExperimentConfig, load_config, write_config
@@ -680,6 +680,29 @@ class TestTrainEvaluate:
             assert load_model(workspace / "run" / name)[0].embeddings.H is None
 
 
+def worker_runs(workspace, monkeypatch, family, coupling, extra=""):
+    """`train` then `evaluate` of one config with one worker and with two;
+    per run, its files by name with `report.tsv` rows cut before seconds."""
+    runs = []
+    for cores in (1, 2):
+        output = f"run{cores}"
+        cfg = write_cfg(workspace, f"{output}.ini", family, coupling, output=output,
+                        extra=extra)
+        with pinned_cores(monkeypatch, cores):
+            assert main(["train", "--config", cfg]) == 0
+            assert main(["evaluate", "--config", cfg, "--checkpoint",
+                         str(workspace / output / "best.ckpt")]) == 0
+            assert (numerics._POOL is not None) == (cores == 2)
+        files = tree_bytes(workspace / output)
+        files.pop("config.ini")  # names the run directory
+        files["report.tsv"] = [row.split(b"\t")[:4]
+                               for row in files["report.tsv"].splitlines()]
+        runs.append(files)
+    assert {"last.ckpt", "best.ckpt", "eval_warm_test.tsv",
+            "eval_warm_validation.tsv"} <= set(runs[0])
+    return runs
+
+
 class TestTowerWorkers:
     """The tower's user sub-blocks run on two workers when the process may
     use two cores (numerics.map_blocks). Results are reduced in block order,
@@ -689,52 +712,20 @@ class TestTowerWorkers:
     # evaluation has several of them.
     TOWER_FLOATS = 4 * 16 * 8 + 1
 
-    @staticmethod
-    def _pin_cores(monkeypatch, cores):
-        """Pin the worker count through the process's CPU affinity, with no
-        pool built yet."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        monkeypatch.setattr(numerics, "_POOL", None)
-
-    @staticmethod
-    def _stop_pool():
-        if numerics._POOL is not None:
-            numerics._POOL.shutdown()
-
     @pytest.mark.parametrize("family, coupling, combination", [
         ("ncacf", "relaxed", "concatenation"), ("ncacf", "relaxed", "multiplication"),
         ("ncf", "content_free", "concatenation")])
     def test_one_and_two_workers_byte_identical(self, workspace, monkeypatch, family,
                                                 coupling, combination):
         monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", self.TOWER_FLOATS)
-        runs = []
-        for cores in (1, 2):
-            self._pin_cores(monkeypatch, cores)
-            output = f"run{cores}"
-            cfg = write_cfg(workspace, f"{output}.ini", family, coupling, output=output,
-                            extra=f"\n[variant]\ncombination = {combination}\n"
-                                  f"q_hidden = 1\n")
-            try:
-                assert main(["train", "--config", cfg]) == 0
-                assert main(["evaluate", "--config", cfg, "--checkpoint",
-                             str(workspace / output / "best.ckpt")]) == 0
-                assert (numerics._POOL is not None) == (cores == 2)
-            finally:
-                self._stop_pool()
-            files = tree_bytes(workspace / output)
-            files.pop("config.ini")  # names the run directory
-            files["report.tsv"] = [row.split(b"\t")[:4]
-                                   for row in files["report.tsv"].splitlines()]
-            runs.append(files)
-        assert {"last.ckpt", "best.ckpt", "eval_warm_test.tsv",
-                "eval_warm_validation.tsv"} <= set(runs[0])
+        runs = worker_runs(workspace, monkeypatch, family, coupling,
+                           f"\n[variant]\ncombination = {combination}\nq_hidden = 1\n")
         assert runs[0] == runs[1]
 
     def test_error_in_a_worker_reaches_train(self, workspace, monkeypatch, capsys):
         """A sub-block's exception leaves `ncacf train` as itself (exit 4 with
         its message), and no queued sub-block runs after it."""
         monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 1)  # one user each
-        self._pin_cores(monkeypatch, 2)
         backward = training.tower_grid_backward
         calls = []
 
@@ -746,15 +737,34 @@ class TestTowerWorkers:
 
         monkeypatch.setattr(training, "tower_grid_backward", failing_backward)
         cfg = write_cfg(workspace, "ncacf.ini", "ncacf", "relaxed")
-        try:
+        with pinned_cores(monkeypatch, 2):
             assert main(["train", "--config", cfg]) == 4
             after_error = len(calls)
-        finally:
-            self._stop_pool()  # runs whatever sub-block is still queued
         assert "training diverged: sub-block three diverged" in capsys.readouterr().err
         users = load_triplets(workspace / "prepared" / "triplets.tsv").num_users
         assert 3 <= after_error < users  # the first tower batch had one sub-block per user
         assert len(calls) == after_error
+
+
+class TestAlsWorkers:
+    """The ALS sweeps' row blocks run on two workers when the process may use
+    two cores (numerics.map_blocks). Each row's system is solved alone, so one
+    worker and two give the same bytes."""
+
+    # A few rows to a block (K = 4, rows of up to about ten entries), so that
+    # every sweep runs several blocks.
+    ALS_FLOATS = 4 * 4 * 10
+
+    @pytest.mark.parametrize("family, coupling", [
+        ("wmf", "content_free"), ("mf_hybrid", "relaxed"), ("mf_hybrid", "strict")])
+    def test_one_and_two_workers_byte_identical(self, workspace, monkeypatch, family,
+                                                coupling):
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", self.ALS_FLOATS)
+        stacks = record_solves(monkeypatch)
+        runs = worker_runs(workspace, monkeypatch, family, coupling)
+        sweeps = 2 * 3 * (1 if coupling == "strict" else 2)  # runs x n_iters x sides
+        assert len(stacks) >= 3 * sweeps and max(stacks) > 1
+        assert runs[0] == runs[1]
 
 
 class TestExitCodes:
@@ -1014,10 +1024,14 @@ class TestExitCodes:
         assert str(run_a / "last.ckpt") in err and str(run_b) in err
         assert {f: (run_b / f).read_bytes() for f in sorted(os.listdir(run_b))} == before
 
-    def test_singular_als_system_at_zero_ridge_is_config_error(self, tmp_path, capsys):
+    def test_singular_als_system_at_zero_ridge_is_config_error(self, tmp_path, capsys,
+                                                                monkeypatch):
         """wmf at embed_dim 32 over 25 items leaves every user's Gramian
         rank-deficient; with lambda_w = lambda_h = 0 the first user sweep
-        cannot factor it, which is a configuration error, not a crash."""
+        cannot factor it, which is a configuration error, not a crash. The
+        sweep runs a few users to a block on two workers, and still names
+        the first user."""
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", 4 * 32 * 32)
         raw = tmp_path / "raw"
         raw.mkdir()
         rng = np.random.default_rng(5)
@@ -1029,7 +1043,9 @@ class TestExitCodes:
                         "\n[hyperparams]\nembed_dim = 32\nlambda_w = 0\nlambda_h = 0\n")
         assert main(["prepare", "--config", cfg]) == 0
         capsys.readouterr()
-        assert main(["train", "--config", cfg]) == 2
+        with pinned_cores(monkeypatch, 2):
+            assert main(["train", "--config", cfg]) == 2
+            assert numerics._POOL is not None
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "ALS user sweep" in err and "user 0 " in err and "lambda_w = 0" in err

@@ -393,6 +393,29 @@ class TestMapBlocks:
         assert list(numerics.map_blocks(slow_first, range(6))) == list(range(6))
         assert numerics._POOL is not None
 
+    @staticmethod
+    def _in_forked_child(fn):
+        """repr(fn()) as a forked child computed it; the test fails if the
+        child has not finished within 10 s."""
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write, repr(fn()).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        deadline = time.monotonic() + 10.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
+                pytest.fail("the forked child's map_blocks did not finish")
+            time.sleep(0.01)
+        with os.fdopen(read) as fh:
+            return fh.read()
+
     def test_forked_child_builds_its_own_pool(self, two_cores):
         """The pool's threads do not survive a fork; a child that inherited
         the pool object would queue its blocks forever."""
@@ -403,20 +426,15 @@ class TestMapBlocks:
             return abs(block)
 
         assert list(numerics.map_blocks(together, [-1, -2])) == [1, 2]
-        read, write = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.write(write, repr(list(numerics.map_blocks(abs, [-3, -4]))).encode())
-            finally:
-                os._exit(0)
-        os.close(write)
-        deadline = time.monotonic() + 10.0
-        while os.waitpid(pid, os.WNOHANG) == (0, 0):
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's map_blocks did not finish")
-            time.sleep(0.01)
-        with os.fdopen(read) as fh:
-            assert fh.read() == "[3, 4]"
+        assert self._in_forked_child(
+            lambda: list(numerics.map_blocks(abs, [-3, -4]))) == "[3, 4]"
+
+    def test_call_from_a_worker_runs_as_map(self, two_cores):
+        """fn may call map_blocks: on a pool worker that call runs its blocks
+        in place instead of waiting for the two busy workers. It runs in a
+        forked child, so that a hang cannot stop the suite."""
+        def outer(block):
+            return list(numerics.map_blocks(lambda x: 10 * block + x, [1, 2]))
+
+        assert self._in_forked_child(
+            lambda: list(numerics.map_blocks(outer, [1, 2]))) == "[[11, 12], [21, 22]]"

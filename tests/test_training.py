@@ -1,6 +1,7 @@
 import os
 import re
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -8,11 +9,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import gradcheck_full_loss, half_writing, random_triplets
+from conftest import (gradcheck_full_loss, half_writing, pinned_cores, random_triplets,
+                      record_solves)
 from oracles import (als_update_h, als_update_w, combine, copy_mlp, copy_model,
                      dense_batch_objective, dense_weighted_loss, finite_diff_grad,
                      full_loss_gradients, weighted_ridge_solve)
-from ncacf import models, training
+from ncacf import models, numerics, training
 from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
                         SparsePlaycounts)
 from ncacf.errors import ConfigError, DataError, TrainingDivergedError
@@ -198,14 +200,27 @@ class TestAlsUpdates:
         with pytest.raises(DataError, match="item 1 "):
             als_sweep_users(H_pool, data, ConfidenceScheme(), 0.5, np.array([0, 2]))
 
-    def test_parallel_sweep_bit_identical(self):
+    def test_parallel_sweep_bit_identical(self, monkeypatch):
+        """Sweeps of several blocks, with a prior and without, give the same
+        bits on one worker and on two, whose writes into one result array
+        interleave often under a short thread switch interval."""
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", 4 * 4 * 8)  # a few rows each
         t, data, scheme = make_weighted(40, 25, 0.2, seed=7)
         rng = np.random.default_rng(8)
-        H = rng.normal(0, 1, (4, 25))
+        H, W, prior = (rng.normal(0, 1, (4, n)) for n in (25, 40, 25))
         pool = np.arange(25)
-        a = als_sweep_users(H, data, scheme, 0.3, pool)
-        b = als_sweep_users(H, data, scheme, 0.3, pool)
-        assert np.array_equal(a, b)
+        sweeps, interval = [], sys.getswitchinterval()
+        for cores in (1, 2):
+            with pinned_cores(monkeypatch, cores):
+                sys.setswitchinterval(1e-6)
+                try:
+                    sweeps.append((als_sweep_users(H, data, scheme, 0.3, pool),
+                                   als_sweep_items(W, data, scheme, 0.3, pool, prior)))
+                finally:
+                    sys.setswitchinterval(interval)
+                assert (numerics._POOL is not None) == (cores == 2)
+        for one, two in zip(*sweeps):
+            assert np.array_equal(one, two)
 
 
 class TestSweepOracle:
@@ -299,32 +314,63 @@ class TestSweepOracle:
         # A positive ridge makes the same systems solvable.
         assert np.all(np.isfinite(als_sweep_users(H_pool, data, scheme, 1e-3, self.POOL)))
 
+    def test_lowest_failing_row_named_when_its_block_finishes_last(self,
+                                                                  monkeypatch):
+        """The not-PD error names the lowest failing row even when the block
+        that holds it is the last of two workers' blocks to finish."""
+        monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", 9)  # one row per block
+        rng = np.random.default_rng(14)
+        scheme = ConfidenceScheme()
+        data = self._data(rng, pool_only=True)
+        W = rng.normal(0, 1, (3, 13))
+        W[1] = 0.0  # every item's system is singular at lambda_h = 0
+        first, finished = training._first_not_pd, []
+
+        def slow_for_pool_position_0(rows, A):
+            row = first(rows, A)
+            if row == 0:
+                time.sleep(0.2)
+            finished.append(row)
+            return row
+
+        monkeypatch.setattr(training, "_first_not_pd", slow_for_pool_position_0)
+        with pinned_cores(monkeypatch, 2):
+            with pytest.raises(ConfigError, match="the system of item 7 "):
+                als_sweep_items(W, data, scheme, 0.0, self.POOL)
+        assert sorted(finished) == list(range(self.POOL.size)) and finished[-1] == 0
+
     @pytest.mark.parametrize("k", [2, 6])
     def test_block_temporaries_bounded(self, monkeypatch, k):
         """A block of rows (shortest first) holds at most _ALS_BLOCK_FLOATS
         floats of systems and of gathered columns, or is a single row."""
         floats = 300
         monkeypatch.setattr(training, "_ALS_BLOCK_FLOATS", floats)
-        sizes = []
-        solve = training.solve_spd
+        blocks, stacks = [], record_solves(monkeypatch)
+        map_blocks = training.map_blocks
 
-        def recording(A, b):
-            sizes.append(A.shape[0])
-            return solve(A, b)
+        def recording_map(fn, rows):
+            blocks.extend(rows)
+            return map_blocks(fn, rows)
 
-        monkeypatch.setattr(training, "solve_spd", recording)
+        monkeypatch.setattr(training, "map_blocks", recording_map)
         t, data, scheme = make_weighted(60, 25, 0.4, seed=21)
         rng = np.random.default_rng(22)
         for axis, F in ((data.by_user, rng.normal(0, 1, (k, 25))),
                         (data.by_item, rng.normal(0, 1, (k, 60)))):
-            sizes.clear()
+            blocks.clear()
+            stacks.clear()
             if axis is data.by_user:
                 als_sweep_users(F, data, scheme, 0.3, np.arange(25))
             else:
                 als_sweep_items(F, data, scheme, 0.3, np.arange(25))
-            widths = np.sort(np.diff(axis.indptr))[np.cumsum(sizes) - 1]
-            assert sum(sizes) == axis.indptr.size - 1 and len(sizes) > 1
-            for n, width in zip(sizes, widths):
+            lengths = np.diff(axis.indptr)
+            # The blocks cut the rows, shortest first, and each is one stack.
+            assert np.array_equal(np.concatenate(blocks),
+                                  np.argsort(lengths, kind="stable"))
+            assert sorted(stacks) == sorted(rows.size for rows in blocks)
+            assert len(blocks) > 1
+            for rows in blocks:
+                n, width = rows.size, lengths[rows].max()
                 assert n == 1 or n * k * max(k, width) <= floats
 
 
