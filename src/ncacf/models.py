@@ -340,10 +340,12 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     return grads, gW, gH
 
 
-# Floats one block of a users x items computation may hold: the dense R, C
-# and scores of an objective block, or an evaluation block's scores and
-# ranking temporaries. Both blocks also count a tower's widest grid per pair,
-# though the tower itself runs on user sub-blocks of them, two at a time.
+# Floats one item block of a tower's objective (training.full_loss) may
+# hold, counting the tower's widest grid per (user, item) pair, though the
+# tower itself runs on user sub-blocks of it, two at a time. The value sets
+# where the objective's item blocks are cut, and so the order of its sum and
+# the last bits of the report's objective. Evaluation blocks have their own,
+# smaller budget (evaluation._RANK_BLOCK_FLOATS).
 BLOCK_FLOATS = 1 << 21
 
 # Floats in one grid of a tower user sub-block (1 MiB). Two sub-blocks run at

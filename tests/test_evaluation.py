@@ -274,12 +274,18 @@ class TestBlockedRanking:
 
     @staticmethod
     def _round_scores(monkeypatch):
-        """Round every score to two decimals, in the library and the oracle."""
+        """Round every score to two decimals, in the library and the oracle.
+        Returns a list that receives the user count of every scored block."""
+        blocks = []
+
         def rounded(model, item_vecs, users=slice(None)):
-            return np.round(models.score_matrix(model, item_vecs, users), 2)
+            scores = models.score_matrix(model, item_vecs, users)
+            blocks.append(scores.shape[0])
+            return np.round(scores, 2)
 
         monkeypatch.setattr(evaluation, "score_matrix", rounded)
         monkeypatch.setattr(oracles, "score_matrix", rounded)
+        return blocks
 
     @staticmethod
     def _record_blocks(monkeypatch):
@@ -308,7 +314,8 @@ class TestBlockedRanking:
     def test_matches_per_user_oracle(self, monkeypatch, setting, kind):
         t, membership, model, feats = self._setup(setting, kind)
         scheme = ConfidenceScheme()
-        self._round_scores(monkeypatch)
+        blocks = self._round_scores(monkeypatch)
+        default = evaluation._RANK_BLOCK_FLOATS
         iv = models.item_vectors(model, np.arange(30), feats, setting)
         S = evaluation.score_matrix(model, iv)
         assert max(row.size - np.unique(row).size for row in S) > 5  # heavy ties
@@ -323,21 +330,24 @@ class TestBlockedRanking:
                     users = np.array(sorted(want.ndcg))
                     assert (valid[users] < top_k).any() and (valid[users] >= top_k).any()
                 per_user = want.pool_size_total // max(1, want.num_users)
-                # Default budget; one user per block; three users per block.
-                for floats in (models.BLOCK_FLOATS, 1, None):
+                # Default budget (one block here); one user per block; three
+                # users per block.
+                for floats in (default, 1, None):
                     if floats is None:
                         width = 0 if model.interaction is None else models.grid_width(model)
                         floats = 3 * per_user * (evaluation._RANK_FLOATS + width)
-                    monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+                    monkeypatch.setattr(evaluation, "_RANK_BLOCK_FLOATS", floats)
+                    blocks.clear()
                     got = evaluate(model, membership, bucket, t, scheme, feats, top_k)
                     assert got == want, (top_k, bucket, floats)
+                    assert (len(blocks) > 1) == (floats != default), (floats, blocks)
 
     @pytest.mark.parametrize("kind", list(VARIANTS))
     def test_block_temporaries_bounded(self, monkeypatch, kind):
         """Every block's scores, ranking temporaries and tower grids fit
-        models.BLOCK_FLOATS, or the block is a single user."""
+        evaluation._RANK_BLOCK_FLOATS, or the block is a single user."""
         floats = 900
-        monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+        monkeypatch.setattr(evaluation, "_RANK_BLOCK_FLOATS", floats)
         for setting in ("cold", "warm"):
             t, membership, model, feats = self._setup(setting, kind)
             blocks = self._record_blocks(monkeypatch)
