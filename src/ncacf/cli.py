@@ -3,6 +3,8 @@
 Verbs: prepare, synth, train, evaluate, sweep, report. Every command is
 driven by an INI config (see config.py) plus a few overrides. Exit codes:
 0 success, 2 config error, 3 data error, 4 training divergence.
+`prepare` writes the prepared text files and snapshot.bin, their checked
+binary mirror; train, evaluate and sweep read only the snapshot.
 """
 
 from __future__ import annotations
@@ -101,38 +103,40 @@ def cmd_prepare(args) -> int:
     # manifest and the snapshot match that file.
     filtered = D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users)
     os.makedirs(cfg.prepared, exist_ok=True)
-    tri_path, feat_path, snap_path = _prepared_paths(cfg)
-    D.write_triplets(tri_path, filtered)
+    paths = _prepared_paths(cfg)
+    D.write_triplets(paths["triplets"], filtered)
 
     table = None
     if cfg.features is not None and os.path.exists(cfg.features):
         labels, values = D.load_features(cfg.features)
         table = D.align_features(labels, values, filtered.item_labels)
-        D.write_features(feat_path, filtered.item_labels, table.values)
+        D.write_features(paths["features"], filtered.item_labels, table.values)
     else:  # an earlier prepare's feature file would describe other data
         with contextlib.suppress(FileNotFoundError):
-            os.remove(feat_path)
+            os.remove(paths["features"])
 
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
-    D.write_split_plan(os.path.join(cfg.prepared, "split_cold.txt"), cold)
-    D.write_split_plan(os.path.join(cfg.prepared, "split_warm.txt"), warm)
+    for plan in (cold, warm):
+        D.write_split_plan(paths[f"split_{plan.mode}"], plan)
     orphans = D.scan_warm_orphans(warm, filtered)
     if orphans:
         raise DataError(f"warm split repair failed for {len(orphans)} fold/item pairs")
 
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))
-    D.write_snapshot(snap_path, filtered, table, tri_path, feat_path)
+    D.write_snapshot(os.path.join(cfg.prepared, "snapshot.bin"), filtered, table,
+                     (cold, warm), paths)
     print(f"prepared dataset in {cfg.prepared}")
     return 0
 
 
-def _prepared_paths(cfg: ExperimentConfig) -> tuple[str, str, str]:
-    """The prepared triplet and feature files and their binary snapshot."""
-    return tuple(os.path.join(cfg.prepared, name)
-                 for name in ("triplets.tsv", "features.tsv", "snapshot.bin"))
-
+def _prepared_paths(cfg: ExperimentConfig) -> dict[str, str]:
+    """The prepared text files, keyed as the snapshot records their digests."""
+    return {key: os.path.join(cfg.prepared, name)
+            for key, name in (("triplets", "triplets.tsv"), ("features", "features.tsv"),
+                              ("split_cold", "split_cold.txt"),
+                              ("split_warm", "split_warm.txt"))}
 
 def _bucket_interactions(triplets: D.InteractionTriplets, plan: D.SplitPlan,
                          fold: int) -> dict[str, tuple[int, int]]:
@@ -213,22 +217,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 class PreparedData:
+    """The prepared data a verb runs on, read from the snapshot alone."""
+
     def __init__(self, cfg: ExperimentConfig):
-        tri_path, feat_path, snap_path = _prepared_paths(cfg)
-        if not os.path.exists(snap_path):
-            raise DataError(f"{snap_path} missing; run `ncacf prepare` first")
-        self.triplets, self.features = D.read_snapshot(snap_path, tri_path, feat_path)
-        plan_path = os.path.join(cfg.prepared, f"split_{cfg.split_mode}.txt")
-        if not os.path.exists(plan_path):
-            raise DataError(f"{plan_path} missing; run `ncacf prepare` first")
-        self.plan = D.read_split_plan(plan_path)
-        # The units are items (cold) or triplet rows (warm), each in one section.
-        units = np.concatenate([self.plan.validation, self.plan.train_always, *self.plan.folds])
-        n = self.triplets.num_items if self.plan.mode == "cold" else self.triplets.num_entries
-        if not np.array_equal(np.sort(units), np.arange(n)):
-            raise DataError(f"{plan_path}: the split units are not 0 .. {n - 1} each once; "
-                            f"rerun `ncacf prepare`")
-        self.membership = D.materialize_fold(self.plan, cfg.fold)
+        self.triplets, self.features, plans = D.read_snapshot(
+            os.path.join(cfg.prepared, "snapshot.bin"), _prepared_paths(cfg))
+        plan = plans[cfg.split_mode]
+        for key in ("num_folds", "val_fraction"):
+            have, want = getattr(plan, key), getattr(cfg, key)
+            if have != want:
+                raise ConfigError(f"the data in {cfg.prepared} was prepared with {key} = "
+                                  f"{have!r}, the config asks for {want!r}; rerun "
+                                  f"`ncacf prepare` with this config")
+        self.membership = D.materialize_fold(plan, cfg.fold)
         if cfg.split_mode == "cold":
             self.item_pool = self.membership.train
         else:

@@ -6,12 +6,12 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
   triplets:  user<TAB>item<TAB>count       one interaction per line
   features:  item<TAB>v1<TAB>...<TAB>vL    fixed L per file
   split plan: key = value header plus explicit membership sections (see
-  write_split_plan).
-A prepared dataset also gets a binary snapshot of its parsed triplets and
-aligned features (see write_snapshot): the one copy of the prepared data
-that the verbs read, checked against the text files. The snapshot and
-checkpoints share one checked binary container, the record file (see
-write_records). Every file a verb writes goes through replacing().
+  write_split_plan); written for people and other tools, never parsed here.
+A prepared dataset also gets a binary snapshot of its parsed triplets,
+aligned features and both split plans (see write_snapshot): the one copy of
+the prepared data that the verbs read, checked against the four text files.
+The snapshot and checkpoints share one checked binary container, the record
+file (see write_records). Every file a verb writes goes through replacing().
 """
 
 from __future__ import annotations
@@ -330,8 +330,9 @@ def _gather(strings, idx: np.ndarray) -> list[str]:
 
 
 def load_features(path):
-    """Parse a feature file into (labels, I x L matrix)."""
-    labels = []
+    """Parse a feature file into (labels, I x L matrix). An item listed on
+    two lines raises ParseError naming both."""
+    first_line: dict[str, int] = {}
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -351,11 +352,13 @@ def load_features(path):
                 vec = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric feature value")
-            labels.append(parts[0])
+            if first_line.setdefault(parts[0], lineno) != lineno:
+                raise ParseError(f"{path}:{lineno}: item {parts[0]!r} already listed "
+                                 f"on line {first_line[parts[0]]}")
             rows.append(vec)
     if not rows:
         raise ParseError(f"{path}: no feature rows")
-    return labels, np.array(rows, dtype=np.float64)
+    return list(first_line), np.array(rows, dtype=np.float64)
 
 
 def write_features(path, labels, values: np.ndarray) -> None:
@@ -507,15 +510,18 @@ def read_records(path, magic: bytes, version: int, what: str,
 # ---------------------------------------------------------------------------
 # Prepared-data snapshot
 #
-# A record file with a binary copy of what a verb parses from a prepared
-# triplets.tsv and features.tsv. Its header holds the byte length and CRC32
-# of both text files (null for a feature file that was not prepared); its
-# records are users, items and counts, the UTF-8 user and item labels (each
-# followed by "\n"), and the aligned feature matrix when there is one.
+# A record file with a binary copy of what `prepare` wrote as text: the
+# triplets, the aligned features and both split plans. Its header holds the
+# byte length and CRC32 of each text file under the key the caller names it
+# by (null for a feature file that was not prepared), and each plan's
+# [mode, seed, num_folds, val_fraction]; its records are users, items and
+# counts, the UTF-8 user and item labels (each followed by "\n"), the
+# aligned feature matrix when there is one, then each plan's validation,
+# train_always and fold 0 .. num_folds - 1 units.
 # ---------------------------------------------------------------------------
 
 _SNAP_MAGIC = b"NCPS"
-_SNAP_VERSION = 2
+_SNAP_VERSION = 3
 
 
 def _file_digest(path) -> list[int] | None:
@@ -540,40 +546,53 @@ def _byte_labels(raw: np.ndarray) -> tuple[str, ...]:
 
 
 def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable | None,
-                   triplets_path, features_path) -> None:
-    """Snapshot the triplets just written to triplets_path and the features
-    (aligned to their items) just written to features_path; features None
-    records that no feature file was prepared."""
+                   plans: tuple[SplitPlan, ...], text_paths: dict[str, str]) -> None:
+    """Snapshot the triplets, the features (aligned to their items) and the
+    split plans just written to the text files text_paths, a mapping whose
+    "features" key names the feature file; features None records that no
+    feature file was prepared."""
     records = [triplets.users, triplets.items, triplets.counts,
                _label_bytes(triplets.user_labels), _label_bytes(triplets.item_labels)]
     if features is not None:
         records.append(features.values)
-    header = {"triplets": _file_digest(triplets_path),
-              "features": None if features is None else _file_digest(features_path)}
+    for plan in plans:
+        records += [plan.validation, plan.train_always, *plan.folds]
+    header = {key: _file_digest(text_path) for key, text_path in text_paths.items()}
+    if features is None:
+        header["features"] = None
+    header["plans"] = [[plan.mode, plan.seed, plan.num_folds, plan.val_fraction]
+                       for plan in plans]
     write_records(path, _SNAP_MAGIC, _SNAP_VERSION, header, records)
 
 
-def read_snapshot(path, triplets_path, features_path):
-    """(triplets, aligned features or None) from a snapshot. A snapshot that
-    read_records rejects, or text files that are not those it was written
-    with (edited, removed or added since), raise DataError naming the path
-    and saying to rerun `ncacf prepare`."""
+def read_snapshot(path, text_paths: dict[str, str]):
+    """(triplets, aligned features or None, split plans by mode) from a
+    snapshot. A snapshot that read_records rejects, or text files that are
+    not those it was written with (edited, removed or added since), raise
+    DataError naming the path and saying to rerun `ncacf prepare`."""
     rerun = "`ncacf prepare`"
     header, records = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
                                    "prepared snapshot", rerun)
-    for key, text_path in (("triplets", triplets_path), ("features", features_path)):
+    for key, text_path in text_paths.items():
         if header.get(key) != _file_digest(text_path):
             raise DataError(f"{path}: {text_path} is not the file `ncacf prepare` "
                             f"wrote with this snapshot; rerun {rerun}")
-    want = 5 + (header.get("features") is not None)
+    has_features = header["features"] is not None
+    want = 5 + has_features + sum(2 + num_folds for _, _, num_folds, _ in header["plans"])
     if len(records) != want:
         raise DataError(f"{path}: prepared snapshot holds {len(records)} records, "
                         f"not {want}; rerun {rerun}")
-    users, items, counts, user_raw, item_raw, *rest = records
+    users, items, counts, user_raw, item_raw = records[:5]
     user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
-    features = FeatureTable(rest[0]) if rest else None
+    features = FeatureTable(records[5]) if has_features else None
+    plans, at = {}, 5 + has_features
+    for mode, seed, num_folds, val_fraction in header["plans"]:
+        validation, train_always, *folds = records[at:at + 2 + num_folds]
+        plans[mode] = SplitPlan(mode, seed, num_folds, val_fraction, validation,
+                                tuple(folds), train_always)
+        at += 2 + num_folds
     return (InteractionTriplets(users, items, counts, len(user_labels), len(item_labels),
-                                user_labels, item_labels), features)
+                                user_labels, item_labels), features, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -821,49 +840,6 @@ def write_split_plan(path, plan: SplitPlan) -> None:
 
 def _units_line(units: np.ndarray) -> str:
     return " ".join(map(str, units.tolist())) + "\n"
-
-
-def read_split_plan(path) -> SplitPlan:
-    header: dict[str, str] = {}
-    sections: dict[str, np.ndarray] = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                sections[current] = np.empty(0, dtype=np.int64)
-            elif current is not None:
-                try:
-                    sections[current] = np.array(list(map(int, line.split())), dtype=np.int64)
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: split units must be integers")
-            elif "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-            else:
-                raise ParseError(f"{path}:{lineno}: unparseable line")
-    try:
-        num_folds = int(header["num_folds"])
-        plan = SplitPlan(
-            mode=header["mode"],
-            seed=int(header["seed"]),
-            num_folds=num_folds,
-            val_fraction=float(header["val_fraction"]),
-            validation=sections["validation"],
-            folds=tuple(sections[f"fold {k}"] for k in range(num_folds)),
-            train_always=sections.get("train_always", np.empty(0, dtype=np.int64)),
-        )
-        num_units = int(header["num_units"])
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing split-plan field {exc}")
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad split-plan header value ({exc})")
-    if plan.num_units != num_units:
-        raise ParseError(f"{path}: unit count mismatch")
-    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _batch_rc(data: SparsePlaycounts, scheme: ConfidenceScheme, items: np.ndarra
 
 def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
                      features: FeatureTable | None, lam_w: float, lam_h: float,
-                     batch: np.ndarray, pool_size: int, want_grads: bool,
+                     batch: np.ndarray, pool_size: int,
                      owned: frozenset[str] = frozenset()):
     """Confidence-weighted prediction error over (all users) x (batch items),
     plus regularizers.
@@ -96,7 +96,8 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
     The user regularizer is scaled by batch/pool so the batch objectives of
     one epoch sum to the full objective; the item-side terms are summed over
-    the batch only. Returns (loss, grads keyed by parameter group).
+    the batch only. Returns (loss, grads of the `owned` parameter groups);
+    with none owned, no gradient is computed.
     """
     variant = model.variant
     W = model.embeddings.W
@@ -122,7 +123,7 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
                                           variant.combination)
             diff = S - R[users]
             part = np.sum(C[users] * diff * diff)
-            if not want_grads:
+            if not owned:
                 return part, None
             return part, tower_grid_backward(model.interaction, cache,
                                              2.0 * C[users] * diff)
@@ -132,7 +133,7 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
         blocks = tower_user_blocks(model, W.shape[1], batch.size)
         for users, (part, back) in zip(blocks, map_blocks(sub_block, blocks)):
             data_loss += part
-            if want_grads:
+            if owned:
                 grads_b, gW_data[:, users], gH_b = back
                 gH_use += gH_b
                 for name, g in grads_b.items():
@@ -155,7 +156,7 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
         loss += lam_h * float(np.sum(D * D))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"objective is not finite ({loss})")
-    if not want_grads:
+    if not owned:
         return loss, {}
 
     grads: dict[str, object] = {}
@@ -205,8 +206,7 @@ def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     total = 0.0
     for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                                   pool[start:start + block], pool.size,
-                                   want_grads=False)
+                                   pool[start:start + block], pool.size)
         total += part
     return total
 
@@ -378,20 +378,20 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
 
 def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
            features: FeatureTable | None, lam_w: float, lam_h: float,
-           owned: frozenset[str], adams: dict[str, AdamState],
-           schedule: BatchSchedule, item_pool: np.ndarray):
+           adams: dict[str, AdamState], schedule: BatchSchedule,
+           item_pool: np.ndarray):
     """One epoch of batched steps on the weighted-prediction-error objective.
 
-    Exactly the `owned` parameter groups move. Embedding moments follow
-    dense-optimizer semantics: items outside a batch contribute zero
-    gradient but their moments still decay. The steps update the model's
-    arrays and adams in place; returns (model, adams).
+    Exactly the parameter groups with Adam state in `adams` move. Embedding
+    moments follow dense-optimizer semantics: items outside a batch
+    contribute zero gradient but their moments still decay. The steps update
+    the model's arrays and adams in place; returns (model, adams).
     """
+    owned = frozenset(adams)
     for batch in schedule.batches:
         items = item_pool[batch]
         _, grads = _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                                    items, item_pool.size, want_grads=True,
-                                    owned=owned)
+                                    items, item_pool.size, owned)
         for group, g in grads.items():
             adam_step(adams[group], group_params(model, group),
                       g if isinstance(g, dict) else {group: g})
@@ -560,8 +560,8 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
         """Batched steps on the weighted prediction error; the groups that
         have Adam state move."""
         gd_wpe(state.model, data, scheme, features, hyper.lambda_w, hyper.lambda_h,
-               frozenset(state.adams), state.adams,
-               make_batches(pool.size, batch_size, seed, epoch), pool)
+               state.adams, schedule=make_batches(pool.size, batch_size, seed, epoch),
+               item_pool=pool)
 
     def extractor_epoch(state: TrainState, epoch: int) -> None:
         """Fit the extractor alone: relaxed coupling to the item embeddings,

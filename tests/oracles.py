@@ -15,6 +15,8 @@ scoring, blocked ALS sweeps and analytic gradients. The data-file
 oracles are per-line and per-item versions of the library's bulk parser,
 writers, warm split and orphan scan; they build the library's containers
 and draw from the library's random partition, so only the loops differ.
+`read_split_plan` parses a written split plan back, which the library never
+does: its verbs read the plans from the prepared snapshot.
 The per-user ranking (`rank_items`, `ndcg_user`, `evaluate_per_user`)
 sorts each user's whole candidate list with one lexsort and scores it with
 Python sets; the library ranks blocks of users with a partial sort.
@@ -344,7 +346,7 @@ def full_loss_gradients(model, data, scheme, features, lam_w, lam_h, owned,
     what test it."""
     pool = _pool_dims(model.num_items, item_pool)
     return _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                            pool, pool.size, want_grads=True, owned=frozenset(owned))
+                            pool, pool.size, frozenset(owned))
 
 
 def copy_mlp(params: MLPParams) -> MLPParams:
@@ -573,6 +575,52 @@ def write_split_plan_per_unit(path, plan):
             fh.write(" ".join(str(int(x)) for x in fold) + "\n")
         fh.write("[train_always]\n")
         fh.write(" ".join(str(int(x)) for x in plan.train_always) + "\n")
+
+
+def read_split_plan(path) -> SplitPlan:
+    """The text-plan reader: a SplitPlan from the file write_split_plan
+    wrote, or ParseError naming the file (and the line, for a line defect).
+    The library itself reads its plans from the prepared snapshot."""
+    header: dict[str, str] = {}
+    sections: dict[str, np.ndarray] = {}
+    current = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                current = line[1:-1]
+                sections[current] = np.empty(0, dtype=np.int64)
+            elif current is not None:
+                try:
+                    sections[current] = np.array(list(map(int, line.split())), dtype=np.int64)
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: split units must be integers")
+            elif "=" in line:
+                key, _, value = line.partition("=")
+                header[key.strip()] = value.strip()
+            else:
+                raise ParseError(f"{path}:{lineno}: unparseable line")
+    try:
+        num_folds = int(header["num_folds"])
+        plan = SplitPlan(
+            mode=header["mode"],
+            seed=int(header["seed"]),
+            num_folds=num_folds,
+            val_fraction=float(header["val_fraction"]),
+            validation=sections["validation"],
+            folds=tuple(sections[f"fold {k}"] for k in range(num_folds)),
+            train_always=sections.get("train_always", np.empty(0, dtype=np.int64)),
+        )
+        num_units = int(header["num_units"])
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing split-plan field {exc}")
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad split-plan header value ({exc})")
+    if plan.num_units != num_units:
+        raise ParseError(f"{path}: unit count mismatch")
+    return plan
 
 
 def split_warm_per_item(triplets, num_folds, val_fraction, seed):

@@ -15,12 +15,13 @@ import pytest
 
 from conftest import gradcheck_full_loss, record_solves
 from oracles import (RankedList, als_update_h, als_update_w, ndcg_by_permutations,
-                     ndcg_user, predict, random_ndcg_baseline, weighted_ridge_solve)
+                     ndcg_user, predict, random_ndcg_baseline, read_split_plan,
+                     weighted_ridge_solve)
 from ncacf import models, training
 from ncacf.cli import main
 from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, generate_synthetic,
-                        materialize_fold, read_split_plan, scan_warm_orphans,
+                        materialize_fold, scan_warm_orphans,
                         split_cold, standardize_features)
 from ncacf.evaluation import evaluate
 from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,

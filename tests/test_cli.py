@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import half_writing, pinned_cores, record_solves
+from oracles import read_split_plan
 from ncacf.cli import PreparedData, main
 from ncacf import config, models, numerics, training
 from ncacf.config import ExperimentConfig, load_config, write_config
@@ -1127,6 +1128,42 @@ class TestExitCodes:
         assert ckpt in err and "('warm', 0)" in err and "('warm', 1)" in err
         assert tree_bytes(workspace) == before
 
+    def test_feature_file_listing_an_item_twice_is_data_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        main(["synth", "--config", cfg])
+        feat = tmp_path / "raw" / "features.tsv"
+        lines = feat.read_text().splitlines(keepends=True)
+        feat.write_text("".join(lines + lines[1:2]))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"features.tsv:{len(lines) + 1}:" in err
+        assert "already listed on line 2" in err
+
+    @pytest.mark.parametrize("split, have, want", [
+        ("num_folds = 5", "num_folds = 4", "5"),
+        ("num_folds = 20\nfold = 15", "num_folds = 4", "20"),
+        ("val_fraction = 0.25", "val_fraction = 0.2", "0.25"),
+    ], ids=["fewer_folds", "fold_past_the_plan", "val_fraction"])
+    def test_split_settings_other_than_prepared_are_config_error(self, workspace, capsys,
+                                                                 split, have, want):
+        """A config whose num_folds or val_fraction is not the prepared
+        plan's would train on another protocol than it records (or crash on
+        a fold the plan lacks): train, evaluate and sweep exit 2, name both
+        values and `ncacf prepare`, and write nothing."""
+        assert main(["train", "--config", str(workspace / "cfg.ini")]) == 0
+        cfg = write_cfg(workspace, name="other.ini", extra=f"\n[split]\n{split}\n")
+        verbs = [["train"], ["sweep"]]
+        if "fold = " not in split:  # a checkpoint of fold 0 is evaluated on fold 0
+            verbs.append(["evaluate", "--checkpoint", str(workspace / "run" / "best.ckpt")])
+        before = tree_bytes(workspace)
+        for argv in verbs:
+            capsys.readouterr()
+            assert main(argv + ["--config", cfg]) == 2, argv
+            err = capsys.readouterr().err
+            assert have in err and f"asks for {want}" in err and "ncacf prepare" in err
+            assert tree_bytes(workspace) == before, argv
+
     @pytest.mark.parametrize("family, differs", [("wmf", "users"), ("mf_uni", "users"),
                                                  ("mf_uni", "features")])
     def test_evaluated_checkpoint_of_other_data_is_config_error(self, workspace,
@@ -1184,23 +1221,44 @@ class TestSnapshot:
 
     @staticmethod
     def paths(prepared):
-        """The triplet file, feature file and snapshot of a prepared dir."""
-        return [prepared / name for name in ("triplets.tsv", "features.tsv", "snapshot.bin")]
+        """The snapshot of a prepared dir and its text files, keyed as the
+        snapshot records their digests."""
+        return prepared / "snapshot.bin", {
+            "triplets": prepared / "triplets.tsv", "features": prepared / "features.tsv",
+            "split_cold": prepared / "split_cold.txt",
+            "split_warm": prepared / "split_warm.txt"}
 
     def test_equals_text_load(self, prepared):
-        tri, feat, snap = self.paths(prepared)
-        snapshot = read_snapshot(snap, tri, feat)
-        assert snapshot is not None
-        assert_same_load(snapshot, text_load(prepared))
+        snap, files = self.paths(prepared)
+        triplets, features, _ = read_snapshot(snap, files)
+        assert_same_load((triplets, features), text_load(prepared))
+
+    def test_plans_equal_text_plans(self, prepared):
+        """Both modes' plans in the snapshot are the plans in the text files,
+        section by section, with the same dtype."""
+        snap, files = self.paths(prepared)
+        _, _, plans = read_snapshot(snap, files)
+        assert sorted(plans) == ["cold", "warm"]
+        for mode, plan in plans.items():
+            text = read_split_plan(files[f"split_{mode}"])
+            assert (plan.mode, plan.seed, plan.num_folds, plan.val_fraction) == \
+                (text.mode, text.seed, text.num_folds, text.val_fraction) == \
+                (mode, 7, 4, 0.2)
+            for got, want in [(plan.validation, text.validation),
+                              (plan.train_always, text.train_always),
+                              *zip(plan.folds, text.folds, strict=True)]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("damage", [
         "missing", "triplets_edited", "features_edited", "features_removed",
-        "truncated", "flipped_payload_byte", "unknown_version"])
+        "plan_edited", "plan_removed",
+        "truncated", "flipped_payload_byte", "unknown_version", "version_2"])
     def test_falls_back_to_text(self, prepared, capsys, damage):
         """No kind of damage lets a verb fall back to the text files:
         read_snapshot raises a DataError naming the snapshot, and train
         exits 3 with the rerun message before it writes anything."""
-        tri, feat, snap = self.paths(prepared)
+        snap, files = self.paths(prepared)
+        tri, feat = files["triplets"], files["features"]
         raw = bytearray(snap.read_bytes())
         if damage == "missing":
             snap.unlink()
@@ -1214,21 +1272,30 @@ class TestSnapshot:
             feat.write_text("".join(lines))
         elif damage == "features_removed":
             feat.unlink()
+        elif damage == "plan_edited":  # still a valid partition of the items
+            plan = files["split_cold"]
+            plan.write_text(plan.read_text().replace("seed = 7", "seed = 8"))
+        elif damage == "plan_removed":
+            files["split_warm"].unlink()
         else:
             if damage == "truncated":
                 del raw[-10:]
             elif damage == "flipped_payload_byte":
                 raw[len(raw) // 2] ^= 0x01
-            else:
-                raw[4:8] = (3).to_bytes(4, "little")
+            else:  # version 2 held no split plans
+                raw[4:8] = (2 if damage == "version_2" else 4).to_bytes(4, "little")
             snap.write_bytes(raw)
         if damage == "features_edited":
             assert text_load(prepared)[1].values[0, 0] == 0.5
         with pytest.raises(DataError, match="snapshot.bin"):
-            read_snapshot(snap, tri, feat)
+            read_snapshot(snap, files)
         capsys.readouterr()
         assert main(["train", "--config", str(prepared.parent / "cfg.ini")]) == 3
-        assert "ncacf prepare" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ncacf prepare" in err
+        if damage == "version_2":
+            assert f"{snap}: prepared snapshot format version 2 is no longer read; " \
+                "rerun `ncacf prepare`" in err
         assert not (prepared.parent / "run").exists()
 
     def test_verbs_read_the_snapshot(self, prepared, monkeypatch):
@@ -1243,6 +1310,31 @@ class TestSnapshot:
         assert main(["train", "--config", cfg]) == 0
         assert main(["evaluate", "--config", cfg, "--checkpoint",
                      str(prepared.parent / "run" / "best.ckpt")]) == 0
+
+    def test_plan_of_another_prepare_stops_every_verb(self, tmp_path, capsys):
+        """split_cold.txt from a `prepare --seed 2`, copied into a directory
+        prepared with seed 1, is a valid partition of the same items, but not
+        the plan the snapshot holds: train, evaluate and sweep each exit 3,
+        name the plan and write nothing."""
+        cfg = write_cfg(tmp_path, family="mf_uni", coupling="relaxed", mode="cold")
+        other = write_cfg(tmp_path, name="other.ini", family="mf_uni", coupling="relaxed",
+                          mode="cold", extra="\n[data]\nprepared = prepared_2\n")
+        assert main(["synth", "--config", cfg]) == 0
+        assert main(["prepare", "--config", cfg, "--seed", "1"]) == 0
+        assert main(["train", "--config", cfg, "--seed", "1"]) == 0
+        assert main(["prepare", "--config", other, "--seed", "2"]) == 0
+        plan = tmp_path / "prepared" / "split_cold.txt"
+        swapped = (tmp_path / "prepared_2" / "split_cold.txt").read_bytes()
+        assert swapped != plan.read_bytes()
+        plan.write_bytes(swapped)
+        before = tree_bytes(tmp_path)
+        for argv in (["train"], ["evaluate", "--checkpoint",
+                                 str(tmp_path / "run" / "best.ckpt")], ["sweep"]):
+            capsys.readouterr()
+            assert main(argv + ["--config", cfg, "--seed", "1"]) == 3, argv
+            err = capsys.readouterr().err
+            assert str(plan) in err and "ncacf prepare" in err
+            assert tree_bytes(tmp_path) == before, argv
 
 
 class TestSweep:

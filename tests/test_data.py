@@ -10,14 +10,14 @@ import pytest
 import ncacf.data
 from conftest import random_triplets
 from oracles import (compressed_axis_lexsort, load_triplets_per_line,
-                     scan_warm_orphans_sets,
+                     read_split_plan, scan_warm_orphans_sets,
                      split_warm_per_item, two_pass_stats, write_features_per_line,
                      write_split_plan_per_unit, write_triplets_per_line)
 from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable,
                         InteractionTriplets, SplitPlan,
                         SparsePlaycounts, _partition_units, binarize, confidence,
                         filter_activity, generate_synthetic, load_features,
-                        load_triplets, materialize_fold, read_split_plan,
+                        load_triplets, materialize_fold,
                         reindex_first_seen, scan_warm_orphans, split_cold, split_warm,
                         standardize_features, write_features, write_split_plan,
                         write_triplets)
@@ -714,3 +714,12 @@ class TestFeatureFileIO:
         (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\t1.0\n")
         with pytest.raises(ParseError):
             load_features(tmp_path / "f.tsv")
+
+    def test_item_listed_twice_names_both_lines(self, tmp_path):
+        """A second row for an item would silently replace the first in
+        align_features; it is a ParseError naming the file and both lines."""
+        (tmp_path / "f.tsv").write_text("# item\tfeatures...\na\t1.0\nb\t2.0\na\t3.0\n")
+        with pytest.raises(ParseError, match="already listed on line 2") as info:
+            load_features(tmp_path / "f.tsv")
+        assert f"{tmp_path / 'f.tsv'}:4:" in str(info.value)
+        assert "'a'" in str(info.value)

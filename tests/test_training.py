@@ -519,7 +519,7 @@ class TestNnzObjective:
         owned = owned_groups(variant, with_interaction=False)
         for batch in self.BATCHES:
             got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7, batch,
-                                          self.POOL.size, True, owned)
+                                          self.POOL.size, owned)
             want, ref = dense_batch_objective(model, data, scheme, feats, 0.3, 0.7,
                                               batch, self.POOL.size, owned)
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -594,7 +594,7 @@ class TestTowerSubBlocks:
                                     per_block * batch.size * width + width - 1)
                 rows.clear()
                 got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7,
-                                              batch, self.POOL.size, True, owned)
+                                              batch, self.POOL.size, owned)
                 # One backward call per sub-block, of the expected sizes; two
                 # workers record them in the order they finish.
                 assert sorted(rows, reverse=True) == [per_block] * (self.USERS // per_block) \
@@ -612,14 +612,13 @@ class TestTowerSubBlocks:
     def test_repeated_epoch_bit_identical(self, monkeypatch):
         from ncacf.training import gd_wpe
         model, data, scheme, feats = self._setup("concat-q2")
-        owned = owned_groups(model.variant, with_interaction=True)
         # Batches of 5 items, 3 users to a sub-block.
         monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", 3 * 5 * models.grid_width(model))
         schedule = make_batches(self.POOL.size, 5, seed=3, epoch=0)
         runs = []
         for _ in range(2):
             start = copy_model(model)
-            end, _ = gd_wpe(start, data, scheme, feats, 0.3, 0.7, owned,
+            end, _ = gd_wpe(start, data, scheme, feats, 0.3, 0.7,
                             finetune_adams(start), schedule, self.POOL)
             runs.append([end.embeddings.W, end.embeddings.H,
                          *end.extractor.param_dict().values(),
@@ -641,7 +640,7 @@ class TestTowerSubBlocks:
             for cores in (1, 2):
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
                 loss, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7,
-                                               self.POOL, self.POOL.size, True, owned)
+                                               self.POOL, self.POOL.size, owned)
                 flat = {(group, name): arr for group, part in grads.items()
                         for name, arr in (part.items() if isinstance(part, dict)
                                           else [(group, part)])}
@@ -667,13 +666,12 @@ class TestTowerSubBlocks:
         model = init_model(variant, users, items, 16, 6, seed=15, hidden_width=8,
                            extractor_layers=2)
         assert models.grid_width(model) == 32
-        owned = owned_groups(variant, with_interaction=True)
         adams = finetune_adams(model)
         schedule = make_batches(items, items, seed=0, epoch=0)
         assert len(schedule.batches) == 1
         tracemalloc.start()
         try:
-            training.gd_wpe(model, data, scheme, feats, 0.3, 0.7, owned, adams,
+            training.gd_wpe(model, data, scheme, feats, 0.3, 0.7, adams,
                             schedule, np.arange(items))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -818,13 +816,13 @@ class TestGradients:
             owned = owned_groups(model.variant, with_interaction=tower)
             pool = np.arange(6)
             _, full = _batch_objective(model, data, scheme, feats, 0.3, 0.7, pool,
-                                       pool.size, True, owned)
+                                       pool.size, owned)
             assert set(full) == owned
             parts = [np.array([0, 1, 2]), np.array([3, 4, 5])]
             acc = {}
             for part in parts:
                 _, g = _batch_objective(model, data, scheme, feats, 0.3, 0.7, part,
-                                        pool.size, True, owned)
+                                        pool.size, owned)
                 for group, val in g.items():
                     if isinstance(val, dict):
                         acc.setdefault(group, {})
@@ -922,7 +920,7 @@ class TestGdWpe:
         adams = {"W": AdamState.init({"W": model.embeddings.W}, lr=1e-2)}
         schedule = make_batches(4, 2, seed=0, epoch=0)
         model, _ = gd_wpe(model, data, scheme, feats, 0.1, 0.5,
-                          frozenset({"W"}), adams, schedule, np.arange(4))
+                          adams, schedule, np.arange(4))
         assert not np.array_equal(model.embeddings.W, before.embeddings.W)
         assert np.array_equal(model.embeddings.H, before.embeddings.H)
         for la, lb in zip(model.extractor.layers, before.extractor.layers):
