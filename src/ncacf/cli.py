@@ -4,7 +4,9 @@ Verbs: prepare, synth, train, evaluate, sweep, report. Every command is
 driven by an INI config (see config.py) plus a few overrides. Exit codes:
 0 success, 2 config error, 3 data error, 4 training divergence.
 `prepare` writes the prepared text files and snapshot.bin, their checked
-binary mirror; train, evaluate and sweep read only the snapshot.
+binary mirror; train, evaluate and sweep read only the snapshot. `train`
+records the snapshot's digest in its checkpoints, and evaluate, --resume
+and --pretrained take a checkpoint only with the snapshot it was trained on.
 """
 
 from __future__ import annotations
@@ -98,31 +100,32 @@ def _config(args) -> ExperimentConfig:
 
 def cmd_prepare(args) -> int:
     cfg = _config(args)
+    # Everything is parsed, split and checked before the first write, so that
+    # a failing prepare leaves the earlier prepared data as it was.
     raw = D.load_triplets(cfg.triplets)
     # Numbered as load_triplets numbers the file written below, so that the
     # manifest and the snapshot match that file.
     filtered = D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users)
-    os.makedirs(cfg.prepared, exist_ok=True)
-    paths = _prepared_paths(cfg)
-    D.write_triplets(paths["triplets"], filtered)
-
     table = None
     if cfg.features is not None and os.path.exists(cfg.features):
         labels, values = D.load_features(cfg.features)
         table = D.align_features(labels, values, filtered.item_labels)
-        D.write_features(paths["features"], filtered.item_labels, table.values)
-    else:  # an earlier prepare's feature file would describe other data
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(paths["features"])
-
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
-    for plan in (cold, warm):
-        D.write_split_plan(paths[f"split_{plan.mode}"], plan)
     orphans = D.scan_warm_orphans(warm, filtered)
     if orphans:
         raise DataError(f"warm split repair failed for {len(orphans)} fold/item pairs")
 
+    os.makedirs(cfg.prepared, exist_ok=True)
+    paths = _prepared_paths(cfg)
+    D.write_triplets(paths["triplets"], filtered)
+    if table is not None:
+        D.write_features(paths["features"], filtered.item_labels, table.values)
+    else:  # an earlier prepare's feature file would describe other data
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(paths["features"])
+    for plan in (cold, warm):
+        D.write_split_plan(paths[f"split_{plan.mode}"], plan)
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))
     D.write_snapshot(os.path.join(cfg.prepared, "snapshot.bin"), filtered, table,
@@ -217,10 +220,11 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 class PreparedData:
-    """The prepared data a verb runs on, read from the snapshot alone."""
+    """The prepared data a verb runs on, read from the snapshot alone, and
+    the snapshot's digest, which names this data in a checkpoint."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.triplets, self.features, plans = D.read_snapshot(
+        self.triplets, self.features, plans, self.digest = D.read_snapshot(
             os.path.join(cfg.prepared, "snapshot.bin"), _prepared_paths(cfg))
         plan = plans[cfg.split_mode]
         for key in ("num_folds", "val_fraction"):
@@ -263,13 +267,22 @@ def _make_validator(cfg: ExperimentConfig, prep: PreparedData, variant,
     return validator
 
 
-def _check_split(header: dict, cfg: ExperimentConfig, path) -> None:
+def _check_trained_on(header: dict, cfg: ExperimentConfig, prep: PreparedData,
+                      path) -> None:
     """ConfigError unless the checkpoint at path was trained on the config's
-    split mode and fold: another fold's test items were its training items."""
-    have = (header.get("split_mode"), header.get("fold"))
-    if have != (cfg.split_mode, cfg.fold):
+    split mode and fold of the prepared data prep holds: the test items of
+    another fold, or of data prepared again with another seed, were some of
+    its training items. The same snapshot also fixes the users, the items
+    and the features, so the checkpoint's model fits them."""
+    hyper = header.get("hyper") or {}
+    have, want = (hyper.get("split_mode"), hyper.get("fold")), (cfg.split_mode, cfg.fold)
+    if have != want:
         raise ConfigError(f"checkpoint {path} was trained on (split mode, fold) = "
-                          f"{have}, the config asks for {(cfg.split_mode, cfg.fold)}")
+                          f"{have}, the config asks for {want}")
+    if header.get("prepared") != prep.digest:
+        raise ConfigError(f"checkpoint {path} was not trained on the prepared data in "
+                          f"{cfg.prepared}: its training data may hold that data's "
+                          f"test items; train on this data with `ncacf train`")
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +302,10 @@ def cmd_train(args) -> int:
     elif args.pretrained:
         state, header = T.pretrained_state(variant, cfg.hyper, args.pretrained)
     prep = PreparedData(cfg)
+    if state is not None:
+        _check_trained_on(header, cfg, prep, args.resume or args.pretrained)
     features_std = prep.standardized_features(variant)
     validator = _make_validator(cfg, prep, variant, features_std)
-    if state is not None:
-        _check_split(header, cfg, args.resume or args.pretrained)
-        state.model.check_fits(prep.train_data.num_users, prep.train_data.num_items,
-                               features_std.dim if features_std is not None else 0,
-                               "the starting checkpoint", "the training data")
     # A resumed run continues the best.ckpt and report.tsv of its own directory.
     if args.resume and (os.path.dirname(os.path.realpath(args.resume))
                         != os.path.realpath(cfg.output)):
@@ -314,17 +324,7 @@ def cmd_train(args) -> int:
     os.makedirs(cfg.output, exist_ok=True)
     write_config(os.path.join(cfg.output, "config.ini"), cfg)
 
-    extra_arrays = {}
-    if features_std is not None:
-        extra_arrays["feat_mean"] = features_std.means
-        extra_arrays["feat_std"] = features_std.stds
-
-    run_header = {
-        "split_mode": cfg.split_mode,
-        "fold": cfg.fold,
-        "seed": cfg.seed,
-        "hyper": _hyper_dict(cfg),
-    }
+    run_header = {"prepared": prep.digest, "hyper": _hyper_dict(cfg)}
 
     # Whether last.ckpt holds this run's position; a resumed run's does.
     saved = {"last": bool(args.resume)}
@@ -335,12 +335,11 @@ def cmd_train(args) -> int:
         T.write_report(report_path, snapshot, run_header["hyper"])
         M.save_model(last_path, snapshot.model,
                      extra_header={**run_header, **T.checkpoint_header(snapshot)},
-                     arrays=extra_arrays, adams=snapshot.adams)
+                     adams=snapshot.adams)
         saved["last"] = True
 
     def save_best(model):
-        M.save_model(best_path, model, extra_header=dict(run_header),
-                     arrays=extra_arrays)
+        M.save_model(best_path, model, extra_header=dict(run_header))
 
     def on_epoch(snapshot):
         # best.ckpt first: a crash before last.ckpt is written resumes from
@@ -374,30 +373,19 @@ def _hyper_dict(cfg: ExperimentConfig) -> dict:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
-    model, header, arrays, _ = M.load_model(args.checkpoint)
+    model, header, _ = M.load_model(args.checkpoint)
     want = cfg.variant()
     if model.variant != want:
         raise ConfigError(
             f"checkpoint variant {model.variant} does not match config {want}")
-    _check_split(header, cfg, args.checkpoint)
+    prep = PreparedData(cfg)
+    _check_trained_on(header, cfg, prep, args.checkpoint)
     if cfg.split_mode == "cold" and not model.variant.has_content:
         raise ColdStartUnsupportedError(
             f"{model.variant.family} cannot score unseen items: it has no "
             f"content branch (cold-start evaluation unsupported)")
-
-    prep = PreparedData(cfg)
-    if model.variant.has_content and prep.features is None:
-        raise DataError("cold evaluation of a content model needs the features file")
-    model.check_fits(prep.triplets.num_users, prep.triplets.num_items,
-                     prep.features.dim if prep.features is not None else 0,
-                     f"checkpoint {args.checkpoint}", "the prepared data")
-    features_std = None
-    if model.variant.has_content:
-        if "feat_mean" not in arrays:
-            raise DataError("checkpoint lacks feature standardization statistics")
-        features_std = D.FeatureTable(
-            (prep.features.values - arrays["feat_mean"]) / arrays["feat_std"],
-            arrays["feat_mean"], arrays["feat_std"])
+    # train's own call on the same snapshot: bit-identical features.
+    features_std = prep.standardized_features(model.variant)
 
     os.makedirs(cfg.output, exist_ok=True)
     scheme = cfg.hyper.scheme()

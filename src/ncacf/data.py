@@ -369,11 +369,9 @@ def write_features(path, labels, values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Per-item feature rows plus (optional) standardization statistics."""
+    """Per-item feature rows."""
 
     values: np.ndarray  # (I, L)
-    means: np.ndarray | None = None
-    stds: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -406,7 +404,7 @@ def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
     bad = np.flatnonzero(stds <= 0)
     if bad.size:
         raise DataError(f"feature dimension {int(bad[0])} is constant over training items")
-    return FeatureTable((table.values - means) / stds, means, stds)
+    return FeatureTable((table.values - means) / stds)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +466,13 @@ def write_records(path, magic: bytes, version: int, header: dict, records) -> No
 
 
 def read_records(path, magic: bytes, version: int, what: str,
-                 rerun: str) -> tuple[dict, list[np.ndarray]]:
-    """(header, arrays) of a file write_records wrote. A file that cannot be
-    opened, another magic or version, a cut, an extension or a changed byte
-    raises DataError naming the path and `what` the file is, and saying to
-    rerun `rerun`, the command that writes it."""
+                 rerun: str) -> tuple[dict, list[np.ndarray], list[int]]:
+    """(header, arrays, digest) of a file write_records wrote; digest is the
+    file's [byte length, CRC32 of the header and payload], as its head
+    records and this read verified them. A file that cannot be opened,
+    another magic or version, a cut, an extension or a changed byte raises
+    DataError naming the path and `what` the file is, and saying to rerun
+    `rerun`, the command that writes it."""
     def fail(problem: str) -> DataError:
         return DataError(f"{path}: {problem}; rerun {rerun}")
 
@@ -504,7 +504,7 @@ def read_records(path, magic: bytes, version: int, what: str,
         raise fail(f"{what} does not parse ({exc})") from exc
     if buf.tell() != len(raw) or not isinstance(header, dict):
         raise fail(f"{what} does not hold {count} records under a header")
-    return header, records
+    return header, records, [len(raw), crc]
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +566,15 @@ def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable |
 
 
 def read_snapshot(path, text_paths: dict[str, str]):
-    """(triplets, aligned features or None, split plans by mode) from a
-    snapshot. A snapshot that read_records rejects, or text files that are
-    not those it was written with (edited, removed or added since), raise
-    DataError naming the path and saying to rerun `ncacf prepare`."""
+    """(triplets, aligned features or None, split plans by mode, digest) from
+    a snapshot; the digest (read_records) identifies this snapshot, and so
+    this prepared data, in the checkpoints trained on it. A snapshot that
+    read_records rejects, or text files that are not those it was written
+    with (edited, removed or added since), raise DataError naming the path
+    and saying to rerun `ncacf prepare`."""
     rerun = "`ncacf prepare`"
-    header, records = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
-                                   "prepared snapshot", rerun)
+    header, records, digest = read_records(path, _SNAP_MAGIC, _SNAP_VERSION,
+                                           "prepared snapshot", rerun)
     for key, text_path in text_paths.items():
         if header.get(key) != _file_digest(text_path):
             raise DataError(f"{path}: {text_path} is not the file `ncacf prepare` "
@@ -592,7 +594,7 @@ def read_snapshot(path, text_paths: dict[str, str]):
                                 tuple(folds), train_always)
         at += 2 + num_folds
     return (InteractionTriplets(users, items, counts, len(user_labels), len(item_labels),
-                                user_labels, item_labels), features, plans)
+                                user_labels, item_labels), features, plans, digest)
 
 
 # ---------------------------------------------------------------------------

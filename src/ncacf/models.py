@@ -182,17 +182,6 @@ class Model:
     interaction: MLPParams | None
     init_seed: int = 0
 
-    def check_fits(self, num_users: int, num_items: int, feature_dim: int,
-                   source: str, target: str) -> None:
-        """ConfigError unless the model was built for this many users and
-        items and, when it has content, this feature width."""
-        content = self.variant.has_content
-        have = (self.num_users, self.num_items, self.feature_dim if content else 0)
-        want = (num_users, num_items, feature_dim if content else 0)
-        if have != want:
-            raise ConfigError(f"{source} has (users, items, features) = {have}, "
-                              f"{target} {want}")
-
 
 def init_model(variant: ModelVariant, num_users: int, num_items: int,
                embed_dim: int, feature_dim: int, seed: int,
@@ -403,24 +392,24 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
 #
 # A record file (data.write_records) with magic b"NCKP". Its header holds the
 # variant, the dims, init_seed, each MLP's layer activations, each Adam
-# group's [step, lr, beta1, beta2, eps], the caller's run entries and a
-# `records` list naming the arrays in payload order: W, H, the extra arrays,
+# group's [step, lr, beta1, beta2, eps], the caller's run entries (`ncacf
+# train` writes `prepared`, the digest of the snapshot it trained on, from
+# which `evaluate` standardizes the features again, and `hyper`) and a
+# `records` list naming the arrays in payload order: W, H,
 # "<mlp>.layer<i>.weight"/".bias" and "<group>.m.<param>"/"<group>.v.<param>".
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"NCKP"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 _MLPS = ("extractor", "interaction")
 
 
 def save_model(path, model: Model, extra_header: dict | None = None,
-               arrays: dict[str, np.ndarray] | None = None,
                adams: dict[str, AdamState] | None = None) -> None:
     """Persist a model (plus optional training state) to one checkpoint."""
     named = {"W": model.embeddings.W}
     if model.embeddings.H is not None:
         named["H"] = model.embeddings.H
-    named.update(sorted((arrays or {}).items()))
     activations = {}
     for name in _MLPS:
         mlp = getattr(model, name)
@@ -451,10 +440,9 @@ def save_model(path, model: Model, extra_header: dict | None = None,
 
 
 def load_model(path):
-    """Returns (model, header, arrays, adams); arrays holds the extra arrays
-    save_model was given."""
-    header, records = read_records(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
-                                   "`ncacf train`")
+    """Returns (model, header, adams) of the checkpoint save_model wrote."""
+    header, records, _ = read_records(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
+                                      "`ncacf train`")
     try:
         named = dict(zip(header["records"], records, strict=True))
 
@@ -483,4 +471,4 @@ def load_model(path):
                         f"({type(exc).__name__}: {exc})") from exc
     except ConfigError as exc:  # a variant no longer built, such as content-free ncacf
         raise ConfigError(f"{path}: {exc}") from exc
-    return model, header, named, adams
+    return model, header, adams

@@ -6,6 +6,7 @@ import pytest
 
 from ncacf import numerics, training
 from ncacf.data import (ConfidenceScheme, InteractionTriplets, SparsePlaycounts)
+from ncacf.models import load_model, save_model
 from oracles import finite_diff_grad, full_loss_gradients
 from ncacf.training import full_loss
 
@@ -41,6 +42,16 @@ def pinned_cores(monkeypatch, cores):
     finally:
         if numerics._POOL is not None:
             numerics._POOL.shutdown()  # runs whatever block is still queued
+
+
+@contextlib.contextmanager
+def edited_checkpoint(path, out=None):
+    """Yield the (model, header) of the checkpoint at path for the body to
+    change in place, then save them, with the checkpoint's Adam state, to
+    out (default: path)."""
+    model, header, adams = load_model(path)
+    yield model, header
+    save_model(path if out is None else out, model, header, adams)
 
 
 def record_solves(monkeypatch):

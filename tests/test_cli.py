@@ -1,18 +1,19 @@
 import os
 import pathlib
 import re
+import zlib
 
 import numpy as np
 import pytest
 
-from conftest import half_writing, pinned_cores, record_solves
+from conftest import edited_checkpoint, half_writing, pinned_cores, record_solves
 from oracles import read_split_plan
 from ncacf.cli import PreparedData, main
-from ncacf import config, models, numerics, training
+from ncacf import config, data, models, numerics, training
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import align_features, load_features, load_triplets, read_snapshot
 from ncacf.errors import DataError, TrainingDivergedError
-from ncacf.models import load_model, save_model
+from ncacf.models import load_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -305,10 +306,9 @@ class TestTrainEvaluate:
         cfg = write_cfg(tmp_path, family="mf_uni", coupling="relaxed", mode="cold")
         for verb in ("synth", "prepare", "train"):
             assert main([verb, "--config", cfg]) == 0
-        model, header, arrays, adams = load_model(tmp_path / "run" / "best.ckpt")
-        model.embeddings.W[:, :4] = 0.0
         ckpt = str(tmp_path / "tied.ckpt")
-        save_model(ckpt, model, header, arrays, adams)
+        with edited_checkpoint(tmp_path / "run" / "best.ckpt", ckpt) as (model, _):
+            model.embeddings.W[:, :4] = 0.0
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
         got = capsys.readouterr().out
@@ -333,10 +333,9 @@ class TestTrainEvaluate:
                     for line in text.split("# user\tndcg\n")[1].splitlines()}
 
         user = min(ranked_users("test") - ranked_users("validation"))
-        model, header, arrays, adams = load_model(ckpt)
-        model.embeddings.W[0, user] = np.nan
         path = workspace / "nan.ckpt"
-        save_model(path, model, header, arrays, adams)
+        with edited_checkpoint(ckpt, path) as (model, _):
+            model.embeddings.W[0, user] = np.nan
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(path),
                      "--output", str(workspace / "nan_eval")]) == 4
@@ -382,7 +381,7 @@ class TestTrainEvaluate:
                          coupling="relaxed", output="run_deep")
         assert main(["train", "--config", deep, "--pretrained",
                      str(tmp_path / "run_uni" / "best.ckpt")]) == 0
-        model, header, _, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
+        model, header, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
         assert model.interaction is not None
         from ncacf.training import read_report
         phases = {row[1] for row in
@@ -802,10 +801,9 @@ class TestExitCodes:
         assert tree_bytes(workspace) == before
         ncf = write_cfg(workspace, "ncf.ini", "ncf", "content_free")
         assert main(["train", "--config", ncf]) == 0
-        model, header, arrays, adams = load_model(workspace / "run" / "best.ckpt")
-        object.__setattr__(model.variant, "family", "ncacf")  # as an older version saved it
         old = workspace / "old.ckpt"
-        save_model(old, model, header, arrays, adams)
+        with edited_checkpoint(workspace / "run" / "best.ckpt", old) as (model, _):
+            object.__setattr__(model.variant, "family", "ncacf")  # as an older version saved it
         assert main(["evaluate", "--config", ncf, "--checkpoint", str(old)]) == 2
         err = capsys.readouterr().err
         assert str(old) in err and "family = ncf" in err
@@ -887,15 +885,26 @@ class TestExitCodes:
     def test_version_2_checkpoint_asks_for_a_rerun(self, workspace, capsys):
         """A checkpoint whose head says version 2, the format whose variant
         still held interaction_kind and output_activation, is not read."""
+        self._assert_version_not_read(workspace, capsys, 2)
+
+    def test_version_3_checkpoint_asks_for_a_rerun(self, workspace, capsys):
+        """A checkpoint whose head says version 3, the format that held the
+        feature statistics and no digest of the prepared data, is not read."""
+        self._assert_version_not_read(workspace, capsys, 3)
+
+    @staticmethod
+    def _assert_version_not_read(workspace, capsys, version):
+        """evaluate, --resume and --pretrained of a checkpoint whose head says
+        `version` exit 3 with the rerun message and write nothing."""
         uni = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed")
         assert main(["train", "--config", uni]) == 0
         raw = bytearray((workspace / "run" / "last.ckpt").read_bytes())
-        raw[4:8] = (2).to_bytes(4, "little")
-        path = workspace / "run" / "v2.ckpt"
+        raw[4:8] = version.to_bytes(4, "little")
+        path = workspace / "run" / f"v{version}.ckpt"
         path.write_bytes(bytes(raw))
         ncacf = write_cfg(workspace, name="ncacf.ini", family="ncacf", coupling="relaxed",
                           output="run_deep")
-        message = "checkpoint format version 2 is no longer read; rerun `ncacf train`"
+        message = f"checkpoint format version {version} is no longer read; rerun `ncacf train`"
         for argv in (["evaluate", "--config", uni, "--checkpoint", str(path)],
                      ["train", "--config", uni, "--resume", str(path)],
                      ["train", "--config", ncacf, "--pretrained", str(path)]):
@@ -1058,9 +1067,8 @@ class TestExitCodes:
         cfg = str(workspace / "cfg.ini")
         assert main(["train", "--config", cfg]) == 0
         run = workspace / "run"
-        model, header, arrays, adams = load_model(run / "last.ckpt")
-        header["progress"] = {"iteration": 3}
-        save_model(run / "last.ckpt", model, header, arrays, adams)
+        with edited_checkpoint(run / "last.ckpt") as (_, header):
+            header["progress"] = {"iteration": 3}
         before = {f: (run / f).read_bytes() for f in sorted(os.listdir(run))}
         capsys.readouterr()
         assert main(["train", "--config", cfg, "--resume", str(run / "last.ckpt")]) == 3
@@ -1190,6 +1198,66 @@ class TestExitCodes:
         assert ckpt in err and "prepared data" in err
         assert not (workspace / "run").exists()
 
+    def test_checkpoint_of_data_prepared_again_is_config_error(self, workspace, capsys):
+        """`prepare --seed 2` splits the same raw data anew, so some seed-7
+        training items are now test items: evaluate, --resume and
+        --pretrained of a seed-7 checkpoint exit 2, name the checkpoint and
+        the prepared data, and write nothing."""
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed",
+                        mode="cold")
+        assert main(["train", "--config", uni]) == 0
+        assert main(["prepare", "--config", uni, "--seed", "2"]) == 0
+        ncacf = write_cfg(workspace, name="ncacf.ini", family="ncacf", coupling="relaxed",
+                          mode="cold", output="run_deep")
+        last, best = str(workspace / "run" / "last.ckpt"), str(workspace / "run" / "best.ckpt")
+        for argv, ckpt in ((["evaluate", "--config", uni, "--checkpoint", best], best),
+                           (["train", "--config", uni, "--resume", last], last),
+                           (["train", "--config", ncacf, "--pretrained", best], best)):
+            before = tree_bytes(workspace)
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert ckpt in err and "prepared data" in err and "training data" in err
+            assert tree_bytes(workspace) == before, argv
+
+    def test_checkpoint_survives_a_same_seed_prepare(self, workspace):
+        """A prepare that repeats the last one writes the same snapshot: the
+        checkpoint still evaluates to the same eval files and resumes."""
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed",
+                        mode="cold")
+        assert main(["train", "--config", uni]) == 0
+        run = workspace / "run"
+        assert main(["evaluate", "--config", uni, "--checkpoint", str(run / "best.ckpt")]) == 0
+        names = ["eval_cold_validation.tsv", "eval_cold_test.tsv"]
+        first = {name: (run / name).read_bytes() for name in names}
+        snapshot = (workspace / "prepared" / "snapshot.bin").read_bytes()
+        assert main(["prepare", "--config", uni]) == 0
+        assert (workspace / "prepared" / "snapshot.bin").read_bytes() == snapshot
+        assert main(["evaluate", "--config", uni, "--checkpoint", str(run / "best.ckpt"),
+                     "--output", str(workspace / "again")]) == 0
+        assert {name: (workspace / "again" / name).read_bytes() for name in names} == first
+        assert main(["train", "--config", uni, "--resume", str(run / "last.ckpt")]) == 0
+
+    def test_failed_prepare_keeps_the_prepared_data(self, workspace, capsys):
+        """New raw triplets with a feature file that lists an item twice: the
+        prepare fails before it writes, so every prepared file is as it was
+        and the earlier checkpoint still evaluates."""
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        prepared = tree_bytes(workspace / "prepared")
+        triplets = workspace / "raw" / "triplets.tsv"
+        lines = triplets.read_text().splitlines(keepends=True)
+        triplets.write_text("".join(lines[:-1]))
+        feat = workspace / "raw" / "features.tsv"
+        rows = feat.read_text().splitlines(keepends=True)
+        feat.write_text("".join(rows + rows[1:2]))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 3
+        assert "already listed on line 2" in capsys.readouterr().err
+        assert tree_bytes(workspace / "prepared") == prepared
+        assert main(["evaluate", "--config", cfg, "--checkpoint",
+                     str(workspace / "run" / "best.ckpt")]) == 0
+
 
 def text_load(prepared):
     triplets = load_triplets(prepared / "triplets.tsv")
@@ -1230,14 +1298,16 @@ class TestSnapshot:
 
     def test_equals_text_load(self, prepared):
         snap, files = self.paths(prepared)
-        triplets, features, _ = read_snapshot(snap, files)
+        triplets, features, _, digest = read_snapshot(snap, files)
         assert_same_load((triplets, features), text_load(prepared))
+        raw = snap.read_bytes()  # the digest is the file's length and its head's CRC32
+        assert digest == [len(raw), zlib.crc32(raw[data._RECORD_HEAD.size:])]
 
     def test_plans_equal_text_plans(self, prepared):
         """Both modes' plans in the snapshot are the plans in the text files,
         section by section, with the same dtype."""
         snap, files = self.paths(prepared)
-        _, _, plans = read_snapshot(snap, files)
+        _, _, plans, _ = read_snapshot(snap, files)
         assert sorted(plans) == ["cold", "warm"]
         for mode, plan in plans.items():
             text = read_split_plan(files[f"split_{mode}"])

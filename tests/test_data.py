@@ -625,8 +625,9 @@ class TestStandardize:
     def test_two_point_case(self):
         table = FeatureTable(np.array([[1.0], [3.0], [10.0]]))
         out = standardize_features(table, [0, 1])
-        npt.assert_allclose(out.means, [2.0])
-        npt.assert_allclose(out.stds, [1.0])
+        means, variances = two_pass_stats(table.values[:2])
+        npt.assert_allclose(out.values, (table.values - means) / np.sqrt(variances),
+                            atol=1e-10)
         npt.assert_allclose(out.values[:2, 0], [-1.0, 1.0])
         npt.assert_allclose(out.values[2, 0], 8.0)  # non-training item transformed too
 
@@ -642,8 +643,7 @@ class TestStandardize:
         v = rng.normal(3, 2, (5, 4))
         out = standardize_features(FeatureTable(v), np.arange(5))
         means, variances = two_pass_stats(v)
-        npt.assert_allclose(out.means, means, atol=1e-10)
-        npt.assert_allclose(out.stds, np.sqrt(variances), atol=1e-10)
+        npt.assert_allclose(out.values, (v - means) / np.sqrt(variances), atol=1e-10)
 
     def test_training_columns_centered(self):
         rng = np.random.default_rng(2)

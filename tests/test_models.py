@@ -320,7 +320,7 @@ class TestCheckpoint:
         feats = random_features(rng, model.num_items, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_model(path, model, extra_header={"split_mode": "warm", "fold": 0})
-        back, header, _, _ = load_model(path)
+        back, header, _ = load_model(path)
         assert back.variant == model.variant
         assert header["split_mode"] == "warm"
         items = np.arange(model.num_items)
@@ -334,7 +334,7 @@ class TestCheckpoint:
         model = init_model(variant, 4, 3, 2, 5, seed=0)
         path = tmp_path / "m.ckpt"
         save_model(path, model)
-        back, _, _, _ = load_model(path)
+        back, _, _ = load_model(path)
         assert back.embeddings.H is None
         assert np.array_equal(back.embeddings.W, model.embeddings.W)
 
@@ -392,10 +392,9 @@ class TestCheckpoint:
                 grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
                 params, state = adam_step(state, params, grads)
             adams[group] = state
-        arrays = {"feat_mean": rng.normal(size=3), "feat_std": rng.random(3) + 0.5}
         path = tmp_path / "state.ckpt"
-        save_model(path, model, {"progress": {"global_epoch": 2}}, arrays, adams)
-        back, header, back_arrays, back_adams = load_model(path)
+        save_model(path, model, {"progress": {"global_epoch": 2}}, adams)
+        back, header, back_adams = load_model(path)
         assert header["progress"] == {"global_epoch": 2}
         assert (back.variant, back.init_seed) == (model.variant, model.init_seed)
         for a, b in ((model.embeddings.W, back.embeddings.W),
@@ -407,9 +406,6 @@ class TestCheckpoint:
             assert want.param_dict().keys() == got.param_dict().keys()
             for key, arr in want.param_dict().items():
                 assert np.array_equal(arr, got.param_dict()[key]), (name, key)
-        assert back_arrays.keys() == arrays.keys()
-        for key, arr in arrays.items():
-            assert np.array_equal(arr, back_arrays[key]), key
         assert back_adams.keys() == adams.keys()
         for group, state in adams.items():
             got = back_adams[group]
