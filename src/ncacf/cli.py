@@ -7,6 +7,9 @@ driven by an INI config (see config.py) plus a few overrides. Exit codes:
 binary mirror; train, evaluate and sweep read only the snapshot. `train`
 records the snapshot's digest in its checkpoints, and evaluate, --resume
 and --pretrained take a checkpoint only with the snapshot it was trained on.
+`train` stores in best.ckpt the validation result of the epoch that made its
+model the best; `evaluate` then ranks only the test bucket, unless the
+config's tau or top_k differs from the stored ones.
 """
 
 from __future__ import annotations
@@ -245,24 +248,28 @@ class PreparedData:
         return D.SparsePlaycounts.from_triplets(self.triplets.subset(train_idx))
 
     def standardized_features(self, variant):
-        """The features standardized over the item pool; None without them."""
-        if self.features is None:
-            if variant.has_content:
-                raise DataError("this variant needs item features; none were prepared")
+        """The features standardized over the item pool; None for a variant
+        without content, which never reads them."""
+        if not variant.has_content:
             return None
+        if self.features is None:
+            raise DataError("this variant needs item features; none were prepared")
         return D.standardize_features(self.features, self.item_pool)
 
 
 def _make_validator(cfg: ExperimentConfig, prep: PreparedData, variant,
                     features_std):
+    """validator(model) -> the model's mean validation NDCG; validator.last
+    is the EvalResult of its last call. None when the split gives the
+    variant no validation signal."""
     if cfg.split_mode == "cold" and not variant.has_content:
         return None
     scheme = cfg.hyper.scheme()
 
     def validator(model):
-        result = E.evaluate(model, prep.membership, "validation", prep.triplets,
-                            scheme, features_std, cfg.top_k)
-        return result.mean
+        validator.last = E.evaluate(model, prep.membership, "validation", prep.triplets,
+                                    scheme, features_std, cfg.top_k)
+        return validator.last.mean
 
     return validator
 
@@ -338,14 +345,19 @@ def cmd_train(args) -> int:
                      adams=snapshot.adams)
         saved["last"] = True
 
-    def save_best(model):
-        M.save_model(best_path, model, extra_header=dict(run_header))
+    def save_best(model, result=None):
+        # The validation result of the epoch that set this best, which
+        # evaluate reads back in place of ranking that bucket again.
+        stored = None
+        if result is not None and np.isfinite(result.mean):
+            stored = E.stored_result(result, cfg.hyper.tau, cfg.top_k)
+        M.save_model(best_path, model, extra_header=dict(run_header), validation=stored)
 
     def on_epoch(snapshot):
         # best.ckpt first: a crash before last.ckpt is written resumes from
         # the epoch before, which sets the same best again and rewrites it.
         if snapshot.best_epoch == snapshot.global_epoch - 1:
-            save_best(snapshot.model)
+            save_best(snapshot.model, validator.last)
         save_last(snapshot)
 
     final = T.train(variant, prep.train_data, features_std, cfg.hyper, cfg.seed,
@@ -373,7 +385,7 @@ def _hyper_dict(cfg: ExperimentConfig) -> dict:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
-    model, header, _ = M.load_model(args.checkpoint)
+    model, header, _, stored = M.load_model(args.checkpoint)
     want = cfg.variant()
     if model.variant != want:
         raise ConfigError(
@@ -389,11 +401,18 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(cfg.output, exist_ok=True)
     scheme = cfg.hyper.scheme()
-    # Both buckets are scored before either file is written, so that a
-    # failing evaluation leaves no eval file.
-    results = [E.evaluate(model, prep.membership, bucket, prep.triplets,
+
+    def rank(bucket):
+        return E.evaluate(model, prep.membership, bucket, prep.triplets,
                           scheme, features_std, cfg.top_k)
-               for bucket in ("validation", "test")]
+
+    # The checks above bind the checkpoint to this split and prepared data,
+    # so a validation result stored with this tau and top_k is the ranking's
+    # bits. Both buckets are scored before either file is written, so that a
+    # failing evaluation leaves no eval file.
+    validation = E.stored_validation(stored, cfg.hyper.tau, cfg.top_k)
+    results = [validation if validation is not None else rank("validation"),
+               rank("test")]
     for result in results:
         out = os.path.join(cfg.output, f"eval_{cfg.split_mode}_{result.bucket}.tsv")
         E.write_eval_result(out, result)
@@ -444,9 +463,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     # Every file is written after all runs are read. A run's convergence file
-    # is named after its directory, so two runs may not share that name.
+    # is named after its directory, so two runs may not share that name. A
+    # row is one variant, a tower's combination and q_hidden included, and
+    # holds each (setting, fold) of it once.
     names: dict[str, str] = {}
     groups: dict[str, dict] = {}
+    folds: dict[tuple, str] = {}
     series: dict[str, list] = {}
     for run_dir in args.run_dirs:
         name = os.path.basename(os.path.normpath(run_dir))
@@ -459,13 +481,24 @@ def cmd_report(args) -> int:
         if not os.path.exists(cfg_path):
             raise DataError(f"{run_dir} has no config.ini; not a run directory")
         cfg = load_config(cfg_path)
-        label = cfg.family if cfg.coupling == "content_free" \
-            else f"{cfg.family}-{cfg.coupling}"
+        variant = cfg.variant()
+        label = variant.family if variant.coupling == "content_free" \
+            else f"{variant.family}-{variant.coupling}"
+        if variant.deep:
+            label += f"-{variant.combination}-q{variant.q_hidden}"
         entry = groups.setdefault(label, {"warm": [], "cold": []})
         for setting in ("warm", "cold"):
-            mean = E.read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"))
-            if mean is not None:
-                entry[setting].append(mean)
+            mean = E.read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"),
+                                    cfg.fold)
+            if mean is None:
+                continue
+            key = (label, setting, cfg.fold)
+            if key in folds:
+                raise ConfigError(f"run directories {folds[key]} and {run_dir} both hold "
+                                  f"{label}'s {setting} fold {cfg.fold}; give the "
+                                  f"report each fold of a variant once")
+            folds[key] = run_dir
+            entry[setting].append(mean)
         report_path = os.path.join(run_dir, "report.tsv")
         if os.path.exists(report_path):
             series[name] = T.read_report(report_path)

@@ -11,6 +11,12 @@ are scored and ranked a block at a time: each user's top k is sorted within
 its row, and only the users of a block tied at their k-th score share one
 lexsort. Every per-user quantity is computed within the user's row, so the
 block size changes no bit. A non-finite score raises TrainingDivergedError.
+
+A best.ckpt that `ncacf train` wrote stores the validation result of the
+epoch that made its model the best (stored_result), with the tau and top_k
+it was ranked with. The same model, prepared data, tau and top_k rank the
+same bits, so `evaluate` reads that result back (stored_validation) in place
+of ranking the validation bucket again.
 """
 
 from __future__ import annotations
@@ -199,6 +205,30 @@ def _dcg_by_length(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
+def stored_result(result: EvalResult, tau: float, top_k: int) -> dict:
+    """The stored form of a validation result that models.save_model writes:
+    its scalars, the tau and top_k it was ranked with, and the per-user NDCG
+    as the arrays users (int64) and ndcg (float64), in the result's order."""
+    return {"setting": result.setting, "fold": result.fold,
+            "num_excluded": result.num_excluded,
+            "pool_size_total": result.pool_size_total,
+            "num_all_tied": result.num_all_tied, "tau": tau, "top_k": top_k,
+            "users": np.fromiter(result.ndcg.keys(), np.int64, len(result.ndcg)),
+            "ndcg": np.fromiter(result.ndcg.values(), np.float64, len(result.ndcg))}
+
+
+def stored_validation(stored: dict | None, tau: float, top_k: int) -> EvalResult | None:
+    """The validation EvalResult that stored_result stored, when it was
+    ranked with this tau and top_k; None otherwise, and when nothing was
+    stored."""
+    if stored is None or (stored["tau"], stored["top_k"]) != (tau, top_k):
+        return None
+    return EvalResult(stored["setting"], "validation", stored["fold"],
+                      dict(zip(stored["users"].tolist(), stored["ndcg"].tolist())),
+                      stored["num_excluded"], stored["pool_size_total"],
+                      stored["num_all_tied"])
+
+
 def fold_mean_std(values) -> tuple[float, float]:
     """Mean and sample standard deviation of per-fold metrics."""
     arr = np.asarray(values, dtype=np.float64)
@@ -244,15 +274,22 @@ def write_eval_result(path, result: EvalResult) -> None:
     write_text(path, "".join(lines))
 
 
-def read_eval_mean(path):
+def read_eval_mean(path, fold: int):
     """The mean_ndcg of the eval file at path, or None when there is no such
-    file. A file without a whole, parseable mean_ndcg line (one cut short by
-    a killed write, say) is a DataError naming path:line."""
+    file. A fold line that names another fold than `fold`, its run's (a file
+    copied from another fold's run, say), and a file without a whole,
+    parseable mean_ndcg line (one cut short by a killed write, say) are
+    DataErrors naming path:line."""
     if not os.path.exists(path):
         return None
     n = 0
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
+            if line.startswith("fold\t"):
+                have = line[len("fold\t"):].rstrip("\n")
+                if have != str(fold):
+                    raise DataError(f"{path}:{n}: the eval file is of fold {have}, its "
+                                    f"run's config.ini of fold {fold}")
             if line.startswith("mean_ndcg\t"):
                 try:
                     if not line.endswith("\n"):

@@ -396,17 +396,27 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
 # train` writes `prepared`, the digest of the snapshot it trained on, from
 # which `evaluate` standardizes the features again, and `hyper`) and a
 # `records` list naming the arrays in payload order: W, H,
-# "<mlp>.layer<i>.weight"/".bias" and "<group>.m.<param>"/"<group>.v.<param>".
+# "<mlp>.layer<i>.weight"/".bias", "<group>.m.<param>"/"<group>.v.<param>"
+# and, in a best.ckpt that train wrote, "validation.<name>". The optional
+# `validation` header entry and those records hold the validation ranking of
+# the saved model (evaluation.stored_result), which `evaluate` uses in place
+# of ranking that bucket again.
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"NCKP"
+# A stored validation ranking is reused as long as the version reads the
+# same, so any change to the numbers `evaluate` writes must bump it.
 _CKPT_VERSION = 4
 _MLPS = ("extractor", "interaction")
 
 
 def save_model(path, model: Model, extra_header: dict | None = None,
-               adams: dict[str, AdamState] | None = None) -> None:
-    """Persist a model (plus optional training state) to one checkpoint."""
+               adams: dict[str, AdamState] | None = None,
+               validation: dict | None = None) -> None:
+    """Persist a model (plus optional training state) to one checkpoint.
+    `validation`, the stored form of the model's validation ranking, goes
+    into the header entry `validation` (its scalars) and the records
+    "validation.<name>" (its arrays)."""
     named = {"W": model.embeddings.W}
     if model.embeddings.H is not None:
         named["H"] = model.embeddings.H
@@ -421,8 +431,14 @@ def save_model(path, model: Model, extra_header: dict | None = None,
         for moment in ("m", "v"):
             table = getattr(state, moment)
             named.update((f"{group}.{moment}.{key}", table[key]) for key in sorted(table))
+    header = dict(extra_header or {})
+    if validation is not None:
+        header["validation"] = {key: value for key, value in validation.items()
+                                if not isinstance(value, np.ndarray)}
+        named.update((f"validation.{key}", value) for key, value in validation.items()
+                     if isinstance(value, np.ndarray))
     header = {
-        **(extra_header or {}),
+        **header,
         "variant": asdict(model.variant),
         "dims": {
             "num_users": model.num_users,
@@ -440,9 +456,12 @@ def save_model(path, model: Model, extra_header: dict | None = None,
 
 
 def load_model(path):
-    """Returns (model, header, adams) of the checkpoint save_model wrote."""
+    """Returns (model, header, adams, validation) of the checkpoint save_model
+    wrote; validation is the stored validation ranking, None when the
+    checkpoint holds none, and the header no longer holds it."""
     header, records, _ = read_records(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
                                       "`ncacf train`")
+    validation = header.pop("validation", None)
     try:
         named = dict(zip(header["records"], records, strict=True))
 
@@ -466,9 +485,11 @@ def load_model(path):
             interaction=mlps.get("interaction"),
             init_seed=header["init_seed"],
         )
+        if validation is not None:
+            validation = {**validation, **pop_prefixed("validation.")}
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: checkpoint does not hold a valid model "
                         f"({type(exc).__name__}: {exc})") from exc
     except ConfigError as exc:  # a variant no longer built, such as content-free ncacf
         raise ConfigError(f"{path}: {exc}") from exc
-    return model, header, adams
+    return model, header, adams, validation

@@ -691,7 +691,7 @@ def resume_state(variant: ModelVariant, path) -> tuple[TrainState, dict]:
     """The state that the checkpoint at `path` recorded, for any family (its
     model, Adam moments, position and best validation score), and its
     header. It reads no other file; the best model stays where it was saved."""
-    model, header, adams = load_model(path)
+    model, header, adams, _ = load_model(path)
     if model.variant != variant:
         raise ConfigError(f"{path}: checkpoint variant {model.variant} does not "
                           f"match config {variant}")
@@ -715,7 +715,7 @@ def pretrained_state(variant: ModelVariant, hyper: Hyperparams,
         raise ConfigError(f"{variant.family} has no pretraining phase; only a "
                           f"deep-interaction variant starts from a pretrained "
                           f"checkpoint")
-    model, header, _ = load_model(path)
+    model, header, _, _ = load_model(path)
     if model.embed_dim != hyper.embed_dim:
         raise ConfigError("pretrained checkpoint embed_dim differs from config")
     if variant.has_content and model.extractor is None:

@@ -48,8 +48,9 @@ def pinned_cores(monkeypatch, cores):
 def edited_checkpoint(path, out=None):
     """Yield the (model, header) of the checkpoint at path for the body to
     change in place, then save them, with the checkpoint's Adam state, to
-    out (default: path)."""
-    model, header, adams = load_model(path)
+    out (default: path). The copy holds no stored validation result, so
+    `evaluate` ranks both of its buckets."""
+    model, header, adams, _ = load_model(path)
     yield model, header
     save_model(path if out is None else out, model, header, adams)
 

@@ -232,17 +232,29 @@ def cold_start_benchmark():
         def final_model(variant, hyper):
             return train(variant, data, feats, hyper, seed, item_pool=pool).model
 
+        pretrained = {}
+
+        def after_pretraining(state):
+            # The last pretrain epoch's model, the dot product the tower
+            # is then attached to.
+            if (state.phase_idx, state.epoch_in_phase) == (0, NCACF_HYPER.pretrain_epochs):
+                pretrained["ndcg"] = cold_ndcg(state.model)
+
         hyb = final_model(ModelVariant("mf_hybrid", "relaxed"), HYBRID_HYPER)
         hyb_s = final_model(ModelVariant("mf_hybrid", "strict"), HYBRID_HYPER)
         dcb = final_model(ModelVariant("dcb", "relaxed"), HYBRID_HYPER)
-        nca = final_model(ModelVariant("ncacf", "relaxed", q_hidden=1),
-                          NCACF_HYPER)
+        nca = train(ModelVariant("ncacf", "relaxed", q_hidden=1), data, feats,
+                    NCACF_HYPER, seed, item_pool=pool, on_epoch=after_pretraining)
+        finetune = [objective for _, phase, objective, _, _ in nca.rows
+                    if phase == "finetune"]
         rows[seed] = {
             "random": base,
             "mf_hybrid_relaxed": cold_ndcg(hyb),
             "mf_hybrid_strict": cold_ndcg(hyb_s),
             "dcb_relaxed": cold_ndcg(dcb),
-            "ncacf_relaxed": cold_ndcg(nca),
+            "ncacf_relaxed": cold_ndcg(nca.model),
+            "ncacf_pretrained": pretrained["ndcg"],
+            "finetune_objective": (finetune[0], finetune[-1]),
         }
     rows["elapsed"] = time.perf_counter() - t0
     return rows
@@ -267,8 +279,18 @@ def test_criterion_6_planted_cold_start_recovery(cold_start_benchmark):
 
 def test_criterion_7_trend_reproduction_soft_gate(cold_start_benchmark):
     """Soft gate: joint >= two-stage and relaxed >= strict orderings in at
-    least 2 of 3 seeds; misses produce a diagnostic, never a failure."""
+    least 2 of 3 seeds; misses produce a diagnostic, never a failure. Also
+    reports, never enforces, whether fine-tuning ncacf's tower kept what
+    pretraining learned: the pretrained dot product's cold NDCG beside the
+    fine-tuned model's, and the fine-tune phase's first and last objective."""
     rows = cold_start_benchmark
+    print("[criterion 7] ncacf fine-tuning (informational):")
+    print("  seed  pretrained  fine-tuned  finetune objective first -> last")
+    for s in BENCH_SEEDS:
+        r = rows[s]
+        first, last = r["finetune_objective"]
+        print(f"  {s:4d}  {r['ncacf_pretrained']:10.4f}  {r['ncacf_relaxed']:10.4f}"
+              f"  {first:.6g} -> {last:.6g}")
     joint_hits = sum(rows[s]["mf_hybrid_relaxed"] >= rows[s]["dcb_relaxed"]
                      for s in BENCH_SEEDS)
     relax_hits = sum(rows[s]["mf_hybrid_relaxed"] >= rows[s]["mf_hybrid_strict"]

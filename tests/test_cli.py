@@ -102,6 +102,20 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def record_ranked_buckets(monkeypatch):
+    """A list that receives the bucket of every evaluation.evaluate call the
+    CLI makes from now on."""
+    import ncacf.cli as cli
+    evaluate, buckets = cli.E.evaluate, []
+
+    def recording(model, membership, bucket, *args):
+        buckets.append(bucket)
+        return evaluate(model, membership, bucket, *args)
+
+    monkeypatch.setattr(cli.E, "evaluate", recording)
+    return buckets
+
+
 def cut_last_report_row(path) -> int:
     """Cut the last row of the report at path in its last field, as a crash
     mid-write would; returns that row's line number."""
@@ -208,6 +222,51 @@ class TestPrepare:
         assert main(["prepare", "--config", cfg]) == 3
 
 
+class TestStoredValidation:
+    """best.ckpt holds the validation result of the epoch that made its model
+    the best; evaluate reads it back in place of ranking that bucket."""
+
+    def test_evaluate_ranks_only_the_test_bucket(self, workspace, monkeypatch):
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        buckets = record_ranked_buckets(monkeypatch)
+        assert main(["evaluate", "--config", cfg,
+                     "--checkpoint", str(workspace / "run" / "best.ckpt")]) == 0
+        assert buckets == ["test"]
+
+    @pytest.mark.parametrize("train_extra, eval_extra, name", [
+        (None, "\n[eval]\ntop_k = 3\n", "best.ckpt"),
+        (None, "\n[hyperparams]\ntau = 9.0\n", "best.ckpt"),
+        (None, None, "last.ckpt"),
+        ("\n[hyperparams]\nn_iters = 0\n", None, "best.ckpt")])
+    def test_other_inputs_rank_the_validation_bucket(self, workspace, monkeypatch,
+                                                     train_extra, eval_extra, name):
+        """Another top_k or tau, last.ckpt, and the best.ckpt of a run that
+        validated nothing."""
+        train = write_cfg(workspace, name="train.ini", extra=train_extra)
+        assert main(["train", "--config", train]) == 0
+        buckets = record_ranked_buckets(monkeypatch)
+        assert main(["evaluate", "--config", write_cfg(workspace, extra=eval_extra),
+                     "--checkpoint", str(workspace / "run" / name)]) == 0
+        assert buckets == ["validation", "test"]
+
+    def test_resume_without_a_new_best_keeps_the_stored_result(self, workspace,
+                                                                monkeypatch):
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        best, last = workspace / "run" / "best.ckpt", workspace / "run" / "last.ckpt"
+        before = best.read_bytes()
+        with edited_checkpoint(last) as (_, header):
+            header["best"]["best_val"] = 2.0  # above any NDCG
+        more = write_cfg(workspace, name="more.ini",
+                         extra="\n[hyperparams]\nn_iters = 5\n")
+        assert main(["train", "--config", more, "--resume", str(last)]) == 0
+        assert best.read_bytes() == before
+        buckets = record_ranked_buckets(monkeypatch)
+        assert main(["evaluate", "--config", more, "--checkpoint", str(best)]) == 0
+        assert buckets == ["test"]
+
+
 class TestTrainEvaluate:
     def test_wmf_warm_end_to_end(self, workspace):
         cfg = str(workspace / "cfg.ini")
@@ -250,6 +309,22 @@ class TestTrainEvaluate:
         assert not (tmp_path / "prepared" / "features.tsv").exists()
         assert main(["train", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("family", ["wmf", "ncf"])
+    def test_content_free_variant_ignores_a_constant_feature(self, workspace, family):
+        """A feature column constant over the items stops the variants that
+        read features, and only those."""
+        feats = workspace / "raw" / "features.tsv"
+        lines = feats.read_text().splitlines(keepends=True)
+        feats.write_text(lines[0] + "".join(line.rsplit("\t", 1)[0] + "\t1.0\n"
+                                            for line in lines[1:]))
+        cfg = write_cfg(workspace, name="cf.ini", family=family)
+        assert main(["prepare", "--config", cfg]) == 0
+        assert main(["train", "--config", cfg]) == 0
+        assert main(["evaluate", "--config", cfg,
+                     "--checkpoint", str(workspace / "run" / "best.ckpt")]) == 0
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni", coupling="relaxed")
+        assert main(["train", "--config", uni]) == 3
+
     def test_wmf_zero_iterations(self, workspace, capsys):
         cfg = workspace / "cfg.ini"
         cfg.write_text(cfg.read_text().replace("n_iters = 3", "n_iters = 0"))
@@ -290,8 +365,13 @@ class TestTrainEvaluate:
         names = [f"eval_{mode}_validation.tsv", f"eval_{mode}_test.tsv"]
         assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
         got = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        # A copy without the validation result that train stored, so that the
+        # oracle ranks the validation bucket too.
+        copy = str(tmp_path / "copy.ckpt")
+        with edited_checkpoint(ckpt, copy):
+            pass
         monkeypatch.setattr(cli.E, "evaluate", evaluate_per_user)
-        assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt,
+        assert main(["evaluate", "--config", cfg, "--checkpoint", copy,
                      "--output", str(tmp_path / "oracle")]) == 0
         for name in names:
             assert got[name] == (tmp_path / "oracle" / name).read_bytes(), name
@@ -345,9 +425,11 @@ class TestTrainEvaluate:
     def test_trained_rerun_bit_identical(self, workspace):
         cfg = str(workspace / "cfg.ini")
         main(["train", "--config", cfg])
-        first = (workspace / "run" / "last.ckpt").read_bytes()
+        first = {name: (workspace / "run" / name).read_bytes()
+                 for name in ("last.ckpt", "best.ckpt")}
         main(["train", "--config", cfg])
-        assert (workspace / "run" / "last.ckpt").read_bytes() == first
+        for name, raw in first.items():
+            assert (workspace / "run" / name).read_bytes() == raw, name
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg_full = write_cfg(tmp_path, name="full.ini", family="mf_uni",
@@ -381,7 +463,7 @@ class TestTrainEvaluate:
                          coupling="relaxed", output="run_deep")
         assert main(["train", "--config", deep, "--pretrained",
                      str(tmp_path / "run_uni" / "best.ckpt")]) == 0
-        model, header, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
+        model, header, _, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
         assert model.interaction is not None
         from ncacf.training import read_report
         phases = {row[1] for row in
@@ -1433,13 +1515,16 @@ class TestSweep:
 
 
 
+ALL_VARIANTS = [
+    ("wmf", "content_free"), ("dcb", "relaxed"), ("dcb", "strict"),
+    ("mf_hybrid", "relaxed"), ("mf_hybrid", "strict"), ("mf_uni", "relaxed"),
+    ("mf_uni", "strict"), ("ncacf", "relaxed"), ("ncacf", "strict"),
+    ("ncf", "content_free"),
+]
+
+
 class TestAllFamilies:
-    @pytest.mark.parametrize("family, coupling", [
-        ("wmf", "content_free"), ("dcb", "relaxed"), ("dcb", "strict"),
-        ("mf_hybrid", "relaxed"), ("mf_hybrid", "strict"), ("mf_uni", "relaxed"),
-        ("mf_uni", "strict"), ("ncacf", "relaxed"), ("ncacf", "strict"),
-        ("ncf", "content_free"),
-    ])
+    @pytest.mark.parametrize("family, coupling", ALL_VARIANTS)
     def test_train_evaluate_sweep(self, workspace, family, coupling):
         cfg = write_cfg(workspace, name="smoke.ini", family=family, coupling=coupling)
         assert main(["train", "--config", cfg]) == 0
@@ -1455,6 +1540,28 @@ class TestAllFamilies:
                         if line.startswith("# best_val = "))
         assert float(rows[1].split("\t")[2]) == best_val
         assert load_model(best)[0].variant == load_config(cfg).variant()
+
+    @pytest.mark.parametrize("family, coupling, mode", [
+        (family, coupling, mode) for family, coupling in ALL_VARIANTS
+        for mode in ("warm", "cold") if mode == "warm" or coupling != "content_free"])
+    def test_stored_validation_equals_ranking(self, workspace, capsys, family, coupling,
+                                              mode):
+        """evaluate writes and prints, from the validation result train
+        stored, what ranking the bucket again (a copy without it) gives."""
+        cfg = write_cfg(workspace, name="stored.ini", family=family, coupling=coupling,
+                        mode=mode)
+        assert main(["train", "--config", cfg]) == 0
+        best, copy = workspace / "run" / "best.ckpt", workspace / "copy.ckpt"
+        assert load_model(best)[3] is not None
+        with edited_checkpoint(best, copy):
+            pass
+        outputs = []
+        for ckpt, out in ((best, "stored"), (copy, "ranked")):
+            capsys.readouterr()
+            assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt),
+                         "--output", str(workspace / out)]) == 0
+            outputs.append((capsys.readouterr().out, tree_bytes(workspace / out)))
+        assert outputs[0] == outputs[1]
 
 class TestReport:
     def test_single_run_table(self, workspace):
@@ -1497,20 +1604,21 @@ class TestReport:
         assert not out.exists()
 
 
-def fake_run(tmp_path, name, family, coupling, cold=None, warm=None):
-    """A run directory holding a config and the test eval files of the given
-    mean NDCGs."""
+def fake_run(tmp_path, name, family, coupling, cold=None, warm=None, fold=0,
+             eval_fold=None, **variant):
+    """A run directory holding a config of `fold` (and the `variant` keys,
+    combination and q_hidden) and the test eval files of the given mean
+    NDCGs, whose fold line names eval_fold (default: fold)."""
     run = tmp_path / name
     run.mkdir()
-    cfg = ExperimentConfig()
-    cfg.family = family
-    cfg.coupling = coupling
+    cfg = ExperimentConfig(family=family, coupling=coupling, fold=fold, **variant)
     write_config(run / "config.ini", cfg)
     for setting, mean in (("cold", cold), ("warm", warm)):
         if mean is None:
             continue
         (run / f"eval_{setting}_test.tsv").write_text(
-            f"setting\t{setting}\nbucket\ttest\nfold\t0\nnum_users\t5\n"
+            f"setting\t{setting}\nbucket\ttest\n"
+            f"fold\t{fold if eval_fold is None else eval_fold}\nnum_users\t5\n"
             f"num_excluded\t0\npool_size_total\t50\nmean_ndcg\t{mean!r}\n")
     return str(run)
 
@@ -1526,7 +1634,53 @@ class TestReportSorting:
         assert main(["report", *runs, "--output", out]) == 0
         lines = (tmp_path / "summary" / "report_table.tsv").read_text().splitlines()
         variants = [l.split("\t")[0] for l in lines[1:]]
-        assert variants == ["ncacf-relaxed", "mf_hybrid-relaxed", "wmf"]
+        assert variants == ["ncacf-relaxed-multiplication-q2", "mf_hybrid-relaxed", "wmf"]
+
+    def test_tower_combinations_are_rows_of_their_own(self, tmp_path):
+        """Two ncacf-relaxed runs of fold 0 that differ in their combination
+        are two variants of one fold each, not one variant of two folds."""
+        runs = [fake_run(tmp_path, "mul", "ncacf", "relaxed", cold=0.3,
+                         combination="multiplication", q_hidden=1),
+                fake_run(tmp_path, "cat", "ncacf", "relaxed", cold=0.1,
+                         combination="concatenation", q_hidden=1),
+                fake_run(tmp_path, "cat2", "ncacf", "relaxed", cold=0.2,
+                         combination="concatenation", q_hidden=2)]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 0
+        rows = [line.split("\t") for line in
+                (out / "report_table.tsv").read_text().splitlines()[1:]]
+        assert [(r[0], r[3], r[6]) for r in rows] == [
+            ("ncacf-relaxed-multiplication-q1", "0.3", "1"),
+            ("ncacf-relaxed-concatenation-q2", "0.2", "1"),
+            ("ncacf-relaxed-concatenation-q1", "0.1", "1")]
+
+    def test_folds_of_one_variant_are_counted_once_each(self, tmp_path):
+        runs = [fake_run(tmp_path, f"f{fold}", "mf_hybrid", "relaxed", cold=cold,
+                         fold=fold) for fold, cold in ((0, 0.25), (1, 0.75))]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 0
+        row = (out / "report_table.tsv").read_text().splitlines()[1].split("\t")
+        assert row[0] == "mf_hybrid-relaxed" and row[3] == "0.5" and row[6] == "2"
+
+    def test_repeated_fold_is_config_error(self, tmp_path, capsys):
+        """A second run of one variant's fold would count as another fold."""
+        runs = [fake_run(tmp_path, "a", "mf_hybrid", "relaxed", cold=0.3),
+                fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=0.4),
+                fake_run(tmp_path, "c", "mf_hybrid", "strict", cold=0.4)]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert runs[0] in err and runs[1] in err and "fold 0" in err
+        assert not out.exists()
+
+    def test_eval_file_of_another_fold_is_data_error(self, tmp_path, capsys):
+        """Eval files copied in from another fold's run."""
+        run = fake_run(tmp_path, "a", "mf_hybrid", "relaxed", cold=0.3, fold=1,
+                       eval_fold=0)
+        out = tmp_path / "summary"
+        assert main(["report", run, "--output", str(out)]) == 3
+        assert f"{tmp_path / 'a' / 'eval_cold_test.tsv'}:3: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportFiles:

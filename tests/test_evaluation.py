@@ -15,7 +15,7 @@ from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMemb
                         split_cold, split_warm)
 from ncacf.errors import ColdStartUnsupportedError, DataError, TrainingDivergedError
 from ncacf.evaluation import (EvalResult, evaluate, fold_mean_std, grid_search,
-                              write_eval_result)
+                              stored_result, stored_validation, write_eval_result)
 from ncacf.models import Embeddings, ModelVariant, init_model
 
 
@@ -557,3 +557,23 @@ class TestEvalExport:
             write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.25, 3: 0.5}, 2, 40))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.tsv"]
+
+
+class TestStoredResult:
+    def test_reads_back_the_stored_result(self, tmp_path):
+        """The result comes back with its users in their order, so its mean
+        and eval file are the same bits."""
+        ndcg = {3: 0.1, 7: 1.0, 9: 0.0, 12: 1 / 3}
+        result = EvalResult("cold", "validation", 2, ndcg, 4, 120, 1)
+        back = stored_validation(stored_result(result, 7.0, 10), 7.0, 10)
+        assert back == result and list(back.ndcg) == list(ndcg)
+        assert back.mean == result.mean
+        write_eval_result(tmp_path / "a.tsv", result)
+        write_eval_result(tmp_path / "b.tsv", back)
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    @pytest.mark.parametrize("tau, top_k", [(8.0, 10), (7.0, 5)])
+    def test_another_tau_or_top_k_reads_nothing(self, tau, top_k):
+        stored = stored_result(EvalResult("warm", "validation", 0, {1: 0.5}, 0, 9), 7.0, 10)
+        assert stored_validation(stored, tau, top_k) is None
+        assert stored_validation(None, 7.0, 10) is None

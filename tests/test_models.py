@@ -320,7 +320,7 @@ class TestCheckpoint:
         feats = random_features(rng, model.num_items, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_model(path, model, extra_header={"split_mode": "warm", "fold": 0})
-        back, header, _ = load_model(path)
+        back, header, _, _ = load_model(path)
         assert back.variant == model.variant
         assert header["split_mode"] == "warm"
         items = np.arange(model.num_items)
@@ -334,7 +334,7 @@ class TestCheckpoint:
         model = init_model(variant, 4, 3, 2, 5, seed=0)
         path = tmp_path / "m.ckpt"
         save_model(path, model)
-        back, _, _ = load_model(path)
+        back, _, _, _ = load_model(path)
         assert back.embeddings.H is None
         assert np.array_equal(back.embeddings.W, model.embeddings.W)
 
@@ -394,7 +394,7 @@ class TestCheckpoint:
             adams[group] = state
         path = tmp_path / "state.ckpt"
         save_model(path, model, {"progress": {"global_epoch": 2}}, adams)
-        back, header, back_adams = load_model(path)
+        back, header, back_adams, _ = load_model(path)
         assert header["progress"] == {"global_epoch": 2}
         assert (back.variant, back.init_seed) == (model.variant, model.init_seed)
         for a, b in ((model.embeddings.W, back.embeddings.W),
@@ -416,6 +416,27 @@ class TestCheckpoint:
                 assert want_table.keys() == got_table.keys()
                 for key, arr in want_table.items():
                     assert np.array_equal(arr, got_table[key]), (group, moment, key)
+
+    def test_stored_validation_round_trip(self, tmp_path):
+        """load_model returns the stored validation apart from the header, so
+        a checkpoint saved again from its (model, header) holds none."""
+        model = deep_model(seed=18)
+        stored = {"setting": "cold", "fold": 1, "num_excluded": 2, "tau": 7.0,
+                  "top_k": 10, "users": np.array([2, 5], dtype=np.int64),
+                  "ndcg": np.array([0.5, 1.0])}
+        path, again, plain = (tmp_path / name for name in ("v.ckpt", "again.ckpt",
+                                                            "plain.ckpt"))
+        save_model(path, model, {"prepared": [1, 2]}, validation=stored)
+        back, header, _, got = load_model(path)
+        assert "validation" not in header and got.keys() == stored.keys()
+        for key, value in stored.items():
+            assert type(got[key]) is type(value) and np.array_equal(got[key], value), key
+            if isinstance(value, np.ndarray):
+                assert got[key].dtype == value.dtype, key
+        save_model(again, back, header)
+        save_model(plain, model, {"prepared": [1, 2]})
+        assert again.read_bytes() == plain.read_bytes()
+        assert load_model(again)[3] is None
 
     def test_file_bytes_deterministic(self, tmp_path):
         model = deep_model(seed=12)
