@@ -109,10 +109,13 @@ def cmd_prepare(args) -> int:
     # Numbered as load_triplets numbers the file written below, so that the
     # manifest and the snapshot match that file.
     filtered = D.filter_activity(raw, cfg.min_user_songs, cfg.min_item_users)
-    table = None
-    if cfg.features is not None and os.path.exists(cfg.features):
+    features = None
+    if cfg.features is not None:
+        if not os.path.exists(cfg.features):
+            raise DataError(f"feature file {cfg.features} does not exist; set "
+                            f"`features = none` under [data] to prepare without features")
         labels, values = D.load_features(cfg.features)
-        table = D.align_features(labels, values, filtered.item_labels)
+        features = D.align_features(labels, values, filtered.item_labels)
     cold = D.split_cold(filtered.num_items, cfg.num_folds, cfg.val_fraction, cfg.seed)
     warm = D.split_warm(filtered, cfg.num_folds, cfg.val_fraction, cfg.seed)
     orphans = D.scan_warm_orphans(warm, filtered)
@@ -122,8 +125,8 @@ def cmd_prepare(args) -> int:
     os.makedirs(cfg.prepared, exist_ok=True)
     paths = _prepared_paths(cfg)
     D.write_triplets(paths["triplets"], filtered)
-    if table is not None:
-        D.write_features(paths["features"], filtered.item_labels, table.values)
+    if features is not None:
+        D.write_features(paths["features"], filtered.item_labels, features)
     else:  # an earlier prepare's feature file would describe other data
         with contextlib.suppress(FileNotFoundError):
             os.remove(paths["features"])
@@ -131,7 +134,7 @@ def cmd_prepare(args) -> int:
         D.write_split_plan(paths[f"split_{plan.mode}"], plan)
     manifest = os.path.join(cfg.prepared, "manifest.txt")
     _write_manifest(manifest, cfg, filtered, cold, warm, len(orphans))
-    D.write_snapshot(os.path.join(cfg.prepared, "snapshot.bin"), filtered, table,
+    D.write_snapshot(os.path.join(cfg.prepared, "snapshot.bin"), filtered, features,
                      (cold, warm), paths)
     print(f"prepared dataset in {cfg.prepared}")
     return 0
@@ -207,7 +210,7 @@ def cmd_synth(args) -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
     D.write_triplets(cfg.triplets, synth.triplets)
-    D.write_features(cfg.features, synth.triplets.item_labels, synth.features.values)
+    D.write_features(cfg.features, synth.triplets.item_labels, synth.features)
     sidecar = cfg.triplets + ".planted.npz"
     with D.replacing(sidecar) as fh:
         np.savez(fh, W=synth.planted.W, H=synth.planted.H,
@@ -465,10 +468,13 @@ def cmd_report(args) -> int:
     # Every file is written after all runs are read. A run's convergence file
     # is named after its directory, so two runs may not share that name. A
     # row is one variant, a tower's combination and q_hidden included, and
-    # holds each (setting, fold) of it once.
+    # holds each (setting, fold) of it once. The runs of one row and setting
+    # share their hyperparameters, top_k and seed; a sweep may tune the
+    # warm and cold settings apart.
     names: dict[str, str] = {}
     groups: dict[str, dict] = {}
     folds: dict[tuple, str] = {}
+    shared: dict[tuple, tuple[dict, str]] = {}
     series: dict[str, list] = {}
     for run_dir in args.run_dirs:
         name = os.path.basename(os.path.normpath(run_dir))
@@ -487,6 +493,7 @@ def cmd_report(args) -> int:
         if variant.deep:
             label += f"-{variant.combination}-q{variant.q_hidden}"
         entry = groups.setdefault(label, {"warm": [], "cold": []})
+        settings = {**asdict(cfg.hyper), "top_k": cfg.top_k, "seed": cfg.seed}
         for setting in ("warm", "cold"):
             mean = E.read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"),
                                     cfg.fold)
@@ -498,6 +505,13 @@ def cmd_report(args) -> int:
                                   f"{label}'s {setting} fold {cfg.fold}; give the "
                                   f"report each fold of a variant once")
             folds[key] = run_dir
+            first, first_dir = shared.setdefault((label, setting), (settings, run_dir))
+            for hyper_key, value in settings.items():
+                if first[hyper_key] != value:
+                    raise ConfigError(f"run directories {first_dir} and {run_dir} hold "
+                                      f"{label}'s {setting} runs with {hyper_key} = "
+                                      f"{first[hyper_key]!r} and {value!r}; the folds of "
+                                      f"one row must share their settings")
             entry[setting].append(mean)
         report_path = os.path.join(run_dir, "report.tsv")
         if os.path.exists(report_path):

@@ -10,6 +10,7 @@ File formats (UTF-8 text, tab-separated, `#` lines are comments):
 A prepared dataset also gets a binary snapshot of its parsed triplets,
 aligned features and both split plans (see write_snapshot): the one copy of
 the prepared data that the verbs read, checked against the four text files.
+Aligned features are a plain float64 (items x L) array, row i for item i.
 The snapshot and checkpoints share one checked binary container, the record
 file (see write_records). Every file a verb writes goes through replacing().
 """
@@ -367,29 +368,19 @@ def write_features(path, labels, values: np.ndarray) -> None:
         for label, row in zip(labels, values)))
 
 
-@dataclass(frozen=True)
-class FeatureTable:
-    """Per-item feature rows."""
-
-    values: np.ndarray  # (I, L)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
-def align_features(labels, values: np.ndarray, item_labels) -> FeatureTable:
-    """Reorder raw feature rows to match the dataset's item indexing."""
+def align_features(labels, values: np.ndarray, item_labels) -> np.ndarray:
+    """Reorder raw feature rows to match the dataset's item indexing: the
+    float64 (items x L) feature array that the models read."""
     index = {label: k for k, label in enumerate(labels)}
     rows = np.empty((len(item_labels), values.shape[1]), dtype=np.float64)
     for i, label in enumerate(item_labels):
         if label not in index:
             raise DataError(f"no feature vector for item {label!r}")
         rows[i] = values[index[label]]
-    return FeatureTable(rows)
+    return rows
 
 
-def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
+def standardize_features(features: np.ndarray, training_items) -> np.ndarray:
     """Center/scale every column using statistics of the training items only.
 
     Population variance; the transform is applied to all items so cold items
@@ -398,13 +389,13 @@ def standardize_features(table: FeatureTable, training_items) -> FeatureTable:
     training_items = np.asarray(training_items, dtype=np.int64)
     if training_items.size == 0:
         raise DataError("training item set is empty")
-    sub = table.values[training_items]
+    sub = features[training_items]
     means = sub.mean(axis=0)
     stds = sub.std(axis=0)  # population (ddof=0)
     bad = np.flatnonzero(stds <= 0)
     if bad.size:
         raise DataError(f"feature dimension {int(bad[0])} is constant over training items")
-    return FeatureTable((table.values - means) / stds)
+    return (features - means) / stds
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +536,7 @@ def _byte_labels(raw: np.ndarray) -> tuple[str, ...]:
     return tuple(raw.tobytes().decode("utf-8").split("\n")[:-1])
 
 
-def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable | None,
+def write_snapshot(path, triplets: InteractionTriplets, features: np.ndarray | None,
                    plans: tuple[SplitPlan, ...], text_paths: dict[str, str]) -> None:
     """Snapshot the triplets, the features (aligned to their items) and the
     split plans just written to the text files text_paths, a mapping whose
@@ -554,7 +545,7 @@ def write_snapshot(path, triplets: InteractionTriplets, features: FeatureTable |
     records = [triplets.users, triplets.items, triplets.counts,
                _label_bytes(triplets.user_labels), _label_bytes(triplets.item_labels)]
     if features is not None:
-        records.append(features.values)
+        records.append(features)
     for plan in plans:
         records += [plan.validation, plan.train_always, *plan.folds]
     header = {key: _file_digest(text_path) for key, text_path in text_paths.items()}
@@ -586,7 +577,7 @@ def read_snapshot(path, text_paths: dict[str, str]):
                         f"not {want}; rerun {rerun}")
     users, items, counts, user_raw, item_raw = records[:5]
     user_labels, item_labels = _byte_labels(user_raw), _byte_labels(item_raw)
-    features = FeatureTable(records[5]) if has_features else None
+    features = records[5] if has_features else None
     plans, at = {}, 5 + has_features
     for mode, seed, num_folds, val_fraction in header["plans"]:
         validation, train_always, *folds = records[at:at + 2 + num_folds]
@@ -861,7 +852,7 @@ class PlantedModel:
 @dataclass(frozen=True)
 class SyntheticData:
     triplets: InteractionTriplets
-    features: FeatureTable
+    features: np.ndarray  # (I, L)
     planted: PlantedModel
 
 
@@ -913,6 +904,6 @@ def generate_synthetic(num_users: int, num_items: int, k_true: int, num_features
         users[order], items[order], counts[order], num_users, num_items)
     return SyntheticData(
         triplets=triplets,
-        features=FeatureTable(X),
+        features=X,
         planted=PlantedModel(W=W, H=H, feature_map=M, affinity_median=med),
     )

@@ -1,10 +1,12 @@
 """Model variants: parameter containers, initialization, prediction paths,
 and checkpoints.
 
-A model couples a user embedding matrix W (K x U), an optional free item
-embedding matrix H (K x I), an optional content extractor mapping item
-features to the embedding space, and an interaction head that is either a
-plain dot product or a tower MLP applied to the combined embeddings.
+A model holds four parameter groups: a user embedding matrix W (K x U), an
+optional free item embedding matrix H (K x I), an optional content extractor
+mapping item features (a float64 items x L array) to the embedding space,
+and an interaction head that is either a plain dot product or a tower MLP
+applied to the combined embeddings. Its sizes other than the item count are
+read off those arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable, read_records, write_records
+from .data import ConfidenceScheme, read_records, write_records
 from .errors import ColdStartUnsupportedError, ConfigError, DataError
 from .numerics import (AdamState, Layer, MLPParams, activation_backward,
                        apply_activation, map_blocks, mlp_backward, mlp_forward,
@@ -118,18 +120,6 @@ class Hyperparams:
         return ConfidenceScheme(self.tau, self.alpha, self.epsilon)
 
 
-@dataclass
-class Embeddings:
-    """User matrix W (K x U) and item matrix H (K x I); column u/i layout.
-
-    H is None for strict-coupling models, whose item vectors always come
-    from the content extractor.
-    """
-
-    W: np.ndarray
-    H: np.ndarray | None
-
-
 def combined_dim(embed_dim: int, combination: str) -> int:
     return embed_dim if combination == "multiplication" else 2 * embed_dim
 
@@ -170,17 +160,29 @@ def build_extractor(feature_dim: int, embed_dim: int, hidden_width: int,
 
 @dataclass
 class Model:
-    """A trainable/evaluable model instance."""
+    """A trainable/evaluable model instance. W (K x U) and H (K x I) hold one
+    column per user and item; H is None for strict-coupling models, whose
+    item vectors always come from the content extractor."""
 
     variant: ModelVariant
-    num_users: int
     num_items: int
-    embed_dim: int
-    feature_dim: int
-    embeddings: Embeddings
+    W: np.ndarray
+    H: np.ndarray | None
     extractor: MLPParams | None
     interaction: MLPParams | None
     init_seed: int = 0
+
+    @property
+    def num_users(self) -> int:
+        return self.W.shape[1]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.W.shape[0]
+
+    @property
+    def feature_dim(self) -> int:  # the extractor's input width
+        return 0 if self.extractor is None else self.extractor.in_dim
 
 
 def init_model(variant: ModelVariant, num_users: int, num_items: int,
@@ -208,8 +210,7 @@ def init_model(variant: ModelVariant, num_users: int, num_items: int,
     interaction = None
     if variant.deep and with_interaction:
         interaction = attach_tower(variant, embed_dim, seed)
-    return Model(variant, num_users, num_items, embed_dim, feature_dim,
-                 Embeddings(W, H), extractor, interaction, init_seed=seed)
+    return Model(variant, num_items, W, H, extractor, interaction, init_seed=seed)
 
 
 def attach_tower(variant: ModelVariant, embed_dim: int, seed: int) -> MLPParams:
@@ -225,17 +226,17 @@ def attach_tower(variant: ModelVariant, embed_dim: int, seed: int) -> MLPParams:
     return MLPParams(layers)
 
 
-def extract_item_embeddings(model: Model, features: FeatureTable,
+def extract_item_embeddings(model: Model, features: np.ndarray,
                             items: np.ndarray | None = None) -> np.ndarray:
     """phi(x_i) for the given items (default: all), as a (K, n) matrix."""
     if model.extractor is None:
         raise ConfigError("model has no content extractor")
-    rows = features.values if items is None else features.values[np.asarray(items)]
+    rows = features if items is None else features[np.asarray(items)]
     out, _ = mlp_forward(model.extractor, rows)
     return out.T
 
 
-def item_vectors(model: Model, items: np.ndarray, features: FeatureTable | None,
+def item_vectors(model: Model, items: np.ndarray, features: np.ndarray | None,
                  setting: str) -> np.ndarray:
     """Item embedding columns used for prediction, as a (K, n) matrix.
 
@@ -253,7 +254,7 @@ def item_vectors(model: Model, items: np.ndarray, features: FeatureTable | None,
     if coupling == "content_free" and setting == "cold":
         raise ColdStartUnsupportedError(
             f"{model.variant.family} has no content branch and cannot score cold items")
-    return model.embeddings.H[:, items]
+    return model.H[:, items]
 
 
 def tower_grid_forward(tower: MLPParams, W: np.ndarray, item_vecs: np.ndarray,
@@ -373,7 +374,7 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
     """Scores of the given users (default: all) against the given item-vector
     columns: (len(users), n). A tower scores its user sub-blocks, each into
     its own rows, on up to two workers (numerics.map_blocks)."""
-    W = model.embeddings.W[:, users]
+    W = model.W[:, users]
     if model.interaction is None:
         return W.T @ item_vecs
     scores = np.empty((W.shape[1], item_vecs.shape[1]))
@@ -391,7 +392,8 @@ def score_matrix(model: Model, item_vecs: np.ndarray, users=slice(None)) -> np.n
 # Checkpoints
 #
 # A record file (data.write_records) with magic b"NCKP". Its header holds the
-# variant, the dims, init_seed, each MLP's layer activations, each Adam
+# variant, the dims (the loader reads back only num_items; the other sizes
+# are the arrays' own), init_seed, each MLP's layer activations, each Adam
 # group's [step, lr, beta1, beta2, eps], the caller's run entries (`ncacf
 # train` writes `prepared`, the digest of the snapshot it trained on, from
 # which `evaluate` standardizes the features again, and `hyper`) and a
@@ -417,9 +419,9 @@ def save_model(path, model: Model, extra_header: dict | None = None,
     `validation`, the stored form of the model's validation ranking, goes
     into the header entry `validation` (its scalars) and the records
     "validation.<name>" (its arrays)."""
-    named = {"W": model.embeddings.W}
-    if model.embeddings.H is not None:
-        named["H"] = model.embeddings.H
+    named = {"W": model.W}
+    if model.H is not None:
+        named["H"] = model.H
     activations = {}
     for name in _MLPS:
         mlp = getattr(model, name)
@@ -440,12 +442,8 @@ def save_model(path, model: Model, extra_header: dict | None = None,
     header = {
         **header,
         "variant": asdict(model.variant),
-        "dims": {
-            "num_users": model.num_users,
-            "num_items": model.num_items,
-            "embed_dim": model.embed_dim,
-            "feature_dim": model.feature_dim,
-        },
+        "dims": {key: getattr(model, key)
+                 for key in ("num_users", "num_items", "embed_dim", "feature_dim")},
         "init_seed": model.init_seed,
         "mlps": activations,
         "adams": {group: [state.step, state.lr, state.beta1, state.beta2, state.eps]
@@ -478,9 +476,9 @@ def load_model(path):
                  for group, (step, lr, beta1, beta2, eps) in header["adams"].items()}
         model = Model(
             variant=ModelVariant(**header["variant"]),
-            **{key: header["dims"][key]
-               for key in ("num_users", "num_items", "embed_dim", "feature_dim")},
-            embeddings=Embeddings(named.pop("W"), named.pop("H", None)),
+            num_items=header["dims"]["num_items"],
+            W=named.pop("W"),
+            H=named.pop("H", None),
             extractor=mlps.get("extractor"),
             interaction=mlps.get("interaction"),
             init_seed=header["init_seed"],

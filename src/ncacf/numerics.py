@@ -292,9 +292,10 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]):
     """One bias-corrected Adam update, in place: every array of `params` and
     its moments in `state` are overwritten and state.step advances, so the
-    caller must own them. Returns (params, state)."""
-    if set(grads) - set(params):
-        raise KeyError(f"gradients for unknown parameters: {sorted(set(grads) - set(params))}")
+    caller must own them. `grads` holds one gradient per parameter, no more
+    and no fewer (KeyError otherwise). Returns (params, state)."""
+    if set(grads) != set(params):
+        raise KeyError(f"gradients for {sorted(grads)}, parameters {sorted(params)}")
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient for {name!r}")
@@ -302,9 +303,7 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         m, v = state.m[name], state.v[name]
         # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, p -= lr (m / bc1) /
         # (sqrt(v / bc2) + eps), each product and sum in this order.

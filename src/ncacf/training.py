@@ -19,7 +19,8 @@ one optimizer step per batch. An ALS sweep solves its blocks of rows on the
 same two workers, each block into its own columns. Either way the worker
 count changes no bit. Training on a cold split passes the training items as
 `item_pool`: batches, ALS sweeps and regularizers then never touch held-out
-items.
+items. The parameter groups are the model's own W, H, extractor and
+interaction (group_params); item features are one float64 (items x L) array.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ConfidenceScheme, FeatureTable, SparsePlaycounts, write_text
+from .data import ConfidenceScheme, SparsePlaycounts, write_text
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .models import (Embeddings, Hyperparams, Model, ModelVariant,
-                     attach_tower, block_units, extract_item_embeddings,
-                     grid_width, init_model, load_model, tower_grid_backward,
-                     tower_grid_forward, tower_user_blocks)
+from .models import (Hyperparams, Model, ModelVariant, attach_tower, block_units,
+                     extract_item_embeddings, grid_width, init_model, load_model,
+                     tower_grid_backward, tower_grid_forward, tower_user_blocks)
 from .numerics import (AdamState, adam_step, map_blocks, mlp_backward, mlp_forward,
                        solve_spd)
 from .rng import rng_for
@@ -81,7 +81,7 @@ def _batch_rc(data: SparsePlaycounts, scheme: ConfidenceScheme, items: np.ndarra
 
 
 def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-                     features: FeatureTable | None, lam_w: float, lam_h: float,
+                     features: np.ndarray | None, lam_w: float, lam_h: float,
                      batch: np.ndarray, pool_size: int,
                      owned: frozenset[str] = frozenset()):
     """Confidence-weighted prediction error over (all users) x (batch items),
@@ -100,15 +100,15 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
     with none owned, no gradient is computed.
     """
     variant = model.variant
-    W = model.embeddings.W
+    W = model.W
     strict = variant.coupling == "strict"
     batch = np.asarray(batch, dtype=np.int64)
 
     phi = phi_cache = None
     if variant.has_content:
-        phi_out, phi_cache = mlp_forward(model.extractor, features.values[batch])
+        phi_out, phi_cache = mlp_forward(model.extractor, features[batch])
         phi = phi_out.T  # (K, B)
-    H_use = phi if strict else model.embeddings.H[:, batch]
+    H_use = phi if strict else model.H[:, batch]
 
     deep = model.interaction is not None
     if deep:
@@ -178,7 +178,7 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
             grads["extractor"], _ = mlp_backward(model.extractor, phi_cache, gH_use.T)
     else:
         if "H" in owned:
-            gH = np.zeros_like(model.embeddings.H)
+            gH = np.zeros_like(model.H)
             gH[:, batch] = gH_use + 2.0 * lam_h * D
             grads["H"] = gH
         if "extractor" in owned and variant.has_content:
@@ -188,7 +188,7 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
 
 def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-              features: FeatureTable | None, lam_w: float, lam_h: float,
+              features: np.ndarray | None, lam_w: float, lam_h: float,
               item_pool=None) -> float:
     """Weighted prediction error over every user x pooled item, plus
     lambda_W ||W||^2 and, for free item embeddings, lambda_H times the sum over
@@ -377,7 +377,7 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
 
 
 def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
-           features: FeatureTable | None, lam_w: float, lam_h: float,
+           features: np.ndarray | None, lam_w: float, lam_h: float,
            adams: dict[str, AdamState], schedule: BatchSchedule,
            item_pool: np.ndarray):
     """One epoch of batched steps on the weighted-prediction-error objective.
@@ -402,11 +402,10 @@ _GROUPS = ("W", "H", "extractor", "interaction")
 
 
 def group_params(model: Model, group: str) -> dict[str, np.ndarray]:
-    """The named arrays of one parameter group: {"W": W} or {"H": H} from the
-    embeddings, the MLP's param_dict() for "extractor" and "interaction"."""
-    if group in ("W", "H"):
-        return {group: getattr(model.embeddings, group)}
-    return getattr(model, group).param_dict()
+    """The named arrays of one parameter group: {"W": W} or {"H": H}, the
+    MLP's param_dict() for "extractor" and "interaction"."""
+    params = getattr(model, group)
+    return {group: params} if group in ("W", "H") else params.param_dict()
 
 
 def _fresh_adams(model: Model, groups, eta: float) -> dict[str, AdamState]:
@@ -470,7 +469,7 @@ class Phase:
     observed: bool = True
 
 
-def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
+def train(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray | None,
           hyper: Hyperparams, seed: int, item_pool=None, validator=None,
           state: TrainState | None = None,
           on_epoch=None) -> TrainState:
@@ -527,16 +526,16 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable 
     return state
 
 
-def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTable | None,
+def _phases(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray | None,
             hyper: Hyperparams, seed: int, pool: np.ndarray) -> list[Phase]:
     """The phases that train `variant` on the pooled items (see train)."""
     scheme = hyper.scheme()
     batch_size = min(hyper.batch_items, pool.size)
-    rows = features.values[pool] if variant.has_content else None
+    rows = features[pool] if variant.has_content else None
 
     def fresh_model(v: ModelVariant) -> Model:
         return init_model(v, data.num_users, data.num_items, hyper.embed_dim,
-                          features.dim if v.has_content else 0, seed,
+                          features.shape[1] if v.has_content else 0, seed,
                           hyper.hidden_width, hyper.extractor_layers,
                           with_interaction=False)
 
@@ -569,7 +568,7 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
         if variant.coupling == "strict":
             gradient_epoch(state, epoch)
         else:
-            gd_content_mse(state.model.extractor, state.model.embeddings.H[:, pool], rows,
+            gd_content_mse(state.model.extractor, state.model.H[:, pool], rows,
                            state.adams["extractor"],
                            make_batches(pool.size, batch_size, seed, epoch))
 
@@ -580,15 +579,12 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
         content = model.variant.has_content
         if model.variant.coupling == "strict":
             phi = extract_item_embeddings(model, features, pool)
-            model.embeddings = Embeddings(
-                als_sweep_users(phi, data, scheme, hyper.lambda_w, pool), None)
+            model.W = als_sweep_users(phi, data, scheme, hyper.lambda_w, pool)
         else:
-            W = als_sweep_users(model.embeddings.H[:, pool], data, scheme,
-                                hyper.lambda_w, pool)
+            model.W = als_sweep_users(model.H[:, pool], data, scheme, hyper.lambda_w, pool)
             prior = extract_item_embeddings(model, features, pool) if content else None
-            model.embeddings.W = W
-            model.embeddings.H[:, pool] = als_sweep_items(W, data, scheme, hyper.lambda_h,
-                                                          pool, prior)
+            model.H[:, pool] = als_sweep_items(model.W, data, scheme, hyper.lambda_h,
+                                               pool, prior)
         for j in range(hyper.n_gd if content else 0):
             extractor_epoch(state, state.epoch_in_phase * hyper.n_gd + j)
         return objective(state)
@@ -598,18 +594,16 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: FeatureTabl
             state.model = fresh_model(ModelVariant("wmf", "content_free"))
 
         def enter_stage2(state: TrainState) -> None:
-            wmf = state.model.embeddings
+            wmf = state.model
             state.model = fresh_model(variant)
-            state.model.embeddings = Embeddings(
-                wmf.W, wmf.H if variant.has_free_items else None)
+            state.model.W, state.model.H = wmf.W, wmf.H if variant.has_free_items else None
             state.adams = _fresh_adams(state.model, {"extractor"}, hyper.eta)
 
         def stage2_epoch(state: TrainState) -> float:
             extractor_epoch(state, state.epoch_in_phase)
             if variant.coupling == "strict":
                 return objective(state)
-            return content_mse(state.model.extractor,
-                               state.model.embeddings.H[:, pool], rows)
+            return content_mse(state.model.extractor, state.model.H[:, pool], rows)
 
         return [Phase("als", hyper.n_iters, enter_stage1, als_epoch, observed=False),
                 Phase("stage2", hyper.n_iters * hyper.n_gd, enter_stage2, stage2_epoch)]
@@ -726,7 +720,7 @@ def pretrained_state(variant: ModelVariant, hyper: Hyperparams,
     if not variant.has_content:
         model.extractor = None
     if not variant.has_free_items:
-        model.embeddings = Embeddings(model.embeddings.W, None)
+        model.H = None
     progress = header.get("progress") or {}
     return TrainState(model, phase_idx=1, global_epoch=progress.get(
         "global_epoch", hyper.pretrain_epochs)), header

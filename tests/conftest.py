@@ -70,9 +70,9 @@ def record_solves(monkeypatch):
 def model_param_arrays(model, owned):
     """Yield (group, name, live array) for every owned parameter of a model."""
     if "W" in owned:
-        yield "W", "W", model.embeddings.W
-    if "H" in owned and model.embeddings.H is not None:
-        yield "H", "H", model.embeddings.H
+        yield "W", "W", model.W
+    if "H" in owned and model.H is not None:
+        yield "H", "H", model.H
     if "extractor" in owned and model.extractor is not None:
         for name, arr in model.extractor.param_dict().items():
             yield "extractor", name, arr

@@ -42,11 +42,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMembership,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, FoldMembership,
                         InteractionTriplets, SplitPlan, _partition_units)
 from ncacf.errors import DataError, ParseError, TrainingDivergedError
 from ncacf.evaluation import EvalResult, _dcg_by_length, fold_mean_std, grid_search
-from ncacf.models import (Embeddings, Model, item_vectors, score_matrix,
+from ncacf.models import (Model, item_vectors, score_matrix,
                           tower_grid_backward, tower_grid_forward)
 from ncacf.numerics import Layer, MLPParams, mlp_backward, mlp_forward
 from ncacf.rng import rng_for
@@ -283,7 +283,7 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
     objective before it moved to nnz cost, for a tower before it split the
     grid into user sub-blocks. Returns (loss, grads)."""
     variant = model.variant
-    W = model.embeddings.W
+    W = model.W
     strict = variant.coupling == "strict"
     batch = np.asarray(batch, dtype=np.int64)
     R = np.zeros((data.num_users, batch.size))
@@ -296,9 +296,9 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
 
     phi = phi_cache = None
     if variant.has_content:
-        phi_out, phi_cache = mlp_forward(model.extractor, features.values[batch])
+        phi_out, phi_cache = mlp_forward(model.extractor, features[batch])
         phi = phi_out.T
-    H_use = phi if strict else model.embeddings.H[:, batch]
+    H_use = phi if strict else model.H[:, batch]
     if model.interaction is None:
         S = W.T @ H_use
     else:
@@ -329,7 +329,7 @@ def dense_batch_objective(model, data, scheme, features, lam_w, lam_h, batch,
                                               gH_use.T)[0]
     else:
         if "H" in owned:
-            gH = np.zeros_like(model.embeddings.H)
+            gH = np.zeros_like(model.H)
             gH[:, batch] = gH_use + 2.0 * lam_h * D
             grads["H"] = gH
         if "extractor" in owned and variant.has_content:
@@ -358,10 +358,7 @@ def copy_mlp(params: MLPParams) -> MLPParams:
 def copy_model(model: Model) -> Model:
     """A model with copies of every array, so that in-place training steps on
     the original leave it as it was."""
-    H = model.embeddings.H
-    return replace(model,
-                   embeddings=Embeddings(model.embeddings.W.copy(),
-                                         None if H is None else H.copy()),
+    return replace(model, W=model.W.copy(), H=None if model.H is None else model.H.copy(),
                    extractor=None if model.extractor is None else copy_mlp(model.extractor),
                    interaction=(None if model.interaction is None
                                 else copy_mlp(model.interaction)))
@@ -386,7 +383,7 @@ def combine(w: np.ndarray, h: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown combination {mode!r}")
 
 
-def item_vector(model: Model, item: int, features: FeatureTable | None,
+def item_vector(model: Model, item: int, features: np.ndarray | None,
                 setting: str) -> np.ndarray:
     return item_vectors(model, np.array([item]), features, setting)[:, 0]
 
@@ -397,7 +394,7 @@ def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
     Deep variants fall back to the plain dot product while their tower is
     not attached (the pretraining configuration).
     """
-    w = model.embeddings.W[:, user]
+    w = model.W[:, user]
     if model.interaction is None:
         return float(w @ item_vec)
     v = combine(w, item_vec, model.variant.combination)
@@ -406,12 +403,12 @@ def predict(model: Model, user: int, item_vec: np.ndarray) -> float:
 
 
 def predict_all_items(model: Model, user: int, items: np.ndarray,
-                      features: FeatureTable | None, setting: str) -> np.ndarray:
+                      features: np.ndarray | None, setting: str) -> np.ndarray:
     """Scores for one user over an ordered item list."""
     iv = item_vectors(model, items, features, setting)
     if model.interaction is None:
-        return model.embeddings.W[:, user] @ iv
-    scores, _ = tower_grid_forward(model.interaction, model.embeddings.W[:, [user]],
+        return model.W[:, user] @ iv
+    scores, _ = tower_grid_forward(model.interaction, model.W[:, [user]],
                                    iv, model.variant.combination)
     return scores[0]
 

@@ -19,12 +19,12 @@ from oracles import (RankedList, als_update_h, als_update_w, ndcg_by_permutation
                      weighted_ridge_solve)
 from ncacf import models, training
 from ncacf.cli import main
-from ncacf.data import (ConfidenceScheme, FeatureTable, FoldMembership,
+from ncacf.data import (ConfidenceScheme, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, generate_synthetic,
                         materialize_fold, scan_warm_orphans,
                         split_cold, standardize_features)
 from ncacf.evaluation import evaluate
-from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
+from ncacf.models import (Hyperparams, ModelVariant, init_model,
                           score_matrix)
 from ncacf.numerics import Layer, MLPParams
 from ncacf.training import owned_groups, read_report, train
@@ -76,8 +76,7 @@ def test_criterion_2_gradient_correctness():
     data = SparsePlaycounts.from_triplets(t)
     scheme = ConfidenceScheme()
     rng = np.random.default_rng(203)
-    from ncacf.data import FeatureTable
-    feats = FeatureTable(rng.normal(0, 1, (4, 5)))
+    feats = rng.normal(0, 1, (4, 5))
 
     configs = [ModelVariant("mf_uni", "relaxed"),
                ModelVariant("mf_uni", "strict")]
@@ -109,7 +108,7 @@ def test_criterion_3_reduction_identity():
     model.interaction.layers[-1].activation = "identity"
     W = rng.normal(0, 1, (6, 40))
     H = rng.normal(0, 1, (6, 25))
-    model.embeddings = Embeddings(W, H)
+    model.W, model.H = W, H
     deep_scores = score_matrix(model, H)  # all 1000 (u, i) pairs
     dot_scores = W.T @ H
     worst = float(np.max(np.abs(deep_scores - dot_scores)))
@@ -149,9 +148,9 @@ def _ranked_patterns_ndcg(patterns):
                                    num_users, n)
     model = init_model(ModelVariant("mf_uni", "relaxed"), num_users, n, 1, 1,
                        seed=0, hidden_width=1, extractor_layers=1)
-    model.embeddings = Embeddings(np.ones((1, num_users)), model.embeddings.H)
+    model.W = np.ones((1, num_users))
     model.extractor = MLPParams([Layer(np.eye(1), np.zeros(1), "identity")])
-    feats = FeatureTable(n - np.arange(n, dtype=np.float64)[:, None])
+    feats = n - np.arange(n, dtype=np.float64)[:, None]
     membership = FoldMembership("cold", 0, np.empty(0, dtype=np.int64),
                                 np.empty(0, dtype=np.int64), np.arange(n))
     result = evaluate(model, membership, "test", t, ConfidenceScheme(), feats, n)

@@ -13,7 +13,7 @@ from ncacf import config, data, models, numerics, training
 from ncacf.config import ExperimentConfig, load_config, write_config
 from ncacf.data import align_features, load_features, load_triplets, read_snapshot
 from ncacf.errors import DataError, TrainingDivergedError
-from ncacf.models import load_model
+from ncacf.models import Hyperparams, load_model
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -194,7 +194,7 @@ class TestPrepare:
             assert int(row[4]) == np.isin(prep.triplets.items, items).sum(), bucket
         labels, values = load_features(tmp_path / "prepared" / "features.tsv")
         assert tuple(labels) == prep.triplets.item_labels
-        assert np.array_equal(values, prep.features.values)
+        assert np.array_equal(values, prep.features)
 
     def test_prepare_without_features_removes_stale_feature_files(self, workspace,
                                                                    monkeypatch):
@@ -388,7 +388,7 @@ class TestTrainEvaluate:
             assert main([verb, "--config", cfg]) == 0
         ckpt = str(tmp_path / "tied.ckpt")
         with edited_checkpoint(tmp_path / "run" / "best.ckpt", ckpt) as (model, _):
-            model.embeddings.W[:, :4] = 0.0
+            model.W[:, :4] = 0.0
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--checkpoint", ckpt]) == 0
         got = capsys.readouterr().out
@@ -415,7 +415,7 @@ class TestTrainEvaluate:
         user = min(ranked_users("test") - ranked_users("validation"))
         path = workspace / "nan.ckpt"
         with edited_checkpoint(ckpt, path) as (model, _):
-            model.embeddings.W[0, user] = np.nan
+            model.W[0, user] = np.nan
         capsys.readouterr()
         assert main(["evaluate", "--config", cfg, "--checkpoint", str(path),
                      "--output", str(workspace / "nan_eval")]) == 4
@@ -759,7 +759,23 @@ class TestTrainEvaluate:
         assert main(["train", "--config", deep, "--pretrained",
                      str(workspace / "run_uni" / "best.ckpt")]) == 0
         for name in ("last.ckpt", "best.ckpt"):
-            assert load_model(workspace / "run" / name)[0].embeddings.H is None
+            assert load_model(workspace / "run" / name)[0].H is None
+
+    def test_ncf_from_content_pretrained_has_no_extractor(self, workspace):
+        """ncf keeps a content checkpoint's embeddings and drops its
+        extractor, and the header's feature_dim says so."""
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
+                        coupling="relaxed", output="run_uni")
+        assert main(["train", "--config", uni]) == 0
+        cfg = write_cfg(workspace, name="ncf.ini", family="ncf")
+        assert main(["train", "--config", cfg, "--pretrained",
+                     str(workspace / "run_uni" / "last.ckpt")]) == 0
+        for name in ("last.ckpt", "best.ckpt"):
+            model, header, _, _ = load_model(workspace / "run" / name)
+            assert model.extractor is None and model.interaction is not None
+            assert header["dims"]["feature_dim"] == 0
+        assert main(["evaluate", "--config", cfg, "--checkpoint",
+                     str(workspace / "run" / "best.ckpt")]) == 0
 
 
 def worker_runs(workspace, monkeypatch, family, coupling, extra=""):
@@ -1320,6 +1336,33 @@ class TestExitCodes:
         assert {name: (workspace / "again" / name).read_bytes() for name in names} == first
         assert main(["train", "--config", uni, "--resume", str(run / "last.ckpt")]) == 0
 
+    def test_pretrained_checkpoint_of_another_embed_dim_is_config_error(
+            self, workspace, capsys):
+        uni = write_cfg(workspace, name="uni.ini", family="mf_uni",
+                        coupling="relaxed", output="run_uni")
+        assert main(["train", "--config", uni]) == 0
+        cfg = workspace / "ncf.ini"
+        cfg.write_text(pathlib.Path(write_cfg(workspace, name="ncf.ini", family="ncf"))
+                       .read_text().replace("embed_dim = 4", "embed_dim = 3"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--pretrained",
+                     str(workspace / "run_uni" / "last.ckpt")]) == 2
+        assert "embed_dim" in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    def test_missing_feature_file_is_data_error(self, workspace, capsys):
+        """A mistyped feature path stops prepare before it writes, rather than
+        preparing the data without features."""
+        prepared = tree_bytes(workspace / "prepared")
+        cfg = workspace / "cfg.ini"
+        cfg.write_text(cfg.read_text().replace("features = raw/features.tsv",
+                                               "features = raw/featurs.tsv"))
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert str(workspace / "raw" / "featurs.tsv") in err and "features = none" in err
+        assert tree_bytes(workspace / "prepared") == prepared
+
     def test_failed_prepare_keeps_the_prepared_data(self, workspace, capsys):
         """New raw triplets with a feature file that lists an item twice: the
         prepare fails before it writes, so every prepared file is as it was
@@ -1359,8 +1402,8 @@ def assert_same_load(got, want):
         assert getattr(triplets, name) == getattr(want_triplets, name), name
     assert (features is None) == (want_features is None)
     if features is not None:
-        assert features.values.dtype == want_features.values.dtype
-        assert np.array_equal(features.values, want_features.values)
+        assert features.dtype == want_features.dtype
+        assert np.array_equal(features, want_features)
 
 
 class TestSnapshot:
@@ -1438,7 +1481,7 @@ class TestSnapshot:
                 raw[4:8] = (2 if damage == "version_2" else 4).to_bytes(4, "little")
             snap.write_bytes(raw)
         if damage == "features_edited":
-            assert text_load(prepared)[1].values[0, 0] == 0.5
+            assert text_load(prepared)[1][0, 0] == 0.5
         with pytest.raises(DataError, match="snapshot.bin"):
             read_snapshot(snap, files)
         capsys.readouterr()
@@ -1605,13 +1648,14 @@ class TestReport:
 
 
 def fake_run(tmp_path, name, family, coupling, cold=None, warm=None, fold=0,
-             eval_fold=None, **variant):
-    """A run directory holding a config of `fold` (and the `variant` keys,
-    combination and q_hidden) and the test eval files of the given mean
-    NDCGs, whose fold line names eval_fold (default: fold)."""
+             eval_fold=None, **settings):
+    """A run directory holding a config of `fold` (and the other config
+    `settings`, such as combination, q_hidden or hyper) and the test eval
+    files of the given mean NDCGs, whose fold line names eval_fold (default:
+    fold)."""
     run = tmp_path / name
     run.mkdir()
-    cfg = ExperimentConfig(family=family, coupling=coupling, fold=fold, **variant)
+    cfg = ExperimentConfig(family=family, coupling=coupling, fold=fold, **settings)
     write_config(run / "config.ini", cfg)
     for setting, mean in (("cold", cold), ("warm", warm)):
         if mean is None:
@@ -1672,6 +1716,32 @@ class TestReportSorting:
         err = capsys.readouterr().err
         assert runs[0] in err and runs[1] in err and "fold 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"hyper": Hyperparams(lambda_w=2.0)}, "lambda_w = 1.0 and 2.0"),
+        ({"top_k": 20}, "top_k = 10 and 20"),
+        ({"seed": 43}, "seed = 42 and 43")])
+    def test_folds_with_other_settings_are_config_error(self, tmp_path, capsys,
+                                                        settings, key):
+        """Folds trained with other settings do not make one mean."""
+        runs = [fake_run(tmp_path, "f0", "mf_hybrid", "relaxed", cold=0.3),
+                fake_run(tmp_path, "f1", "mf_hybrid", "relaxed", cold=0.4, fold=1,
+                         **settings)]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert runs[0] in err and runs[1] in err and key in err
+        assert not out.exists()
+
+    def test_warm_and_cold_runs_may_differ_in_settings(self, tmp_path):
+        """A sweep tunes each setting on its own."""
+        runs = [fake_run(tmp_path, "warm", "mf_hybrid", "relaxed", warm=0.5),
+                fake_run(tmp_path, "cold", "mf_hybrid", "relaxed", cold=0.3,
+                         hyper=Hyperparams(lambda_w=2.0))]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 0
+        row = (out / "report_table.tsv").read_text().splitlines()[1].split("\t")
+        assert row == ["mf_hybrid-relaxed", "0.5", "0.0", "0.3", "0.0", "1", "1"]
 
     def test_eval_file_of_another_fold_is_data_error(self, tmp_path, capsys):
         """Eval files copied in from another fold's run."""

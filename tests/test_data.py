@@ -13,8 +13,7 @@ from oracles import (compressed_axis_lexsort, load_triplets_per_line,
                      read_split_plan, scan_warm_orphans_sets,
                      split_warm_per_item, two_pass_stats, write_features_per_line,
                      write_split_plan_per_unit, write_triplets_per_line)
-from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable,
-                        InteractionTriplets, SplitPlan,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, InteractionTriplets, SplitPlan,
                         SparsePlaycounts, _partition_units, binarize, confidence,
                         filter_activity, generate_synthetic, load_features,
                         load_triplets, materialize_fold,
@@ -623,34 +622,34 @@ class TestSplitPlanIO:
 
 class TestStandardize:
     def test_two_point_case(self):
-        table = FeatureTable(np.array([[1.0], [3.0], [10.0]]))
+        table = np.array([[1.0], [3.0], [10.0]])
         out = standardize_features(table, [0, 1])
-        means, variances = two_pass_stats(table.values[:2])
-        npt.assert_allclose(out.values, (table.values - means) / np.sqrt(variances),
+        means, variances = two_pass_stats(table[:2])
+        npt.assert_allclose(out, (table - means) / np.sqrt(variances),
                             atol=1e-10)
-        npt.assert_allclose(out.values[:2, 0], [-1.0, 1.0])
-        npt.assert_allclose(out.values[2, 0], 8.0)  # non-training item transformed too
+        npt.assert_allclose(out[:2, 0], [-1.0, 1.0])
+        npt.assert_allclose(out[2, 0], 8.0)  # non-training item transformed too
 
     def test_idempotent_on_standardized_columns(self):
         rng = np.random.default_rng(0)
         v = rng.normal(0, 1, (40, 3))
         v = (v - v.mean(axis=0)) / v.std(axis=0)
-        out = standardize_features(FeatureTable(v), np.arange(40))
-        npt.assert_allclose(out.values, v, atol=1e-9)
+        out = standardize_features(v, np.arange(40))
+        npt.assert_allclose(out, v, atol=1e-9)
 
     def test_stats_match_two_pass_oracle(self):
         rng = np.random.default_rng(1)
         v = rng.normal(3, 2, (5, 4))
-        out = standardize_features(FeatureTable(v), np.arange(5))
+        out = standardize_features(v, np.arange(5))
         means, variances = two_pass_stats(v)
-        npt.assert_allclose(out.values, (v - means) / np.sqrt(variances), atol=1e-10)
+        npt.assert_allclose(out, (v - means) / np.sqrt(variances), atol=1e-10)
 
     def test_training_columns_centered(self):
         rng = np.random.default_rng(2)
         v = rng.normal(5, 3, (60, 6))
         train = np.arange(0, 60, 2)
-        out = standardize_features(FeatureTable(v), train)
-        sub = out.values[train]
+        out = standardize_features(v, train)
+        sub = out[train]
         assert np.max(np.abs(sub.mean(axis=0))) < 1e-6
         assert np.max(np.abs(sub.var(axis=0) - 1)) < 1e-3
 
@@ -658,7 +657,7 @@ class TestStandardize:
         v = np.ones((4, 2))
         v[:, 0] = [1, 2, 3, 4]
         with pytest.raises(DataError, match="dimension 1"):
-            standardize_features(FeatureTable(v), np.arange(4))
+            standardize_features(v, np.arange(4))
 
 
 class TestGenerateSynthetic:
@@ -675,7 +674,7 @@ class TestGenerateSynthetic:
         a = generate_synthetic(25, 20, 3, 6, 0.1, 0.2, seed=9)
         b = generate_synthetic(25, 20, 3, 6, 0.1, 0.2, seed=9)
         npt.assert_array_equal(a.triplets.counts, b.triplets.counts)
-        npt.assert_array_equal(a.features.values, b.features.values)
+        npt.assert_array_equal(a.features, b.features)
         npt.assert_array_equal(a.planted.W, b.planted.W)
 
     def test_density_close_to_request(self):
@@ -685,7 +684,7 @@ class TestGenerateSynthetic:
 
     def test_features_predict_embeddings_when_noiseless(self):
         synth = generate_synthetic(10, 40, 3, 6, 0.0, 0.5, seed=4)
-        pred = synth.planted.feature_map @ synth.features.values.T
+        pred = synth.planted.feature_map @ synth.features.T
         npt.assert_allclose(pred, synth.planted.H, atol=1e-12)
 
     def test_degenerate_sizes_rejected(self):

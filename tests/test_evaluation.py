@@ -10,13 +10,13 @@ from oracles import (RankedList, cross_validate, dcg, dcg_positions,
                      evaluate_per_user, ndcg_by_permutations, ndcg_user,
                      random_ndcg_baseline, rank_items)
 from ncacf import evaluation, models
-from ncacf.data import (CompressedAxis, ConfidenceScheme, FeatureTable, FoldMembership,
+from ncacf.data import (CompressedAxis, ConfidenceScheme, FoldMembership,
                         InteractionTriplets, SparsePlaycounts, materialize_fold,
                         split_cold, split_warm)
 from ncacf.errors import ColdStartUnsupportedError, DataError, TrainingDivergedError
 from ncacf.evaluation import (EvalResult, evaluate, fold_mean_std, grid_search,
                               stored_result, stored_validation, write_eval_result)
-from ncacf.models import Embeddings, ModelVariant, init_model
+from ncacf.models import ModelVariant, init_model
 
 
 class TestRankItems:
@@ -105,7 +105,7 @@ class TestNdcgUser:
 def _wmf_model(W, H):
     model = init_model(ModelVariant("wmf", "content_free"),
                        W.shape[1], H.shape[1], W.shape[0], 0, seed=0)
-    model.embeddings = Embeddings(W, H)
+    model.W, model.H = W, H
     return model
 
 
@@ -116,7 +116,7 @@ def _identity_extractor_model(W, num_items):
     k = W.shape[0]
     model = init_model(ModelVariant("mf_uni", "relaxed"), W.shape[1], num_items,
                        k, k, seed=0, hidden_width=4, extractor_layers=2)
-    model.embeddings = Embeddings(W, model.embeddings.H)
+    model.W = W
     model.extractor = MLPParams([Layer(np.eye(k), np.zeros(k), "identity")])
     return model
 
@@ -128,7 +128,7 @@ class TestEvaluate:
         plan = split_cold(20, 4, 0.2, seed=seed)
         membership = materialize_fold(plan, 0)
         rng = np.random.default_rng(seed)
-        feats = FeatureTable(rng.normal(0, 1, (20, 5)))
+        feats = rng.normal(0, 1, (20, 5))
         return t, data, membership, feats
 
     def test_oracle_model_scores_one(self):
@@ -147,7 +147,7 @@ class TestEvaluate:
         for e in warm_membership.test:
             if t.counts[e] >= scheme.tau:
                 R[t.users[e], t.items[e]] = 1.0
-        relaxed.embeddings = Embeddings(R.T * 1000.0, np.eye(20))
+        relaxed.W, relaxed.H = R.T * 1000.0, np.eye(20)
         result = evaluate(relaxed, warm_membership, "test", t, scheme, None, 5)
         assert result.num_users > 0
         npt.assert_allclose(result.mean, 1.0, atol=1e-12)
@@ -165,7 +165,7 @@ class TestEvaluate:
         decoy = int(bucket_items[1])
         vals[decoy, 0] = 2.0   # ranks first
         vals[target, 0] = 1.0  # relevant item ranks second
-        feats = FeatureTable(vals)
+        feats = vals
         # Relevance: user 7 interacts with `target` above threshold only.
         mask = (t.users == 7) & np.isin(t.items, bucket_items)
         t2_users = np.concatenate([t.users[~mask], [7]])
@@ -198,7 +198,7 @@ class TestEvaluate:
             # uniformly random permutation of the bucket.
             W = rng.normal(0, 1, (4, 12))
             model = _identity_extractor_model(W, 20)
-            feats_rand = FeatureTable(rng.normal(0, 1, (20, 4)))
+            feats_rand = rng.normal(0, 1, (20, 4))
             res = evaluate(model, membership, "test", t, scheme, feats_rand, 3)
             trials.append(res.mean)
         got = np.mean(trials)
@@ -236,7 +236,7 @@ class TestEvaluate:
         t, data, membership, feats = self._cold_setup(seed=17)
         rng = np.random.default_rng(18)
         model = _identity_extractor_model(rng.normal(0, 1, (2, 12)), 20)
-        feats2 = FeatureTable(rng.normal(0, 1, (20, 2)))
+        feats2 = rng.normal(0, 1, (20, 2))
         res = evaluate(model, membership, "test", t, ConfidenceScheme(), feats2, 3)
         assert res.num_users + res.num_excluded == 12
         assert all(0.0 <= v <= 1.0 for v in res.ndcg.values())
@@ -267,9 +267,8 @@ class TestBlockedRanking:
                            hidden_width=6, extractor_layers=2)
         # Small embeddings keep the scores in a narrow range, so that scores
         # rounded to two decimals tie often.
-        model.embeddings = Embeddings(rng.normal(0, 0.05, (4, 40)),
-                                      rng.normal(0, 0.05, (4, 30)))
-        feats = FeatureTable(rng.normal(0, 1, (30, 5)))
+        model.W, model.H = rng.normal(0, 0.05, (4, 40)), rng.normal(0, 0.05, (4, 30))
+        feats = rng.normal(0, 1, (30, 5))
         return t, membership, model, feats
 
     @staticmethod
@@ -384,7 +383,7 @@ class TestBlockedRanking:
         t, membership, model, feats = self._setup(setting, kind)
         result = evaluate(model, membership, "test", t, ConfidenceScheme(), feats, 5)
         user = max(result.ndcg)  # an eligible user, in the last block
-        model.embeddings.W[1, user] = value
+        model.W[1, user] = value
         with pytest.raises(TrainingDivergedError, match="not finite"):
             evaluate(model, membership, "test", t, ConfidenceScheme(), feats, 5)
 
@@ -445,7 +444,7 @@ class TestRowSortedRanking:
         t = random_triplets(40, 30, 0.4, seed=5)
         m = materialize_fold(split_cold(30, 3, 0.2, seed=5), 1)
         model = init_model(ModelVariant("mf_uni", "relaxed"), 40, 30, 4, 5, seed=5)
-        feats = FeatureTable(np.random.default_rng(6).normal(0, 1, (30, 5)))
+        feats = np.random.default_rng(6).normal(0, 1, (30, 5))
         lengths = []
         real = np.lexsort
 
@@ -457,7 +456,7 @@ class TestRowSortedRanking:
         result = evaluate(model, m, "test", t, ConfidenceScheme(), feats, 5)
         assert lengths == [] and result.num_all_tied == 0
         tied = sorted(result.ndcg)[::7]
-        model.embeddings.W[:, tied] = 0.0
+        model.W[:, tied] = 0.0
         result = evaluate(model, m, "test", t, ConfidenceScheme(), feats, 5)
         n = m.test.size
         assert lengths == [[len(tied) * n] * 3]

@@ -9,9 +9,8 @@ import pytest
 from oracles import (combine, item_vector, predict, predict_all_items,
                      tower_grid_backward_reference, tower_grid_forward_reference)
 from ncacf import data
-from ncacf.data import FeatureTable
 from ncacf.errors import ColdStartUnsupportedError, ConfigError, DataError
-from ncacf.models import (Embeddings, Model, ModelVariant, combined_dim,
+from ncacf.models import (Model, ModelVariant, combined_dim,
                           init_model, item_vectors, load_model, save_model,
                           score_matrix, tower_grid_backward, tower_grid_forward,
                           tower_widths)
@@ -32,7 +31,7 @@ def deep_model(seed=0, num_users=6, num_items=5, k=4, q=1,
 
 
 def random_features(rng, num_items, dim):
-    return FeatureTable(rng.normal(0, 1, (num_items, dim)))
+    return rng.normal(0, 1, (num_items, dim))
 
 
 class TestVariantRules:
@@ -61,8 +60,8 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = deep_model(seed=11)
         b = deep_model(seed=11)
-        assert np.array_equal(a.embeddings.W, b.embeddings.W)
-        assert np.array_equal(a.embeddings.H, b.embeddings.H)
+        assert np.array_equal(a.W, b.W)
+        assert np.array_equal(a.H, b.H)
         for la, lb in zip(a.extractor.layers, b.extractor.layers):
             assert np.array_equal(la.weights, lb.weights)
         for la, lb in zip(a.interaction.layers, b.interaction.layers):
@@ -71,11 +70,10 @@ class TestInit:
     def test_embedding_std_near_configured(self):
         variant = ModelVariant("wmf", "content_free")
         model = init_model(variant, 1000, 100, 1, 0, seed=5)
-        draws = np.concatenate([model.embeddings.W.ravel(), model.embeddings.H.ravel()])
+        draws = np.concatenate([model.W.ravel(), model.H.ravel()])
         assert draws.size >= 1e5 * 0.01  # sanity on the sample size below
         model_big = init_model(variant, 10000, 10000, 5, 0, seed=5)
-        std = np.concatenate([model_big.embeddings.W.ravel(),
-                              model_big.embeddings.H.ravel()]).std()
+        std = np.concatenate([model_big.W.ravel(), model_big.H.ravel()]).std()
         assert abs(std - 1e-2) <= 0.05 * 1e-2
 
     def test_output_layer_initialized_with_ones(self):
@@ -94,7 +92,7 @@ class TestInit:
     def test_strict_has_no_item_matrix(self):
         variant = ModelVariant("mf_uni", "strict")
         model = init_model(variant, 4, 3, 2, 5, seed=0)
-        assert model.embeddings.H is None
+        assert model.H is None
 
 
 class TestCombine:
@@ -135,7 +133,7 @@ class TestItemVector:
         model = deep_model(seed=1)
         feats = random_features(rng, model.num_items, model.feature_dim)
         npt.assert_array_equal(item_vector(model, 3, feats, "warm"),
-                               model.embeddings.H[:, 3])
+                               model.H[:, 3])
 
     def test_strict_always_extracts(self):
         rng = np.random.default_rng(1)
@@ -156,15 +154,14 @@ class TestItemVector:
         model = deep_model(seed=3)
         feats = random_features(rng, model.num_items, model.feature_dim)
         cold = item_vector(model, 1, feats, "cold")
-        assert not np.allclose(cold, model.embeddings.H[:, 1])
+        assert not np.allclose(cold, model.H[:, 1])
 
 
 class TestPredict:
     def test_dot_product(self):
         variant = ModelVariant("wmf", "content_free")
         model = init_model(variant, 2, 2, 2, 0, seed=0)
-        model.embeddings = Embeddings(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                                      model.embeddings.H)
+        model.W = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert predict(model, 0, np.array([0.5, 9.0])) == 0.5
 
     def test_deep_scores_strictly_in_unit_interval(self):
@@ -182,7 +179,7 @@ class TestPredict:
         for _ in range(100):
             w = rng.normal(0, 1, 4)
             h = rng.normal(0, 1, 4)
-            model.embeddings.W[:, 0] = w
+            model.W[:, 0] = w
             deep = predict(model, 0, h)
             assert abs(deep - float(w @ h)) < 1e-12
 
@@ -335,8 +332,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_model(path, model)
         back, _, _, _ = load_model(path)
-        assert back.embeddings.H is None
-        assert np.array_equal(back.embeddings.W, model.embeddings.W)
+        assert back.H is None
+        assert np.array_equal(back.W, model.W)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
@@ -397,8 +394,7 @@ class TestCheckpoint:
         back, header, back_adams, _ = load_model(path)
         assert header["progress"] == {"global_epoch": 2}
         assert (back.variant, back.init_seed) == (model.variant, model.init_seed)
-        for a, b in ((model.embeddings.W, back.embeddings.W),
-                     (model.embeddings.H, back.embeddings.H)):
+        for a, b in ((model.W, back.W), (model.H, back.H)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         for name in ("extractor", "interaction"):
             want, got = getattr(model, name), getattr(back, name)

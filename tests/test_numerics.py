@@ -333,6 +333,18 @@ class TestAdam:
         with pytest.raises(TrainingDivergedError):
             adam_step(st, p, {"x": np.array([np.nan])})
 
+    @pytest.mark.parametrize("grads", [{"x": np.ones(1)},
+                                       {"x": np.ones(1), "y": np.ones(1), "z": np.ones(1)}],
+                             ids=["missing", "unknown"])
+    def test_gradients_must_match_the_parameters(self, grads):
+        """One gradient per parameter: a missing or an unknown one raises
+        before any array moves."""
+        p = {"x": np.zeros(1), "y": np.zeros(1)}
+        st = AdamState.init(p, lr=0.1)
+        with pytest.raises(KeyError):
+            adam_step(st, p, grads)
+        assert st.step == 0 and not p["x"].any() and not p["y"].any()
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

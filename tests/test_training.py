@@ -15,10 +15,9 @@ from oracles import (als_update_h, als_update_w, combine, copy_mlp, copy_model,
                      dense_batch_objective, dense_weighted_loss, finite_diff_grad,
                      full_loss_gradients, weighted_ridge_solve)
 from ncacf import models, numerics, training
-from ncacf.data import (ConfidenceScheme, FeatureTable, InteractionTriplets,
-                        SparsePlaycounts)
+from ncacf.data import ConfidenceScheme, InteractionTriplets, SparsePlaycounts
 from ncacf.errors import ConfigError, DataError, TrainingDivergedError
-from ncacf.models import (Embeddings, Hyperparams, ModelVariant, init_model,
+from ncacf.models import (Hyperparams, ModelVariant, init_model,
                           mlp_forward)
 from ncacf.numerics import AdamState, MLPParams
 from ncacf.training import (als_sweep_items, als_sweep_users, content_mse, full_loss,
@@ -390,7 +389,7 @@ class TestObjectiveBlocks:
 
     def _setup(self, name):
         t, data, scheme = make_weighted(7, 23, 0.4, seed=31)
-        feats = FeatureTable(np.random.default_rng(32).normal(0, 1, (23, 4)))
+        feats = np.random.default_rng(32).normal(0, 1, (23, 4))
         model = init_model(self.VARIANTS[name], 7, 23, 3, 4, seed=11,
                            hidden_width=5, extractor_layers=2)
         return model, data, scheme, feats
@@ -455,7 +454,7 @@ class TestObjectiveBlocks:
         tower_floats = 3 * self.POOL.size * models.grid_width(model) + 1
         monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", tower_floats)
         grids.clear()
-        scores = models.score_matrix(model, model.embeddings.H[:, self.POOL])
+        scores = models.score_matrix(model, model.H[:, self.POOL])
         assert scores.shape == (data.num_users, self.POOL.size)
         assert sorted((users for users, _ in grids), reverse=True) == [3, 3, 1]
         assert all(grid <= tower_floats for _, grid in grids)
@@ -469,7 +468,7 @@ class TestObjectiveBlocks:
         full_loss makes stays below one float per user x pooled item."""
         users, items = 2000, 400
         t, data, scheme = make_weighted(users, items, 0.005, seed=33)
-        feats = FeatureTable(np.random.default_rng(34).normal(0, 1, (items, 6)))
+        feats = np.random.default_rng(34).normal(0, 1, (items, 6))
         model = init_model(variant, users, items, 8, 6, seed=12, hidden_width=8,
                            extractor_layers=2)
         pool = np.random.default_rng(35).permutation(items)[:300]
@@ -509,13 +508,13 @@ class TestNnzObjective:
     @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: f"{v.family}-{v.coupling}")
     def test_matches_dense_reference(self, variant):
         t, data, scheme = make_weighted(25, 40, 0.15, seed=37)
-        feats = FeatureTable(np.random.default_rng(38).normal(0, 1, (40, 5)))
+        feats = np.random.default_rng(38).normal(0, 1, (40, 5))
         model = init_model(variant, 25, 40, 4, 5, seed=13, hidden_width=6,
                            extractor_layers=2, with_interaction=False)
-        # Embeddings large enough that scores and playcounts are comparable.
-        model.embeddings.W[...] *= 60.0
-        if model.embeddings.H is not None:
-            model.embeddings.H[...] *= 60.0
+        # W and H large enough that scores and playcounts are comparable.
+        model.W[...] *= 60.0
+        if model.H is not None:
+            model.H[...] *= 60.0
         owned = owned_groups(variant, with_interaction=False)
         for batch in self.BATCHES:
             got, grads = _batch_objective(model, data, scheme, feats, 0.3, 0.7, batch,
@@ -559,13 +558,13 @@ class TestTowerSubBlocks:
 
     def _setup(self, name):
         t, data, scheme = make_weighted(self.USERS, 30, 0.3, seed=72)
-        feats = FeatureTable(np.random.default_rng(73).normal(0, 1, (30, 5)))
+        feats = np.random.default_rng(73).normal(0, 1, (30, 5))
         model = init_model(self.VARIANTS[name], self.USERS, 30, 4, 5, seed=14,
                            hidden_width=6, extractor_layers=2)
-        # Embeddings large enough that the relus switch across the grid.
-        model.embeddings.W[...] *= 50.0
-        if model.embeddings.H is not None:
-            model.embeddings.H[...] *= 50.0
+        # W and H large enough that the relus switch across the grid.
+        model.W[...] *= 50.0
+        if model.H is not None:
+            model.H[...] *= 50.0
         return model, data, scheme, feats
 
     @staticmethod
@@ -620,10 +619,10 @@ class TestTowerSubBlocks:
             start = copy_model(model)
             end, _ = gd_wpe(start, data, scheme, feats, 0.3, 0.7,
                             finetune_adams(start), schedule, self.POOL)
-            runs.append([end.embeddings.W, end.embeddings.H,
+            runs.append([end.W, end.H,
                          *end.extractor.param_dict().values(),
                          *end.interaction.param_dict().values()])
-        assert not np.array_equal(runs[0][0], model.embeddings.W)
+        assert not np.array_equal(runs[0][0], model.W)
         assert all(np.array_equal(x, y) for x, y in zip(*runs))
 
     def test_two_workers_bit_identical_under_fast_switching(self, monkeypatch):
@@ -644,7 +643,7 @@ class TestTowerSubBlocks:
                 flat = {(group, name): arr for group, part in grads.items()
                         for name, arr in (part.items() if isinstance(part, dict)
                                           else [(group, part)])}
-                scores = models.score_matrix(model, model.embeddings.H[:, self.POOL])
+                scores = models.score_matrix(model, model.H[:, self.POOL])
                 runs.append((loss, flat, scores))
         finally:
             sys.setswitchinterval(interval)
@@ -661,7 +660,7 @@ class TestTowerSubBlocks:
         TOWER_BLOCK_FLOATS of 2^17, against 4.1 MB on one worker at 2^16."""
         users, items = 2000, 64
         t, data, scheme = make_weighted(users, items, 0.02, seed=74)
-        feats = FeatureTable(np.random.default_rng(75).normal(0, 1, (items, 6)))
+        feats = np.random.default_rng(75).normal(0, 1, (items, 6))
         variant = ModelVariant("ncacf", "relaxed", "concatenation", 2)
         model = init_model(variant, users, items, 16, 6, seed=15, hidden_width=8,
                            extractor_layers=2)
@@ -683,28 +682,28 @@ class TestLosses:
     def test_relaxed_matches_triple_loop_oracle(self):
         t, data, scheme = make_weighted(4, 3, 0.6, seed=9)
         rng = np.random.default_rng(10)
-        feats = FeatureTable(rng.normal(0, 1, (3, 5)))
+        feats = rng.normal(0, 1, (3, 5))
         variant = ModelVariant("mf_uni", "relaxed")
         model = init_model(variant, 4, 3, 2, 5, seed=1, hidden_width=4,
                            extractor_layers=2)
         got = full_loss(model, data, scheme, feats, 0.3, 0.8)
         R, C = dense_rc(data, scheme)
-        prior, _ = mlp_forward(model.extractor, feats.values)
-        want = dense_weighted_loss(model.embeddings.W, model.embeddings.H,
+        prior, _ = mlp_forward(model.extractor, feats)
+        want = dense_weighted_loss(model.W, model.H,
                                    R, C, 0.3, 0.8, prior.T)
         npt.assert_allclose(got, want, rtol=1e-10)
 
     def test_strict_equals_relaxed_with_substituted_items(self):
         t, data, scheme = make_weighted(4, 3, 0.6, seed=11)
         rng = np.random.default_rng(12)
-        feats = FeatureTable(rng.normal(0, 1, (3, 5)))
+        feats = rng.normal(0, 1, (3, 5))
         strict = init_model(ModelVariant("mf_uni", "strict"), 4, 3, 2, 5,
                             seed=2, hidden_width=4, extractor_layers=2)
         got = full_loss(strict, data, scheme, feats, 0.3, 0.0)
-        phi, _ = mlp_forward(strict.extractor, feats.values)
+        phi, _ = mlp_forward(strict.extractor, feats)
         relaxed = init_model(ModelVariant("mf_uni", "relaxed"), 4, 3, 2, 5,
                              seed=2, hidden_width=4, extractor_layers=2)
-        relaxed.embeddings = Embeddings(strict.embeddings.W.copy(), phi.T.copy())
+        relaxed.W, relaxed.H = strict.W.copy(), phi.T.copy()
         relaxed.extractor = copy_mlp(strict.extractor)
         want = full_loss(relaxed, data, scheme, feats, 0.3, 123.0)
         npt.assert_allclose(got, want, rtol=1e-12)  # lam_h term vanishes
@@ -712,7 +711,7 @@ class TestLosses:
     def test_strict_loss_with_zeroed_extractor(self):
         t, data, scheme = make_weighted(4, 3, 0.6, seed=59)
         rng = np.random.default_rng(60)
-        feats = FeatureTable(rng.normal(0, 1, (3, 5)))
+        feats = rng.normal(0, 1, (3, 5))
         model = init_model(ModelVariant("mf_uni", "strict"), 4, 3, 2, 5,
                            seed=18, hidden_width=4, extractor_layers=2)
         for layer in model.extractor.layers:
@@ -720,7 +719,7 @@ class TestLosses:
             layer.bias[...] = 0.0
         got = full_loss(model, data, scheme, feats, lam_w=1.0, lam_h=0.0)
         R, C = dense_rc(data, scheme)
-        want = np.sum(C * R * R) + np.sum(model.embeddings.W ** 2)
+        want = np.sum(C * R * R) + np.sum(model.W ** 2)
         npt.assert_allclose(got, want, rtol=1e-12)
 
     def test_perfect_predictor_zero_loss(self):
@@ -732,14 +731,14 @@ class TestLosses:
         data = SparsePlaycounts.from_triplets(t)
         scheme = ConfidenceScheme()
         model = init_model(ModelVariant("wmf", "content_free"), 2, 2, 2, 0, seed=0)
-        model.embeddings = Embeddings(np.eye(2), np.eye(2))  # W^T H = I = R
+        model.W, model.H = np.eye(2), np.eye(2)  # W^T H = I = R
         got = full_loss(model, data, scheme, None, 0.0, 0.0)
         npt.assert_allclose(got, 0.0, atol=1e-20)
 
     def test_zero_model_loss_is_weighted_positives(self):
         t, data, scheme = make_weighted(5, 4, 0.5, seed=13)
         model = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=0)
-        model.embeddings = Embeddings(np.zeros((2, 5)), np.zeros((2, 4)))
+        model.W, model.H = np.zeros((2, 5)), np.zeros((2, 4))
         got = full_loss(model, data, scheme, None, 1.0, 0.0)
         R, C = dense_rc(data, scheme)
         npt.assert_allclose(got, np.sum(C * R * R), rtol=1e-12)
@@ -747,7 +746,7 @@ class TestLosses:
     def test_deep_loss_matches_pairwise_oracle(self):
         t, data, scheme = make_weighted(3, 3, 0.7, seed=14)
         rng = np.random.default_rng(15)
-        feats = FeatureTable(rng.normal(0, 1, (3, 4)))
+        feats = rng.normal(0, 1, (3, 4))
         model = init_model(
             ModelVariant("ncacf", "relaxed", "concatenation", 1),
             3, 3, 2, 4, seed=3, hidden_width=4, extractor_layers=2)
@@ -759,8 +758,8 @@ class TestLosses:
                                  combine(w, h, "concatenation")[None, :])
             return float(out[0, 0])
 
-        prior, _ = mlp_forward(model.extractor, feats.values)
-        want = dense_weighted_loss(model.embeddings.W, model.embeddings.H, R, C,
+        prior, _ = mlp_forward(model.extractor, feats)
+        want = dense_weighted_loss(model.W, model.H, R, C,
                                    0.2, 0.5, prior.T, score_fn=deep_score)
         npt.assert_allclose(got, want, rtol=1e-10)
 
@@ -770,7 +769,7 @@ class TestGradients:
     def test_dot_product_losses(self, coupling):
         t, data, scheme = make_weighted(3, 4, 0.5, seed=16)
         rng = np.random.default_rng(17)
-        feats = FeatureTable(rng.normal(0, 1, (4, 5)))
+        feats = rng.normal(0, 1, (4, 5))
         model = init_model(ModelVariant("mf_uni", coupling), 3, 4, 2, 5,
                            seed=4, hidden_width=4, extractor_layers=2)
         owned = owned_groups(model.variant, with_interaction=False)
@@ -779,7 +778,7 @@ class TestGradients:
     def test_deep_interaction_loss(self):
         t, data, scheme = make_weighted(3, 4, 0.5, seed=18)
         rng = np.random.default_rng(19)
-        feats = FeatureTable(rng.normal(0, 1, (4, 5)))
+        feats = rng.normal(0, 1, (4, 5))
         model = init_model(
             ModelVariant("ncacf", "relaxed", "multiplication", 1),
             3, 4, 3, 5, seed=5, hidden_width=4, extractor_layers=2)
@@ -789,7 +788,7 @@ class TestGradients:
     def test_gradients_respect_item_pool(self):
         t, data, scheme = make_weighted(4, 6, 0.5, seed=20)
         rng = np.random.default_rng(21)
-        feats = FeatureTable(rng.normal(0, 1, (6, 3)))
+        feats = rng.normal(0, 1, (6, 3))
         model = init_model(ModelVariant("mf_uni", "relaxed"), 4, 6, 2, 3,
                            seed=6, hidden_width=4, extractor_layers=2)
         pool = np.array([0, 2, 5])
@@ -805,7 +804,7 @@ class TestGradients:
         """For ncf with its tower, ncf with the tower absent, and the
         dot-product mf_uni and strict dcb."""
         t, data, scheme = make_weighted(4, 6, 0.5, seed=22)
-        feats = FeatureTable(np.random.default_rng(62).normal(0, 1, (6, 3)))
+        feats = np.random.default_rng(62).normal(0, 1, (6, 3))
         ncf = ModelVariant("ncf", "content_free")
         cases = [(ncf, True), (ncf, False), (ModelVariant("mf_uni", "relaxed"), False),
                  (ModelVariant("dcb", "strict"), False)]
@@ -845,7 +844,7 @@ class TestGradients:
             for value in (np.inf, -np.inf, np.nan):
                 model = init_model(ModelVariant("wmf", "content_free"), 3, 3, 2, 0,
                                    seed=8)
-                getattr(model.embeddings, group)[0, 0] = value
+                getattr(model, group)[0, 0] = value
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(TrainingDivergedError):
@@ -913,16 +912,16 @@ class TestGdWpe:
         from ncacf.training import gd_wpe
         t, data, scheme = make_weighted(5, 4, 0.6, seed=57)
         rng = np.random.default_rng(58)
-        feats = FeatureTable(rng.normal(0, 1, (4, 3)))
+        feats = rng.normal(0, 1, (4, 3))
         model = init_model(ModelVariant("mf_uni", "relaxed"), 5, 4, 2, 3,
                            seed=17, hidden_width=4, extractor_layers=2)
         before = copy_model(model)
-        adams = {"W": AdamState.init({"W": model.embeddings.W}, lr=1e-2)}
+        adams = {"W": AdamState.init({"W": model.W}, lr=1e-2)}
         schedule = make_batches(4, 2, seed=0, epoch=0)
         model, _ = gd_wpe(model, data, scheme, feats, 0.1, 0.5,
                           adams, schedule, np.arange(4))
-        assert not np.array_equal(model.embeddings.W, before.embeddings.W)
-        assert np.array_equal(model.embeddings.H, before.embeddings.H)
+        assert not np.array_equal(model.W, before.W)
+        assert np.array_equal(model.H, before.H)
         for la, lb in zip(model.extractor.layers, before.extractor.layers):
             assert np.array_equal(la.weights, lb.weights)
 
@@ -967,7 +966,7 @@ class TestTrainWmf:
         data, R = self._rank_one_data()
         hyper = Hyperparams(embed_dim=1, lambda_w=1e-4, lambda_h=1e-4, n_iters=20)
         model = train(WMF, data, None, hyper, seed=0).model
-        approx = model.embeddings.W.T @ model.embeddings.H
+        approx = model.W.T @ model.H
         assert np.max(np.abs(approx - R)) < 1e-3
 
     def test_objective_non_increasing_per_sweep(self):
@@ -984,8 +983,8 @@ class TestTrainWmf:
         report = train(WMF, data, None, hyper, seed=2)
         model = report.model
         fresh = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=2)
-        assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
-        assert np.array_equal(model.embeddings.H, fresh.embeddings.H)
+        assert np.array_equal(model.W, fresh.W)
+        assert np.array_equal(model.H, fresh.H)
         assert report.rows == []
 
 
@@ -995,22 +994,22 @@ class TestTrainHybrid:
         t = random_triplets(6, pool.size, 0.6, seed=85)
         data = SparsePlaycounts.from_triplets(
             InteractionTriplets.create(t.users, pool[t.items], t.counts, 6, 5))
-        feats = FeatureTable(np.random.default_rng(86).normal(0, 1, (5, 3)))
+        feats = np.random.default_rng(86).normal(0, 1, (5, 3))
         variant = ModelVariant("mf_hybrid", "relaxed")
         model = init_model(variant, 6, 5, 2, 3, seed=8, hidden_width=4, extractor_layers=2)
-        H = model.embeddings.H
+        H = model.H
         before = H.copy()
         hyper = Hyperparams(embed_dim=2, n_iters=1, n_gd=1, hidden_width=4,
                             extractor_layers=2)
         train(variant, data, feats, hyper, seed=8, item_pool=pool, state=TrainState(model))
-        assert model.embeddings.H is H
+        assert model.H is H
         assert not np.array_equal(H[:, pool], before[:, pool])
         assert np.array_equal(H[:, [1, 4]], before[:, [1, 4]])
 
     def test_zeroed_frozen_extractor_matches_wmf_trajectory(self):
         t, data, scheme = make_weighted(10, 8, 0.3, seed=29)
         rng = np.random.default_rng(30)
-        feats = FeatureTable(rng.normal(0, 1, (8, 4)))
+        feats = rng.normal(0, 1, (8, 4))
         hyper = Hyperparams(embed_dim=2, lambda_w=0.3, lambda_h=0.6, n_iters=6,
                             n_gd=1, eta=0.0)  # eta=0 freezes the extractor
         variant = ModelVariant("mf_hybrid", "relaxed")
@@ -1023,15 +1022,15 @@ class TestTrainHybrid:
         hybrid_model = hybrid_report.model
         wmf_report = train(WMF, data, None, hyper, seed=3)
         wmf_model = wmf_report.model
-        assert np.array_equal(hybrid_model.embeddings.W, wmf_model.embeddings.W)
-        assert np.array_equal(hybrid_model.embeddings.H, wmf_model.embeddings.H)
+        assert np.array_equal(hybrid_model.W, wmf_model.W)
+        assert np.array_equal(hybrid_model.H, wmf_model.H)
         npt.assert_allclose([row[2] for row in hybrid_report.rows],
                             [row[2] for row in wmf_report.rows], rtol=1e-12)
 
     def test_full_objective_non_increasing(self):
         t, data, scheme = make_weighted(5, 4, 0.6, seed=31)
         rng = np.random.default_rng(32)
-        feats = FeatureTable(rng.normal(0, 1, (4, 3)))
+        feats = rng.normal(0, 1, (4, 3))
         hyper = Hyperparams(embed_dim=2, lambda_w=0.2, lambda_h=0.5, n_iters=8,
                             n_gd=1, eta=1e-4, hidden_width=4, extractor_layers=2,
                             batch_items=4)  # one batch: the whole pool
@@ -1043,18 +1042,18 @@ class TestTrainHybrid:
     def test_strict_variant_owns_w_and_theta_only(self):
         t, data, scheme = make_weighted(5, 4, 0.6, seed=33)
         rng = np.random.default_rng(34)
-        feats = FeatureTable(rng.normal(0, 1, (4, 3)))
+        feats = rng.normal(0, 1, (4, 3))
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
         model = train(ModelVariant("mf_hybrid", "strict"), data, feats, hyper, seed=5).model
-        assert model.embeddings.H is None
+        assert model.H is None
 
 
 class TestTrainDcb:
     def _setup(self, seed=35):
         t, data, scheme = make_weighted(6, 5, 0.6, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        feats = FeatureTable(rng.normal(0, 1, (5, 3)))
+        feats = rng.normal(0, 1, (5, 3))
         return data, feats
 
     def test_stage_one_embeddings_never_revisited(self):
@@ -1064,8 +1063,8 @@ class TestTrainDcb:
         report = train(DCB_RELAXED, data, feats, hyper, seed=6)
         model = report.model
         wmf_model = train(WMF, data, None, hyper, seed=6).model
-        assert np.array_equal(model.embeddings.W, wmf_model.embeddings.W)
-        assert np.array_equal(model.embeddings.H, wmf_model.embeddings.H)
+        assert np.array_equal(model.W, wmf_model.W)
+        assert np.array_equal(model.H, wmf_model.H)
 
     def test_stage_boundary_recorded(self):
         data, feats = self._setup(37)
@@ -1082,11 +1081,11 @@ class TestTrainDcb:
                             hidden_width=16, extractor_layers=2,
                             lambda_w=0.05, lambda_h=0.05)
         model = train(DCB_RELAXED, data, feats, hyper, seed=8).model
-        mse = content_mse(model.extractor, model.embeddings.H, feats.values)
+        mse = content_mse(model.extractor, model.H, feats)
         assert mse < 1e-3
-        phi, _ = mlp_forward(model.extractor, feats.values)
-        warm = model.embeddings.W.T @ model.embeddings.H
-        cold = model.embeddings.W.T @ phi.T
+        phi, _ = mlp_forward(model.extractor, feats)
+        warm = model.W.T @ model.H
+        cold = model.W.T @ phi.T
         npt.assert_allclose(cold, warm, atol=0.05)
 
     def test_strict_has_no_item_matrix(self):
@@ -1094,7 +1093,7 @@ class TestTrainDcb:
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, hidden_width=4,
                             extractor_layers=2)
         model = train(ModelVariant("dcb", "strict"), data, feats, hyper, seed=9).model
-        assert model.embeddings.H is None
+        assert model.H is None
 
 
 @pytest.mark.parametrize("variant", [
@@ -1106,7 +1105,7 @@ def test_validation_cadence_counts_reported_epochs(variant):
     """Every family validates the reported epochs e with (e + 1) % eval_every
     == 0, and the last; dcb's WMF stage is never validated."""
     t, data, scheme = make_weighted(6, 5, 0.5, seed=57)
-    feats = FeatureTable(np.random.default_rng(58).normal(0, 1, (5, 3)))
+    feats = np.random.default_rng(58).normal(0, 1, (5, 3))
     hyper = Hyperparams(embed_dim=2, n_iters=4, n_gd=2, max_epochs=5,
                         pretrain_epochs=2, finetune_epochs=4, eval_every=3,
                         hidden_width=4, extractor_layers=2)
@@ -1123,7 +1122,7 @@ class TestTrainUnified:
     def _setup(self, seed=43, num_users=6, num_items=5):
         t, data, scheme = make_weighted(num_users, num_items, 0.5, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        feats = FeatureTable(rng.normal(0, 1, (num_items, 3)))
+        feats = rng.normal(0, 1, (num_items, 3))
         return data, feats
 
     def test_lr_zero_keeps_parameters(self):
@@ -1133,15 +1132,15 @@ class TestTrainUnified:
         model = train(UNI_RELAXED, data, feats, hyper, seed=10).model
         fresh = init_model(ModelVariant("mf_uni", "relaxed"), 6, 5, 2, 3,
                            seed=10, hidden_width=4, extractor_layers=2)
-        assert np.array_equal(model.embeddings.W, fresh.embeddings.W)
-        assert np.array_equal(model.embeddings.H, fresh.embeddings.H)
+        assert np.array_equal(model.W, fresh.W)
+        assert np.array_equal(model.H, fresh.H)
 
     def test_strict_never_allocates_h(self):
         data, feats = self._setup(45)
         hyper = Hyperparams(embed_dim=2, max_epochs=3, hidden_width=4,
                             extractor_layers=2)
         model = train(ModelVariant("mf_uni", "strict"), data, feats, hyper, seed=11).model
-        assert model.embeddings.H is None
+        assert model.H is None
 
     def test_full_batch_loss_decreases_small_lr(self):
         data, feats = self._setup(47, num_users=5, num_items=4)
@@ -1169,9 +1168,9 @@ class TestTrainUnified:
         uni_model = uni_report.model
         red_model, red_report = _frozen_reduction(monkeypatch, data, feats, hyper,
                                                   seed=14)
-        npt.assert_allclose(red_model.embeddings.W, uni_model.embeddings.W,
+        npt.assert_allclose(red_model.W, uni_model.W,
                             rtol=0, atol=1e-9)
-        npt.assert_allclose(red_model.embeddings.H, uni_model.embeddings.H,
+        npt.assert_allclose(red_model.H, uni_model.H,
                             rtol=0, atol=1e-9)
         npt.assert_allclose([row[2] for row in red_report.rows],
                             [row[2] for row in uni_report.rows], rtol=1e-9)
@@ -1246,7 +1245,7 @@ class TestKeptModelsOwnTheirArrays:
     @staticmethod
     def _arrays(model):
         mlps = [m for m in (model.extractor, model.interaction) if m is not None]
-        return [a.copy() for a in (model.embeddings.W, model.embeddings.H,
+        return [a.copy() for a in (model.W, model.H,
                                    *(a for m in mlps for a in m.param_dict().values()))]
 
     @staticmethod
@@ -1258,7 +1257,7 @@ class TestKeptModelsOwnTheirArrays:
         first validated model stays best; returns (final state, kept), kept
         holding each epoch's last.ckpt path and a copy of the model's arrays."""
         t, data, scheme = make_weighted(6, 5, 0.5, seed=81)
-        feats = FeatureTable(np.random.default_rng(82).normal(0, 1, (5, 3)))
+        feats = np.random.default_rng(82).normal(0, 1, (5, 3))
         variant = ModelVariant("ncacf", "relaxed", "concatenation", 1)
         hyper = Hyperparams(embed_dim=2, pretrain_epochs=2, finetune_epochs=3,
                             eval_every=1, hidden_width=4, extractor_layers=2)
@@ -1298,7 +1297,7 @@ class TestKeptModelsOwnTheirArrays:
         monkeypatch.setattr(models.Model, "copy", no_copy, raising=False)
         monkeypatch.setattr(MLPParams, "copy", no_copy, raising=False)
         t, data, scheme = make_weighted(6, 5, 0.5, seed=83)
-        feats = FeatureTable(np.random.default_rng(84).normal(0, 1, (5, 3)))
+        feats = np.random.default_rng(84).normal(0, 1, (5, 3))
         hyper = Hyperparams(embed_dim=2, n_iters=2, n_gd=1, max_epochs=2,
                             pretrain_epochs=1, finetune_epochs=2, eval_every=1,
                             hidden_width=4, extractor_layers=2)
