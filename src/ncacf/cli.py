@@ -470,11 +470,13 @@ def cmd_report(args) -> int:
     # row is one variant, a tower's combination and q_hidden included, and
     # holds each (setting, fold) of it once. The runs of one row and setting
     # share their hyperparameters, top_k and seed; a sweep may tune the
-    # warm and cold settings apart.
+    # warm and cold settings apart. All runs of one row, of either setting,
+    # share their prepared data (the `prepared` digest in best.ckpt).
     names: dict[str, str] = {}
     groups: dict[str, dict] = {}
     folds: dict[tuple, str] = {}
     shared: dict[tuple, tuple[dict, str]] = {}
+    prepared: dict[str, tuple[list, str]] = {}
     series: dict[str, list] = {}
     for run_dir in args.run_dirs:
         name = os.path.basename(os.path.normpath(run_dir))
@@ -494,9 +496,18 @@ def cmd_report(args) -> int:
             label += f"-{variant.combination}-q{variant.q_hidden}"
         entry = groups.setdefault(label, {"warm": [], "cold": []})
         settings = {**asdict(cfg.hyper), "top_k": cfg.top_k, "seed": cfg.seed}
-        for setting in ("warm", "cold"):
-            mean = E.read_eval_mean(os.path.join(run_dir, f"eval_{setting}_test.tsv"),
-                                    cfg.fold)
+        means = {setting: E.read_eval_mean(
+            os.path.join(run_dir, f"eval_{setting}_test.tsv"), cfg.fold)
+            for setting in ("warm", "cold")}
+        if any(mean is not None for mean in means.values()):
+            digest = M.load_model(os.path.join(run_dir, "best.ckpt"))[1].get("prepared")
+            first, first_dir = prepared.setdefault(label, (digest, run_dir))
+            if digest != first:
+                raise ConfigError(f"run directories {first_dir} and {run_dir} hold "
+                                  f"{label}'s runs on different prepared data "
+                                  f"(snapshot digests {first} and {digest}); the runs "
+                                  f"of one row must share their prepared data")
+        for setting, mean in means.items():
             if mean is None:
                 continue
             key = (label, setting, cfg.fold)

@@ -29,7 +29,7 @@ import numpy as np
 from .data import (CompressedAxis, ConfidenceScheme, FoldMembership,
                    InteractionTriplets, write_text)
 from .errors import DataError, TrainingDivergedError
-from .models import Model, block_units, grid_width, item_vectors, score_matrix
+from .models import Model, block_units, item_vectors, score_matrix
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,20 @@ class EvalResult:
         return len(self.ndcg)
 
 
-# Temporaries per (user, candidate) pair of one evaluation block besides a
-# tower's grid, each counted as a float: the scores (negated in place), their
-# partitioned copy, and the finiteness and boundary masks. The boundary
-# entries, top_k per user plus every entry of a row tied at its k-th score,
-# and their sort orders are not counted.
+# Temporaries per (user, candidate) pair of one evaluation block, each counted
+# as a float: the scores (negated in place), their partitioned copy, and the
+# finiteness and boundary masks. The boundary entries, top_k per user plus
+# every entry of a row tied at its k-th score, and their sort orders are not
+# counted, and neither is a tower's grid: score_matrix builds it in user
+# sub-blocks that models.TOWER_BLOCK_FLOATS bounds.
 _RANK_FLOATS = 4
 
-# Floats one evaluation block's scores, ranking temporaries and tower grid may
-# hold. The blocks run one after another; a tower scores each block's
-# user sub-blocks on the two workers. On a 2-vCPU host, a fresh `evaluate` of
-# the perfbench hybrid_cold data took about 7 % less time at 2^19 than at
-# 2^21, with a lower peak memory; 2^18 and 2^20 were no faster. Any value
-# gives the same bits.
+# Floats one evaluation block's scores and ranking temporaries may hold. The
+# blocks run one after another; a tower scores each block's user sub-blocks
+# on the two workers. On a 2-vCPU host, a fresh `evaluate` of the perfbench
+# hybrid_cold data took about 7 % less time at 2^19 than at 2^21, with a
+# lower peak memory; 2^18 and 2^20 were no faster. Any value gives the same
+# bits.
 _RANK_BLOCK_FLOATS = 1 << 19
 
 
@@ -79,7 +80,7 @@ def evaluate(model: Model, membership: FoldMembership, bucket: str,
     """Rank and score one evaluation bucket for every eligible user.
 
     Eligible users are ranked a block at a time, each block sized so that its
-    scores, ranking temporaries and tower grid fit _RANK_BLOCK_FLOATS.
+    scores and ranking temporaries fit _RANK_BLOCK_FLOATS.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -113,8 +114,7 @@ def evaluate(model: Model, membership: FoldMembership, bucket: str,
     if np.any(valid == 0):
         raise DataError("no candidate items to rank")
     iv = item_vectors(model, candidates, features, setting)
-    tower = 0 if model.interaction is None else grid_width(model)
-    step = block_units(n * (_RANK_FLOATS + tower), _RANK_BLOCK_FLOATS)
+    step = block_units(n * _RANK_FLOATS, _RANK_BLOCK_FLOATS)
     dcg = np.empty(users.size)
     all_tied = np.empty(users.size, dtype=bool)
     for lo in range(0, users.size, step):

@@ -330,28 +330,21 @@ def tower_grid_backward(tower: MLPParams, cache, grad_scores: np.ndarray):
     return grads, gW, gH
 
 
-# Floats one item block of a tower's objective (training.full_loss) may
-# hold, counting the tower's widest grid per (user, item) pair, though the
-# tower itself runs on user sub-blocks of it, two at a time. The value sets
-# where the objective's item blocks are cut, and so the order of its sum and
-# the last bits of the report's objective. Evaluation blocks have their own,
-# smaller budget (evaluation._RANK_BLOCK_FLOATS).
-BLOCK_FLOATS = 1 << 21
-
 # Floats in one grid of a tower user sub-block (1 MiB). Two sub-blocks run at
 # once, one per core (numerics.map_blocks), each near its core's 2 MiB L2 on
 # the 2-vCPU Xeon host it was tuned on. There, with two workers, 2^17 trained
 # the perfbench ncacf_cold workload fastest (in-process `train` medians 0.82-0.86
-# s, against 1.00 s at 2^16 and 0.98-0.99 s at 2^18).
+# s, against 1.00 s at 2^16 and 0.98-0.99 s at 2^18). It is the one budget
+# of a tower's grid: training batches, the objective's item slices and
+# evaluation blocks all run the tower in these sub-blocks.
 TOWER_BLOCK_FLOATS = 1 << 17
 
 
-def block_units(floats_per_unit: int, budget: int | None = None) -> int:
-    """Units (items of a tower objective, users of an evaluation or of a
-    tower sub-block) in one block whose temporaries take floats_per_unit
-    floats per unit: as many as fit `budget` (default BLOCK_FLOATS), and at
-    least one."""
-    return max(1, (BLOCK_FLOATS if budget is None else budget) // floats_per_unit)
+def block_units(floats_per_unit: int, budget: int) -> int:
+    """Units (users of an evaluation block or of a tower sub-block) in one
+    block whose temporaries take floats_per_unit floats per unit: as many as
+    fit `budget`, and at least one."""
+    return max(1, budget // floats_per_unit)
 
 
 def grid_width(model: Model) -> int:

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import ConfidenceScheme, SparsePlaycounts, write_text
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .models import (Hyperparams, Model, ModelVariant, attach_tower, block_units,
-                     extract_item_embeddings, grid_width, init_model, load_model,
+from .models import (Hyperparams, Model, ModelVariant, attach_tower,
+                     extract_item_embeddings, init_model, load_model,
                      tower_grid_backward, tower_grid_forward, tower_user_blocks)
 from .numerics import (AdamState, adam_step, map_blocks, mlp_backward, mlp_forward,
                        solve_spd)
@@ -189,20 +190,21 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
 def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
               features: np.ndarray | None, lam_w: float, lam_h: float,
-              item_pool=None) -> float:
+              item_pool=None, batch_items: int | None = None) -> float:
     """Weighted prediction error over every user x pooled item, plus
     lambda_W ||W||^2 and, for free item embeddings, lambda_H times the sum over
     pooled items of ||h_i - phi(x_i)||^2 (prior 0 for content-free models).
     Strict coupling scores h_i = phi(x_i) and has no lambda_H term.
 
-    A dot product takes one pass over the pool; a tower takes one block of
-    items at a time, and each block in user sub-blocks as _batch_objective
-    does.
+    A dot product takes one pass over the pool. A tower takes the pool in
+    consecutive slices of batch_items items (default: the whole pool), each
+    in user sub-blocks as _batch_objective does, so that it holds no more
+    than one training batch does.
     """
     pool = _pool_dims(model.num_items, item_pool)
     block = max(1, pool.size)
-    if model.interaction is not None:
-        block = block_units(model.num_users * grid_width(model))
+    if model.interaction is not None and batch_items is not None:
+        block = batch_items
     total = 0.0
     for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,
@@ -351,6 +353,16 @@ def als_sweep_items(W: np.ndarray, data: SparsePlaycounts, scheme: ConfidenceSch
 # Gradient epochs
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _diverged_at(where: str):
+    """Append " (where)" to the message of a TrainingDivergedError that the
+    block raises, so that a diverged run names its phase, epoch and batch."""
+    try:
+        yield
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(f"{exc} ({where})") from exc
+
+
 def content_mse(extractor, target: np.ndarray, rows: np.ndarray) -> float:
     """sum_i ||h_i - phi(x_i)||^2 with target columns (K, n) aligned to rows."""
     out, _ = mlp_forward(extractor, rows)
@@ -366,13 +378,14 @@ def gd_content_mse(extractor, target: np.ndarray, rows: np.ndarray,
     batches index into those n items. The steps update the extractor's
     arrays and adam in place; returns (extractor, adam).
     """
-    for batch in schedule.batches:
-        out, cache = mlp_forward(extractor, rows[batch])
-        d = out - target.T[batch]
-        if not np.all(np.isfinite(d)):
-            raise TrainingDivergedError("content MSE diverged")
-        grads, _ = mlp_backward(extractor, cache, 2.0 * d)
-        adam_step(adam, extractor.param_dict(), grads)
+    for i, batch in enumerate(schedule.batches, start=1):
+        with _diverged_at(f"batch {i} of {len(schedule.batches)}"):
+            out, cache = mlp_forward(extractor, rows[batch])
+            d = out - target.T[batch]
+            if not np.all(np.isfinite(d)):
+                raise TrainingDivergedError("content MSE diverged")
+            grads, _ = mlp_backward(extractor, cache, 2.0 * d)
+            adam_step(adam, extractor.param_dict(), grads)
     return extractor, adam
 
 
@@ -388,10 +401,10 @@ def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
     the model's arrays and adams in place; returns (model, adams).
     """
     owned = frozenset(adams)
-    for batch in schedule.batches:
-        items = item_pool[batch]
-        _, grads = _batch_objective(model, data, scheme, features, lam_w, lam_h,
-                                    items, item_pool.size, owned)
+    for i, batch in enumerate(schedule.batches, start=1):
+        with _diverged_at(f"batch {i} of {len(schedule.batches)}"):
+            _, grads = _batch_objective(model, data, scheme, features, lam_w, lam_h,
+                                        item_pool[batch], item_pool.size, owned)
         for group, g in grads.items():
             adam_step(adams[group], group_params(model, group),
                       g if isinstance(g, dict) else {group: g})
@@ -494,7 +507,9 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray | 
     on_epoch(state) runs after every epoch, once its row is in state.rows;
     state.model is then the epoch's model, the best one when best_epoch is
     that epoch, and the next epoch updates it in place. Neither runs in an
-    unobserved phase.
+    unobserved phase. A TrainingDivergedError leaves with " (phase <name>,
+    epoch <n>)" appended to its message, after the batch a batched epoch
+    names.
     """
     if state is None:
         state = TrainState()
@@ -506,16 +521,17 @@ def train(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray | 
             phase.enter(state)
         while state.epoch_in_phase < phase.epochs:
             t0 = time.perf_counter()
-            objective = phase.epoch(state)
             epoch = state.global_epoch
             last = (state.phase_idx == len(phases) - 1
                     and state.epoch_in_phase == phase.epochs - 1)
             val = None
-            if validator is not None and phase.observed and (
-                    last or hyper.eval_every and (epoch + 1) % hyper.eval_every == 0):
-                val = validator(state.model)
-                if state.best_val is None or val > state.best_val:
-                    state.best_epoch, state.best_val = epoch, val
+            with _diverged_at(f"phase {phase.name}, epoch {epoch}"):
+                objective = phase.epoch(state)
+                if validator is not None and phase.observed and (
+                        last or hyper.eval_every and (epoch + 1) % hyper.eval_every == 0):
+                    val = validator(state.model)
+                    if state.best_val is None or val > state.best_val:
+                        state.best_epoch, state.best_val = epoch, val
             state.rows.append((epoch, phase.name, objective, val, time.perf_counter() - t0))
             state.epoch_in_phase += 1
             state.global_epoch += 1
@@ -553,7 +569,7 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray 
 
     def objective(state: TrainState) -> float:
         return full_loss(state.model, data, scheme, features,
-                         hyper.lambda_w, hyper.lambda_h, pool)
+                         hyper.lambda_w, hyper.lambda_h, pool, batch_size)
 
     def gradient_epoch(state: TrainState, epoch: int) -> None:
         """Batched steps on the weighted prediction error; the groups that

@@ -1648,15 +1648,19 @@ class TestReport:
 
 
 def fake_run(tmp_path, name, family, coupling, cold=None, warm=None, fold=0,
-             eval_fold=None, **settings):
+             eval_fold=None, prepared=(1, 2), **settings):
     """A run directory holding a config of `fold` (and the other config
-    `settings`, such as combination, q_hidden or hyper) and the test eval
+    `settings`, such as combination, q_hidden or hyper), the test eval
     files of the given mean NDCGs, whose fold line names eval_fold (default:
-    fold)."""
+    fold), and a small best.ckpt whose header names the `prepared` digest."""
     run = tmp_path / name
     run.mkdir()
     cfg = ExperimentConfig(family=family, coupling=coupling, fold=fold, **settings)
     write_config(run / "config.ini", cfg)
+    models.save_model(run / "best.ckpt",
+                      models.init_model(models.ModelVariant("wmf", "content_free"),
+                                        1, 1, 1, 0, seed=0),
+                      {"prepared": list(prepared)})
     for setting, mean in (("cold", cold), ("warm", warm)):
         if mean is None:
             continue
@@ -1742,6 +1746,29 @@ class TestReportSorting:
         assert main(["report", *runs, "--output", str(out)]) == 0
         row = (out / "report_table.tsv").read_text().splitlines()[1].split("\t")
         assert row == ["mf_hybrid-relaxed", "0.5", "0.0", "0.3", "0.0", "1", "1"]
+
+    @pytest.mark.parametrize("first", [{"cold": 0.3, "fold": 1}, {"warm": 0.5}],
+                             ids=["cold-folds", "warm-and-cold"])
+    def test_runs_on_other_prepared_data_are_config_error(self, tmp_path, capsys,
+                                                          first):
+        """The runs of one row, of either setting, were trained on one
+        prepared dataset, as best.ckpt's `prepared` digest records."""
+        runs = [fake_run(tmp_path, "a", "mf_hybrid", "relaxed", **first),
+                fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=0.4,
+                         prepared=(1, 3))]
+        out = tmp_path / "summary"
+        assert main(["report", *runs, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert runs[0] in err and runs[1] in err and "prepared data" in err
+        assert not out.exists()
+
+    def test_run_without_best_checkpoint_is_data_error(self, tmp_path, capsys):
+        run = fake_run(tmp_path, "a", "mf_hybrid", "relaxed", cold=0.3)
+        os.remove(os.path.join(run, "best.ckpt"))
+        out = tmp_path / "summary"
+        assert main(["report", run, "--output", str(out)]) == 3
+        assert os.path.join(run, "best.ckpt") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_file_of_another_fold_is_data_error(self, tmp_path, capsys):
         """Eval files copied in from another fold's run."""

@@ -288,24 +288,25 @@ class TestBlockedRanking:
 
     @staticmethod
     def _record_blocks(monkeypatch):
-        """Per block: [users, candidates, largest tower-grid array]."""
+        """Per block: [users, candidates, [(users, largest array) of each
+        tower sub-block]]."""
         blocks = []
         score = evaluation.score_matrix
-        forward = models.mlp_forward
+        forward = models.tower_grid_forward
 
         def recording_score(model, item_vecs, users=slice(None)):
-            blocks.append([len(users), item_vecs.shape[1], 0])
+            blocks.append([len(users), item_vecs.shape[1], []])
             return score(model, item_vecs, users)
 
-        def recording_forward(params, x):
-            out, cache = forward(params, x)
-            if blocks:
-                blocks[-1][2] = max([blocks[-1][2], out.size]
-                                    + [a.size for layer in cache for a in layer])
-            return out, cache
+        def recording_forward(tower, W, item_vecs, combination):
+            scores, cache = forward(tower, W, item_vecs, combination)
+            _, _, first, rest = cache
+            arrays = list(first or ()) + [a for layer in rest or () for a in layer]
+            blocks[-1][2].append((W.shape[1], max([scores.size] + [a.size for a in arrays])))
+            return scores, cache
 
         monkeypatch.setattr(evaluation, "score_matrix", recording_score)
-        monkeypatch.setattr(models, "mlp_forward", recording_forward)
+        monkeypatch.setattr(models, "tower_grid_forward", recording_forward)
         return blocks
 
     @pytest.mark.parametrize("kind", list(VARIANTS))
@@ -333,8 +334,7 @@ class TestBlockedRanking:
                 # users per block.
                 for floats in (default, 1, None):
                     if floats is None:
-                        width = 0 if model.interaction is None else models.grid_width(model)
-                        floats = 3 * per_user * (evaluation._RANK_FLOATS + width)
+                        floats = 3 * per_user * evaluation._RANK_FLOATS
                     monkeypatch.setattr(evaluation, "_RANK_BLOCK_FLOATS", floats)
                     blocks.clear()
                     got = evaluate(model, membership, bucket, t, scheme, feats, top_k)
@@ -343,18 +343,26 @@ class TestBlockedRanking:
 
     @pytest.mark.parametrize("kind", list(VARIANTS))
     def test_block_temporaries_bounded(self, monkeypatch, kind):
-        """Every block's scores, ranking temporaries and tower grids fit
-        evaluation._RANK_BLOCK_FLOATS, or the block is a single user."""
-        floats = 900
+        """Every block's scores and ranking temporaries fit
+        evaluation._RANK_BLOCK_FLOATS, or the block is a single user; every
+        tower grid fits models.TOWER_BLOCK_FLOATS, or its sub-block is a
+        single user."""
+        floats, tower_floats = 900, 600
         monkeypatch.setattr(evaluation, "_RANK_BLOCK_FLOATS", floats)
+        monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", tower_floats)
         for setting in ("cold", "warm"):
             t, membership, model, feats = self._setup(setting, kind)
             blocks = self._record_blocks(monkeypatch)
             result = evaluate(model, membership, "test", t, ConfidenceScheme(),
                               feats, 5)
             assert len(blocks) > 1 and sum(b[0] for b in blocks) == result.num_users
-            for users, n, grid in blocks:
-                assert users == 1 or evaluation._RANK_FLOATS * users * n + grid <= floats
+            for users, n, grids in blocks:
+                assert users == 1 or evaluation._RANK_FLOATS * users * n <= floats
+                assert sum(u for u, _ in grids) == (0 if model.interaction is None
+                                                    else users)
+                assert all(u == 1 or grid <= tower_floats for u, grid in grids)
+            if model.interaction is not None:
+                assert any(u > 1 for b in blocks for u, _ in b[2])
 
     def test_user_without_candidates_is_data_error(self):
         """A warm user whose every item is a training item has nothing to rank."""

@@ -374,9 +374,8 @@ class TestSweepOracle:
 
 
 class TestObjectiveBlocks:
-    """full_loss sums a tower's objective over item blocks whose users x
-    items x width grids fit models.BLOCK_FLOATS; a dot product expands no
-    users x items grid at all."""
+    """full_loss sums a tower's objective over consecutive item blocks of the
+    given batch size; a dot product expands no users x items grid at all."""
 
     # Unsorted strict subset of the 23 items.
     POOL = np.array([21, 3, 9, 0, 14, 7, 18, 2, 11, 5, 20, 16, 8, 1, 13, 6, 22])
@@ -422,30 +421,28 @@ class TestObjectiveBlocks:
         model, data, scheme, feats = self._setup(name)
         want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
         blocks = self._record_blocks(monkeypatch)
-        per_item = data.num_users * models.grid_width(model)
-        for floats in (5 * per_item + 3, 2 * per_item, 1):  # 5, 2 and 1 items
-            monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+        for batch_items in (5, 2, 1):
             blocks.clear()
-            got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
+            got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL, batch_items)
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_block_grids_bounded(self, monkeypatch, name):
-        """Every block's dense users x items arrays and every tower grid
-        fit the budget, or the block is a single item. Every tower grid that
-        full_loss and score_matrix build fits models.TOWER_BLOCK_FLOATS, or
-        its sub-block is a single user."""
-        floats, tower_floats = 60, 20
-        monkeypatch.setattr(models, "BLOCK_FLOATS", floats)
+        """Every block holds at most the batch's items, so its dense users x
+        items arrays fit one users x batch array, and so does every tower
+        array. Every tower grid that full_loss and score_matrix build fits
+        models.TOWER_BLOCK_FLOATS, or its sub-block is a single user."""
+        batch_items, tower_floats = 4, 20
         monkeypatch.setattr(models, "TOWER_BLOCK_FLOATS", tower_floats)
         model, data, scheme, feats = self._setup(name)
         blocks = self._record_blocks(monkeypatch)
         grids = record_tower_grids(monkeypatch)
-        full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
-        assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
+        full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL, batch_items)
+        assert [n for n, _ in blocks] == [4, 4, 4, 4, 1]
+        batch_floats = data.num_users * batch_items * models.grid_width(model)
         for n, sizes in blocks:
-            assert n == 1 or max([n * data.num_users, *sizes]) <= floats
+            assert max([n * data.num_users, *sizes]) <= batch_floats
         assert len(grids) > len(blocks) and any(users > 1 for users, _ in grids)
         for users, grid in grids:
             assert users == 1 or grid <= tower_floats
@@ -802,7 +799,8 @@ class TestGradients:
 
     def test_batch_gradients_sum_to_full_gradient(self):
         """For ncf with its tower, ncf with the tower absent, and the
-        dot-product mf_uni and strict dcb."""
+        dot-product mf_uni and strict dcb; the parts' losses sum to
+        full_loss as well."""
         t, data, scheme = make_weighted(4, 6, 0.5, seed=22)
         feats = np.random.default_rng(62).normal(0, 1, (6, 3))
         ncf = ModelVariant("ncf", "content_free")
@@ -818,10 +816,11 @@ class TestGradients:
                                        pool.size, owned)
             assert set(full) == owned
             parts = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-            acc = {}
+            acc, loss = {}, 0.0
             for part in parts:
-                _, g = _batch_objective(model, data, scheme, feats, 0.3, 0.7, part,
-                                        pool.size, owned)
+                part_loss, g = _batch_objective(model, data, scheme, feats, 0.3, 0.7,
+                                                part, pool.size, owned)
+                loss += part_loss
                 for group, val in g.items():
                     if isinstance(val, dict):
                         acc.setdefault(group, {})
@@ -836,6 +835,8 @@ class TestGradients:
                                             rtol=1e-10, atol=1e-12)
                 else:
                     npt.assert_allclose(acc[group], full[group], rtol=1e-10, atol=1e-12)
+            npt.assert_allclose(loss, full_loss(model, data, scheme, feats, 0.3, 0.7, pool),
+                                rtol=1e-12, atol=0)
 
     def test_non_finite_objective_raises(self):
         """An inf or nan in W or H raises, with no numpy warning on the way."""
@@ -852,6 +853,34 @@ class TestGradients:
                     with pytest.raises(TrainingDivergedError):
                         full_loss_gradients(model, data, scheme, None, 0.1, 0.1,
                                             {"W", "H"})
+
+    def test_divergence_names_phase_epoch_and_batch(self, monkeypatch):
+        """A non-finite objective in the third batch of the fine-tuning epoch
+        leaves train with its message, then the batch, the phase and the
+        epoch."""
+        t, data, scheme = make_weighted(6, 10, 0.5, seed=25)
+        feats = np.random.default_rng(26).normal(0, 1, (10, 3))
+        hyper = Hyperparams(embed_dim=2, batch_items=3, pretrain_epochs=2,
+                            finetune_epochs=1, hidden_width=4, extractor_layers=2)
+        objective = training._batch_objective
+        tower_batches = []
+
+        def poisoned(model, data, scheme, features, lam_w, lam_h, batch, pool_size,
+                     owned=frozenset()):
+            if owned and model.interaction is not None:
+                tower_batches.append(batch)
+                if len(tower_batches) == 3:
+                    model.W[0, 0] = np.nan
+            return objective(model, data, scheme, features, lam_w, lam_h, batch,
+                             pool_size, owned)
+
+        monkeypatch.setattr(training, "_batch_objective", poisoned)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(ModelVariant("ncacf", "relaxed", "concatenation", 1), data, feats,
+                  hyper, seed=9)
+        assert str(info.value).startswith("objective is not finite (nan)")
+        assert str(info.value).endswith(" (batch 3 of 4) (phase finetune, epoch 2)")
+        assert len(tower_batches) == 3
 
 
 class TestGdContentMse:
