@@ -190,21 +190,19 @@ def _batch_objective(model: Model, data: SparsePlaycounts, scheme: ConfidenceSch
 
 def full_loss(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
               features: np.ndarray | None, lam_w: float, lam_h: float,
-              item_pool=None, batch_items: int | None = None) -> float:
+              item_pool=None, *, batch_items: int) -> float:
     """Weighted prediction error over every user x pooled item, plus
     lambda_W ||W||^2 and, for free item embeddings, lambda_H times the sum over
     pooled items of ||h_i - phi(x_i)||^2 (prior 0 for content-free models).
     Strict coupling scores h_i = phi(x_i) and has no lambda_H term.
 
     A dot product takes one pass over the pool. A tower takes the pool in
-    consecutive slices of batch_items items (default: the whole pool), each
-    in user sub-blocks as _batch_objective does, so that it holds no more
-    than one training batch does.
+    consecutive slices of batch_items items, each in user sub-blocks as
+    _batch_objective does, so that it holds no more than one training batch
+    does.
     """
     pool = _pool_dims(model.num_items, item_pool)
-    block = max(1, pool.size)
-    if model.interaction is not None and batch_items is not None:
-        block = batch_items
+    block = batch_items if model.interaction is not None else max(1, pool.size)
     total = 0.0
     for start in range(0, pool.size, block):
         part, _ = _batch_objective(model, data, scheme, features, lam_w, lam_h,
@@ -405,9 +403,9 @@ def gd_wpe(model: Model, data: SparsePlaycounts, scheme: ConfidenceScheme,
         with _diverged_at(f"batch {i} of {len(schedule.batches)}"):
             _, grads = _batch_objective(model, data, scheme, features, lam_w, lam_h,
                                         item_pool[batch], item_pool.size, owned)
-        for group, g in grads.items():
-            adam_step(adams[group], group_params(model, group),
-                      g if isinstance(g, dict) else {group: g})
+            for group, g in grads.items():
+                adam_step(adams[group], group_params(model, group),
+                          g if isinstance(g, dict) else {group: g})
     return model, adams
 
 
@@ -569,7 +567,7 @@ def _phases(variant: ModelVariant, data: SparsePlaycounts, features: np.ndarray 
 
     def objective(state: TrainState) -> float:
         return full_loss(state.model, data, scheme, features,
-                         hyper.lambda_w, hyper.lambda_h, pool, batch_size)
+                         hyper.lambda_w, hyper.lambda_h, pool, batch_items=batch_size)
 
     def gradient_epoch(state: TrainState, epoch: int) -> None:
         """Batched steps on the weighted prediction error; the groups that

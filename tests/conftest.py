@@ -94,7 +94,8 @@ def gradcheck_full_loss(model, data, scheme, features, lam_w, lam_h, owned,
 
         def f(values, _arr=arr):
             _arr[...] = values
-            return full_loss(model, data, scheme, features, lam_w, lam_h, item_pool)
+            return full_loss(model, data, scheme, features, lam_w, lam_h, item_pool,
+                             batch_items=model.num_items)
 
         numeric = finite_diff_grad(f, original.copy(), h=h)
         arr[...] = original

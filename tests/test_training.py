@@ -419,11 +419,13 @@ class TestObjectiveBlocks:
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_block_edges_do_not_change_loss(self, monkeypatch, name):
         model, data, scheme, feats = self._setup(name)
-        want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL)
+        want = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                         batch_items=self.POOL.size)
         blocks = self._record_blocks(monkeypatch)
         for batch_items in (5, 2, 1):
             blocks.clear()
-            got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL, batch_items)
+            got = full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                            batch_items=batch_items)
             assert len(blocks) > 1 and sum(n for n, _ in blocks) == self.POOL.size
             npt.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -438,7 +440,8 @@ class TestObjectiveBlocks:
         model, data, scheme, feats = self._setup(name)
         blocks = self._record_blocks(monkeypatch)
         grids = record_tower_grids(monkeypatch)
-        full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL, batch_items)
+        full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                            batch_items=batch_items)
         assert [n for n, _ in blocks] == [4, 4, 4, 4, 1]
         batch_floats = data.num_users * batch_items * models.grid_width(model)
         for n, sizes in blocks:
@@ -470,10 +473,10 @@ class TestObjectiveBlocks:
                            extractor_layers=2)
         pool = np.random.default_rng(35).permutation(items)[:300]
         assert t.num_entries * 50 < users * pool.size
-        want = full_loss(model, data, scheme, feats, 0.3, 0.7, pool)
+        want = full_loss(model, data, scheme, feats, 0.3, 0.7, pool, batch_items=pool.size)
         tracemalloc.start()
         try:
-            got = full_loss(model, data, scheme, feats, 0.3, 0.7, pool)
+            got = full_loss(model, data, scheme, feats, 0.3, 0.7, pool, batch_items=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -529,7 +532,8 @@ class TestNnzObjective:
                     self._assert_relative(grads[group], ref[group])
         want, _ = dense_batch_objective(model, data, scheme, feats, 0.3, 0.7, self.POOL,
                                         self.POOL.size, frozenset())
-        npt.assert_allclose(full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL),
+        npt.assert_allclose(full_loss(model, data, scheme, feats, 0.3, 0.7, self.POOL,
+                                      batch_items=self.POOL.size),
                             want, rtol=1e-12, atol=0)
 
 
@@ -683,7 +687,7 @@ class TestLosses:
         variant = ModelVariant("mf_uni", "relaxed")
         model = init_model(variant, 4, 3, 2, 5, seed=1, hidden_width=4,
                            extractor_layers=2)
-        got = full_loss(model, data, scheme, feats, 0.3, 0.8)
+        got = full_loss(model, data, scheme, feats, 0.3, 0.8, batch_items=data.num_items)
         R, C = dense_rc(data, scheme)
         prior, _ = mlp_forward(model.extractor, feats)
         want = dense_weighted_loss(model.W, model.H,
@@ -696,13 +700,14 @@ class TestLosses:
         feats = rng.normal(0, 1, (3, 5))
         strict = init_model(ModelVariant("mf_uni", "strict"), 4, 3, 2, 5,
                             seed=2, hidden_width=4, extractor_layers=2)
-        got = full_loss(strict, data, scheme, feats, 0.3, 0.0)
+        got = full_loss(strict, data, scheme, feats, 0.3, 0.0, batch_items=data.num_items)
         phi, _ = mlp_forward(strict.extractor, feats)
         relaxed = init_model(ModelVariant("mf_uni", "relaxed"), 4, 3, 2, 5,
                              seed=2, hidden_width=4, extractor_layers=2)
         relaxed.W, relaxed.H = strict.W.copy(), phi.T.copy()
         relaxed.extractor = copy_mlp(strict.extractor)
-        want = full_loss(relaxed, data, scheme, feats, 0.3, 123.0)
+        want = full_loss(relaxed, data, scheme, feats, 0.3, 123.0,
+                         batch_items=data.num_items)
         npt.assert_allclose(got, want, rtol=1e-12)  # lam_h term vanishes
 
     def test_strict_loss_with_zeroed_extractor(self):
@@ -714,7 +719,8 @@ class TestLosses:
         for layer in model.extractor.layers:
             layer.weights[...] = 0.0
             layer.bias[...] = 0.0
-        got = full_loss(model, data, scheme, feats, lam_w=1.0, lam_h=0.0)
+        got = full_loss(model, data, scheme, feats, lam_w=1.0, lam_h=0.0,
+                        batch_items=data.num_items)
         R, C = dense_rc(data, scheme)
         want = np.sum(C * R * R) + np.sum(model.W ** 2)
         npt.assert_allclose(got, want, rtol=1e-12)
@@ -729,14 +735,14 @@ class TestLosses:
         scheme = ConfidenceScheme()
         model = init_model(ModelVariant("wmf", "content_free"), 2, 2, 2, 0, seed=0)
         model.W, model.H = np.eye(2), np.eye(2)  # W^T H = I = R
-        got = full_loss(model, data, scheme, None, 0.0, 0.0)
+        got = full_loss(model, data, scheme, None, 0.0, 0.0, batch_items=data.num_items)
         npt.assert_allclose(got, 0.0, atol=1e-20)
 
     def test_zero_model_loss_is_weighted_positives(self):
         t, data, scheme = make_weighted(5, 4, 0.5, seed=13)
         model = init_model(ModelVariant("wmf", "content_free"), 5, 4, 2, 0, seed=0)
         model.W, model.H = np.zeros((2, 5)), np.zeros((2, 4))
-        got = full_loss(model, data, scheme, None, 1.0, 0.0)
+        got = full_loss(model, data, scheme, None, 1.0, 0.0, batch_items=data.num_items)
         R, C = dense_rc(data, scheme)
         npt.assert_allclose(got, np.sum(C * R * R), rtol=1e-12)
 
@@ -747,7 +753,7 @@ class TestLosses:
         model = init_model(
             ModelVariant("ncacf", "relaxed", "concatenation", 1),
             3, 3, 2, 4, seed=3, hidden_width=4, extractor_layers=2)
-        got = full_loss(model, data, scheme, feats, 0.2, 0.5)
+        got = full_loss(model, data, scheme, feats, 0.2, 0.5, batch_items=data.num_items)
         R, C = dense_rc(data, scheme)
 
         def deep_score(w, h):
@@ -835,7 +841,8 @@ class TestGradients:
                                             rtol=1e-10, atol=1e-12)
                 else:
                     npt.assert_allclose(acc[group], full[group], rtol=1e-10, atol=1e-12)
-            npt.assert_allclose(loss, full_loss(model, data, scheme, feats, 0.3, 0.7, pool),
+            npt.assert_allclose(loss, full_loss(model, data, scheme, feats, 0.3, 0.7, pool,
+                                                  batch_items=pool.size),
                                 rtol=1e-12, atol=0)
 
     def test_non_finite_objective_raises(self):
@@ -849,15 +856,19 @@ class TestGradients:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(TrainingDivergedError):
-                        full_loss(model, data, scheme, None, 0.1, 0.1)
+                        full_loss(model, data, scheme, None, 0.1, 0.1,
+                                  batch_items=data.num_items)
                     with pytest.raises(TrainingDivergedError):
                         full_loss_gradients(model, data, scheme, None, 0.1, 0.1,
                                             {"W", "H"})
 
-    def test_divergence_names_phase_epoch_and_batch(self, monkeypatch):
-        """A non-finite objective in the third batch of the fine-tuning epoch
-        leaves train with its message, then the batch, the phase and the
-        epoch."""
+    @pytest.mark.parametrize("fault, message", [
+        ("objective", "objective is not finite (nan)"),
+        ("gradient", "non-finite gradient for 'W'")], ids=["objective", "gradient"])
+    def test_divergence_names_phase_epoch_and_batch(self, monkeypatch, fault, message):
+        """A non-finite objective, or a non-finite gradient that reaches its
+        Adam step, in the third batch of the fine-tuning epoch leaves train
+        with its message, then the batch, the phase and the epoch."""
         t, data, scheme = make_weighted(6, 10, 0.5, seed=25)
         feats = np.random.default_rng(26).normal(0, 1, (10, 3))
         hyper = Hyperparams(embed_dim=2, batch_items=3, pretrain_epochs=2,
@@ -867,18 +878,23 @@ class TestGradients:
 
         def poisoned(model, data, scheme, features, lam_w, lam_h, batch, pool_size,
                      owned=frozenset()):
-            if owned and model.interaction is not None:
+            poison = owned and model.interaction is not None
+            if poison:
                 tower_batches.append(batch)
-                if len(tower_batches) == 3:
-                    model.W[0, 0] = np.nan
-            return objective(model, data, scheme, features, lam_w, lam_h, batch,
-                             pool_size, owned)
+                poison = len(tower_batches) == 3
+            if poison and fault == "objective":
+                model.W[0, 0] = np.nan
+            loss, grads = objective(model, data, scheme, features, lam_w, lam_h, batch,
+                                    pool_size, owned)
+            if poison and fault == "gradient":
+                grads["W"][0, 0] = np.nan
+            return loss, grads
 
         monkeypatch.setattr(training, "_batch_objective", poisoned)
         with pytest.raises(TrainingDivergedError) as info:
             train(ModelVariant("ncacf", "relaxed", "concatenation", 1), data, feats,
                   hyper, seed=9)
-        assert str(info.value).startswith("objective is not finite (nan)")
+        assert str(info.value).startswith(message)
         assert str(info.value).endswith(" (batch 3 of 4) (phase finetune, epoch 2)")
         assert len(tower_batches) == 3
 

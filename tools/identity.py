@@ -1,13 +1,11 @@
 """Output-identity check: run the same verbs over two source trees and
 compare everything they write.
 
-    python3 tools/identity.py [--base REV|DIR] [--change DIR] [--seed N]
-                              [--workload NAME ...] [--work DIR]
-    python3 tools/identity.py --self-test
+    python3 tools/identity.py [--base REV|DIR] [--work DIR]
+    python3 tools/identity.py --self-test [--work DIR]
 
-Run from the repository root. For each workload (default: the ones
-BENCHMARK.json gates), the inputs are generated once from the seed with
-perfbench/gen.py and the workload's config from perfbench/run.py. Each tree
+For each workload BENCHMARK.json gates, the inputs are generated once from
+seed 7 with perfbench/gen.py and the workload's config from perfbench/run.py. Each tree
 then runs, in a fresh directory and one child process per verb, with
 `PYTHONPATH` set to the tree's `src/` and BLAS on one thread:
 
@@ -25,7 +23,7 @@ Differing numbers in a text file print the same per column. The exit code is
 0 when every file is identical, 1 otherwise.
 
 `--base` takes a source tree or a git revision (default HEAD), which is
-exported with `git archive`; `--change` defaults to this working tree.
+exported with `git archive`; it is compared with the tree this script is in.
 `--self-test` runs this tree twice on ncacf_cold, expects identical outputs,
 then expects a one-ulp change to one checkpoint array and to one report
 objective each to be flagged, and nothing else.
@@ -42,16 +40,18 @@ import shutil
 import struct
 import subprocess
 import sys
-import zlib
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 
 import gen  # noqa: E402  (perfbench/gen.py)
 import run as bench  # noqa: E402  (perfbench/run.py)
+from ncacf import data  # noqa: E402  (this tree's, for the self-test's writes)
+
+SEED = 7
 
 # The record file layout of ncacf.data.write_records, read here on its own so
 # that two trees of different format versions can still be compared.
@@ -117,30 +117,16 @@ def run_tree(tree: str, raw: str, config: dict, work: str) -> None:
 # ---------------------------------------------------------------------------
 
 def read_record_file(path: str):
-    """(head bytes, raw header, header, {name: array}) of a record file."""
+    """(magic, format version, header, {name: array}) of a record file."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    _, _, count, header_len, _, _ = _RECORD_HEAD.unpack_from(raw)
-    raw_header = raw[_RECORD_HEAD.size:_RECORD_HEAD.size + header_len]
-    header = json.loads(raw_header)
+    magic, version, count, header_len, _, _ = _RECORD_HEAD.unpack_from(raw)
+    header = json.loads(raw[_RECORD_HEAD.size:_RECORD_HEAD.size + header_len])
     buf = io.BytesIO(raw)
     buf.seek(_RECORD_HEAD.size + header_len)
     arrays = [np.lib.format.read_array(buf, allow_pickle=False) for _ in range(count)]
     names = header.get("records") or [f"record{i}" for i in range(count)]
-    return raw[:8], raw_header, header, dict(zip(names, arrays))
-
-
-def write_record_file(path: str, head: bytes, raw_header: bytes, arrays) -> None:
-    """Write a record file in ncacf.data.write_records' layout."""
-    buf = io.BytesIO()
-    for array in arrays:
-        np.save(buf, np.ascontiguousarray(array), allow_pickle=False)
-    payload = buf.getvalue()
-    magic, version = struct.unpack("<4sI", head)
-    with open(path, "wb") as fh:
-        fh.write(_RECORD_HEAD.pack(magic, version, len(arrays), len(raw_header),
-                                   len(payload), zlib.crc32(payload, zlib.crc32(raw_header))))
-        fh.write(raw_header + payload)
+    return magic, version, header, dict(zip(names, arrays))
 
 
 def drift(a: np.ndarray, b: np.ndarray, counted: bool = True) -> str:
@@ -256,12 +242,12 @@ def gated_workloads() -> list[str]:
         return [w["name"] for w in json.load(fh)["workloads"]]
 
 
-def generate(name: str, seed: int, work: str) -> str:
+def generate(name: str, work: str) -> str:
     workload = bench.WORKLOADS[name]
-    raw = os.path.join(work, f"raw-{name}-s{seed}")
+    raw = os.path.join(work, f"raw-{name}-s{SEED}")
     shutil.rmtree(raw, ignore_errors=True)
     gen.generate(raw, workload.users, workload.items, workload.per_user,
-                 num_features=20, k_true=8, seed=seed)
+                 num_features=20, k_true=8, seed=SEED)
     return raw
 
 
@@ -269,14 +255,13 @@ def compare_trees(args) -> int:
     work = os.path.abspath(args.work)
     os.makedirs(work, exist_ok=True)
     base = export_tree(args.base, os.path.join(work, "base-tree"))
-    change = os.path.abspath(args.change)
     same = True
-    for name in args.workload or gated_workloads():
-        raw = generate(name, args.seed, work)
+    for name in gated_workloads():
+        raw = generate(name, work)
         dirs = [os.path.join(work, f"{side}-{name}") for side in ("base", "change")]
-        for tree, out in zip((base, change), dirs):
+        for tree, out in zip((base, ROOT), dirs):
             run_tree(tree, raw, bench.WORKLOADS[name].config, out)
-        same &= print_comparison(f"{name}, seed {args.seed}: {base} vs {change}",
+        same &= print_comparison(f"{name}, seed {SEED}: {base} vs {ROOT}",
                                  compare_dirs(*dirs))
     print("identical" if same else "outputs differ")
     return 0 if same else 1
@@ -299,7 +284,7 @@ def self_test(args) -> int:
     checkpoint array and to one report objective is flagged, and nothing
     else."""
     work = os.path.abspath(args.work)
-    raw = generate("ncacf_cold", args.seed, work)
+    raw = generate("ncacf_cold", work)
     dirs = [os.path.join(work, f"self-{side}") for side in ("a", "b")]
     for out in dirs:
         run_tree(ROOT, raw, bench.WORKLOADS["ncacf_cold"].config, out)
@@ -309,9 +294,9 @@ def self_test(args) -> int:
     shutil.rmtree(nudged, ignore_errors=True)
     shutil.copytree(dirs[0], nudged)
     ckpt = os.path.join(nudged, "run", "best.ckpt")
-    head, raw_header, _, arrays = read_record_file(ckpt)
+    magic, version, header, arrays = read_record_file(ckpt)
     arrays["W"].flat[0] = np.nextafter(arrays["W"].flat[0], np.inf)
-    write_record_file(ckpt, head, raw_header, list(arrays.values()))
+    data.write_records(ckpt, magic, version, header, list(arrays.values()))
     _nudge_report_objective(os.path.join(nudged, "run", "report.tsv"))
     results = compare_dirs(dirs[0], nudged)
     print_comparison("self-test: one ulp in best.ckpt's W and a report objective",
@@ -330,10 +315,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD",
                         help="source tree or git revision (default HEAD)")
-    parser.add_argument("--change", default=ROOT, help="source tree (default: this one)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workload", action="append", choices=sorted(bench.WORKLOADS),
-                        help="repeatable; default: the workloads BENCHMARK.json gates")
     parser.add_argument("--work", default=os.path.join(ROOT, ".identity_work"))
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
