@@ -27,7 +27,7 @@ from . import data as D
 from . import evaluation as E
 from . import models as M
 from . import training as T
-from .config import ExperimentConfig, load_config, write_config
+from .config import PROFILES, ExperimentConfig, load_config, write_config
 from .errors import (ColdStartUnsupportedError, ConfigError, DataError,
                      TrainingDivergedError)
 
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="INI experiment config")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--profile", choices=("desk", "paper-faithful"), default=None)
+        p.add_argument("--profile", choices=tuple(PROFILES), default=None)
         p.add_argument("--output", default=None, help="run output directory")
 
     p = sub.add_parser("prepare", help="filter, split and snapshot a dataset")
@@ -314,6 +314,8 @@ def cmd_train(args) -> int:
     prep = PreparedData(cfg)
     if state is not None:
         _check_trained_on(header, cfg, prep, args.resume or args.pretrained)
+    if args.resume:
+        _check_resumed_settings(header, cfg, args.resume)
     features_std = prep.standardized_features(variant)
     validator = _make_validator(cfg, prep, variant, features_std)
     # A resumed run continues the best.ckpt and report.tsv of its own directory.
@@ -373,6 +375,21 @@ def cmd_train(args) -> int:
                else "no training epochs run")
     print(f"trained {variant.family}/{variant.coupling}; {outcome}; run dir {cfg.output}")
     return 0
+
+
+def _check_resumed_settings(header: dict, cfg: ExperimentConfig, path) -> None:
+    """ConfigError unless the config asks for the settings that the
+    checkpoint at path was trained with. Only the epoch budgets may differ,
+    as a larger budget trains further; any other setting would train the
+    resumed epochs, and be recorded for the whole run, unlike the epochs
+    before."""
+    budgets = ("n_iters", "max_epochs", "pretrain_epochs", "finetune_epochs")
+    have = header.get("hyper") or {}
+    for key, want in _hyper_dict(cfg).items():
+        if key not in budgets and have.get(key) != want:
+            raise ConfigError(f"checkpoint {path} was trained with {key} = "
+                              f"{have.get(key)!r}, the config asks for {want!r}; "
+                              f"--resume may change only {', '.join(budgets)}")
 
 
 def _hyper_dict(cfg: ExperimentConfig) -> dict:
@@ -452,8 +469,7 @@ def cmd_sweep(args) -> int:
     sweep_path = os.path.join(cfg.output, "sweep.tsv")
     D.write_text(sweep_path, "lambda_w\tlambda_h\tval_ndcg\n"
                  + "".join(f"{lw!r}\t{lh!r}\t{score!r}\n" for lw, lh, score in table))
-    best_cfg = ExperimentConfig(**{**cfg.__dict__})
-    best_cfg.hyper = replace(cfg.hyper, lambda_w=best_lw, lambda_h=best_lh)
+    best_cfg = replace(cfg, hyper=replace(cfg.hyper, lambda_w=best_lw, lambda_h=best_lh))
     write_config(os.path.join(cfg.output, "best_config.ini"), best_cfg)
     print(f"best (lambda_w, lambda_h) = ({best_lw!r}, {best_lh!r}); "
           f"table in {sweep_path}")

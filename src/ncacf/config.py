@@ -2,6 +2,11 @@
 level, two bundled profiles (desk and paper-faithful), and a round-trippable
 writer.
 
+load_config merges four layers into one dict, each beating the ones before
+it: the field defaults, the profile (the --profile flag, else the file's
+[run] profile, else desk), the file, and the --seed and --output flags. It
+builds Hyperparams and ExperimentConfig from that dict once each.
+
 Relative paths resolve against the config file's directory; the run output
 directory resolves against $NCACF_OUTPUT_ROOT when that is set.
 """
@@ -18,20 +23,20 @@ from .models import COMBINATIONS, Hyperparams, ModelVariant
 
 OUTPUT_ROOT_ENV = "NCACF_OUTPUT_ROOT"
 
-PROFILES = {
+PROFILES = {  # field name -> value
     "desk": {},
     "paper-faithful": {
-        "data.min_user_songs": 20,
-        "data.min_item_users": 50,
-        "hyperparams.embed_dim": 128,
-        "hyperparams.hidden_width": 1024,
-        "hyperparams.eta": 1e-4,
-        "hyperparams.batch_items": 128,
-        "hyperparams.max_epochs": 150,
-        "hyperparams.pretrain_epochs": 100,
-        "hyperparams.finetune_epochs": 100,
-        "hyperparams.n_iters": 150,
-        "eval.top_k": 50,
+        "min_user_songs": 20,
+        "min_item_users": 50,
+        "embed_dim": 128,
+        "hidden_width": 1024,
+        "eta": 1e-4,
+        "batch_items": 128,
+        "max_epochs": 150,
+        "pretrain_epochs": 100,
+        "finetune_epochs": 100,
+        "n_iters": 150,
+        "top_k": 50,
     },
 }
 
@@ -94,8 +99,6 @@ class ExperimentConfig:
             raise ConfigError(f"fold {self.fold} out of range for {self.num_folds} folds")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"unknown profile {self.profile!r}")
         variant = self.variant()  # raises ConfigError on inconsistent variant specs
         if variant.family == "mf_hybrid" and (self.hyper.n_iters < 1 or self.hyper.n_gd < 1):
             raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
@@ -130,7 +133,8 @@ _INI_NAME = {
 }
 
 
-def _parse_value(name: str, raw: str, current):
+def _parse_value(name: str, raw: str, default):
+    """A file value, parsed as the type of the field's default."""
     raw = raw.strip()
     if name in ("grid_lambda_w", "grid_lambda_h"):
         try:
@@ -139,7 +143,7 @@ def _parse_value(name: str, raw: str, current):
             raise ConfigError(f"{name}: expected comma-separated floats, got {raw!r}")
     if name == "features" and raw.lower() in ("", "none"):
         return None
-    kind = type(current) if current is not None else str
+    kind = type(default)
     try:
         if kind is int:
             return int(raw)
@@ -152,8 +156,8 @@ def _parse_value(name: str, raw: str, current):
 
 def load_config(path, profile: str | None = None, seed: int | None = None,
                 output: str | None = None) -> ExperimentConfig:
-    """Parse an INI config; CLI overrides beat file values, which beat the
-    profile defaults."""
+    """Parse an INI config over the defaults and the profile; `profile`,
+    `seed` and `output` are the flags (None when not given)."""
     # strict=False lets a later section block override earlier keys, which
     # keeps appended overrides diff-friendly.
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -180,45 +184,21 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
     chosen_profile = profile or raw.get("profile", "desk")
     if chosen_profile not in PROFILES:
         raise ConfigError(f"unknown profile {chosen_profile!r}")
-
-    cfg = ExperimentConfig()
-    hyper_kwargs = {}
-    for dotted, value in PROFILES[chosen_profile].items():
-        section, name = dotted.split(".")
-        if section == "hyperparams":
-            hyper_kwargs[name] = value
-        else:
-            setattr(cfg, name, value)
-    cfg.hyper = replace(cfg.hyper, **hyper_kwargs)
-    cfg.profile = chosen_profile
-
-    hyper_fields = set(_SECTIONS["hyperparams"])
-    hyper_updates = {}
-    for name, value in raw.items():
-        if name == "profile":
-            continue
-        if name in hyper_fields:
-            hyper_updates[name] = _parse_value(name, value, getattr(cfg.hyper, name))
-        else:
-            setattr(cfg, name, _parse_value(name, value, getattr(cfg, name)))
-    if hyper_updates:
-        cfg.hyper = replace(cfg.hyper, **hyper_updates)
-
-    if profile is not None:
-        cfg.profile = profile
-    if seed is not None:
-        cfg.seed = seed
-    if output is not None:
-        cfg.output = output
+    defaults = {f.name: f.default for cls in (Hyperparams, ExperimentConfig)
+                for f in fields(cls) if f.name != "hyper"}
+    flags = {"profile": chosen_profile, "seed": seed, "output": output}
+    values = {**defaults, **PROFILES[chosen_profile],
+              **{name: _parse_value(name, value, defaults[name])
+                 for name, value in raw.items()},
+              **{name: value for name, value in flags.items() if value is not None}}
 
     base = os.path.dirname(os.path.abspath(path))
-    cfg.triplets = _resolve(cfg.triplets, base)
-    if cfg.features is not None:
-        cfg.features = _resolve(cfg.features, base)
-    cfg.prepared = _resolve(cfg.prepared, base)
-    out_root = os.environ.get(OUTPUT_ROOT_ENV, base)
-    cfg.output = _resolve(cfg.output, out_root)
-    cfg.validate()
+    for name in ("triplets", "features", "prepared"):
+        if values[name] is not None:
+            values[name] = _resolve(values[name], base)
+    values["output"] = _resolve(values["output"], os.environ.get(OUTPUT_ROOT_ENV, base))
+    hyper = Hyperparams(**{name: values.pop(name) for name in _SECTIONS["hyperparams"]})
+    cfg = ExperimentConfig(hyper=hyper, **values).validate()
     _check_retired(cfg, retired)
     return cfg
 

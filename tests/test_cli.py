@@ -1066,6 +1066,61 @@ class TestExitCodes:
         assert main(["prepare", "--config", cfg]) == 3
         assert "no feature rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, problem", [
+        ("one_field", "expected item<TAB>v1<TAB>..."),
+        ("non_numeric", "non-numeric feature value"),
+    ])
+    def test_malformed_feature_line_is_data_error(self, tmp_path, capsys, edit, problem):
+        cfg = write_cfg(tmp_path)
+        assert main(["synth", "--config", cfg]) == 0
+        feat = tmp_path / "raw" / "features.tsv"
+        lines = feat.read_text().splitlines(keepends=True)
+        fields = lines[2].rstrip("\n").split("\t")
+        lines[2] = (fields[0] if edit == "one_field"
+                    else "\t".join([fields[0], "loud", *fields[2:]])) + "\n"
+        feat.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"{feat}:3: {problem}" in err
+        assert not (tmp_path / "prepared").exists()
+
+    def test_content_variant_on_data_without_features_is_data_error(self, workspace,
+                                                                     capsys):
+        cfg = write_cfg(workspace, name="nofeat.ini", family="mf_uni", coupling="relaxed",
+                        extra="\n[data]\nfeatures = none\n")
+        assert main(["prepare", "--config", cfg]) == 0
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg]) == 3
+        assert "needs item features; none were prepared" in capsys.readouterr().err
+        assert tree_bytes(workspace) == before
+
+    def test_sweep_without_validation_signal_is_config_error(self, workspace, capsys):
+        cfg = write_cfg(workspace, name="cold.ini", mode="cold")
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "sweep needs a validation signal" in capsys.readouterr().err
+        assert tree_bytes(workspace) == before
+
+    def test_checkpoint_without_user_matrix_is_data_error(self, workspace, capsys):
+        """A checkpoint whose records pass their CRC but hold no W."""
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        path = workspace / "run" / "best.ckpt"
+        magic, version = models._CKPT_MAGIC, models._CKPT_VERSION
+        header, records, _ = data.read_records(path, magic, version, "checkpoint", "train")
+        at = header["records"].index("W")
+        del header["records"][at], records[at]
+        data.write_records(path, magic, version, header, records)
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", cfg, "--checkpoint", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: checkpoint does not hold a valid model" in err
+        assert tree_bytes(workspace) == before
+
     @pytest.mark.parametrize("key", ["n_iters", "n_gd"])
     def test_mf_hybrid_without_budget_writes_nothing(self, workspace, capsys, key):
         assert main(["train", "--config", str(workspace / "cfg.ini")]) == 0
@@ -1115,6 +1170,29 @@ class TestExitCodes:
                      "--pretrained", last]) == 2
         err = capsys.readouterr().err
         assert "--resume" in err and "--pretrained" in err
+
+    @pytest.mark.parametrize("section, key, old, new", [
+        ("hyperparams", "lambda_w", "0.1", "7.5"), ("hyperparams", "eta", "0.001", "0.5"),
+        ("hyperparams", "batch_items", "16", "3"), ("eval", "top_k", "5", "3"),
+    ], ids=["lambda_w", "eta", "batch_items", "top_k"])
+    def test_resume_with_other_settings_is_config_error(self, workspace, capsys,
+                                                        section, key, old, new):
+        """A run stopped after 2 of its 4 epochs cannot resume under another
+        setting, which would train the later epochs, and record the whole
+        run, with it: train exits 2, names the key, both values and the
+        checkpoint, and writes nothing. The larger budget alone is allowed."""
+        short = write_cfg(workspace, name="short.ini", family="mf_uni", coupling="relaxed",
+                          extra="\n[hyperparams]\nmax_epochs = 2\n")
+        assert main(["train", "--config", short]) == 0
+        cfg = write_cfg(workspace, name="other.ini", family="mf_uni", coupling="relaxed",
+                        extra=f"\n[{section}]\n{key} = {new}\n")
+        last = str(workspace / "run" / "last.ckpt")
+        before = tree_bytes(workspace)
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--resume", last]) == 2
+        err = capsys.readouterr().err
+        assert last in err and f"{key} = {old}" in err and f"asks for {new}" in err
+        assert tree_bytes(workspace) == before
 
     def test_resume_from_another_run_directory_is_config_error(self, workspace,
                                                                capsys):
@@ -1447,7 +1525,8 @@ class TestSnapshot:
     @pytest.mark.parametrize("damage", [
         "missing", "triplets_edited", "features_edited", "features_removed",
         "plan_edited", "plan_removed",
-        "truncated", "flipped_payload_byte", "unknown_version", "version_2"])
+        "truncated", "flipped_payload_byte", "unknown_version", "version_2",
+        "record_dropped"])
     def test_falls_back_to_text(self, prepared, capsys, damage):
         """No kind of damage lets a verb fall back to the text files:
         read_snapshot raises a DataError naming the snapshot, and train
@@ -1472,6 +1551,11 @@ class TestSnapshot:
             plan.write_text(plan.read_text().replace("seed = 7", "seed = 8"))
         elif damage == "plan_removed":
             files["split_warm"].unlink()
+        elif damage == "record_dropped":  # a valid record file, one array short
+            header, records, _ = data.read_records(snap, data._SNAP_MAGIC,
+                                                   data._SNAP_VERSION, "snapshot", "prepare")
+            data.write_records(snap, data._SNAP_MAGIC, data._SNAP_VERSION, header,
+                               records[:-1])
         else:
             if damage == "truncated":
                 del raw[-10:]
@@ -1629,6 +1713,14 @@ class TestReport:
         out = workspace / "summary"
         assert main(["report", str(workspace / "run"), "--output", str(out)]) == 3
         assert f"{report}:{line}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_without_config_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "notes").mkdir()
+        out = tmp_path / "summary"
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "notes"), "--output", str(out)]) == 3
+        assert "has no config.ini; not a run directory" in capsys.readouterr().err
         assert not out.exists()
 
     def test_runs_sharing_a_name_are_config_error(self, workspace, capsys):
@@ -1953,3 +2045,51 @@ class TestConfigRoundtrip:
         want = {section: [config._INI_NAME.get(name, name) for name in names]
                 for section, names in config._SECTIONS.items()}
         assert listed == want
+
+    @pytest.mark.parametrize("extra, message", [
+        ("[variant]\ncombination = sum", "unknown combination 'sum'"),
+        ("[split]\nmode = hot", "split mode must be cold or warm, got 'hot'"),
+        ("[split]\nfold = 4", "fold 4 out of range for 4 folds"),
+        ("[eval]\ntop_k = 0", "top_k must be >= 1"),
+        ("[sweep]\ngrid_lambda_w = 0.1,high", "grid_lambda_w: expected comma-separated"),
+        ("[hyperparams]\nembed_dim = 4.5", "embed_dim: cannot parse '4.5' as int"),
+        (None, "absent.ini' not found"),
+        ("[weights]\nlambda_w = 1.0", "unknown config section [weights]"),
+        ("[run]\nprofile = huge", "unknown profile 'huge'"),
+    ], ids=["combination", "split_mode", "fold", "top_k", "grid", "int", "missing_file",
+            "section", "profile"])
+    def test_invalid_config_is_config_error(self, tmp_path, capsys, extra, message):
+        """The config is a wmf one, whose variant never checks its combination;
+        each error stops synth before it writes."""
+        cfg = (str(tmp_path / "absent.ini") if extra is None
+               else write_cfg(tmp_path, extra=f"\n{extra}\n"))
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["synth", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("flags, want", [
+        ({}, {"profile": "paper-faithful", "embed_dim": 128, "top_k": 50,
+              "min_item_users": 50, "hidden_width": 8, "seed": 7}),
+        ({"profile": "desk"}, {"profile": "desk", "embed_dim": 16, "top_k": 10,
+                               "min_item_users": 5, "hidden_width": 8, "seed": 7}),
+        ({"seed": 3, "output": "elsewhere"}, {"profile": "paper-faithful", "seed": 3,
+                                              "output": "elsewhere", "embed_dim": 128}),
+    ], ids=["file_profile", "desk_flag", "seed_and_output_flags"])
+    def test_layer_precedence(self, tmp_path, monkeypatch, flags, want):
+        """defaults < profile (the flag, else [run] profile) < file < flags:
+        the file names paper-faithful and sets hidden_width and seed, but
+        not embed_dim, top_k or min_item_users."""
+        monkeypatch.delenv("NCACF_OUTPUT_ROOT", raising=False)
+        text = pathlib.Path(write_cfg(tmp_path)).read_text()
+        for line in ("embed_dim = 4\n", "top_k = 5\n", "min_item_users = 1\n"):
+            text = text.replace(line, "")
+        path = tmp_path / "pf.ini"
+        path.write_text(text + "\n[run]\nprofile = paper-faithful\n")
+        cfg = load_config(str(path), **flags)
+        got = {key: getattr(cfg.hyper if hasattr(cfg.hyper, key) else cfg, key)
+               for key in want}
+        if "output" in want:
+            want = {**want, "output": str(tmp_path / want["output"])}
+        assert got == want
