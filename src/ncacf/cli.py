@@ -9,7 +9,8 @@ records the snapshot's digest in its checkpoints, and evaluate, --resume
 and --pretrained take a checkpoint only with the snapshot it was trained on.
 `train` stores in best.ckpt the validation result of the epoch that made its
 model the best; `evaluate` then ranks only the test bucket, unless the
-config's tau or top_k differs from the stored ones.
+config's tau or top_k differs from the stored ones. Eval files name the
+checkpoint they scored, and `report` takes only those of best.ckpt.
 """
 
 from __future__ import annotations
@@ -405,7 +406,7 @@ def _hyper_dict(cfg: ExperimentConfig) -> dict:
 
 def cmd_evaluate(args) -> int:
     cfg = _config(args)
-    model, header, _, stored = M.load_model(args.checkpoint)
+    model, header, _, stored, checkpoint = M.load_model(args.checkpoint)
     want = cfg.variant()
     if model.variant != want:
         raise ConfigError(
@@ -435,7 +436,7 @@ def cmd_evaluate(args) -> int:
                rank("test")]
     for result in results:
         out = os.path.join(cfg.output, f"eval_{cfg.split_mode}_{result.bucket}.tsv")
-        E.write_eval_result(out, result)
+        E.write_eval_result(out, result, checkpoint)
         print(f"{cfg.split_mode}/{result.bucket}: mean NDCG@{cfg.top_k} = {result.mean:.4f} "
               f"over {result.num_users} users ({result.num_excluded} excluded, "
               f"{result.num_all_tied} ranked by item index alone)")
@@ -512,11 +513,14 @@ def cmd_report(args) -> int:
             label += f"-{variant.combination}-q{variant.q_hidden}"
         entry = groups.setdefault(label, {"warm": [], "cold": []})
         settings = {**asdict(cfg.hyper), "top_k": cfg.top_k, "seed": cfg.seed}
-        means = {setting: E.read_eval_mean(
-            os.path.join(run_dir, f"eval_{setting}_test.tsv"), cfg.fold)
-            for setting in ("warm", "cold")}
-        if any(mean is not None for mean in means.values()):
-            digest = M.load_model(os.path.join(run_dir, "best.ckpt"))[1].get("prepared")
+        evals = {setting: os.path.join(run_dir, f"eval_{setting}_test.tsv")
+                 for setting in ("warm", "cold")}
+        means = {}
+        if any(os.path.exists(path) for path in evals.values()):
+            _, header, _, _, checkpoint = M.load_model(os.path.join(run_dir, "best.ckpt"))
+            means = {setting: E.read_eval_mean(path, cfg.fold, checkpoint)
+                     for setting, path in evals.items()}
+            digest = header.get("prepared")
             first, first_dir = prepared.setdefault(label, (digest, run_dir))
             if digest != first:
                 raise ConfigError(f"run directories {first_dir} and {run_dir} hold "
@@ -556,7 +560,10 @@ def cmd_report(args) -> int:
         cold_mean, cold_std = E.fold_mean_std(entry["cold"]) if entry["cold"] else (None, None)
         rows.append((label, warm_mean, warm_std, cold_mean, cold_std,
                      len(entry["warm"]), len(entry["cold"])))
-    rows.sort(key=lambda r: (-(r[3] if r[3] is not None else float("-inf")), r[0]))
+    # A cold mean that is missing or NaN (no fold had a relevant test user)
+    # sorts last, as NaN would compare neither way.
+    rows.sort(key=lambda r: (float("inf") if r[3] is None or np.isnan(r[3]) else -r[3],
+                             r[0]))
 
     table_path = os.path.join(out_dir, "report_table.tsv")
     D.write_text(table_path,

@@ -117,11 +117,6 @@ _SECTIONS = {
     "run": ("seed", "profile", "output"),
 }
 
-# Keys that older configs and run directories carry. They still load, but
-# only with a value that the code honours (see _check_retired).
-_RETIRED = {("run", "threads"), ("variant", "interaction"),
-            ("variant", "output_activation"), ("eval", "setting")}
-
 _INI_NAME = {
     "split_mode": "mode",
     "synth_users": "num_users",
@@ -167,19 +162,19 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
         raise ConfigError(f"config file {path!r} not found")
 
     raw: dict[str, str] = {}
-    retired: dict[str, str] = {}
+    setting = "both"
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         known = _SECTIONS[section]
         ini_to_field = {_INI_NAME.get(name, name): name for name in known}
         for key, value in parser.items(section):
-            if (section, key) in _RETIRED:
-                retired[key] = value
-                continue
-            if key not in ini_to_field:
+            if (section, key) == ("eval", "setting"):
+                setting = value
+            elif key in ini_to_field:
+                raw[ini_to_field[key]] = value
+            else:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            raw[ini_to_field[key]] = value
 
     chosen_profile = profile or raw.get("profile", "desk")
     if chosen_profile not in PROFILES:
@@ -199,25 +194,10 @@ def load_config(path, profile: str | None = None, seed: int | None = None,
     values["output"] = _resolve(values["output"], os.environ.get(OUTPUT_ROOT_ENV, base))
     hyper = Hyperparams(**{name: values.pop(name) for name in _SECTIONS["hyperparams"]})
     cfg = ExperimentConfig(hyper=hyper, **values).validate()
-    _check_retired(cfg, retired)
-    return cfg
-
-
-def _check_retired(cfg: ExperimentConfig, retired: dict[str, str]) -> None:
-    """ConfigError, naming the replacement, for a retired key whose value the
-    code no longer honours; threads, and the values that the family and the
-    split mode imply, are ignored."""
-    deep = cfg.variant().deep
-    if retired.get("interaction", "none").lower() not in (
-            "", "none", "deep" if deep else "dot_product"):
-        raise ConfigError("[variant] interaction is retired, as the family fixes it: ncacf "
-                          "and ncf have a tower, the others a dot product, and ncacf's "
-                          "dot-product case is family = mf_uni")
-    if deep and retired.get("output_activation", "sigmoid") != "sigmoid":
-        raise ConfigError("[variant] output_activation is retired: the tower ends in a "
-                          "sigmoid, and a plain dot product is family = mf_uni")
-    if retired.get("setting", "both") not in ("both", cfg.split_mode):
+    # [eval] setting is retired; perfbench's workload configs still write it.
+    if setting not in ("both", cfg.split_mode):
         raise ConfigError("[eval] setting is retired: evaluate scores the [split] mode")
+    return cfg
 
 
 def _resolve(path: str, base: str) -> str:

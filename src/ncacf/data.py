@@ -314,7 +314,14 @@ def _int_or_none(raw: str):
 
 
 def write_triplets(path, triplets: InteractionTriplets) -> None:
+    """DataError, before any write, naming the first count not an integer."""
     values, inverse = np.unique(triplets.counts, return_inverse=True)
+    fractional = values != np.floor(values)
+    if fractional.any():
+        k = int(np.flatnonzero(fractional[inverse])[0])
+        raise DataError(f"{path}: count {float(triplets.counts[k])!r} of user "
+                        f"{triplets.user_labels[triplets.users[k]]!r} and item "
+                        f"{triplets.item_labels[triplets.items[k]]!r} is not an integer")
     n = triplets.num_entries
     # Every row's pieces in one flat list, joined once.
     pieces = ["\t"] * (6 * n)
@@ -865,8 +872,8 @@ def generate_synthetic(num_users: int, num_items: int, k_true: int, num_features
     A pair's observation probability grows exponentially with its planted
     affinity (normalized so the expected density matches `density`), the way
     listening data concentrates on liked items. An observed pair whose
-    (noisy) affinity exceeds the median affinity gets a playcount at or
-    above `tau`; other observed pairs get a sub-threshold count. The
+    (noisy) affinity exceeds the median affinity gets an integer playcount
+    at or above `tau` (> 1); other observed pairs get one below it. The
     binarized matrix is therefore a noisy indicator of above-median affinity
     among observed pairs, exact when noise=0.
     """
@@ -876,6 +883,8 @@ def generate_synthetic(num_users: int, num_items: int, k_true: int, num_features
         raise DataError("density must lie in (0, 1]")
     if noise < 0:
         raise DataError("noise must be >= 0")
+    if not tau > 1.0:
+        raise DataError(f"tau must be > 1, got {tau!r}: no positive count lies below it")
     rng = rng_for(seed, "synthetic")
     W = rng.normal(0.0, 1.0, size=(k_true, num_users)) / math.sqrt(k_true)
     X = rng.normal(0.0, 1.0, size=(num_items, num_features))
@@ -893,9 +902,10 @@ def generate_synthetic(num_users: int, num_items: int, k_true: int, num_features
 
     upos, ipos = np.nonzero(observed & positive)
     uneg, ineg = np.nonzero(observed & ~positive)
-    # Positives land at tau or above, negatives strictly below.
-    cpos = tau + rng.geometric(0.5, size=upos.size) - 1.0
-    cneg = rng.integers(1, int(max(2, tau)), size=uneg.size).astype(np.float64)
+    # Integer counts: positives from ceil(tau) up, negatives from 1 below it.
+    lowest = math.ceil(tau)
+    cpos = lowest + rng.geometric(0.5, size=upos.size) - 1.0
+    cneg = rng.integers(1, lowest, size=uneg.size).astype(np.float64)
     users = np.concatenate([upos, uneg])
     items = np.concatenate([ipos, ineg])
     counts = np.concatenate([cpos, cneg])

@@ -258,13 +258,15 @@ def grid_search(grid_w, grid_h, evaluate_pair) -> tuple[tuple[float, float], lis
     return (best[1], best[2]), table
 
 
-def write_eval_result(path, result: EvalResult) -> None:
+def write_eval_result(path, result: EvalResult, checkpoint: list[int]) -> None:
     """Structured text export through data.write_text: summary record plus
-    per-user values."""
+    per-user values. `checkpoint` is the scored checkpoint's digest, as
+    models.load_model returns it."""
     lines = ["# field\tvalue\n",
              f"setting\t{result.setting}\n",
              f"bucket\t{result.bucket}\n",
              f"fold\t{'-' if result.fold is None else result.fold}\n",
+             f"checkpoint\t{checkpoint}\n",
              f"num_users\t{result.num_users}\n",
              f"num_excluded\t{result.num_excluded}\n",
              f"pool_size_total\t{result.pool_size_total}\n",
@@ -274,15 +276,18 @@ def write_eval_result(path, result: EvalResult) -> None:
     write_text(path, "".join(lines))
 
 
-def read_eval_mean(path, fold: int):
+def read_eval_mean(path, fold: int, checkpoint: list[int]):
     """The mean_ndcg of the eval file at path, or None when there is no such
     file. A fold line that names another fold than `fold`, its run's (a file
     copied from another fold's run, say), and a file without a whole,
     parseable mean_ndcg line (one cut short by a killed write, say) are
-    DataErrors naming path:line."""
+    DataErrors naming path:line. So is a file whose checkpoint line, before
+    its mean_ndcg line, is missing or names another digest than
+    `checkpoint`, its run's best.ckpt's (the file of an `evaluate` of
+    last.ckpt, say)."""
     if not os.path.exists(path):
         return None
-    n = 0
+    n, scored = 0, "none"
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if line.startswith("fold\t"):
@@ -290,7 +295,13 @@ def read_eval_mean(path, fold: int):
                 if have != str(fold):
                     raise DataError(f"{path}:{n}: the eval file is of fold {have}, its "
                                     f"run's config.ini of fold {fold}")
+            if line.startswith("checkpoint\t"):
+                scored = line[len("checkpoint\t"):].rstrip("\n")
             if line.startswith("mean_ndcg\t"):
+                if scored != str(checkpoint):
+                    raise DataError(f"{path}: the eval file scored checkpoint {scored}, "
+                                    f"not its run's best.ckpt {checkpoint}; evaluate "
+                                    f"that best.ckpt again")
                 try:
                     if not line.endswith("\n"):
                         raise ValueError("the line has no line end")

@@ -447,11 +447,12 @@ def save_model(path, model: Model, extra_header: dict | None = None,
 
 
 def load_model(path):
-    """Returns (model, header, adams, validation) of the checkpoint save_model
-    wrote; validation is the stored validation ranking, None when the
-    checkpoint holds none, and the header no longer holds it."""
-    header, records, _ = read_records(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
-                                      "`ncacf train`")
+    """Returns (model, header, adams, validation, digest) of the checkpoint
+    save_model wrote; validation is the stored validation ranking, None when
+    the checkpoint holds none, and the header no longer holds it; digest is
+    the file's [byte length, CRC32], as read_records checked them."""
+    header, records, digest = read_records(path, _CKPT_MAGIC, _CKPT_VERSION,
+                                           "checkpoint", "`ncacf train`")
     validation = header.pop("validation", None)
     try:
         named = dict(zip(header["records"], records, strict=True))
@@ -483,4 +484,4 @@ def load_model(path):
                         f"({type(exc).__name__}: {exc})") from exc
     except ConfigError as exc:  # a variant no longer built, such as content-free ncacf
         raise ConfigError(f"{path}: {exc}") from exc
-    return model, header, adams, validation
+    return model, header, adams, validation, digest

@@ -50,7 +50,7 @@ def edited_checkpoint(path, out=None):
     change in place, then save them, with the checkpoint's Adam state, to
     out (default: path). The copy holds no stored validation result, so
     `evaluate` ranks both of its buckets."""
-    model, header, adams, _ = load_model(path)
+    model, header, adams, _, _ = load_model(path)
     yield model, header
     save_model(path if out is None else out, model, header, adams)
 

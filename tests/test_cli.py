@@ -68,6 +68,9 @@ output = {output}
 """
 
 
+UNKNOWN_INTERACTION = "unknown key 'interaction' in section [variant]"
+
+
 def write_cfg(tmp_path, name="cfg.ini", family="wmf", coupling="content_free",
               mode="warm", output="run", extra=None):
     text = BASE_CFG.format(family=family, coupling=coupling, mode=mode,
@@ -125,6 +128,12 @@ def cut_last_report_row(path) -> int:
     return len(lines)
 
 
+def drop_checkpoint_line(text: bytes) -> bytes:
+    """An eval file's bytes without its checkpoint line, which names the
+    checkpoint scored."""
+    return re.sub(rb"\ncheckpoint\t.*\n", b"\n", text)
+
+
 def tree_bytes(root) -> dict:
     """Every file under root, by relative path, with its bytes."""
     root = pathlib.Path(root)
@@ -141,6 +150,16 @@ class TestSynth:
         assert os.path.exists(tmp_path / "raw" / "triplets.tsv.planted.npz")
         planted = np.load(tmp_path / "raw" / "triplets.tsv.planted.npz")
         assert planted["W"].shape == (3, 30)
+
+    def test_writes_the_counts_it_drew(self, tmp_path):
+        """With a tau between integers, the written file holds the
+        generator's counts, every positive at or above tau."""
+        cfg = write_cfg(tmp_path, extra="\n[hyperparams]\ntau = 7.5\n")
+        assert main(["synth", "--config", cfg]) == 0
+        written = load_triplets(tmp_path / "raw" / "triplets.tsv").counts
+        drawn = data.generate_synthetic(30, 24, 3, 6, 0.1, 0.35, 7, tau=7.5).triplets
+        assert np.array_equal(written, drawn.counts)
+        assert (written >= 7.5).sum() == (written >= 8).sum() > 0
 
     def test_seed_changes_data(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -352,7 +371,8 @@ class TestTrainEvaluate:
     def test_eval_files_match_per_user_oracle(self, tmp_path, monkeypatch, family,
                                               coupling, mode):
         """evaluate's files, num_excluded and pool_size_total included, are
-        the bytes that the per-user ranking oracle gives the same command."""
+        the bytes that the per-user ranking oracle gives the same command,
+        but for the checkpoint line, which names the checkpoint scored."""
         import ncacf.cli as cli
         from oracles import evaluate_per_user
         cfg = write_cfg(tmp_path, family=family, coupling=coupling, mode=mode,
@@ -374,7 +394,10 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--config", cfg, "--checkpoint", copy,
                      "--output", str(tmp_path / "oracle")]) == 0
         for name in names:
-            assert got[name] == (tmp_path / "oracle" / name).read_bytes(), name
+            oracle = (tmp_path / "oracle" / name).read_bytes()
+            for text, path in ((got[name], ckpt), (oracle, copy)):
+                assert f"\ncheckpoint\t{load_model(path)[4]}\n".encode() in text
+            assert drop_checkpoint_line(got[name]) == drop_checkpoint_line(oracle), name
         assert b"pool_size_total" in got[names[1]]
 
     def test_summary_counts_users_ranked_by_item_index(self, tmp_path, monkeypatch,
@@ -463,7 +486,7 @@ class TestTrainEvaluate:
                          coupling="relaxed", output="run_deep")
         assert main(["train", "--config", deep, "--pretrained",
                      str(tmp_path / "run_uni" / "best.ckpt")]) == 0
-        model, header, _, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
+        model, header, _, _, _ = load_model(tmp_path / "run_deep" / "last.ckpt")
         assert model.interaction is not None
         from ncacf.training import read_report
         phases = {row[1] for row in
@@ -771,7 +794,7 @@ class TestTrainEvaluate:
         assert main(["train", "--config", cfg, "--pretrained",
                      str(workspace / "run_uni" / "last.ckpt")]) == 0
         for name in ("last.ckpt", "best.ckpt"):
-            model, header, _, _ = load_model(workspace / "run" / name)
+            model, header, _, _, _ = load_model(workspace / "run" / name)
             assert model.extractor is None and model.interaction is not None
             assert header["dims"]["feature_dim"] == 0
         assert main(["evaluate", "--config", cfg, "--checkpoint",
@@ -1674,7 +1697,8 @@ class TestAllFamilies:
     def test_stored_validation_equals_ranking(self, workspace, capsys, family, coupling,
                                               mode):
         """evaluate writes and prints, from the validation result train
-        stored, what ranking the bucket again (a copy without it) gives."""
+        stored, what ranking the bucket again (a copy without it) gives; only
+        the eval files' checkpoint lines tell the two checkpoints apart."""
         cfg = write_cfg(workspace, name="stored.ini", family=family, coupling=coupling,
                         mode=mode)
         assert main(["train", "--config", cfg]) == 0
@@ -1687,10 +1711,35 @@ class TestAllFamilies:
             capsys.readouterr()
             assert main(["evaluate", "--config", cfg, "--checkpoint", str(ckpt),
                          "--output", str(workspace / out)]) == 0
-            outputs.append((capsys.readouterr().out, tree_bytes(workspace / out)))
+            outputs.append((capsys.readouterr().out,
+                            {name: drop_checkpoint_line(text)
+                             for name, text in tree_bytes(workspace / out).items()}))
         assert outputs[0] == outputs[1]
 
 class TestReport:
+    @pytest.mark.parametrize("scored", ["last.ckpt", None], ids=["last", "unnamed"])
+    def test_eval_file_of_another_checkpoint_is_data_error(self, workspace, capsys,
+                                                           scored):
+        """Eval files of last.ckpt, or ones that name no checkpoint, do not
+        hold best.ckpt's result: report names the file and both digests and
+        writes nothing."""
+        cfg = str(workspace / "cfg.ini")
+        assert main(["train", "--config", cfg]) == 0
+        run = workspace / "run"
+        assert main(["evaluate", "--config", cfg,
+                     "--checkpoint", str(run / (scored or "best.ckpt"))]) == 0
+        path = run / "eval_warm_test.tsv"
+        if scored is None:
+            path.write_bytes(drop_checkpoint_line(path.read_bytes()))
+        have = load_model(run / scored)[4] if scored else "none"
+        capsys.readouterr()
+        out = workspace / "summary"
+        assert main(["report", str(run), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (f"{path}: the eval file scored checkpoint {have}, not its run's "
+                f"best.ckpt {load_model(run / 'best.ckpt')[4]}") in err
+        assert not out.exists()
+
     def test_single_run_table(self, workspace):
         cfg = str(workspace / "cfg.ini")
         main(["train", "--config", cfg])
@@ -1744,7 +1793,8 @@ def fake_run(tmp_path, name, family, coupling, cold=None, warm=None, fold=0,
     """A run directory holding a config of `fold` (and the other config
     `settings`, such as combination, q_hidden or hyper), the test eval
     files of the given mean NDCGs, whose fold line names eval_fold (default:
-    fold), and a small best.ckpt whose header names the `prepared` digest."""
+    fold) and whose checkpoint line names best.ckpt, and a small best.ckpt
+    whose header names the `prepared` digest."""
     run = tmp_path / name
     run.mkdir()
     cfg = ExperimentConfig(family=family, coupling=coupling, fold=fold, **settings)
@@ -1753,13 +1803,14 @@ def fake_run(tmp_path, name, family, coupling, cold=None, warm=None, fold=0,
                       models.init_model(models.ModelVariant("wmf", "content_free"),
                                         1, 1, 1, 0, seed=0),
                       {"prepared": list(prepared)})
+    checkpoint = load_model(run / "best.ckpt")[4]
     for setting, mean in (("cold", cold), ("warm", warm)):
         if mean is None:
             continue
         (run / f"eval_{setting}_test.tsv").write_text(
             f"setting\t{setting}\nbucket\ttest\n"
-            f"fold\t{fold if eval_fold is None else eval_fold}\nnum_users\t5\n"
-            f"num_excluded\t0\npool_size_total\t50\nmean_ndcg\t{mean!r}\n")
+            f"fold\t{fold if eval_fold is None else eval_fold}\ncheckpoint\t{checkpoint}\n"
+            f"num_users\t5\nnum_excluded\t0\npool_size_total\t50\nmean_ndcg\t{mean!r}\n")
     return str(run)
 
 
@@ -1775,6 +1826,22 @@ class TestReportSorting:
         lines = (tmp_path / "summary" / "report_table.tsv").read_text().splitlines()
         variants = [l.split("\t")[0] for l in lines[1:]]
         assert variants == ["ncacf-relaxed-multiplication-q2", "mf_hybrid-relaxed", "wmf"]
+
+    def test_nan_mean_sorts_as_missing_whatever_the_order(self, tmp_path):
+        """A cold mean of NaN (no fold with a relevant test user) sorts
+        last with the missing ones, by label, in either argument order."""
+        runs = [
+            fake_run(tmp_path, "a", "wmf", "content_free", warm=0.5),
+            fake_run(tmp_path, "b", "mf_hybrid", "relaxed", cold=float("nan")),
+            fake_run(tmp_path, "c", "ncacf", "relaxed", cold=0.4),
+            fake_run(tmp_path, "d", "dcb", "relaxed", cold=0.3),
+        ]
+        for n, order in enumerate((runs, runs[::-1])):
+            out = tmp_path / f"summary{n}"
+            assert main(["report", *order, "--output", str(out)]) == 0
+            lines = (out / "report_table.tsv").read_text().splitlines()
+            assert [l.split("\t")[0] for l in lines[1:]] == [
+                "ncacf-relaxed-multiplication-q2", "dcb-relaxed", "mf_hybrid-relaxed", "wmf"]
 
     def test_tower_combinations_are_rows_of_their_own(self, tmp_path):
         """Two ncacf-relaxed runs of fold 0 that differ in their combination
@@ -1874,8 +1941,8 @@ class TestReportSorting:
 
 class TestReportFiles:
     @pytest.mark.parametrize("damage, line, reason", [
-        (lambda text: text[:-1], 7, "no line end"),
-        (lambda text: text.replace("0.5\n", "0.5x\n"), 7, "could not convert"),
+        (lambda text: text[:-1], 8, "no line end"),
+        (lambda text: text.replace("0.5\n", "0.5x\n"), 8, "could not convert"),
         (lambda text: "".join(text.splitlines(keepends=True)[:3]), 4, "ends before")])
     def test_damaged_eval_file_is_data_error(self, tmp_path, capsys, damage, line,
                                              reason):
@@ -1989,8 +2056,18 @@ class TestConfigRoundtrip:
         ("variant", "output_activation", "sigmoid"), ("eval", "setting", "warm"),
     ], ids=["threads", "interaction", "output_activation", "setting"])
     def test_retired_key_ignored(self, workspace, capsys, section, key, value):
+        """[eval] setting, which perfbench's configs still write, loads and
+        is ignored; the other retired keys are unknown keys, which stop
+        train before any write."""
         line = f"\n[{section}]\n{key} = {value}\n"
         cfg = write_cfg(workspace, name="retired.ini", extra=line)
+        if key != "setting":
+            before = tree_bytes(workspace)
+            capsys.readouterr()
+            assert main(["train", "--config", cfg]) == 2
+            assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+            assert tree_bytes(workspace) == before
+            return
         loaded = load_config(cfg)
         assert not hasattr(loaded, key)
         assert loaded == load_config(write_cfg(workspace))
@@ -2007,19 +2084,21 @@ class TestConfigRoundtrip:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("family, coupling, key, value, names", [
-        ("ncacf", "relaxed", "[variant]\ninteraction", "dot_product", "family = mf_uni"),
-        ("ncf", "content_free", "[variant]\ninteraction", "dot_product", "family fixes"),
-        ("mf_uni", "strict", "[variant]\ninteraction", "deep", "family fixes"),
-        ("wmf", "content_free", "[variant]\ninteraction", "deep", "family fixes"),
-        ("ncacf", "relaxed", "[variant]\ninteraction", "tower", "family fixes"),
-        ("ncacf", "strict", "[variant]\noutput_activation", "identity", "family = mf_uni"),
+        ("ncacf", "relaxed", "[variant]\ninteraction", "dot_product", UNKNOWN_INTERACTION),
+        ("ncf", "content_free", "[variant]\ninteraction", "dot_product", UNKNOWN_INTERACTION),
+        ("mf_uni", "strict", "[variant]\ninteraction", "deep", UNKNOWN_INTERACTION),
+        ("wmf", "content_free", "[variant]\ninteraction", "deep", UNKNOWN_INTERACTION),
+        ("ncacf", "relaxed", "[variant]\ninteraction", "tower", UNKNOWN_INTERACTION),
+        ("ncacf", "strict", "[variant]\noutput_activation", "identity",
+         "unknown key 'output_activation' in section [variant]"),
         ("wmf", "content_free", "[eval]\nsetting", "cold", "[split] mode"),
     ], ids=["ncacf-dot_product", "ncf-dot_product", "mf_uni-deep", "wmf-deep",
             "unknown-interaction", "identity-output", "other-setting"])
     def test_retired_key_with_another_value_is_config_error(
             self, workspace, capsys, family, coupling, key, value, names):
         """An old config whose retired key asks for what the code no longer
-        does stops before any write, naming what replaces the key."""
+        does stops before any write, naming the key: [eval] setting names
+        what replaces it, and the other retired keys are unknown keys."""
         cfg = write_cfg(workspace, name="old.ini", family=family, coupling=coupling,
                         extra=f"\n{key} = {value}\n")
         before = tree_bytes(workspace)

@@ -202,7 +202,6 @@ class TestBulkWritersMatchPerLine:
         for trial in range(5):
             t = random_triplets(9, 7, 0.5, seed=trial)
             counts = t.counts.copy()
-            counts[::3] += 0.5  # int() truncates non-integer counts
             counts[::5] = 1e15 + 3
             users = [f"{rng.choice(LABELS)}{k}" for k in range(t.num_users)]
             items = [f"{rng.choice(LABELS)}{k}" for k in range(t.num_items)]
@@ -211,6 +210,15 @@ class TestBulkWritersMatchPerLine:
             write_triplets(tmp_path / "a.tsv", t)
             write_triplets_per_line(tmp_path / "b.tsv", t)
             assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_non_integer_count_is_data_error(self, tmp_path):
+        """A count the file cannot hold stops the write, naming the first
+        such count in entry order, instead of being truncated."""
+        t = InteractionTriplets.create([0, 0, 1, 1], [0, 1, 0, 1], [3.0, 9.5, 2.0, 1.25],
+                                       2, 2, ("a", "b"), ("x", "y"))
+        with pytest.raises(DataError, match="count 9.5 of user 'a' and item 'y' is not"):
+            write_triplets(tmp_path / "t.tsv", t)
+        assert not list(tmp_path.iterdir())
 
     def test_write_empty_triplets(self, tmp_path):
         t = InteractionTriplets.create([], [], [], 0, 0)
@@ -692,6 +700,21 @@ class TestGenerateSynthetic:
             generate_synthetic(0, 5, 2, 3, 0.1, 0.5, seed=0)
         with pytest.raises(DataError):
             generate_synthetic(5, 5, 2, 3, 0.1, 0.0, seed=0)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5, float("nan")])
+    def test_tau_at_most_one_rejected(self, tau):
+        """No positive integer count lies below such a tau."""
+        with pytest.raises(DataError, match="tau must be > 1"):
+            generate_synthetic(5, 5, 2, 3, 0.1, 0.5, seed=0, tau=tau)
+
+    @pytest.mark.parametrize("tau", [7.5, 1.5, 2.0])
+    def test_counts_are_integers_either_side_of_tau(self, tau):
+        synth = generate_synthetic(60, 40, 4, 8, 0.1, 0.3, seed=42, tau=tau)
+        counts = synth.triplets.counts
+        assert np.array_equal(counts, np.floor(counts))
+        positive = counts >= tau
+        assert counts[positive].min() == np.ceil(tau)
+        assert counts.min() == 1.0 and positive.any() and not positive.all()
 
 
 class TestFeatureFileIO:

@@ -547,8 +547,9 @@ class TestEvalExport:
     def test_written_summary_matches_result(self, tmp_path):
         res = EvalResult("cold", "test", 0, {1: 0.5, 3: 0.75}, 2, 40)
         path = tmp_path / "eval.tsv"
-        write_eval_result(path, res)
+        write_eval_result(path, res, [120, 34])
         text = path.read_text()
+        assert "fold\t0\ncheckpoint\t[120, 34]\n" in text
         assert f"mean_ndcg\t{res.mean!r}" in text
         assert "num_excluded\t2" in text
         assert "1\t0.5" in text
@@ -557,11 +558,12 @@ class TestEvalExport:
         from ncacf import data
 
         path = tmp_path / "eval.tsv"
-        write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.5}, 2, 40))
+        write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.5}, 2, 40), [1, 2])
         before = path.read_bytes()
         monkeypatch.setattr(data, "replacing", half_writing(data.replacing))
         with pytest.raises(OSError):
-            write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.25, 3: 0.5}, 2, 40))
+            write_eval_result(path, EvalResult("cold", "test", 0, {1: 0.25, 3: 0.5}, 2, 40),
+                              [1, 2])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.tsv"]
 
@@ -575,8 +577,8 @@ class TestStoredResult:
         back = stored_validation(stored_result(result, 7.0, 10), 7.0, 10)
         assert back == result and list(back.ndcg) == list(ndcg)
         assert back.mean == result.mean
-        write_eval_result(tmp_path / "a.tsv", result)
-        write_eval_result(tmp_path / "b.tsv", back)
+        write_eval_result(tmp_path / "a.tsv", result, [1, 2])
+        write_eval_result(tmp_path / "b.tsv", back, [1, 2])
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
     @pytest.mark.parametrize("tau, top_k", [(8.0, 10), (7.0, 5)])

@@ -317,7 +317,7 @@ class TestCheckpoint:
         feats = random_features(rng, model.num_items, model.feature_dim)
         path = tmp_path / "model.ckpt"
         save_model(path, model, extra_header={"split_mode": "warm", "fold": 0})
-        back, header, _, _ = load_model(path)
+        back, header, _, _, _ = load_model(path)
         assert back.variant == model.variant
         assert header["split_mode"] == "warm"
         items = np.arange(model.num_items)
@@ -331,7 +331,7 @@ class TestCheckpoint:
         model = init_model(variant, 4, 3, 2, 5, seed=0)
         path = tmp_path / "m.ckpt"
         save_model(path, model)
-        back, _, _, _ = load_model(path)
+        back, _, _, _, _ = load_model(path)
         assert back.H is None
         assert np.array_equal(back.W, model.W)
 
@@ -391,7 +391,7 @@ class TestCheckpoint:
             adams[group] = state
         path = tmp_path / "state.ckpt"
         save_model(path, model, {"progress": {"global_epoch": 2}}, adams)
-        back, header, back_adams, _ = load_model(path)
+        back, header, back_adams, _, _ = load_model(path)
         assert header["progress"] == {"global_epoch": 2}
         assert (back.variant, back.init_seed) == (model.variant, model.init_seed)
         for a, b in ((model.W, back.W), (model.H, back.H)):
@@ -423,7 +423,7 @@ class TestCheckpoint:
         path, again, plain = (tmp_path / name for name in ("v.ckpt", "again.ckpt",
                                                             "plain.ckpt"))
         save_model(path, model, {"prepared": [1, 2]}, validation=stored)
-        back, header, _, got = load_model(path)
+        back, header, _, got, _ = load_model(path)
         assert "validation" not in header and got.keys() == stored.keys()
         for key, value in stored.items():
             assert type(got[key]) is type(value) and np.array_equal(got[key], value), key

@@ -11,8 +11,9 @@ then runs, in a fresh directory and one child process per verb, with
 
     ncacf prepare   --config exp.ini
     ncacf train     --config exp.ini
-    ncacf evaluate  --config exp.ini --checkpoint run/best.ckpt --output eval_best
+    ncacf evaluate  --config exp.ini --checkpoint run/best.ckpt
     ncacf evaluate  --config exp.ini --checkpoint run/last.ckpt --output eval_last
+    ncacf report    run --output report
 
 Every file the verbs write, and each verb's standard output, is compared
 with the other tree's. Absolute paths of a tree's work directory are masked,
@@ -58,8 +59,9 @@ SEED = 7
 _RECORD_HEAD = struct.Struct("<4sIIQQI")
 _RECORD_SUFFIXES = (".ckpt", ".bin")
 _STEPS = (("prepare", []), ("train", []),
-          ("evaluate", ["--checkpoint", "run/best.ckpt", "--output", "eval_best"]),
-          ("evaluate", ["--checkpoint", "run/last.ckpt", "--output", "eval_last"]))
+          ("evaluate", ["--checkpoint", "run/best.ckpt"]),
+          ("evaluate", ["--checkpoint", "run/last.ckpt", "--output", "eval_last"]),
+          ("report", ["run", "--output", "report"]))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +91,9 @@ def tree_env(tree: str) -> dict:
 
 
 def run_tree(tree: str, raw: str, config: dict, work: str) -> None:
-    """Run the verbs of _STEPS from tree's src/ in a fresh work directory;
-    each verb's standard output goes to stdout_<n>_<verb>.txt there."""
+    """Run the verbs of _STEPS from tree's src/ in a fresh work directory,
+    each with the config but `report`, which takes run directories; each
+    verb's standard output goes to stdout_<n>_<verb>.txt there."""
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(raw, os.path.join(work, "raw"))
     bench.write_ini(os.path.join(work, "exp.ini"), config)
@@ -101,8 +104,8 @@ def run_tree(tree: str, raw: str, config: dict, work: str) -> None:
     if not os.path.realpath(where).startswith(os.path.realpath(tree) + os.sep):
         raise SystemExit(f"{tree}: ncacf imports from {where}, not from this tree")
     for n, (verb, extra) in enumerate(_STEPS):
-        proc = subprocess.run([sys.executable, "-m", "ncacf.cli", verb,
-                               "--config", "exp.ini", *extra],
+        config = [] if verb == "report" else ["--config", "exp.ini"]
+        proc = subprocess.run([sys.executable, "-m", "ncacf.cli", verb, *config, *extra],
                               env=env, cwd=work, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SystemExit(f"{tree}: `ncacf {verb}` exited {proc.returncode}:\n"
