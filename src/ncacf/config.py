@@ -14,12 +14,13 @@ directory resolves against $NCACF_OUTPUT_ROOT when that is set.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .data import write_text
 from .errors import ConfigError
-from .models import COMBINATIONS, Hyperparams, ModelVariant
+from .models import Hyperparams, ModelVariant
 
 OUTPUT_ROOT_ENV = "NCACF_OUTPUT_ROOT"
 
@@ -79,16 +80,13 @@ class ExperimentConfig:
     output: str = "run"
 
     def variant(self) -> ModelVariant:
-        variant = ModelVariant(self.family, self.coupling)
-        if not variant.deep:
-            # Tower settings are meaningless without a tower; normalize them
-            # so configs and checkpoints compare cleanly.
-            return variant
-        return replace(variant, combination=self.combination, q_hidden=self.q_hidden)
+        """The model variant; building it checks every [variant] field."""
+        variant = ModelVariant(self.family, self.coupling, self.combination, self.q_hidden)
+        # Tower settings are meaningless without a tower; normalize them so
+        # configs and checkpoints compare cleanly.
+        return variant if variant.deep else ModelVariant(self.family, self.coupling)
 
     def validate(self) -> "ExperimentConfig":
-        if self.combination not in COMBINATIONS:
-            raise ConfigError(f"unknown combination {self.combination!r}")
         if self.split_mode not in ("cold", "warm"):
             raise ConfigError(f"split mode must be cold or warm, got {self.split_mode!r}")
         if self.min_user_songs < 1 or self.min_item_users < 1:
@@ -99,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"fold {self.fold} out of range for {self.num_folds} folds")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        variant = self.variant()  # raises ConfigError on inconsistent variant specs
-        if variant.family == "mf_hybrid" and (self.hyper.n_iters < 1 or self.hyper.n_gd < 1):
+        self.variant()  # raises ConfigError on inconsistent variant specs
+        if self.family == "mf_hybrid" and (self.hyper.n_iters < 1 or self.hyper.n_gd < 1):
             raise ConfigError("mf_hybrid needs n_iters >= 1 and n_gd >= 1")
         return self
 
@@ -129,24 +127,26 @@ _INI_NAME = {
 
 
 def _parse_value(name: str, raw: str, default):
-    """A file value, parsed as the type of the field's default."""
-    raw = raw.strip()
+    """A file value, parsed as the type of the field's default; a float must
+    be finite."""
+    raw, key = raw.strip(), _INI_NAME.get(name, name)
     if name in ("grid_lambda_w", "grid_lambda_h"):
         try:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+            value = tuple(float(v) for v in raw.split(",") if v.strip())
         except ValueError:
-            raise ConfigError(f"{name}: expected comma-separated floats, got {raw!r}")
-    if name == "features" and raw.lower() in ("", "none"):
+            raise ConfigError(f"{key}: expected comma-separated floats, got {raw!r}")
+    elif name == "features" and raw.lower() in ("", "none"):
         return None
-    kind = type(default)
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}")
-    return raw
+    elif type(default) in (int, float):
+        try:
+            value = type(default)(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: cannot parse {raw!r} as {type(default).__name__}")
+    else:
+        return raw
+    if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"{key}: {raw!r} is not a finite number")
+    return value
 
 
 def load_config(path, profile: str | None = None, seed: int | None = None,

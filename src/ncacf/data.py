@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .rng import rng_for
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,6 @@ class SparsePlaycounts:
 # Binarization and confidence
 # ---------------------------------------------------------------------------
 
-def binarize(playcount, tau: float):
-    """1 where playcount >= tau, else 0. Works on scalars and arrays."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return np.where(np.asarray(playcount, dtype=np.float64) >= tau, 1.0, 0.0)
-
-
-def confidence(playcount, alpha: float, epsilon: float):
-    """1 + alpha * log(1 + playcount / epsilon), natural logarithm."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    p = np.asarray(playcount, dtype=np.float64)
-    return 1.0 + alpha * np.log1p(p / epsilon)
-
-
 @dataclass(frozen=True)
 class ConfidenceScheme:
     """Threshold and confidence constants applied to raw playcounts."""
@@ -183,11 +166,22 @@ class ConfidenceScheme:
     alpha: float = 2.0
     epsilon: float = 1e-6
 
+    def __post_init__(self):  # negated, so that NaN fails too
+        if not self.tau >= 1:
+            raise ConfigError("tau must be >= 1")
+        if not self.alpha >= 0:
+            raise ConfigError("alpha must be non-negative")
+        if not self.epsilon > 0:
+            raise ConfigError("epsilon must be positive")
+
     def r(self, counts):
-        return binarize(counts, self.tau)
+        """1 where playcount >= tau, else 0. Works on scalars and arrays."""
+        return np.where(np.asarray(counts, dtype=np.float64) >= self.tau, 1.0, 0.0)
 
     def c(self, counts):
-        return confidence(counts, self.alpha, self.epsilon)
+        """1 + alpha * log(1 + playcount / epsilon), natural logarithm."""
+        p = np.asarray(counts, dtype=np.float64)
+        return 1.0 + self.alpha * np.log1p(p / self.epsilon)
 
     def als_terms(self, counts):
         """(c - 1, c * r): what a stored entry adds to its ALS system."""
@@ -360,6 +354,8 @@ def load_features(path):
                 vec = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric feature value")
+            if not all(map(math.isfinite, vec)):
+                raise ParseError(f"{path}:{lineno}: feature value is not finite")
             if first_line.setdefault(parts[0], lineno) != lineno:
                 raise ParseError(f"{path}:{lineno}: item {parts[0]!r} already listed "
                                  f"on line {first_line[parts[0]]}")

@@ -99,13 +99,10 @@ class Hyperparams:
     extractor_layers: int = 3
 
     def __post_init__(self):
-        for name in ("lambda_w", "lambda_h", "alpha", "eta"):
+        for name in ("lambda_w", "lambda_h", "eta"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if self.tau < 1:
-            raise ConfigError("tau must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        self.scheme()  # checks tau, alpha and epsilon
         if self.batch_items < 1:
             raise ConfigError("batch_items must be >= 1")
         for name in ("embed_dim", "hidden_width", "extractor_layers"):

@@ -194,6 +194,21 @@ class TestPrepare:
         cold_rows = [r for r in rows if r[0] == "cold"]
         assert sum(int(r[3]) for r in cold_rows) == int(total[3])
 
+    def test_non_finite_feature_is_data_error(self, tmp_path, capsys):
+        """A nan feature value would make train diverge; prepare exits 3
+        naming its line and writes nothing."""
+        cfg = write_cfg(tmp_path)
+        assert main(["synth", "--config", cfg]) == 0
+        path = tmp_path / "raw" / "features.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-1].rstrip("\n").rsplit("\t", 1)[0] + "\tnan\n"
+        path.write_text("".join(lines))
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["prepare", "--config", cfg]) == 3
+        assert f"{path}:{len(lines)}: feature value is not finite" in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+
     def test_manifest_and_features_match_what_verbs_read(self, tmp_path):
         # Thirty users with one interaction each, on items in reverse order,
         # come first: filtering drops them, and with them the lines on which
@@ -2135,17 +2150,44 @@ class TestConfigRoundtrip:
         (None, "absent.ini' not found"),
         ("[weights]\nlambda_w = 1.0", "unknown config section [weights]"),
         ("[run]\nprofile = huge", "unknown profile 'huge'"),
+        ("[hyperparams]\ntau = 0.5", "tau must be >= 1"),
+        ("[hyperparams]\nalpha = -1", "alpha must be non-negative"),
+        ("[hyperparams]\nepsilon = 0", "epsilon must be positive"),
+        ("[variant]\nfamily = ncacf\ncoupling = relaxed\ncombination = sum",
+         "unknown combination 'sum'"),
+        ("[variant]\nq_hidden = -1", "q_hidden must be >= 0"),
     ], ids=["combination", "split_mode", "fold", "top_k", "grid", "int", "missing_file",
-            "section", "profile"])
+            "section", "profile", "tau", "alpha", "epsilon", "ncacf-combination",
+            "q_hidden"])
     def test_invalid_config_is_config_error(self, tmp_path, capsys, extra, message):
-        """The config is a wmf one, whose variant never checks its combination;
-        each error stops synth before it writes."""
+        """The config is a wmf one, unless the case names another family: a
+        dot-product family's tower settings are checked too, though its
+        variant drops them. Each error stops synth before it writes."""
         cfg = (str(tmp_path / "absent.ini") if extra is None
                else write_cfg(tmp_path, extra=f"\n{extra}\n"))
         before = tree_bytes(tmp_path)
         capsys.readouterr()
         assert main(["synth", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
+        assert tree_bytes(tmp_path) == before
+
+    @pytest.mark.parametrize("extra", [
+        "[hyperparams]\ntau = nan", "[hyperparams]\nlambda_w = nan",
+        "[hyperparams]\nepsilon = nan", "[hyperparams]\nalpha = inf",
+        "[hyperparams]\neta = inf", "[hyperparams]\nalpha = -inf",
+        "[hyperparams]\neta = 1e999", "[sweep]\ngrid_lambda_w = 0.1,nan",
+        "[synth]\nnoise = nan",
+    ], ids=["tau", "lambda_w", "epsilon", "alpha", "eta", "alpha-minus-inf",
+            "eta-overflow", "grid_lambda_w", "noise"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, extra):
+        """A float that is not finite would train to nothing or diverge; it
+        stops the verb at load, naming the key and value, before any write."""
+        cfg = write_cfg(tmp_path, extra=f"\n{extra}\n")
+        key, raw = extra.split("\n")[1].split(" = ")
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["synth", "--config", cfg]) == 2
+        assert f"{key}: {raw!r} is not a finite number" in capsys.readouterr().err
         assert tree_bytes(tmp_path) == before
 
     @pytest.mark.parametrize("flags, want", [

@@ -14,13 +14,13 @@ from oracles import (compressed_axis_lexsort, load_triplets_per_line,
                      split_warm_per_item, two_pass_stats, write_features_per_line,
                      write_split_plan_per_unit, write_triplets_per_line)
 from ncacf.data import (CompressedAxis, ConfidenceScheme, InteractionTriplets, SplitPlan,
-                        SparsePlaycounts, _partition_units, binarize, confidence,
-                        filter_activity, generate_synthetic, load_features,
+                        SparsePlaycounts, _partition_units, filter_activity,
+                        generate_synthetic, load_features,
                         load_triplets, materialize_fold,
                         reindex_first_seen, scan_warm_orphans, split_cold, split_warm,
                         standardize_features, write_features, write_split_plan,
                         write_triplets)
-from ncacf.errors import DataError, ParseError
+from ncacf.errors import ConfigError, DataError, ParseError
 from ncacf.rng import rng_for
 
 
@@ -250,28 +250,42 @@ class TestBulkWritersMatchPerLine:
 
 class TestBinarizeConfidence:
     def test_threshold_values(self):
-        assert binarize(7, 7) == 1.0
-        assert binarize(6, 7) == 0.0
-        assert binarize(0, 7) == 0.0
+        r = ConfidenceScheme(tau=7).r
+        assert r(7) == 1.0
+        assert r(6) == 0.0
+        assert r(0) == 0.0
 
     def test_confidence_at_zero_is_one(self):
-        assert confidence(0, 2.0, 1e-6) == 1.0
+        assert ConfidenceScheme(alpha=2.0, epsilon=1e-6).c(0) == 1.0
 
     def test_confidence_frozen_values(self):
         # 1 + 2*ln(1 + p/1e-6), evaluated with 30-digit arithmetic.
-        npt.assert_allclose(confidence(1, 2.0, 1e-6), 28.631023115927548, rtol=1e-15)
-        npt.assert_allclose(confidence(7, 2.0, 1e-6), 32.522841699753440, rtol=1e-15)
+        c = ConfidenceScheme(alpha=2.0, epsilon=1e-6).c
+        npt.assert_allclose(c(1), 28.631023115927548, rtol=1e-15)
+        npt.assert_allclose(c(7), 32.522841699753440, rtol=1e-15)
 
     def test_binarize_monotone(self):
         rng = np.random.default_rng(0)
         p = np.sort(rng.uniform(0, 20, 50))
-        r = binarize(p, 7)
+        r = ConfidenceScheme(tau=7).r(p)
         assert np.all(np.diff(r) >= 0)
 
     def test_confidence_strictly_increasing(self):
         p = np.linspace(0, 30, 200)
-        c = confidence(p, 2.0, 1e-6)
+        c = ConfidenceScheme(alpha=2.0, epsilon=1e-6).c(p)
         assert np.all(np.diff(c) > 0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", 0.5, "tau must be >= 1"),
+        ("tau", float("nan"), "tau must be >= 1"),
+        ("alpha", -0.1, "alpha must be non-negative"),
+        ("epsilon", 0.0, "epsilon must be positive"),
+        ("epsilon", -1e-6, "epsilon must be positive"),
+    ])
+    def test_scheme_checks_its_constants_once_at_construction(self, field, value,
+                                                               message):
+        with pytest.raises(ConfigError, match=message):
+            ConfidenceScheme(**{field: value})
 
 
 def _segments(axis):
@@ -736,6 +750,16 @@ class TestFeatureFileIO:
         (tmp_path / "f.tsv").write_text("a\t1.0\t2.0\nb\t1.0\n")
         with pytest.raises(ParseError):
             load_features(tmp_path / "f.tsv")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        """A value that parses to nan or an infinity would reach the content
+        extractor; it is a ParseError naming the file and line."""
+        (tmp_path / "f.tsv").write_text(f"# item\tfeatures...\na\t1.0\t2.0\n"
+                                        f"b\t3.0\t{value}\nc\t4.0\t5.0\n")
+        with pytest.raises(ParseError, match="not finite") as info:
+            load_features(tmp_path / "f.tsv")
+        assert f"{tmp_path / 'f.tsv'}:3:" in str(info.value)
 
     def test_item_listed_twice_names_both_lines(self, tmp_path):
         """A second row for an item would silently replace the first in

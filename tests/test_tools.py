@@ -21,3 +21,13 @@ def test_identity_self_test_passes(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-test passed" in proc.stdout
     assert tree_listing(ROOT / "perfbench") == perfbench
+
+
+def test_identity_bad_base_exits_2(tmp_path):
+    """A --base that is neither a source tree nor a git revision is a usage
+    error, not a difference between outputs."""
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "identity.py"),
+                           "--base", "no-such-revision", "--work", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "--base 'no-such-revision' is neither" in proc.stderr

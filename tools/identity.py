@@ -20,14 +20,17 @@ with the other tree's. Absolute paths of a tree's work directory are masked,
 and so is the seconds column of `report.tsv`. Record files (checkpoints,
 `snapshot.bin`) are compared header key by header key and array by array; a
 differing array prints its max absolute and max relative difference.
-Differing numbers in a text file print the same per column. The exit code is
-0 when every file is identical, 1 otherwise.
+Differing numbers in a text file print the same per column; a text file
+that gains or loses lines prints the first line that differs, on both sides.
+The exit code is 0 when every file is identical, 2 when `--base` is neither
+a source tree nor a git revision, and 1 otherwise.
 
 `--base` takes a source tree or a git revision (default HEAD), which is
 exported with `git archive`; it is compared with the tree this script is in.
 `--self-test` runs this tree twice on ncacf_cold, expects identical outputs,
 then expects a one-ulp change to one checkpoint array and to one report
-objective each to be flagged, and nothing else.
+objective, and a line inserted into one eval file, each to be flagged, and
+nothing else.
 """
 
 from __future__ import annotations
@@ -74,8 +77,13 @@ def export_tree(base: str, dest: str) -> str:
         return os.path.abspath(base)
     shutil.rmtree(dest, ignore_errors=True)
     os.makedirs(dest)
-    archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
-                             capture_output=True).stdout
+    try:
+        archive = subprocess.run(["git", "archive", base], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+    except subprocess.CalledProcessError:
+        print(f"--base {base!r} is neither a source tree nor a git revision",
+              file=sys.stderr)
+        raise SystemExit(2)
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
     return dest
 
@@ -174,9 +182,15 @@ def masked_lines(path: str, root: str) -> list[str]:
 
 
 def compare_text(lines_a: list[str], lines_b: list[str]) -> list[str]:
-    """Per column, the drift of differing numbers; [] when identical."""
+    """Per column, the drift of differing numbers; [] when identical. Files
+    of different lengths give the first line that differs instead."""
     if len(lines_a) != len(lines_b):
-        return [f"{len(lines_a)} vs {len(lines_b)} lines"]
+        n = next((i for i, (a, b) in enumerate(zip(lines_a, lines_b)) if a != b),
+                 min(len(lines_a), len(lines_b)))
+        a, b = (repr(lines[n]) if n < len(lines) else "end of file"
+                for lines in (lines_a, lines_b))
+        return [f"{len(lines_a)} vs {len(lines_b)} lines; first difference "
+                f"on line {n + 1}: {a} vs {b}"]
     names, columns = None, {}
     for a, b in zip(lines_a, lines_b):
         if a.startswith("epoch\t"):
@@ -282,10 +296,19 @@ def _nudge_report_objective(path: str) -> None:
         fh.write("".join(lines))
 
 
+def _insert_line(path: str, n: int, line: str) -> None:
+    """Insert line so that it becomes line n (from 1) of the file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    lines.insert(n - 1, line + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+
+
 def self_test(args) -> int:
     """This tree against itself is identical; a one-ulp change to one
-    checkpoint array and to one report objective is flagged, and nothing
-    else."""
+    checkpoint array and to one report objective, and a line inserted into
+    one eval file, are flagged, and nothing else."""
     work = os.path.abspath(args.work)
     raw = generate("ncacf_cold", work)
     dirs = [os.path.join(work, f"self-{side}") for side in ("a", "b")]
@@ -301,15 +324,19 @@ def self_test(args) -> int:
     arrays["W"].flat[0] = np.nextafter(arrays["W"].flat[0], np.inf)
     data.write_records(ckpt, magic, version, header, list(arrays.values()))
     _nudge_report_objective(os.path.join(nudged, "run", "report.tsv"))
+    inserted = "inserted\tline"
+    _insert_line(os.path.join(nudged, "run", "eval_cold_test.tsv"), 3, inserted)
     results = compare_dirs(dirs[0], nudged)
-    print_comparison("self-test: one ulp in best.ckpt's W and a report objective",
-                     results)
+    print_comparison("self-test: one ulp in best.ckpt's W and a report objective, "
+                     "a line inserted into an eval file", results)
     flagged = {rel: diffs for rel, diffs in results if diffs}
-    ok &= (set(flagged) == {os.path.join("run", "best.ckpt"),
-                            os.path.join("run", "report.tsv")}
-           and len(flagged[os.path.join("run", "best.ckpt")]) == 1
-           and flagged[os.path.join("run", "best.ckpt")][0].startswith("array W: ")
-           and flagged[os.path.join("run", "report.tsv")][0].startswith("objective: "))
+    best, report, evals = (os.path.join("run", name) for name in
+                           ("best.ckpt", "report.tsv", "eval_cold_test.tsv"))
+    ok &= (set(flagged) == {best, report, evals}
+           and len(flagged[best]) == 1 and flagged[best][0].startswith("array W: ")
+           and flagged[report][0].startswith("objective: ")
+           and len(flagged[evals]) == 1 and "on line 3: " in flagged[evals][0]
+           and flagged[evals][0].endswith(f" vs {inserted!r}"))
     print("self-test passed" if ok else "self-test FAILED")
     return 0 if ok else 1
 
